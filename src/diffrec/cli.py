@@ -10,10 +10,10 @@ from pathlib import Path
 
 import numpy as np
 
-from diffrec import bigraph, corpus, harness, recommend, simkit
-from diffrec.corpus import FilterSpec, RatingScale
+from diffrec import corpus, harness
+from diffrec.corpus import FilterSpec, FoldPair, RatingScale
 from diffrec.harness import ExperimentConfig
-from diffrec.recommend import MfConfig, RaConfig
+from diffrec.recommend import MfConfig
 
 
 CONFIG_KEYS = {
@@ -34,7 +34,6 @@ CONFIG_KEYS = {
     "step3_weight",
     "dataset_name",
     "out_dir",
-    "threads",
     "top_items",
     "min_item_ratings",
     "min_user_ratings",
@@ -75,7 +74,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", help="rating scale as min:max:step")
     parser.add_argument("--config", help="flat key = value config file")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--threads", type=int, help="worker cap (runs are sequential)")
     parser.add_argument("--out-dir", dest="out_dir")
     parser.add_argument("-L", dest="list_length", type=int)
     parser.add_argument("--theta", type=float)
@@ -135,7 +133,6 @@ class Resolved:
         self.out_dir = Path(
             pick(args.out_dir, "out_dir", os.environ.get("DIFFREC_OUT_DIR", "."))
         )
-        self.threads = pick(args.threads, "threads", 1, int)
         self.list_length = pick(args.list_length, "list_length", 100, int)
         self.theta = pick(args.theta, "theta", 0.6, float)
         self.knn_k = pick(args.knn_k, "knn_k", 20, int)
@@ -235,37 +232,21 @@ def _run(args: argparse.Namespace) -> int:
         print(f"{st.users},{st.items},{st.links},{st.sparsity:.4f}")
         return 0
 
+    cfg = res.experiment_config()
+
     if cmd == "recommend":
         user_label = getattr(args, "user", None)
         if user_label is None:
             raise CliError("recommend requires --user")
         if user_label not in ds.user_labels:
             raise CliError(f"unknown user {user_label!r}")
-        user = ds.user_labels.index(user_label)
-        g = bigraph.build_graph(ds)
-        method = res.methods[0] if res.methods else "MD"
-        if method in ("MD", "md"):
-            rec = recommend.recommend_md(g, user)
-        elif method == "PIM+RA":
-            ar = simkit.average_cri_ratio(g, "items")
-            sim = simkit.normalize(simkit.pim_matrix(g, "items", simkit.PimConfig(ar=ar)))
-            g2 = bigraph.attach_similarity(g, sim)
-            rec = recommend.recommend_pimra(g2, user, RaConfig(theta=res.theta))
-        elif method in ("UBCF", "IBCF"):
-            axis = "users" if method == "UBCF" else "items"
-            sim = simkit.normalize(simkit.pcc_matrix(g, axis))
-            rec = recommend.recommend_knn_cf(sim, g, user, method, res.knn_k)
-        elif method == "SVD":
-            model = recommend.train_mf(ds, MfConfig(seed=res.seed))
-            rec = recommend.recommend_mf(model, g, user)
-        else:
-            raise CliError(f"unknown method {method!r}")
+        # the whole dataset is the training side; nothing is held out
+        ctx = harness.FoldContext(FoldPair(train=ds, test=ds.subset(np.arange(0))), cfg)
+        (rec,) = ctx.rank(cfg.methods[0], [ds.user_labels.index(user_label)])
         print("user,rank,item,score")
         for rank, (item, score) in enumerate(rec.ranked[: res.list_length], start=1):
             print(f"{user_label},{rank},{ds.item_labels[item]},{score:.4f}")
         return 0
-
-    cfg = res.experiment_config()
 
     if cmd == "eval":
         sinks = []

@@ -7,16 +7,15 @@ import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence, get_args
 
 import numpy as np
 from scipy import stats
 
 from diffrec import bigraph, corpus, evalmetrics, recommend, simkit
-from diffrec.bigraph import BipartiteGraph
 from diffrec.corpus import FoldPair, RatingDataset
-from diffrec.recommend import MfConfig, RaConfig, RecommendationList
-from diffrec.simkit import PimConfig, SimilarityMatrix
+from diffrec.recommend import MfConfig, RaConfig, RecommendationList, Step3Weight
+from diffrec.simkit import PenaltyVariant, PimConfig, SimilarityMatrix
 
 
 class HarnessError(RuntimeError):
@@ -24,7 +23,14 @@ class HarnessError(RuntimeError):
 
 
 KNOWN_METHODS = ("UBCF", "IBCF", "SVD", "MD", "PIM+RA")
-LIST_METRICS = ("gini", "id", "iud", "novelty", "avg_popularity")
+SIMILARITY_MEASURES = ("cosine", "pcc", "pim")
+# errors a method raises on its input; anything else is a bug and propagates
+_METHOD_ERRORS = (
+    recommend.RecommendError,
+    recommend.MfDivergenceError,
+    simkit.SimilarityError,
+    bigraph.GraphError,
+)
 
 
 @dataclass(frozen=True)
@@ -38,8 +44,8 @@ class ExperimentConfig:
     theta: float = 0.6
     knn_k: int = 20
     knn_measure: str = "pcc"
-    penalty_variant: str = "pair-max"
-    step3_weight: str = "literal-w_vi"
+    penalty_variant: PenaltyVariant = "pair-max"
+    step3_weight: Step3Weight = "literal-w_vi"
     metric_sim: str = "cosine"
     mf: MfConfig = field(default_factory=MfConfig)
 
@@ -48,9 +54,22 @@ class ExperimentConfig:
             raise HarnessError(f"k_folds must be >= 2, got {self.k_folds}")
         if self.list_length < 1:
             raise HarnessError("list_length must be >= 1")
+        if self.knn_k < 1:
+            raise HarnessError(f"knn_k must be >= 1, got {self.knn_k}")
+        if not self.methods:
+            raise HarnessError("methods must name at least one method")
         unknown = set(self.methods) - set(KNOWN_METHODS)
         if unknown:
             raise HarnessError(f"unknown methods: {sorted(unknown)}")
+        for name, allowed in (
+            ("knn_measure", SIMILARITY_MEASURES),
+            ("metric_sim", SIMILARITY_MEASURES),
+            ("penalty_variant", get_args(PenaltyVariant)),
+            ("step3_weight", get_args(Step3Weight)),
+        ):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise HarnessError(f"{name} must be one of {', '.join(allowed)}, got {value!r}")
 
     def digest(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True, default=str)
@@ -139,9 +158,8 @@ class FoldContext:
         self.cfg = cfg
         self.graph = bigraph.build_graph(pair.train)
         self.likes = evalmetrics.liked_test_set(pair.test, cfg.like_threshold)
-        train_active = set(np.unique(pair.train.users).tolist())
         self.test_users = sorted(
-            u for u, liked in self.likes.items() if liked and u in train_active
+            u for u, liked in self.likes.items() if liked and self.graph.user_degree[u] > 0
         )
         self.excluded_users = len(self.likes) - len(self.test_users)
         self._sims: dict[tuple[str, str], SimilarityMatrix] = {}
@@ -187,30 +205,34 @@ class FoldContext:
         return {u: self.graph.user_items(u)[0] for u in self.test_users}
 
     def rankings(self, method: str, theta: float | None = None) -> list[RecommendationList]:
+        """Rankings for the fold's evaluated test users."""
+        if not self.test_users:
+            raise HarnessError(
+                f"fold has no evaluable test users (like_threshold {self.cfg.like_threshold})"
+            )
+        return self.rank(method, self.test_users, theta)
+
+    def rank(
+        self, method: str, users: Sequence[int], theta: float | None = None
+    ) -> list[RecommendationList]:
+        """One full ranking of unseen items per user, from the training graph."""
         try:
             if method == "MD":
-                return [recommend.recommend_md(self.graph, u) for u in self.test_users]
-            if method == "UBCF":
-                sim = self.similarity(self.cfg.knn_measure, "users")
+                return [recommend.recommend_md(self.graph, u) for u in users]
+            if method in ("UBCF", "IBCF"):
+                axis = "users" if method == "UBCF" else "items"
+                sim = self.similarity(self.cfg.knn_measure, axis)
                 return [
-                    recommend.recommend_knn_cf(sim, self.graph, u, "UBCF", self.cfg.knn_k)
-                    for u in self.test_users
-                ]
-            if method == "IBCF":
-                sim = self.similarity(self.cfg.knn_measure, "items")
-                return [
-                    recommend.recommend_knn_cf(sim, self.graph, u, "IBCF", self.cfg.knn_k)
-                    for u in self.test_users
+                    recommend.recommend_knn_cf(sim, self.graph, u, method, self.cfg.knn_k)
+                    for u in users
                 ]
             if method == "SVD":
                 model = self.mf_model
-                return [
-                    recommend.recommend_mf(model, self.graph, u) for u in self.test_users
-                ]
+                return [recommend.recommend_mf(model, self.graph, u) for u in users]
             if method == "PIM+RA":
                 scorer = self.pimra_scorer
-                return [scorer.recommend(u, theta) for u in self.test_users]
-        except Exception as exc:
+                return [scorer.recommend(u, theta) for u in users]
+        except _METHOD_ERRORS as exc:
             raise HarnessError(f"method {method} failed: {exc}") from exc
         raise HarnessError(f"unknown method {method!r}")
 
@@ -249,18 +271,20 @@ def _metric_rows(
 ListSink = Callable[[int, str, list[RecommendationList]], None]
 
 
+def _folds(ds: RatingDataset, cfg: ExperimentConfig) -> Iterator[tuple[int, FoldContext]]:
+    """Each fold of the configured k-fold split with its context."""
+    for f, pair in enumerate(corpus.kfold_split(ds, cfg.k_folds, cfg.seed)):
+        yield f, FoldContext(pair, cfg)
+
+
 def run_experiment(
     ds: RatingDataset,
     cfg: ExperimentConfig,
     list_sink: ListSink | None = None,
 ) -> EvaluationReport:
     """Evaluate every configured method over a k-fold split."""
-    folds = corpus.kfold_split(ds, cfg.k_folds, cfg.seed)
     rows: list[MetricRow] = []
-    for f, pair in enumerate(folds):
-        ctx = FoldContext(pair, cfg)
-        if not ctx.test_users:
-            raise HarnessError(f"fold {f} has no evaluable test users")
+    for f, ctx in _folds(ds, cfg):
         for method in cfg.methods:
             theta = cfg.theta if method == "PIM+RA" else None
             lists = ctx.rankings(method)
@@ -278,12 +302,8 @@ def sweep_theta(
     for t in thetas:
         if not 0.0 <= t <= 1.0:
             raise HarnessError(f"theta {t} outside [0, 1]")
-    folds = corpus.kfold_split(ds, cfg.k_folds, cfg.seed)
     rows: list[MetricRow] = []
-    for f, pair in enumerate(folds):
-        ctx = FoldContext(pair, cfg)
-        if not ctx.test_users:
-            raise HarnessError(f"fold {f} has no evaluable test users")
+    for f, ctx in _folds(ds, cfg):
         for theta in thetas:
             lists = ctx.rankings("PIM+RA", theta=theta)
             rows.extend(
@@ -299,12 +319,8 @@ def sweep_list_length(
     for length in lengths:
         if length < 1:
             raise HarnessError(f"list length {length} must be >= 1")
-    folds = corpus.kfold_split(ds, cfg.k_folds, cfg.seed)
     rows: list[MetricRow] = []
-    for f, pair in enumerate(folds):
-        ctx = FoldContext(pair, cfg)
-        if not ctx.test_users:
-            raise HarnessError(f"fold {f} has no evaluable test users")
+    for f, ctx in _folds(ds, cfg):
         for method in cfg.methods:
             theta = cfg.theta if method == "PIM+RA" else None
             lists = ctx.rankings(method)
@@ -318,24 +334,23 @@ def sweep_knn(
     ds: RatingDataset,
     cfg: ExperimentConfig,
     ks: Sequence[int],
-    measures: Sequence[str] = ("cosine", "pcc", "pim"),
+    measures: Sequence[str] = SIMILARITY_MEASURES,
     modes: Sequence[str] = ("UBCF", "IBCF"),
 ) -> EvaluationReport:
     """Prediction-error table: NRMSE per (measure, mode, neighbor count)."""
     for k in ks:
         if k < 1:
             raise HarnessError(f"k {k} must be >= 1")
-    folds = corpus.kfold_split(ds, cfg.k_folds, cfg.seed)
     rows: list[MetricRow] = []
-    for f, pair in enumerate(folds):
-        graph = bigraph.build_graph(pair.train)
-        ctx = FoldContext(pair, cfg)
+    for f, ctx in _folds(ds, cfg):
+        test = ctx.pair.test
         for measure in measures:
             for mode in modes:
                 axis = "users" if mode == "UBCF" else "items"
                 sim = ctx.similarity(measure, axis)
-                errors = _knn_errors(sim, graph, pair.test, ks)
-                for k, err in zip(ks, errors):
+                preds = recommend.knn_predict(sim, ctx.graph, test.users, test.items, ks)
+                sq = ((preds - test.ratings[:, None]) ** 2).sum(axis=0)
+                for k, err in zip(ks, np.sqrt(sq / test.n_links)):
                     rows.append(
                         MetricRow(
                             cfg.dataset_name,
@@ -344,41 +359,10 @@ def sweep_knn(
                             None,
                             k,
                             "nrmse",
-                            err / graph.scale.range,
+                            err / ctx.graph.scale.range,
                         )
                     )
     return EvaluationReport(rows=rows, config=cfg).with_means()
-
-
-def _knn_errors(
-    sim: SimilarityMatrix, g: BipartiteGraph, test: RatingDataset, ks: Sequence[int]
-) -> np.ndarray:
-    """RMSE for every k at once via descending-similarity prefix sums."""
-    ks = np.asarray(ks, dtype=np.int64)
-    sq = np.zeros(len(ks))
-    n = 0
-    for u, i, actual in test.triples():
-        if sim.axis == "users":
-            nbr, ratings = g.item_users(i)
-            sims = sim.values[u, nbr]
-            ok = sim.defined[u, nbr] & (sims > 0) & (nbr != u)
-        else:
-            nbr, ratings = g.user_items(u)
-            sims = sim.values[i, nbr]
-            ok = sim.defined[i, nbr] & (sims > 0) & (nbr != i)
-        nbr, sims, ratings = nbr[ok], sims[ok], ratings[ok]
-        if len(nbr):
-            order = np.lexsort((nbr, -sims))
-            csum_num = np.cumsum(sims[order] * ratings[order])
-            csum_den = np.cumsum(sims[order])
-            idx = np.minimum(ks, len(nbr)) - 1
-            preds = csum_num[idx] / csum_den[idx]
-        else:
-            preds = np.full(len(ks), recommend._fallback(g, u, i))
-        preds = np.clip(preds, g.scale.min, g.scale.max)
-        sq += (preds - actual) ** 2
-        n += 1
-    return np.sqrt(sq / n)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ resource walk."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -39,13 +39,16 @@ class RecommendationList:
         return [item for item, _ in self.ranked[:length]]
 
 
+Step3Weight = Literal["literal-w_vi", "alt-w_vj"]
+
+
 @dataclass(frozen=True)
 class RaConfig:
     """Resource-walk settings: popularity-penalty exponent theta in [0,1]
     and the step-3 numerator weight convention."""
 
     theta: float = 0.0
-    step3_weight: Literal["literal-w_vi", "alt-w_vj"] = "literal-w_vi"
+    step3_weight: Step3Weight = "literal-w_vi"
 
     def __post_init__(self):
         if not 0.0 <= self.theta <= 1.0:
@@ -78,99 +81,64 @@ def _rank(user: int, scores: np.ndarray, seen: np.ndarray) -> RecommendationList
 # kNN collaborative filtering
 
 
-def _fallback(g: BipartiteGraph, user: int, item: int) -> float:
-    if g.user_degree[user] > 0:
-        return float(g.user_weight_sum[user] / g.user_degree[user])
-    if g.item_degree[item] > 0:
-        return float(g.item_weight_sum[item] / g.item_degree[item])
-    return g.scale.midpoint
+def knn_predict(
+    sim: SimilarityMatrix,
+    g: BipartiteGraph,
+    users: np.ndarray,
+    items: np.ndarray,
+    ks: Sequence[int],
+) -> np.ndarray:
+    """Predicted ratings for (user, item) pairs, one column per k in `ks`.
 
-
-def predict_rating_knn(
-    sim: SimilarityMatrix, g: BipartiteGraph, user: int, item: int, k: int
-) -> float:
-    """Predicted rating as the similarity-weighted mean over the k nearest
-    neighbors that rated the item (user axis) or were rated by the user
-    (item axis). Falls back to user mean, then item mean, then the scale
-    midpoint; result is clamped to the rating scale."""
-    if k < 1:
-        raise RecommendError(f"k must be >= 1, got {k}")
-    if sim.axis == "users":
-        nbr, ratings = g.item_users(item)
-        sims = sim.values[user, nbr]
-        ok = sim.defined[user, nbr] & (sims > 0)
-        if user < sim.n:
-            ok &= nbr != user
-    else:
-        nbr, ratings = g.user_items(user)
-        sims = sim.values[item, nbr]
-        ok = sim.defined[item, nbr] & (sims > 0)
-        ok &= nbr != item
-    nbr, sims, ratings = nbr[ok], sims[ok], ratings[ok]
-    if len(nbr) == 0:
-        pred = _fallback(g, user, item)
-    else:
-        order = np.lexsort((nbr, -sims))[:k]
-        num = float(np.dot(sims[order], ratings[order]))
-        den = float(sims[order].sum())
-        pred = num / den
-    return float(np.clip(pred, g.scale.min, g.scale.max))
-
-
-def _ubcf_scores(sim: SimilarityMatrix, g: BipartiteGraph, user: int, k: int) -> np.ndarray:
-    """Predicted ratings for every item at once under user-axis kNN."""
-    simrow = sim.values[user].copy()
-    valid = sim.defined[user] & (simrow > 0)
-    valid[user] = False
-    # neighbor preference order: descending similarity, ties by id
-    order = np.lexsort((np.arange(g.n_users), -simrow))
-    rank = np.empty(g.n_users, dtype=np.int64)
-    rank[order] = np.arange(g.n_users)
-
-    wt = g.weights_t  # items x users CSR
-    edge_user = wt.indices
-    edge_rating = wt.data
-    counts = np.diff(wt.indptr)
-    edge_item = np.repeat(np.arange(g.n_items), counts)
-    edge_rank = rank[edge_user]
-
-    key = edge_item.astype(np.int64) * (g.n_users + 1) + edge_rank
-    srt = np.argsort(key, kind="stable")
-    eu = edge_user[srt]
-    take = valid[eu]
-    # position among this item's *valid* neighbors, best-similarity first
-    pos_valid = _running_count(edge_item[srt], take, g.n_items)
-    take &= pos_valid < k
-    sims = simrow[eu[take]]
-    num = np.bincount(edge_item[srt][take], weights=sims * edge_rating[srt][take],
-                      minlength=g.n_items)
-    den = np.bincount(edge_item[srt][take], weights=sims, minlength=g.n_items)
-    return _finish_predictions(num, den, g, user)
-
-
-def _running_count(groups: np.ndarray, flags: np.ndarray, n_groups: int) -> np.ndarray:
-    """Per-element count of earlier flagged elements within its group.
-
-    `groups` must be sorted; used to cap neighbor picks at k per item.
+    A prediction is the similarity-weighted mean rating over the k most
+    similar neighbors (descending similarity, ties by id) with a defined,
+    positive similarity: the users who rated the item (user axis) or the
+    items the user rated (item axis). Pairs without such a neighbor fall
+    back to the user's mean rating, then the item's, then the scale
+    midpoint; results are clipped to the rating scale.
     """
-    inc = flags.astype(np.int64)
-    cum = np.cumsum(inc) - inc
-    if len(groups) == 0:
-        return cum
-    starts = np.searchsorted(groups, np.arange(n_groups), side="left")
-    base = np.zeros(n_groups, dtype=np.int64)
-    valid_starts = starts < len(groups)
-    base[valid_starts] = cum[starts[valid_starts]]
-    return cum - base[groups]
+    ks = np.asarray(ks, dtype=np.int64)
+    if np.any(ks < 1):
+        raise RecommendError(f"k must be >= 1, got {ks.tolist()}")
+    users = np.asarray(users, dtype=np.int64)
+    items = np.asarray(items, dtype=np.int64)
+    if sim.axis == "users":
+        anchors, rows, csr = users, items, g.weights_t
+    else:
+        anchors, rows, csr = items, users, g.weights
+    n_pairs = len(rows)
+    # every pair's neighbor edges, gathered from the CSR rows
+    starts = csr.indptr[rows]
+    counts = csr.indptr[rows + 1] - starts
+    pair = np.repeat(np.arange(n_pairs), counts)
+    edge = np.arange(len(pair)) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    nbr = csr.indices[edge]
+    anchor = anchors[pair]
+    sims = sim.values[anchor, nbr]
+    keep = sim.defined[anchor, nbr] & (sims > 0) & (nbr != anchor)
+    pair, nbr, anchor, sims = pair[keep], nbr[keep], anchor[keep], sims[keep]
+    weighted = sims * csr.data[edge[keep]]
+    # neighbor preference: rank in the anchor's descending-similarity row
+    row_of, slot = np.unique(anchor, return_inverse=True)
+    order = np.argsort(-sim.values[row_of], axis=1, kind="stable")
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(sim.n), axis=1)
+    srt = np.argsort(pair * (sim.n + 1) + rank[slot, nbr], kind="stable")
+    pair, sims, weighted = pair[srt], sims[srt], weighted[srt]
+    per_pair = np.bincount(pair, minlength=n_pairs)
+    nth = np.arange(len(pair)) - (np.cumsum(per_pair) - per_pair)[pair]
+    num = np.empty((n_pairs, len(ks)))
+    den = np.empty((n_pairs, len(ks)))
+    for col, k in enumerate(ks):
+        take = nth < k
+        num[:, col] = np.bincount(pair[take], weights=weighted[take], minlength=n_pairs)
+        den[:, col] = np.bincount(pair[take], weights=sims[take], minlength=n_pairs)
+    return _predictions(num, den, g, users[:, None], items[:, None])
 
 
 def _ibcf_scores(sim: SimilarityMatrix, g: BipartiteGraph, user: int, k: int) -> np.ndarray:
     """Predicted ratings for every item at once under item-axis kNN."""
     rated, ratings = g.user_items(user)
-    if len(rated) == 0:
-        num = np.zeros(g.n_items)
-        den = np.zeros(g.n_items)
-        return _finish_predictions(num, den, g, user)
     s = sim.values[:, rated].copy()
     ok = sim.defined[:, rated] & (s > 0)
     ok[rated, np.arange(len(rated))] = False  # item never neighbors itself
@@ -180,18 +148,21 @@ def _ibcf_scores(sim: SimilarityMatrix, g: BipartiteGraph, user: int, k: int) ->
         keys = s - np.arange(len(rated))[None, :] * 1e-12
         drop = np.argpartition(-keys, k, axis=1)[:, k:]
         np.put_along_axis(s, drop, 0.0, axis=1)
-    num = s @ ratings
-    den = s.sum(axis=1)
-    return _finish_predictions(num, den, g, user)
+    return _predictions(s @ ratings, s.sum(axis=1), g, user, np.arange(g.n_items))
 
 
-def _finish_predictions(num, den, g: BipartiteGraph, user: int) -> np.ndarray:
-    scores = np.empty(g.n_items)
-    have = den > 0
-    scores[have] = num[have] / den[have]
-    for j in np.flatnonzero(~have):
-        scores[j] = _fallback(g, user, int(j))
-    return np.clip(scores, g.scale.min, g.scale.max)
+def _predictions(num, den, g: BipartiteGraph, users, items) -> np.ndarray:
+    """num / den where a neighbor contributed, else the user's mean rating,
+    the item's mean rating or the scale midpoint; clipped to the scale."""
+    user_deg, item_deg = g.user_degree[users], g.item_degree[items]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fallback = np.where(
+            user_deg > 0,
+            g.user_weight_sum[users] / user_deg,
+            np.where(item_deg > 0, g.item_weight_sum[items] / item_deg, g.scale.midpoint),
+        )
+        pred = np.where(den > 0, num / den, fallback)
+    return np.clip(pred, g.scale.min, g.scale.max)
 
 
 def recommend_knn_cf(
@@ -206,7 +177,7 @@ def recommend_knn_cf(
     if sim.axis != expected_axis:
         raise RecommendError(f"{mode} requires {expected_axis}-axis similarity")
     if mode == "UBCF":
-        scores = _ubcf_scores(sim, g, user, k)
+        scores = knn_predict(sim, g, np.full(g.n_items, user), np.arange(g.n_items), [k])[:, 0]
     else:
         scores = _ibcf_scores(sim, g, user, k)
     seen, _ = g.user_items(user)

@@ -13,6 +13,7 @@ if TYPE_CHECKING:
     from diffrec.bigraph import BipartiteGraph
 
 Axis = Literal["users", "items"]
+PenaltyVariant = Literal["pair-max", "global-max"]
 
 
 def _mirror(values: np.ndarray) -> np.ndarray:
@@ -56,7 +57,7 @@ class PimConfig:
     """
 
     ar: float
-    penalty_variant: Literal["pair-max", "global-max"] = "pair-max"
+    penalty_variant: PenaltyVariant = "pair-max"
     log_base_popularity: float = 10.0
 
 

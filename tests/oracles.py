@@ -148,6 +148,16 @@ def knn_prediction(ds, sim_lookup, user, item, k, axis="users"):
     return num / den
 
 
+def knn_rating(ds, sim_lookup, user, item, k, axis="users"):
+    """knn_prediction, or without neighbors the user's mean rating, else
+    the item's, else the scale midpoint; clipped to the rating scale."""
+    pred = knn_prediction(ds, sim_lookup, user, item, k, axis)
+    if pred is None:
+        rated = user_items_map(ds).get(user) or item_users_map(ds).get(item)
+        pred = sum(rated.values()) / len(rated) if rated else (ds.scale.min + ds.scale.max) / 2
+    return min(max(pred, ds.scale.min), ds.scale.max)
+
+
 def gini_complement_mad(counts):
     """Gini complement via the mean-absolute-difference definition,
     rescaled from the population to the n-1 denominator."""

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from diffrec import corpus
+from diffrec import bigraph, corpus, recommend, simkit
 from diffrec.cli import main
 
 from conftest import random_dataset
@@ -75,6 +75,25 @@ def test_recommend_md_fix4(fix4_csv, capsys):
     assert lines[0] == "user,rank,item,score"
     assert lines[1] == "u1,1,i2,0.3333"
     assert len(lines) == 2
+
+
+def test_recommend_honours_knn_measure(synth_csv, tmp_path, capsys):
+    ds = corpus.load_ratings(synth_csv, "generic-csv", corpus.RatingScale(1, 5, 1))
+    g = bigraph.build_graph(ds)
+    sim = simkit.normalize(simkit.cosine_matrix(g, "users"))
+    rec = recommend.recommend_knn_cf(sim, g, 0, "UBCF", k=3)
+    expected = [
+        f"u0,{rank},{ds.item_labels[item]},{score:.4f}"
+        for rank, (item, score) in enumerate(rec.ranked[:5], start=1)
+    ]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("knn_measure = cosine\nknn_k = 3\n")
+    code = main(
+        ["recommend", "--input", str(synth_csv), "--config", str(cfg),
+         "--user", "u0", "--method", "UBCF", "-L", "5"]
+    )
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[1:] == expected
 
 
 def test_recommend_unknown_user(fix4_csv, capsys):

@@ -7,9 +7,9 @@ from scipy import stats
 from diffrec import corpus, bigraph, recommend, simkit
 from diffrec.harness import (
     ExperimentConfig,
+    FoldContext,
     HarnessError,
     KNOWN_METHODS,
-    LIST_METRICS,
     analyze_corpus,
     run_experiment,
     sweep_knn,
@@ -19,7 +19,11 @@ from diffrec.harness import (
     write_report_csv,
 )
 
+import oracles
 from conftest import random_dataset
+
+
+LIST_METRICS = ("gini", "id", "iud", "novelty", "avg_popularity")
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +57,25 @@ class TestConfig:
             ExperimentConfig(list_length=0)
         with pytest.raises(HarnessError):
             ExperimentConfig(methods=("MD", "NOPE"))
+        with pytest.raises(HarnessError):
+            ExperimentConfig(methods=())
+        with pytest.raises(HarnessError):
+            ExperimentConfig(knn_k=0)
+
+    @pytest.mark.parametrize(
+        "name,allowed",
+        [
+            ("knn_measure", "cosine, pcc, pim"),
+            ("metric_sim", "cosine, pcc, pim"),
+            ("penalty_variant", "pair-max, global-max"),
+            ("step3_weight", "literal-w_vi, alt-w_vj"),
+        ],
+    )
+    def test_rejects_unknown_choice(self, name, allowed):
+        for value in allowed.split(", "):
+            ExperimentConfig(**{name: value})
+        with pytest.raises(HarnessError, match=f"{name} must be one of {allowed}, got 'bogus'"):
+            ExperimentConfig(**{name: "bogus"})
 
     def test_digest_stable_and_sensitive(self):
         a = ExperimentConfig(seed=1)
@@ -123,6 +146,22 @@ class TestRunExperiment:
         write_report_csv(run_experiment(ds, cfg), a)
         write_report_csv(run_experiment(ds, cfg), b)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestRankingErrors:
+    @pytest.mark.parametrize(
+        "raised,expected",
+        [(recommend.RecommendError, HarnessError), (IndexError, IndexError)],
+    )
+    def test_only_domain_errors_are_wrapped(self, ds, cfg, monkeypatch, raised, expected):
+        def broken(g, user):
+            raise raised("boom")
+
+        monkeypatch.setattr(recommend, "recommend_md", broken)
+        ctx = FoldContext(corpus.kfold_split(ds, cfg.k_folds, cfg.seed)[0], cfg)
+        with pytest.raises(expected, match="boom") as info:
+            ctx.rankings("MD")
+        assert type(info.value) is expected
 
 
 class TestSerialization:
@@ -222,7 +261,7 @@ class TestSweepKnn:
         g = bigraph.build_graph(pair.train)
         sim = simkit.normalize(simkit.pcc_matrix(g, "users"))
         sq = [
-            (recommend.predict_rating_knn(sim, g, u, i, k) - r) ** 2
+            (oracles.knn_rating(pair.train, sim.values, u, i, k) - r) ** 2
             for u, i, r in pair.test.triples()
         ]
         expected = np.sqrt(np.mean(sq)) / ds.scale.range

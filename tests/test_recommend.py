@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffrec import bigraph, corpus, recommend, simkit
 from diffrec.bigraph import attach_similarity, build_graph
@@ -12,9 +14,9 @@ from diffrec.recommend import (
     PimraScorer,
     RaConfig,
     RecommendError,
+    knn_predict,
     md_scores,
     predict_mf,
-    predict_rating_knn,
     recommend_knn_cf,
     recommend_md,
     recommend_mf,
@@ -109,6 +111,10 @@ class TestMassDiffusion:
 # kNN collaborative filtering
 
 
+def predict_one(sim, g, user, item, k):
+    return knn_predict(sim, g, [user], [item], [k])[0, 0]
+
+
 class TestKnnPrediction:
     def test_single_neighbor_similarity_cancels(self):
         ds = corpus.from_triples(
@@ -117,7 +123,7 @@ class TestKnnPrediction:
         )
         g = build_graph(ds)
         sim = simkit.normalize(simkit.pcc_matrix(g, "users"))
-        pred = predict_rating_knn(sim, g, user=0, item=2, k=5)
+        pred = predict_one(sim, g, user=0, item=2, k=5)
         assert pred == pytest.approx(5.0)
 
     def test_fallback_user_mean(self, fix4_graph, uid, iid):
@@ -129,14 +135,14 @@ class TestKnnPrediction:
             normalized=True,
         )
         # identity sim: no neighbor has positive similarity
-        pred = predict_rating_knn(sim, fix4_graph, uid["u3"], iid["i2"], k=3)
+        pred = predict_one(sim, fix4_graph, uid["u3"], iid["i2"], k=3)
         assert pred == pytest.approx(7 / 3)  # u3's mean rating
 
     def test_fix4_ubcf_k3_oracle(self, fix4, fix4_graph, uid, iid):
         sim = simkit.normalize(simkit.pcc_matrix(fix4_graph, "users"))
         lookup = sim.values
         expected = oracles.knn_prediction(fix4, lookup, uid["u3"], iid["i2"], k=3)
-        pred = predict_rating_knn(sim, fix4_graph, uid["u3"], iid["i2"], k=3)
+        pred = predict_one(sim, fix4_graph, uid["u3"], iid["i2"], k=3)
         assert pred == pytest.approx(expected, abs=1e-12)
         # pinned: u2 is the only positive-similarity rater of i2, so the
         # prediction equals u2's rating of i2
@@ -151,9 +157,37 @@ class TestKnnPrediction:
             normalized=True,
         )
         for item in range(4):
-            a = predict_rating_knn(base, fix4_graph, uid["u3"], item, k=3)
-            b = predict_rating_knn(scaled, fix4_graph, uid["u3"], item, k=3)
+            a = predict_one(base, fix4_graph, uid["u3"], item, k=3)
+            b = predict_one(scaled, fix4_graph, uid["u3"], item, k=3)
             assert a == pytest.approx(b, abs=1e-12)
+
+    def test_rejects_k_below_one(self, fix4_graph):
+        sim = simkit.normalize(simkit.pcc_matrix(fix4_graph, "users"))
+        with pytest.raises(RecommendError):
+            knn_predict(sim, fix4_graph, [0], [1], [3, 0])
+
+    @given(
+        seed=st.integers(0, 2**16),
+        n_users=st.integers(2, 7),
+        n_items=st.integers(2, 7),
+        density=st.floats(0.2, 0.9),
+        axis=st.sampled_from(["users", "items"]),
+        measure=st.sampled_from(["cosine", "pcc"]),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_matches_oracle(self, seed, n_users, n_items, density, axis, measure):
+        ds = random_dataset(seed, n_users=n_users, n_items=n_items, density=density)
+        g = build_graph(ds)
+        # raw matrices: pcc is signed and cosine ties often, so the
+        # positive-similarity filter and the id tie-break both matter
+        sim = simkit.cosine_matrix(g, axis) if measure == "cosine" else simkit.pcc_matrix(g, axis)
+        users, items = np.divmod(np.arange(g.n_users * g.n_items), g.n_items)
+        ks = [1, 2, 3, max(n_users, n_items) + 1]
+        got = knn_predict(sim, g, users, items, ks)
+        for row, (u, i) in enumerate(zip(users.tolist(), items.tolist())):
+            for col, k in enumerate(ks):
+                expected = oracles.knn_rating(ds, sim.values, u, i, k, axis)
+                assert got[row, col] == pytest.approx(expected, abs=1e-9)
 
 
 class TestKnnRecommend:
@@ -195,9 +229,8 @@ class TestKnnRecommend:
                 continue
             rec = recommend_knn_cf(sim, g, u, mode, k=3)
             for item, score in rec.ranked:
-                assert score == pytest.approx(
-                    predict_rating_knn(sim, g, u, item, k=3), abs=1e-9
-                )
+                expected = oracles.knn_rating(ds, sim.values, u, item, 3, axis)
+                assert score == pytest.approx(expected, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
