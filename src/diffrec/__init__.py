@@ -19,14 +19,12 @@ from diffrec.corpus import (
 )
 from diffrec.bigraph import BipartiteGraph, build_graph
 from diffrec.simkit import (
-    PimConfig,
     SimilarityMatrix,
     average_cri_ratio,
     cosine_matrix,
     normalize,
     pcc_matrix,
     pim_matrix,
-    top_k_neighbors,
 )
 from diffrec.recommend import (
     MfConfig,
@@ -43,7 +41,6 @@ __all__ = [
     "FilterSpec",
     "FoldPair",
     "MfConfig",
-    "PimConfig",
     "RaConfig",
     "RatingDataset",
     "RatingScale",
@@ -62,7 +59,6 @@ __all__ = [
     "recommend_knn_cf",
     "recommend_md",
     "recommend_pimra",
-    "top_k_neighbors",
     "train_mf",
 ]
 

@@ -1,8 +1,7 @@
-"""Immutable rating-weighted bipartite graph with similarity attachment points."""
+"""Immutable rating-weighted bipartite graph with an item-similarity attachment point."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,8 +21,8 @@ class BipartiteGraph:
 
     `weights` is users x items CSR; `weights_t` the items x users CSC view
     re-packed as CSR so both orientations iterate in sorted id order.
-    Attached similarity matrices stand in for node self-connections: they
-    carry node-to-node similarity into walk-based recommenders without
+    An attached item similarity matrix stands in for item self-connections:
+    it carries item-to-item similarity into walk-based recommenders without
     altering the walk topology.
     """
 
@@ -39,7 +38,6 @@ class BipartiteGraph:
     item_weight_sum: np.ndarray
     scale: RatingScale
     item_sim: SimilarityMatrix | None = None
-    user_sim: SimilarityMatrix | None = None
 
     @property
     def n_links(self) -> int:
@@ -56,16 +54,6 @@ class BipartiteGraph:
         row = self.weights_t
         lo, hi = row.indptr[i], row.indptr[i + 1]
         return row.indices[lo:hi], row.data[lo:hi]
-
-    def dump_csv(self, path) -> None:
-        """Edge list dump (user,item,weight) for oracle cross-checks."""
-        coo = self.weights.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["user", "item", "weight"])
-            for n in order:
-                writer.writerow([int(coo.row[n]), int(coo.col[n]), float(coo.data[n])])
 
 
 def build_graph(train: RatingDataset) -> BipartiteGraph:
@@ -103,32 +91,22 @@ def build_graph(train: RatingDataset) -> BipartiteGraph:
     )
 
 
-def attach_similarity(
-    g: BipartiteGraph,
-    item_sim: SimilarityMatrix,
-    user_sim: SimilarityMatrix | None = None,
-) -> BipartiteGraph:
-    """Return a graph carrying read-only node similarity matrices.
+def attach_similarity(g: BipartiteGraph, item_sim: SimilarityMatrix) -> BipartiteGraph:
+    """Return a graph carrying a read-only item similarity matrix.
 
     Self-similarity is forced to 1 on the attached copy.
     """
-    item_sim = _check_attachment(item_sim, "items", g.n_items)
-    if user_sim is not None:
-        user_sim = _check_attachment(user_sim, "users", g.n_users)
-    return replace(g, item_sim=item_sim, user_sim=user_sim)
-
-
-def _check_attachment(sim: SimilarityMatrix, axis: str, n: int) -> SimilarityMatrix:
-    if sim.axis != axis:
-        raise GraphError(f"expected {axis}-axis similarity, got {sim.axis}")
-    if sim.values.shape != (n, n):
+    if item_sim.axis != "items":
+        raise GraphError(f"expected items-axis similarity, got {item_sim.axis}")
+    if item_sim.values.shape != (g.n_items, g.n_items):
         raise GraphError(
-            f"similarity dimension {sim.values.shape} does not match {axis} count {n}"
+            f"similarity dimension {item_sim.values.shape} does not match items count {g.n_items}"
         )
-    if not sim.normalized:
+    if not item_sim.normalized:
         raise GraphError("attached similarity must be normalized to [0, 1]")
-    values = sim.values.copy()
+    values = item_sim.values.copy()
     np.fill_diagonal(values, 1.0)
-    defined = sim.defined.copy()
+    defined = item_sim.defined.copy()
     np.fill_diagonal(defined, True)
-    return SimilarityMatrix(axis=sim.axis, values=values, defined=defined, normalized=True)
+    sim = SimilarityMatrix(axis="items", values=values, defined=defined, normalized=True)
+    return replace(g, item_sim=sim)

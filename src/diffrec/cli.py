@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from diffrec import corpus, harness
+from diffrec import corpus, harness, simkit
 from diffrec.corpus import FilterSpec, FoldPair, RatingScale
 from diffrec.harness import ExperimentConfig
 from diffrec.recommend import MfConfig
@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--lengths", help="comma-separated lengths (default 10..100)")
         if name == "sweep-knn":
             p.add_argument("--ks", help="comma-separated neighbor counts")
-            p.add_argument("--measures", help="comma-separated: cosine,pcc,pim")
+            p.add_argument("--measures", help=f"comma-separated: {','.join(simkit.MEASURES)}")
         if name == "recommend":
             p.add_argument("--user", help="external user id", required=False)
     return parser
@@ -289,7 +289,7 @@ def _run(args: argparse.Namespace) -> int:
         measures = (
             [m.strip() for m in args.measures.split(",")]
             if getattr(args, "measures", None)
-            else ["cosine", "pcc", "pim"]
+            else simkit.MEASURES
         )
         report = harness.sweep_knn(ds, cfg, ks, measures)
         harness.write_report_csv(report, res.out_dir / "sweep_knn.csv")

@@ -355,23 +355,3 @@ def dataset_stats(ds: RatingDataset) -> DatasetStats:
     cells = ds.n_users * ds.n_items
     sparsity = 1.0 - ds.n_links / cells if cells else 0.0
     return DatasetStats(users=ds.n_users, items=ds.n_items, links=ds.n_links, sparsity=sparsity)
-
-
-# Shared 4x4 oracle fixture used across the test suite.
-FIX4_TRIPLES = (
-    ("u1", "i1", 5),
-    ("u1", "i3", 3),
-    ("u1", "i4", 2),
-    ("u2", "i2", 4),
-    ("u2", "i3", 3),
-    ("u3", "i1", 4),
-    ("u3", "i3", 1),
-    ("u3", "i4", 2),
-    ("u4", "i2", 3),
-    ("u4", "i4", 5),
-)
-
-
-def fix4() -> RatingDataset:
-    """The canonical 4-user / 4-item fixture dataset on a [1,5,1] scale."""
-    return from_triples(FIX4_TRIPLES, RatingScale(1, 5, 1))

@@ -130,23 +130,20 @@ def novelty(
     return float(np.mean(vals))
 
 
-def nrmse(pairs: Sequence[tuple[float, float]], scale: RatingScale) -> float:
-    """Root mean square prediction error normalized by the rating range."""
-    if len(pairs) == 0:
-        raise MetricError("no prediction pairs")
-    arr = np.asarray(pairs, dtype=np.float64)
-    rmse = float(np.sqrt(np.mean((arr[:, 0] - arr[:, 1]) ** 2)))
-    return rmse / scale.range
+def nrmse(preds: np.ndarray, actual: np.ndarray, scale: RatingScale) -> np.ndarray:
+    """Root mean square prediction error normalized by the rating range.
 
-
-def rec_count_distribution(
-    lists: Sequence[RecommendationList], g: BipartiteGraph, length: int
-) -> list[tuple[int, int, int]]:
-    """Rows of (item, training degree, recommendation count), all items."""
-    counts = rec_counts(lists, g.n_items, length)
-    return [
-        (int(j), int(g.item_degree[j]), int(counts[j])) for j in range(g.n_items)
-    ]
+    `preds` is (n,) or (n, len(ks)), one column per neighbor count;
+    the result has one value per column.
+    """
+    preds = np.asarray(preds, dtype=np.float64)
+    actual = np.asarray(actual, dtype=np.float64)
+    if len(actual) == 0:
+        raise MetricError("no predictions")
+    if preds.shape[0] != len(actual):
+        raise MetricError(f"{preds.shape[0]} predictions for {len(actual)} ratings")
+    diff = preds - (actual[:, None] if preds.ndim == 2 else actual)
+    return np.sqrt((diff**2).sum(axis=0) / len(actual)) / scale.range
 
 
 def avg_popularity(lists: Sequence[RecommendationList], g: BipartiteGraph, length: int) -> float:

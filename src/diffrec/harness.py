@@ -15,7 +15,7 @@ from scipy import stats
 from diffrec import bigraph, corpus, evalmetrics, recommend, simkit
 from diffrec.corpus import FoldPair, RatingDataset
 from diffrec.recommend import MfConfig, RaConfig, RecommendationList, Step3Weight
-from diffrec.simkit import PenaltyVariant, PimConfig, SimilarityMatrix
+from diffrec.simkit import PenaltyVariant, SimilarityMatrix
 
 
 class HarnessError(RuntimeError):
@@ -23,7 +23,6 @@ class HarnessError(RuntimeError):
 
 
 KNOWN_METHODS = ("UBCF", "IBCF", "SVD", "MD", "PIM+RA")
-SIMILARITY_MEASURES = ("cosine", "pcc", "pim")
 # errors a method raises on its input; anything else is a bug and propagates
 _METHOD_ERRORS = (
     recommend.RecommendError,
@@ -62,8 +61,8 @@ class ExperimentConfig:
         if unknown:
             raise HarnessError(f"unknown methods: {sorted(unknown)}")
         for name, allowed in (
-            ("knn_measure", SIMILARITY_MEASURES),
-            ("metric_sim", SIMILARITY_MEASURES),
+            ("knn_measure", simkit.MEASURES),
+            ("metric_sim", simkit.MEASURES),
             ("penalty_variant", get_args(PenaltyVariant)),
             ("step3_weight", get_args(Step3Weight)),
         ):
@@ -170,17 +169,9 @@ class FoldContext:
         """Normalized similarity matrix, computed once per (measure, axis)."""
         key = (measure, axis)
         if key not in self._sims:
-            if measure == "cosine":
-                raw = simkit.cosine_matrix(self.graph, axis)
-            elif measure == "pcc":
-                raw = simkit.pcc_matrix(self.graph, axis)
-            elif measure == "pim":
-                ar = simkit.average_cri_ratio(self.graph, axis)
-                cfg = PimConfig(ar=ar, penalty_variant=self.cfg.penalty_variant)
-                raw = simkit.pim_matrix(self.graph, axis, cfg)
-            else:
-                raise HarnessError(f"unknown similarity measure {measure!r}")
-            self._sims[key] = simkit.normalize(raw)
+            self._sims[key] = simkit.similarity(
+                self.graph, measure, axis, self.cfg.penalty_variant
+            )
         return self._sims[key]
 
     @property
@@ -334,13 +325,18 @@ def sweep_knn(
     ds: RatingDataset,
     cfg: ExperimentConfig,
     ks: Sequence[int],
-    measures: Sequence[str] = SIMILARITY_MEASURES,
+    measures: Sequence[str] = simkit.MEASURES,
     modes: Sequence[str] = ("UBCF", "IBCF"),
 ) -> EvaluationReport:
     """Prediction-error table: NRMSE per (measure, mode, neighbor count)."""
     for k in ks:
         if k < 1:
             raise HarnessError(f"k {k} must be >= 1")
+    for measure in measures:
+        if measure not in simkit.MEASURES:
+            raise HarnessError(
+                f"measures must be drawn from {', '.join(simkit.MEASURES)}, got {measure!r}"
+            )
     rows: list[MetricRow] = []
     for f, ctx in _folds(ds, cfg):
         test = ctx.pair.test
@@ -349,19 +345,10 @@ def sweep_knn(
                 axis = "users" if mode == "UBCF" else "items"
                 sim = ctx.similarity(measure, axis)
                 preds = recommend.knn_predict(sim, ctx.graph, test.users, test.items, ks)
-                sq = ((preds - test.ratings[:, None]) ** 2).sum(axis=0)
-                for k, err in zip(ks, np.sqrt(sq / test.n_links)):
-                    rows.append(
-                        MetricRow(
-                            cfg.dataset_name,
-                            str(f),
-                            f"{mode}-{measure}",
-                            None,
-                            k,
-                            "nrmse",
-                            err / ctx.graph.scale.range,
-                        )
-                    )
+                errors = evalmetrics.nrmse(preds, test.ratings, ctx.graph.scale)
+                name = f"{mode}-{measure}"
+                for k, err in zip(ks, errors):
+                    rows.append(MetricRow(cfg.dataset_name, str(f), name, None, k, "nrmse", err))
     return EvaluationReport(rows=rows, config=cfg).with_means()
 
 
@@ -428,12 +415,7 @@ def analyze_corpus(
 
     samples = {}
     for measure in ("pcc", "pim"):
-        if measure == "pcc":
-            raw = simkit.pcc_matrix(g, "users")
-        else:
-            ar = simkit.average_cri_ratio(g, "users")
-            raw = simkit.pim_matrix(g, "users", PimConfig(ar=ar))
-        norm = simkit.normalize(raw)
+        norm = simkit.similarity(g, measure, "users")
         off = norm.defined & ~np.eye(norm.n, dtype=bool)
         iu, ju = np.triu_indices(norm.n, k=1)
         keep = off[iu, ju]

@@ -1,11 +1,11 @@
 """Similarity measures over either graph axis: cosine, Pearson, and the
 co-rating/activity/popularity-corrected Pearson variant, plus min-max
-normalization and nearest-neighbor extraction."""
+normalization and one entry point choosing among them."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Literal
+from typing import TYPE_CHECKING, Literal, get_args
 
 import numpy as np
 
@@ -14,6 +14,9 @@ if TYPE_CHECKING:
 
 Axis = Literal["users", "items"]
 PenaltyVariant = Literal["pair-max", "global-max"]
+MEASURES = ("cosine", "pcc", "pim")
+# base of the logarithm in pim's popularity down-weighting
+LOG_BASE_POPULARITY = 10.0
 
 
 def _mirror(values: np.ndarray) -> np.ndarray:
@@ -43,22 +46,6 @@ class SimilarityMatrix:
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class PimConfig:
-    """Settings for the corrected-Pearson measure.
-
-    penalty_variant picks the activity-penalty exponent numerator:
-    'pair-max' uses max of the two node degrees, 'global-max' the maximum
-    degree on the axis. `ar` is the precomputed mean co-rating ratio for
-    the axis; `log_base_popularity` is the base of the popularity
-    down-weighting logarithm.
-    """
-
-    ar: float
-    penalty_variant: PenaltyVariant = "pair-max"
-    log_base_popularity: float = 10.0
 
 
 def _axis_vectors(g: "BipartiteGraph", axis: Axis):
@@ -94,94 +81,123 @@ def cosine_matrix(g: "BipartiteGraph", axis: Axis) -> SimilarityMatrix:
     return SimilarityMatrix(axis=axis, values=values, defined=defined)
 
 
-def _centered(g: "BipartiteGraph", axis: Axis):
+def _pearson_core(g: "BipartiteGraph", axis: Axis):
+    """Centered ratings and the Pearson terms shared by pcc and pim.
+
+    Returns (xc, deg, other_deg, denom, inter, defined): `xc` holds each
+    rating minus its node's mean rating (0 where unrated), `denom` the
+    per-pair variance product over the co-rating set, `inter` the
+    co-rating counts and `defined` the pairs with a computable value.
+    """
     x, mask, deg, other_deg = _axis_vectors(g, axis)
     sums = x.sum(axis=1)
     means = np.divide(sums, deg, out=np.zeros_like(sums), where=deg > 0)
     xc = (x - means[:, None]) * mask
-    return x, mask, xc, deg, other_deg
+    del x
+    # per-pair variance terms restricted to the co-rating set
+    d = (xc * xc) @ mask.T
+    denom = np.sqrt(d * d.T)
+    del d
+    inter = mask @ mask.T
+    defined = (inter > 0) & (denom > 0)
+    defined &= defined.T
+    return xc, deg, other_deg, denom, inter, defined
 
 
 def pcc_matrix(g: "BipartiteGraph", axis: Axis) -> SimilarityMatrix:
     """Pearson similarity: sums over the co-rating set, means over all
     of each node's own ratings."""
-    _, mask, xc, _, _ = _centered(g, axis)
+    xc, _, _, denom, _, defined = _pearson_core(g, axis)
     num = xc @ xc.T
-    sq = xc * xc
-    # per-pair variance terms restricted to the co-rating set
-    d = sq @ mask.T
-    denom = np.sqrt(d * d.T)
-    cri = mask @ mask.T
-    defined = (cri > 0) & (denom > 0)
+    del xc
     values = np.zeros_like(num)
     np.divide(num, denom, out=values, where=defined)
     np.clip(values, -1.0, 1.0, out=values)
     values = _mirror(values)
-    defined = defined & defined.T
-    self_def = np.diag(defined).copy()
-    np.fill_diagonal(values, np.where(self_def, 1.0, 0.0))
+    np.fill_diagonal(values, np.where(np.diag(defined), 1.0, 0.0))
     return SimilarityMatrix(axis=axis, values=values, defined=defined)
 
 
-def average_cri_ratio(g: "BipartiteGraph", axis: Axis) -> float:
-    """Mean intersection/union ratio of rating sets over all unordered
-    distinct node pairs; empty-union pairs contribute 0."""
-    _, mask, deg, _ = _axis_vectors(g, axis)
-    n = mask.shape[0]
+def _cri_ratio(inter: np.ndarray, deg: np.ndarray) -> tuple[np.ndarray, float]:
+    """Per-pair intersection/union ratio of rating sets and its mean over
+    all unordered distinct node pairs (AR); empty-union pairs count 0."""
+    n = inter.shape[0]
     if n < 2:
         raise SimilarityError("need at least 2 nodes to average pair ratios")
-    inter = mask @ mask.T
     union = deg[:, None] + deg[None, :] - inter
     ratio = np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
     total = (ratio.sum() - np.trace(ratio)) / 2.0
-    return float(total / (n * (n - 1) / 2.0))
+    return ratio, float(total / (n * (n - 1) / 2.0))
 
 
-def pim_matrix(g: "BipartiteGraph", axis: Axis, cfg: PimConfig) -> SimilarityMatrix:
+def average_cri_ratio(g: "BipartiteGraph", axis: Axis) -> float:
+    """AR: the mean intersection/union ratio of rating sets over all
+    unordered distinct node pairs; empty-union pairs contribute 0."""
+    _, mask, deg, _ = _axis_vectors(g, axis)
+    return _cri_ratio(mask @ mask.T, deg)[1]
+
+
+def pim_matrix(
+    g: "BipartiteGraph", axis: Axis, penalty_variant: PenaltyVariant = "pair-max"
+) -> SimilarityMatrix:
     """Corrected Pearson similarity.
 
     Three corrections on top of the Pearson core: a log reward/penalty on
-    the co-rating intersection/union ratio relative to the axis mean `ar`,
+    the co-rating intersection/union ratio relative to its axis mean AR,
     a per-column popularity down-weighting 1/log(1 + column degree), and
     an activity penalty 1/(1 + e^x) driven by the node degrees.
+    penalty_variant picks the numerator of x: 'pair-max' the larger of
+    the two node degrees, 'global-max' the maximum degree on the axis.
+    AR = 0 (no two nodes co-rate) is a SimilarityError.
     """
-    if cfg.ar <= 0:
-        raise SimilarityError(f"ar must be > 0, got {cfg.ar}")
-    _, mask, xc, deg, other_deg = _centered(g, axis)
+    if penalty_variant not in get_args(PenaltyVariant):
+        raise SimilarityError(f"unknown penalty variant {penalty_variant!r}")
+    xc, deg, other_deg, denom, inter, defined = _pearson_core(g, axis)
 
-    logb = np.log(cfg.log_base_popularity)
     col_w = np.zeros_like(other_deg)
     pos = other_deg > 0
-    col_w[pos] = logb / np.log1p(other_deg[pos])
+    col_w[pos] = np.log(LOG_BASE_POPULARITY) / np.log1p(other_deg[pos])
     num = (xc * col_w[None, :]) @ xc.T
+    del xc
 
-    sq = xc * xc
-    d = sq @ mask.T
-    denom = np.sqrt(d * d.T)
-
-    inter = mask @ mask.T
-    union = deg[:, None] + deg[None, :] - inter
-    ratio = np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
-    ln_factor = np.log1p(ratio / cfg.ar)
+    ratio, ar = _cri_ratio(inter, deg)
+    del inter
+    if ar <= 0:
+        raise SimilarityError(f"no two {axis} co-rate, so the mean co-rating ratio is 0")
+    num *= np.log1p(ratio / ar)
+    del ratio
 
     deg_sum = deg[:, None] + deg[None, :]
-    if cfg.penalty_variant == "pair-max":
+    if penalty_variant == "pair-max":
         top = np.maximum(deg[:, None], deg[None, :])
-    elif cfg.penalty_variant == "global-max":
-        top = np.full_like(deg_sum, deg.max())
     else:
-        raise SimilarityError(f"unknown penalty variant {cfg.penalty_variant!r}")
+        top = np.full_like(deg_sum, deg.max())
     x_pen = np.divide(top, deg_sum, out=np.zeros_like(deg_sum), where=deg_sum > 0)
-    penalty = 1.0 + np.exp(x_pen)
+    del top, deg_sum
+    denom *= 1.0 + np.exp(x_pen)
+    del x_pen
 
-    defined = (inter > 0) & (denom > 0)
-    defined &= defined.T
     values = np.zeros_like(num)
-    np.divide(ln_factor * num, denom * penalty, out=values, where=defined)
+    np.divide(num, denom, out=values, where=defined)
     values = _mirror(values)
-    self_def = np.diag(defined).copy()
-    np.fill_diagonal(values, np.where(self_def, np.diag(values), 0.0))
+    np.fill_diagonal(values, np.where(np.diag(defined), np.diag(values), 0.0))
     return SimilarityMatrix(axis=axis, values=values, defined=defined)
+
+
+def similarity(
+    g: "BipartiteGraph", measure: str, axis: Axis, penalty_variant: PenaltyVariant = "pair-max"
+) -> SimilarityMatrix:
+    """Normalized similarity of one of MEASURES over one axis;
+    penalty_variant applies to pim only."""
+    if measure == "cosine":
+        raw = cosine_matrix(g, axis)
+    elif measure == "pcc":
+        raw = pcc_matrix(g, axis)
+    elif measure == "pim":
+        raw = pim_matrix(g, axis, penalty_variant)
+    else:
+        raise SimilarityError(f"unknown similarity measure {measure!r}")
+    return normalize(raw)
 
 
 def normalize(m: SimilarityMatrix) -> SimilarityMatrix:
@@ -206,16 +222,3 @@ def normalize(m: SimilarityMatrix) -> SimilarityMatrix:
     defined = m.defined.copy()
     np.fill_diagonal(defined, True)
     return SimilarityMatrix(axis=m.axis, values=values, defined=defined, normalized=True)
-
-
-def top_k_neighbors(m: SimilarityMatrix, node: int, k: int) -> list[tuple[int, float]]:
-    """k most similar defined neighbors, descending similarity, ties by id."""
-    if k < 1:
-        raise SimilarityError(f"k must be >= 1, got {k}")
-    row = m.values[node]
-    ok = m.defined[node].copy()
-    ok[node] = False
-    ids = np.flatnonzero(ok)
-    order = np.lexsort((ids, -row[ids]))
-    chosen = ids[order[:k]]
-    return [(int(j), float(row[j])) for j in chosen]

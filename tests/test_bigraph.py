@@ -5,7 +5,7 @@ from diffrec import bigraph, corpus, simkit
 from diffrec.bigraph import GraphError, attach_similarity, build_graph
 from diffrec.corpus import RatingScale
 
-from conftest import random_dataset
+from conftest import dump_csv, random_dataset
 
 
 def identity_sim(n):
@@ -109,7 +109,7 @@ def test_attach_requires_normalized(fix4_graph):
 
 def test_dump_csv(fix4_graph, tmp_path):
     path = tmp_path / "edges.csv"
-    fix4_graph.dump_csv(path)
+    dump_csv(fix4_graph, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "user,item,weight"
     assert len(lines) == 1 + fix4_graph.n_links

@@ -16,7 +16,6 @@ from diffrec.evalmetrics import (
     liked_test_set,
     novelty,
     nrmse,
-    rec_count_distribution,
     rec_counts,
 )
 from diffrec.recommend import RecommendationList
@@ -229,22 +228,36 @@ class TestNovelty:
 
 class TestNrmse:
     def test_perfect(self):
-        assert nrmse([(3.0, 3.0), (5.0, 5.0)], SCALE15) == pytest.approx(0.0)
+        assert nrmse([3.0, 5.0], [3.0, 5.0], SCALE15) == pytest.approx(0.0)
 
     def test_full_range_error(self):
-        assert nrmse([(5.0, 1.0), (1.0, 5.0)], SCALE15) == pytest.approx(1.0)
+        assert nrmse([5.0, 1.0], [1.0, 5.0], SCALE15) == pytest.approx(1.0)
 
     def test_hand_value(self):
-        assert nrmse([(3.0, 1.0), (3.0, 5.0)], SCALE15) == pytest.approx(0.5)
+        assert nrmse([3.0, 3.0], [1.0, 5.0], SCALE15) == pytest.approx(0.5)
 
     def test_empty(self):
         with pytest.raises(MetricError):
-            nrmse([], SCALE15)
+            nrmse([], [], SCALE15)
 
     def test_bounds(self):
         rng = np.random.default_rng(3)
-        pairs = list(zip(rng.uniform(1, 5, 30), rng.uniform(1, 5, 30)))
-        assert 0.0 <= nrmse(pairs, SCALE15) <= 1.0
+        assert 0.0 <= nrmse(rng.uniform(1, 5, 30), rng.uniform(1, 5, 30), SCALE15) <= 1.0
+
+    def test_one_value_per_column(self):
+        # an (n, len(ks)) array scores each column on its own
+        actual = np.array([1.0, 3.0, 5.0])
+        preds = np.array([[1.0, 3.0], [3.0, 3.0], [5.0, 3.0]])
+        got = nrmse(preds, actual, SCALE15)
+        assert got.shape == (2,)
+        assert got[0] == 0.0
+        assert got[1] == pytest.approx(np.sqrt(8 / 3) / 4)
+        for col in range(2):
+            assert got[col] == nrmse(preds[:, col], actual, SCALE15)
+
+    def test_length_mismatch(self):
+        with pytest.raises(MetricError, match="2 predictions for 3 ratings"):
+            nrmse([1.0, 2.0], [1.0, 2.0, 3.0], SCALE15)
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +267,11 @@ class TestNrmse:
 class TestCounts:
     def test_same_list_everywhere(self, fix4_graph):
         lists = [rl(u, [0, 2]) for u in range(3)]
-        table = rec_count_distribution(lists, fix4_graph, 2)
+        table = oracles.rec_count_distribution(lists, fix4_graph, 2)
         counts = {item: count for item, _, count in table}
         assert counts == {0: 3, 1: 0, 2: 3, 3: 0}
         assert len(table) == fix4_graph.n_items
+        assert [c for _, _, c in table] == rec_counts(lists, fix4_graph.n_items, 2).tolist()
 
     def test_counting_identity(self):
         rng = np.random.default_rng(4)

@@ -254,6 +254,15 @@ class TestSweepKnn:
             assert r.metric == "nrmse"
             assert 0.0 <= r.value <= 1.0
 
+    def test_rejects_unknown_measure_before_any_fold(self, ds, cfg, monkeypatch):
+        def no_graph(train):
+            raise AssertionError("a fold ran before the measures were checked")
+
+        monkeypatch.setattr(bigraph, "build_graph", no_graph)
+        expected = "measures must be drawn from cosine, pcc, pim, got 'bogus'"
+        with pytest.raises(HarnessError, match=expected):
+            sweep_knn(ds, cfg, (3,), measures=("pcc", "bogus"))
+
     def test_matches_pointwise_predictions(self, ds, cfg):
         k = 3
         rep = sweep_knn(ds, cfg, (k,), measures=("pcc",), modes=("UBCF",))

@@ -23,10 +23,10 @@ from diffrec.recommend import (
     recommend_pimra,
     train_mf,
 )
-from diffrec.simkit import PimConfig, SimilarityMatrix
+from diffrec.simkit import SimilarityMatrix
 
 import oracles
-from conftest import random_dataset
+from conftest import FIX4_TRIPLES, random_dataset
 
 
 SCALE15 = RatingScale(1, 5, 1)
@@ -42,8 +42,7 @@ def identity_item_sim(n):
 
 
 def pim_item_sim(g):
-    ar = simkit.average_cri_ratio(g, "items")
-    return simkit.normalize(simkit.pim_matrix(g, "items", PimConfig(ar=ar)))
+    return simkit.normalize(simkit.pim_matrix(g, "items"))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +314,7 @@ class TestPimra:
     def test_uniform_ratings_step2_matches_reweighted_diffusion(self):
         # with equal ratings the weighted user hop reduces to the plain
         # diffusion hop scaled by the initialization term
-        triples = [(u, i, 3) for u, i, _ in corpus.FIX4_TRIPLES]
+        triples = [(u, i, 3) for u, i, _ in FIX4_TRIPLES]
         ds = corpus.from_triples(triples, SCALE15)
         g = build_graph(ds)
         by_user = oracles.user_items_map(ds)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from diffrec import bigraph, corpus, simkit
 from diffrec.corpus import RatingScale
 from diffrec.simkit import (
-    PimConfig,
     SimilarityError,
     SimilarityMatrix,
     average_cri_ratio,
@@ -16,7 +15,6 @@ from diffrec.simkit import (
     normalize,
     pcc_matrix,
     pim_matrix,
-    top_k_neighbors,
 )
 
 import oracles
@@ -94,8 +92,7 @@ class TestAverageCriRatio:
 
 class TestPim:
     def test_fix4_u3_u1(self, fix4_graph, uid):
-        ar = average_cri_ratio(fix4_graph, "users")
-        pim = pim_matrix(fix4_graph, "users", PimConfig(ar=ar))
+        pim = pim_matrix(fix4_graph, "users")
         assert pim.values[uid["u3"], uid["u1"]] == pytest.approx(0.752, abs=1e-3)
 
     def test_fix4_factors(self, fix4, uid, iid):
@@ -109,27 +106,46 @@ class TestPim:
         assert val == pytest.approx(0.752, abs=1e-3)
 
     def test_sign_matches_pcc(self, fix4_graph, uid):
-        ar = average_cri_ratio(fix4_graph, "users")
-        pim = pim_matrix(fix4_graph, "users", PimConfig(ar=ar))
+        pim = pim_matrix(fix4_graph, "users")
         pcc = pcc_matrix(fix4_graph, "users")
         off = ~np.eye(4, dtype=bool) & pim.defined
         assert np.all(np.sign(pim.values[off]) == np.sign(pcc.values[off]))
 
     def test_empty_cri_undefined(self):
+        # a and b share no item; c co-rates with each, so AR > 0
         ds = corpus.from_triples(
-            [("a", "x", 3), ("a", "z", 4), ("b", "y", 4), ("b", "z2", 2)],
+            [
+                ("a", "x", 3), ("a", "z", 4),
+                ("b", "y", 4), ("b", "w", 2),
+                ("c", "x", 2), ("c", "y", 5), ("c", "v", 1),
+            ],
             RatingScale(1, 5, 1),
         )
         g = bigraph.build_graph(ds)
-        pim = pim_matrix(g, "users", PimConfig(ar=0.5))
+        assert average_cri_ratio(g, "users") > 0
+        pim = pim_matrix(g, "users")
         assert not pim.defined[0, 1]
         assert pim.values[0, 1] == 0.0
+        assert pim.defined[0, 2] and pim.defined[1, 2]
+
+    def test_no_co_rating_rejected(self):
+        # AR = 0: no two users share an item
+        ds = corpus.from_triples(
+            [("a", "x", 3), ("a", "z", 4), ("b", "y", 4), ("b", "w", 2)],
+            RatingScale(1, 5, 1),
+        )
+        g = bigraph.build_graph(ds)
+        assert average_cri_ratio(g, "users") == 0.0
+        with pytest.raises(SimilarityError, match="co-rat"):
+            pim_matrix(g, "users")
+
+    def test_unknown_penalty_variant(self, fix4_graph):
+        with pytest.raises(SimilarityError, match="penalty variant"):
+            pim_matrix(fix4_graph, "users", "bogus")
 
     def test_global_max_variant(self, fix4, fix4_graph, uid):
         ar = average_cri_ratio(fix4_graph, "users")
-        pim = pim_matrix(
-            fix4_graph, "users", PimConfig(ar=ar, penalty_variant="global-max")
-        )
+        pim = pim_matrix(fix4_graph, "users", "global-max")
         vecs = oracles.user_items_map(fix4)
         col_deg = {i: len(us) for i, us in oracles.item_users_map(fix4).items()}
         expected = oracles.pim_pair(
@@ -145,8 +161,9 @@ class TestPim:
         assert len(set(vals)) == len(vals)
 
     def test_activity_penalty_never_raises_similarity(self):
-        # same CRI deviations, same supplied ar; the second graph doubles
-        # one user's non-shared degree with mean-preserving ratings
+        # same CRI deviations; the second graph doubles one user's
+        # non-shared degree with mean-preserving ratings. With two users
+        # the pair's ratio over AR is 1 in both graphs.
         base = [
             ("a", "c1", 4), ("a", "c2", 3), ("a", "c3", 5),
             ("b", "c1", 2), ("b", "c2", 3), ("b", "c3", 4),
@@ -156,9 +173,8 @@ class TestPim:
         scale = RatingScale(1, 5, 1)
         g1 = bigraph.build_graph(corpus.from_triples(base, scale))
         g2 = bigraph.build_graph(corpus.from_triples(base + extra, scale))
-        ar = 0.4
-        s1 = pim_matrix(g1, "users", PimConfig(ar=ar)).values[0, 1]
-        s2 = pim_matrix(g2, "users", PimConfig(ar=ar)).values[0, 1]
+        s1 = pim_matrix(g1, "users").values[0, 1]
+        s2 = pim_matrix(g2, "users").values[0, 1]
         assert abs(s2) <= abs(s1)
 
 
@@ -175,7 +191,7 @@ class TestMatrixVsScalarOracle:
         cs = cosine_matrix(g, "users")
         pcc = pcc_matrix(g, "users")
         ar = average_cri_ratio(g, "users")
-        pim = pim_matrix(g, "users", PimConfig(ar=ar))
+        pim = pim_matrix(g, "users")
         for a in range(ds.n_users):
             for b in range(a + 1, ds.n_users):
                 va, vb = by_user.get(a, {}), by_user.get(b, {})
@@ -200,7 +216,7 @@ class TestMatrixVsScalarOracle:
         by_item = oracles.item_users_map(ds)
         row_deg = {u: len(its) for u, its in oracles.user_items_map(ds).items()}
         ar = average_cri_ratio(g, "items")
-        pim = pim_matrix(g, "items", PimConfig(ar=ar))
+        pim = pim_matrix(g, "items")
         for a in range(ds.n_items):
             for b in range(a + 1, ds.n_items):
                 exp = oracles.pim_pair(
@@ -212,6 +228,60 @@ class TestMatrixVsScalarOracle:
                     assert pim.values[a, b] == pytest.approx(exp, abs=1e-9)
 
 
+@given(
+    seed=st.integers(0, 10_000),
+    n_users=st.integers(2, 7),
+    n_items=st.integers(2, 7),
+    axis=st.sampled_from(["users", "items"]),
+    variant=st.sampled_from(["pair-max", "global-max"]),
+)
+@settings(deadline=None, max_examples=80)
+def test_pim_matches_oracle_with_independent_ar(seed, n_users, n_items, axis, variant):
+    # every node has a rating, so the oracle's AR averages over all pairs
+    ds = random_dataset(seed, n_users=n_users, n_items=n_items, density=0.4)
+    g = bigraph.build_graph(ds)
+    by_user, by_item = oracles.user_items_map(ds), oracles.item_users_map(ds)
+    vecs, cols = (by_user, by_item) if axis == "users" else (by_item, by_user)
+    ar = oracles.average_cri_ratio(vecs)
+    if ar == 0:
+        with pytest.raises(SimilarityError):
+            pim_matrix(g, axis, variant)
+        return
+    col_degree = {c: len(v) for c, v in cols.items()}
+    max_degree = max(len(v) for v in vecs.values()) if variant == "global-max" else None
+    pim = pim_matrix(g, axis, variant)
+    for a in range(len(vecs)):
+        for b in range(a + 1, len(vecs)):
+            exp = oracles.pim_pair(vecs[a], vecs[b], col_degree, ar, max_degree)
+            if exp is None:
+                assert not pim.defined[a, b]
+            else:
+                assert pim.values[a, b] == pytest.approx(exp, abs=1e-9)
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("axis", ["users", "items"])
+    @pytest.mark.parametrize(
+        "measure,variant",
+        [("cosine", "pair-max"), ("pcc", "pair-max"), ("pim", "pair-max"), ("pim", "global-max")],
+    )
+    def test_bitwise_equal_to_normalized_matrix(self, measure, variant, axis):
+        g = bigraph.build_graph(random_dataset(11, n_users=7, n_items=8, density=0.5))
+        if measure == "pim":
+            raw = pim_matrix(g, axis, variant)
+        else:
+            raw = {"cosine": cosine_matrix, "pcc": pcc_matrix}[measure](g, axis)
+        got = simkit.similarity(g, measure, axis, variant)
+        expected = normalize(raw)
+        assert got.axis == expected.axis and got.normalized
+        assert np.array_equal(got.values, expected.values)
+        assert np.array_equal(got.defined, expected.defined)
+
+    def test_unknown_measure(self, fix4_graph):
+        with pytest.raises(SimilarityError, match="unknown similarity measure 'bogus'"):
+            simkit.similarity(fix4_graph, "bogus", "users")
+
+
 class TestSymmetryAndBounds:
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("axis", ["users", "items"])
@@ -221,7 +291,7 @@ class TestSymmetryAndBounds:
         for m in (
             cosine_matrix(g, axis),
             pcc_matrix(g, axis),
-            pim_matrix(g, axis, PimConfig(ar=average_cri_ratio(g, axis))),
+            pim_matrix(g, axis),
         ):
             assert np.array_equal(m.values, m.values.T)
             assert np.array_equal(m.defined, m.defined.T)
@@ -282,19 +352,19 @@ class TestTopK:
         pcc = normalize(pcc_matrix(fix4_graph, "users"))
         cs = normalize(cosine_matrix(fix4_graph, "users"))
         u3 = uid["u3"]
-        assert top_k_neighbors(pcc, u3, 1)[0][0] == uid["u2"]
-        assert top_k_neighbors(cs, u3, 1)[0][0] == uid["u1"]
+        assert oracles.top_k_neighbors(pcc, u3, 1)[0][0] == uid["u2"]
+        assert oracles.top_k_neighbors(cs, u3, 1)[0][0] == uid["u1"]
         # full neighbor orderings for u3 under each measure
-        assert [n for n, _ in top_k_neighbors(cs, u3, 3)] == [
+        assert [n for n, _ in oracles.top_k_neighbors(cs, u3, 3)] == [
             uid["u1"], uid["u4"], uid["u2"]
         ]
-        assert [n for n, _ in top_k_neighbors(pcc, u3, 3)] == [
+        assert [n for n, _ in oracles.top_k_neighbors(pcc, u3, 3)] == [
             uid["u2"], uid["u1"], uid["u4"]
         ]
 
     def test_saturation(self, fix4_graph, uid):
         pcc = normalize(pcc_matrix(fix4_graph, "users"))
-        assert len(top_k_neighbors(pcc, uid["u3"], 99)) == 3
+        assert len(oracles.top_k_neighbors(pcc, uid["u3"], 99)) == 3
 
     def test_tie_break_by_id(self):
         values = np.array([[1.0, 0.5, 0.5], [0.5, 1.0, 0.2], [0.5, 0.2, 1.0]])
@@ -302,7 +372,7 @@ class TestTopK:
             axis="users", values=values, defined=np.ones((3, 3), dtype=bool),
             normalized=True,
         )
-        assert [n for n, _ in top_k_neighbors(m, 0, 2)] == [1, 2]
+        assert [n for n, _ in oracles.top_k_neighbors(m, 0, 2)] == [1, 2]
 
 
 @given(st.lists(st.floats(-1, 1, allow_nan=False), min_size=2, max_size=12, unique=True))
