@@ -28,11 +28,11 @@ from diffrec.simkit import (
 )
 from diffrec.recommend import (
     MfConfig,
-    RaConfig,
+    PimraScorer,
     RecommendationList,
-    recommend_knn_cf,
-    recommend_md,
-    recommend_pimra,
+    knn_scores,
+    md_scores,
+    rank,
     train_mf,
 )
 
@@ -41,7 +41,7 @@ __all__ = [
     "FilterSpec",
     "FoldPair",
     "MfConfig",
-    "RaConfig",
+    "PimraScorer",
     "RatingDataset",
     "RatingScale",
     "RecommendationList",
@@ -52,13 +52,13 @@ __all__ = [
     "dataset_stats",
     "filter_dataset",
     "kfold_split",
+    "knn_scores",
     "load_ratings",
+    "md_scores",
     "normalize",
     "pcc_matrix",
     "pim_matrix",
-    "recommend_knn_cf",
-    "recommend_md",
-    "recommend_pimra",
+    "rank",
     "train_mf",
 ]
 

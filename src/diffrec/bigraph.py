@@ -1,18 +1,17 @@
-"""Immutable rating-weighted bipartite graph with an item-similarity attachment point."""
+"""Immutable rating-weighted bipartite graph."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from diffrec.corpus import RatingDataset, RatingScale
-from diffrec.simkit import SimilarityMatrix
 
 
 class GraphError(ValueError):
-    """Raised for invalid graph construction or attachment."""
+    """Raised for invalid graph construction."""
 
 
 @dataclass(frozen=True)
@@ -21,9 +20,6 @@ class BipartiteGraph:
 
     `weights` is users x items CSR; `weights_t` the items x users CSC view
     re-packed as CSR so both orientations iterate in sorted id order.
-    An attached item similarity matrix stands in for item self-connections:
-    it carries item-to-item similarity into walk-based recommenders without
-    altering the walk topology.
     """
 
     n_users: int
@@ -37,7 +33,6 @@ class BipartiteGraph:
     user_weight_sum: np.ndarray
     item_weight_sum: np.ndarray
     scale: RatingScale
-    item_sim: SimilarityMatrix | None = None
 
     @property
     def n_links(self) -> int:
@@ -89,24 +84,3 @@ def build_graph(train: RatingDataset) -> BipartiteGraph:
         item_weight_sum=np.asarray(wt.sum(axis=1)).ravel(),
         scale=train.scale,
     )
-
-
-def attach_similarity(g: BipartiteGraph, item_sim: SimilarityMatrix) -> BipartiteGraph:
-    """Return a graph carrying a read-only item similarity matrix.
-
-    Self-similarity is forced to 1 on the attached copy.
-    """
-    if item_sim.axis != "items":
-        raise GraphError(f"expected items-axis similarity, got {item_sim.axis}")
-    if item_sim.values.shape != (g.n_items, g.n_items):
-        raise GraphError(
-            f"similarity dimension {item_sim.values.shape} does not match items count {g.n_items}"
-        )
-    if not item_sim.normalized:
-        raise GraphError("attached similarity must be normalized to [0, 1]")
-    values = item_sim.values.copy()
-    np.fill_diagonal(values, 1.0)
-    defined = item_sim.defined.copy()
-    np.fill_diagonal(defined, True)
-    sim = SimilarityMatrix(axis="items", values=values, defined=defined, normalized=True)
-    return replace(g, item_sim=sim)

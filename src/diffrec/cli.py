@@ -195,15 +195,13 @@ def _parse_ints(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t.strip()]
 
 
-def _write_lists_csv(path, lists, item_labels, user_labels, length=None):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("user,rank,item,score\n")
-        for rec in lists:
-            ranked = rec.ranked if length is None else rec.ranked[:length]
-            for rank, (item, score) in enumerate(ranked, start=1):
-                fh.write(
-                    f"{user_labels[rec.user]},{rank},{item_labels[item]},{score:.4f}\n"
-                )
+def _write_lists(fh, lists, item_labels, user_labels, length):
+    """`user,rank,item,score` CSV rows for each list's top `length` items."""
+    fh.write("user,rank,item,score\n")
+    for rec in lists:
+        top = zip(rec.items[:length].tolist(), rec.scores[:length].tolist())
+        for rank, (item, score) in enumerate(top, start=1):
+            fh.write(f"{user_labels[rec.user]},{rank},{item_labels[item]},{score:.4f}\n")
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -242,10 +240,8 @@ def _run(args: argparse.Namespace) -> int:
             raise CliError(f"unknown user {user_label!r}")
         # the whole dataset is the training side; nothing is held out
         ctx = harness.FoldContext(FoldPair(train=ds, test=ds.subset(np.arange(0))), cfg)
-        (rec,) = ctx.rank(cfg.methods[0], [ds.user_labels.index(user_label)])
-        print("user,rank,item,score")
-        for rank, (item, score) in enumerate(rec.ranked[: res.list_length], start=1):
-            print(f"{user_label},{rank},{ds.item_labels[item]},{score:.4f}")
+        lists = ctx.rank(cfg.methods[0], [ds.user_labels.index(user_label)])
+        _write_lists(sys.stdout, lists, ds.item_labels, ds.user_labels, res.list_length)
         return 0
 
     if cmd == "eval":
@@ -253,7 +249,8 @@ def _run(args: argparse.Namespace) -> int:
 
         def sink(fold, method, lists):
             path = res.out_dir / f"recommendations_fold{fold}_{method.replace('+', '')}.csv"
-            _write_lists_csv(path, lists, ds.item_labels, ds.user_labels, res.list_length)
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                _write_lists(fh, lists, ds.item_labels, ds.user_labels, res.list_length)
             sinks.append(path)
 
         report = harness.run_experiment(ds, cfg, list_sink=sink)

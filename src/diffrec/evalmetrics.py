@@ -36,16 +36,14 @@ def ars(lists: Sequence[RecommendationList], likes: Mapping[int, set[int]]) -> f
         liked = likes.get(rec.user)
         if not liked:
             continue
-        length = len(rec.ranked)
+        length = len(rec.items)
         if length == 0:
             continue
-        positions = [
-            pos for pos, (item, _) in enumerate(rec.ranked, start=1) if item in liked
-        ]
-        if not positions:
+        positions = np.flatnonzero(np.isin(rec.items, list(liked))) + 1
+        if len(positions) == 0:
             continue
         n_users += 1
-        total += sum(pos / length for pos in positions)
+        total += sum(pos / length for pos in positions.tolist())
     if n_users == 0:
         raise MetricError("no user has a liked candidate test item")
     return n_users / total
@@ -67,13 +65,14 @@ def gini(counts: np.ndarray) -> float:
     return 1.0 - g
 
 
+def _tops(lists: Sequence[RecommendationList], length: int) -> np.ndarray:
+    """Every list's top-length items, concatenated."""
+    return np.concatenate([np.empty(0, dtype=np.int64)] + [rec.top(length) for rec in lists])
+
+
 def rec_counts(lists: Sequence[RecommendationList], n_items: int, length: int) -> np.ndarray:
     """Per-item appearance counts across truncated top-length lists."""
-    counts = np.zeros(n_items, dtype=np.int64)
-    for rec in lists:
-        for item in rec.top(length):
-            counts[item] += 1
-    return counts
+    return np.bincount(_tops(lists, length), minlength=n_items)
 
 
 def internal_diversity(
@@ -87,8 +86,7 @@ def internal_diversity(
         l = len(top)
         if l < 2:
             continue
-        idx = np.asarray(top)
-        block = sim.values[np.ix_(idx, idx)]
+        block = sim.values[np.ix_(top, top)]
         pair_sum = (block.sum() - np.trace(block)) / 2.0
         vals.append(1.0 - 2.0 * pair_sum / (l * (l - 1)))
     if not vals:
@@ -97,16 +95,17 @@ def internal_diversity(
 
 
 def inter_user_diversity(lists: Sequence[RecommendationList], length: int) -> float:
-    """Mean Hamming distance 1 - |overlap|/length over all user pairs."""
-    tops = [set(rec.top(length)) for rec in lists]
-    n = len(tops)
+    """Mean Hamming distance 1 - |overlap|/length over all user pairs.
+
+    An item in c of the lists is shared by c(c-1)/2 pairs, so the overlaps
+    sum to an exact integer without visiting the pairs.
+    """
+    n = len(lists)
     if n < 2:
         raise MetricError("need at least 2 users")
-    total = 0.0
-    for a in range(n):
-        for b in range(a + 1, n):
-            total += 1.0 - len(tops[a] & tops[b]) / length
-    return total / (n * (n - 1) / 2.0)
+    shared = np.bincount(_tops(lists, length))
+    overlap = int((shared * (shared - 1)).sum()) // 2
+    return 1.0 - overlap / (length * (n * (n - 1) / 2.0))
 
 
 def novelty(
@@ -123,7 +122,7 @@ def novelty(
         hist = np.asarray(list(histories.get(rec.user, ())), dtype=np.int64)
         if len(top) == 0 or len(hist) == 0:
             continue
-        block = sim.values[np.ix_(np.asarray(top), hist)]
+        block = sim.values[np.ix_(top, hist)]
         vals.append(1.0 - float(block.mean()))
     if not vals:
         raise MetricError("no user has both a list and a history")
@@ -148,10 +147,7 @@ def nrmse(preds: np.ndarray, actual: np.ndarray, scale: RatingScale) -> np.ndarr
 
 def avg_popularity(lists: Sequence[RecommendationList], g: BipartiteGraph, length: int) -> float:
     """Mean training degree over every recommended slot."""
-    degs = []
-    for rec in lists:
-        for item in rec.top(length):
-            degs.append(g.item_degree[item])
-    if not degs:
+    tops = _tops(lists, length)
+    if len(tops) == 0:
         raise MetricError("no recommendations made")
-    return float(np.mean(degs))
+    return float(np.mean(g.item_degree[tops]))

@@ -14,7 +14,7 @@ from scipy import stats
 
 from diffrec import bigraph, corpus, evalmetrics, recommend, simkit
 from diffrec.corpus import FoldPair, RatingDataset
-from diffrec.recommend import MfConfig, RaConfig, RecommendationList, Step3Weight
+from diffrec.recommend import MfConfig, RecommendationList, Step3Weight
 from diffrec.simkit import PenaltyVariant, SimilarityMatrix
 
 
@@ -23,6 +23,7 @@ class HarnessError(RuntimeError):
 
 
 KNOWN_METHODS = ("UBCF", "IBCF", "SVD", "MD", "PIM+RA")
+KNN_AXES = {"UBCF": "users", "IBCF": "items"}
 # errors a method raises on its input; anything else is a bug and propagates
 _METHOD_ERRORS = (
     recommend.RecommendError,
@@ -53,6 +54,8 @@ class ExperimentConfig:
             raise HarnessError(f"k_folds must be >= 2, got {self.k_folds}")
         if self.list_length < 1:
             raise HarnessError("list_length must be >= 1")
+        if not 0.0 <= self.theta <= 1.0:
+            raise HarnessError(f"theta must be in [0, 1], got {self.theta}")
         if self.knn_k < 1:
             raise HarnessError(f"knn_k must be >= 1, got {self.knn_k}")
         if not self.methods:
@@ -181,9 +184,9 @@ class FoldContext:
     @property
     def pimra_scorer(self) -> recommend.PimraScorer:
         if self._pimra is None:
-            g = bigraph.attach_similarity(self.graph, self.similarity("pim", "items"))
-            ra = RaConfig(theta=self.cfg.theta, step3_weight=self.cfg.step3_weight)
-            self._pimra = recommend.PimraScorer(g, ra)
+            self._pimra = recommend.PimraScorer(
+                self.graph, self.similarity("pim", "items"), self.cfg.step3_weight
+            )
         return self._pimra
 
     @property
@@ -207,25 +210,25 @@ class FoldContext:
         self, method: str, users: Sequence[int], theta: float | None = None
     ) -> list[RecommendationList]:
         """One full ranking of unseen items per user, from the training graph."""
+        g = self.graph
         try:
             if method == "MD":
-                return [recommend.recommend_md(self.graph, u) for u in users]
-            if method in ("UBCF", "IBCF"):
-                axis = "users" if method == "UBCF" else "items"
-                sim = self.similarity(self.cfg.knn_measure, axis)
-                return [
-                    recommend.recommend_knn_cf(sim, self.graph, u, method, self.cfg.knn_k)
-                    for u in users
-                ]
-            if method == "SVD":
-                model = self.mf_model
-                return [recommend.recommend_mf(model, self.graph, u) for u in users]
-            if method == "PIM+RA":
+                score = lambda u: recommend.md_scores(g, u)[1]
+            elif method in KNN_AXES:
+                sim = self.similarity(self.cfg.knn_measure, KNN_AXES[method])
+                score = lambda u: recommend.knn_scores(sim, g, u, self.cfg.knn_k)
+            elif method == "SVD":
+                model, items = self.mf_model, np.arange(g.n_items)
+                score = lambda u: recommend.predict_mf(model, np.full(g.n_items, u), items)
+            elif method == "PIM+RA":
                 scorer = self.pimra_scorer
-                return [scorer.recommend(u, theta) for u in users]
+                theta = self.cfg.theta if theta is None else theta
+                score = lambda u: scorer.scores(u, theta)
+            else:
+                raise HarnessError(f"unknown method {method!r}")
+            return [recommend.rank(u, score(u), g.user_items(u)[0]) for u in users]
         except _METHOD_ERRORS as exc:
             raise HarnessError(f"method {method} failed: {exc}") from exc
-        raise HarnessError(f"unknown method {method!r}")
 
 
 def _metric_rows(
@@ -326,24 +329,27 @@ def sweep_knn(
     cfg: ExperimentConfig,
     ks: Sequence[int],
     measures: Sequence[str] = simkit.MEASURES,
-    modes: Sequence[str] = ("UBCF", "IBCF"),
+    modes: Sequence[str] = tuple(KNN_AXES),
 ) -> EvaluationReport:
     """Prediction-error table: NRMSE per (measure, mode, neighbor count)."""
     for k in ks:
         if k < 1:
             raise HarnessError(f"k {k} must be >= 1")
-    for measure in measures:
-        if measure not in simkit.MEASURES:
-            raise HarnessError(
-                f"measures must be drawn from {', '.join(simkit.MEASURES)}, got {measure!r}"
-            )
+    for name, values, allowed in (
+        ("measures", measures, simkit.MEASURES),
+        ("modes", modes, KNN_AXES),
+    ):
+        for value in values:
+            if value not in allowed:
+                raise HarnessError(
+                    f"{name} must be drawn from {', '.join(allowed)}, got {value!r}"
+                )
     rows: list[MetricRow] = []
     for f, ctx in _folds(ds, cfg):
         test = ctx.pair.test
         for measure in measures:
             for mode in modes:
-                axis = "users" if mode == "UBCF" else "items"
-                sim = ctx.similarity(measure, axis)
+                sim = ctx.similarity(measure, KNN_AXES[mode])
                 preds = recommend.knn_predict(sim, ctx.graph, test.users, test.items, ks)
                 errors = evalmetrics.nrmse(preds, test.ratings, ctx.graph.scale)
                 name = f"{mode}-{measure}"

@@ -1,6 +1,7 @@
-"""Recommenders: kNN rating prediction and top-L CF, mass diffusion,
+"""Recommenders: kNN rating prediction and CF scoring, mass diffusion,
 a matrix-factorization baseline, and the similarity-guided three-step
-resource walk."""
+resource walk. Each method scores every item; `rank` turns one user's
+score row into a ranked list."""
 
 from __future__ import annotations
 
@@ -24,35 +25,23 @@ class MfDivergenceError(RuntimeError):
         self.epoch = epoch
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecommendationList:
-    """Full descending ranking of unseen items for one user.
+    """Full descending ranking of unseen items for one user: `items` in
+    rank order and their `scores`.
 
     Ties break by ascending item id, so repeated runs are byte-identical.
     """
 
     user: int
-    ranked: tuple[tuple[int, float], ...]
-    seen: frozenset[int]
+    items: np.ndarray
+    scores: np.ndarray
 
-    def top(self, length: int) -> list[int]:
-        return [item for item, _ in self.ranked[:length]]
+    def top(self, length: int) -> np.ndarray:
+        return self.items[:length]
 
 
 Step3Weight = Literal["literal-w_vi", "alt-w_vj"]
-
-
-@dataclass(frozen=True)
-class RaConfig:
-    """Resource-walk settings: popularity-penalty exponent theta in [0,1]
-    and the step-3 numerator weight convention."""
-
-    theta: float = 0.0
-    step3_weight: Step3Weight = "literal-w_vi"
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= 1.0:
-            raise RecommendError(f"theta must be in [0, 1], got {self.theta}")
 
 
 @dataclass(frozen=True)
@@ -70,11 +59,11 @@ class MfConfig:
             raise RecommendError("epochs must be >= 1")
 
 
-def _rank(user: int, scores: np.ndarray, seen: np.ndarray) -> RecommendationList:
+def rank(user: int, scores: np.ndarray, seen: np.ndarray) -> RecommendationList:
+    """Rank every item not in `seen` by descending score, ties by ascending id."""
     candidates = np.setdiff1d(np.arange(scores.shape[0]), seen, assume_unique=False)
-    order = np.lexsort((candidates, -scores[candidates]))
-    ranked = tuple((int(j), float(scores[j])) for j in candidates[order])
-    return RecommendationList(user=user, ranked=ranked, seen=frozenset(int(s) for s in seen))
+    items = candidates[np.lexsort((candidates, -scores[candidates]))]
+    return RecommendationList(user=user, items=items, scores=scores[items])
 
 
 # ---------------------------------------------------------------------------
@@ -165,23 +154,12 @@ def _predictions(num, den, g: BipartiteGraph, users, items) -> np.ndarray:
     return np.clip(pred, g.scale.min, g.scale.max)
 
 
-def recommend_knn_cf(
-    sim: SimilarityMatrix,
-    g: BipartiteGraph,
-    user: int,
-    mode: Literal["UBCF", "IBCF"],
-    k: int = 20,
-) -> RecommendationList:
-    """Full ranking of unseen items scored by predicted rating."""
-    expected_axis = "users" if mode == "UBCF" else "items"
-    if sim.axis != expected_axis:
-        raise RecommendError(f"{mode} requires {expected_axis}-axis similarity")
-    if mode == "UBCF":
-        scores = knn_predict(sim, g, np.full(g.n_items, user), np.arange(g.n_items), [k])[:, 0]
-    else:
-        scores = _ibcf_scores(sim, g, user, k)
-    seen, _ = g.user_items(user)
-    return _rank(user, scores, seen)
+def knn_scores(sim: SimilarityMatrix, g: BipartiteGraph, user: int, k: int) -> np.ndarray:
+    """Predicted rating of every item for one user: user-based kNN on a
+    users-axis similarity, item-based on an items-axis one."""
+    if sim.axis == "users":
+        return knn_predict(sim, g, np.full(g.n_items, user), np.arange(g.n_items), [k])[:, 0]
+    return _ibcf_scores(sim, g, user, k)
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +183,6 @@ def md_scores(g: BipartiteGraph, user: int) -> tuple[np.ndarray, np.ndarray]:
     return res_users, res_items
 
 
-def recommend_md(g: BipartiteGraph, user: int) -> RecommendationList:
-    _, res_items = md_scores(g, user)
-    seen, _ = g.user_items(user)
-    return _rank(user, res_items, seen)
-
-
 # ---------------------------------------------------------------------------
 # Similarity-guided resource walk
 
@@ -229,37 +201,42 @@ class PimraScorer:
     computed once and shared across users and theta values.
     """
 
-    def __init__(self, g: BipartiteGraph, cfg: RaConfig):
-        if g.item_sim is None:
-            raise RecommendError("graph has no attached item similarity")
+    def __init__(
+        self,
+        g: BipartiteGraph,
+        item_sim: SimilarityMatrix,
+        step3_weight: Step3Weight = "literal-w_vi",
+    ):
+        if item_sim.axis != "items":
+            raise RecommendError(f"expected items-axis similarity, got {item_sim.axis}")
+        if item_sim.values.shape != (g.n_items, g.n_items):
+            raise RecommendError(
+                f"similarity dimension {item_sim.values.shape} "
+                f"does not match items count {g.n_items}"
+            )
+        if not item_sim.normalized:
+            raise RecommendError("item similarity must be normalized to [0, 1]")
         self.g = g
-        self.cfg = cfg
         inv_wv = np.zeros(g.n_users)
         pos = g.user_weight_sum > 0
         inv_wv[pos] = 1.0 / g.user_weight_sum[pos]
 
         b = g.weights_t.copy()  # items x users
-        if cfg.step3_weight == "literal-w_vi":
+        if step3_weight == "literal-w_vi":
             b.data = b.data * b.data * inv_wv[b.indices]
             m = (b @ g.adjacency).toarray()
-        elif cfg.step3_weight == "alt-w_vj":
+        elif step3_weight == "alt-w_vj":
             b.data = b.data * inv_wv[b.indices]
             m = (b @ g.weights).toarray()
         else:
-            raise RecommendError(f"unknown step3 weight mode {cfg.step3_weight!r}")
-        self._p = g.item_sim.values * m
-        self._deg_pow_cache: dict[float, np.ndarray] = {}
+            raise RecommendError(f"unknown step3 weight mode {step3_weight!r}")
+        self._p = item_sim.values * m
 
-    def _deg_pow(self, theta: float) -> np.ndarray:
-        cached = self._deg_pow_cache.get(theta)
-        if cached is None:
-            deg = self.g.item_degree.astype(np.float64)
-            cached = np.where(deg > 0, deg, 1.0) ** theta
-            self._deg_pow_cache[theta] = cached
-        return cached
-
-    def scores(self, user: int, theta: float | None = None) -> np.ndarray:
-        """Raw walk scores for all items, before seen-item removal."""
+    def scores(self, user: int, theta: float) -> np.ndarray:
+        """Walk scores for all items, seen ones included, under the
+        popularity-penalty exponent theta in [0, 1]."""
+        if not 0.0 <= theta <= 1.0:
+            raise RecommendError(f"theta must be in [0, 1], got {theta}")
         g = self.g
         seen, _ = g.user_items(user)
         if len(seen) == 0:
@@ -268,16 +245,8 @@ class PimraScorer:
         r1 = 1.0 / n_u + np.log(n_u / g.item_degree[seen])
         coef = r1 / g.item_weight_sum[seen]
         raw = coef @ self._p[seen]
-        return raw / self._deg_pow(self.cfg.theta if theta is None else theta)
-
-    def recommend(self, user: int, theta: float | None = None) -> RecommendationList:
-        scores = self.scores(user, theta)
-        seen, _ = self.g.user_items(user)
-        return _rank(user, scores, seen)
-
-
-def recommend_pimra(g: BipartiteGraph, user: int, cfg: RaConfig) -> RecommendationList:
-    return PimraScorer(g, cfg).recommend(user)
+        deg = g.item_degree.astype(np.float64)
+        return raw / np.where(deg > 0, deg, 1.0) ** theta
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +312,3 @@ def predict_mf(model: MFModel, users: np.ndarray, items: np.ndarray) -> np.ndarr
         + np.einsum("ij,ij->i", model.user_factors[users], model.item_factors[items])
     )
     return np.clip(raw, model.scale_min, model.scale_max)
-
-
-def recommend_mf(model: MFModel, g: BipartiteGraph, user: int) -> RecommendationList:
-    items = np.arange(g.n_items)
-    scores = predict_mf(model, np.full(g.n_items, user), items)
-    seen, _ = g.user_items(user)
-    return _rank(user, scores, seen)

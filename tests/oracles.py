@@ -172,11 +172,34 @@ def knn_rating(ds, sim_lookup, user, item, k, axis="users"):
 
 def rec_count_distribution(lists, g, length):
     """Rows of (item, training degree, recommendation count), all items."""
-    counts = {}
+    counts = rec_counts(lists, g.n_items, length)
+    return [(j, int(g.item_degree[j]), counts[j]) for j in range(g.n_items)]
+
+
+def rec_counts(lists, n_items, length):
+    """Per-item appearance counts, one list slot at a time."""
+    counts = [0] * n_items
     for rec in lists:
-        for item in rec.top(length):
-            counts[item] = counts.get(item, 0) + 1
-    return [(j, int(g.item_degree[j]), counts.get(j, 0)) for j in range(g.n_items)]
+        for item in rec.top(length).tolist():
+            counts[item] += 1
+    return counts
+
+
+def avg_popularity(lists, g, length):
+    """Mean training degree over every recommended slot; None without one."""
+    degs = [int(g.item_degree[item]) for rec in lists for item in rec.top(length).tolist()]
+    return sum(degs) / len(degs) if degs else None
+
+
+def inter_user_diversity(lists, length):
+    """Mean of 1 - |overlap|/length over every pair of users' top sets."""
+    tops = [set(rec.top(length).tolist()) for rec in lists]
+    n = len(tops)
+    total = 0.0
+    for a in range(n):
+        for b in range(a + 1, n):
+            total += 1.0 - len(tops[a] & tops[b]) / length
+    return total / (n * (n - 1) / 2.0)
 
 
 def gini_complement_mad(counts):

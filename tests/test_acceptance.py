@@ -11,7 +11,6 @@ import pytest
 from diffrec import bigraph, corpus, harness, recommend, simkit
 from diffrec.corpus import FilterSpec, RatingScale
 from diffrec.harness import ExperimentConfig
-from diffrec.recommend import RaConfig
 
 import oracles
 from conftest import ml100k_path, random_dataset, requires_ml100k
@@ -303,11 +302,10 @@ class TestCriterion7Properties:
 
     def test_pimra_fix4_oracle(self, fix4, fix4_graph):
         sim = simkit.normalize(simkit.pim_matrix(fix4_graph, "items"))
-        g = bigraph.attach_similarity(fix4_graph, sim)
-        scorer = recommend.PimraScorer(g, RaConfig(theta=0.6))
+        scorer = recommend.PimraScorer(fix4_graph, sim)
         for u in range(fix4.n_users):
             expected = oracles.pimra_item_scores(fix4, u, sim.values, 0.6)
-            scores = scorer.scores(u)
+            scores = scorer.scores(u, 0.6)
             for j in range(fix4.n_items):
                 assert scores[j] == pytest.approx(expected.get(j, 0.0), abs=1e-9)
 

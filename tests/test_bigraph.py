@@ -1,20 +1,11 @@
 import numpy as np
 import pytest
 
-from diffrec import bigraph, corpus, simkit
-from diffrec.bigraph import GraphError, attach_similarity, build_graph
+from diffrec import corpus
+from diffrec.bigraph import GraphError, build_graph
 from diffrec.corpus import RatingScale
 
 from conftest import dump_csv, random_dataset
-
-
-def identity_sim(n):
-    return simkit.SimilarityMatrix(
-        axis="items",
-        values=np.eye(n),
-        defined=np.ones((n, n), dtype=bool),
-        normalized=True,
-    )
 
 
 def test_fix4_degrees(fix4_graph, uid, iid):
@@ -64,47 +55,6 @@ def test_orientation_consistency():
             users, uw = g.item_users(int(i))
             assert u in users
             assert uw[list(users).index(u)] == w
-
-
-def test_attach_forces_self_similarity(fix4_graph):
-    n = fix4_graph.n_items
-    sim = simkit.SimilarityMatrix(
-        axis="items",
-        values=np.full((n, n), 0.3),
-        defined=np.ones((n, n), dtype=bool),
-        normalized=True,
-    )
-    g = attach_similarity(fix4_graph, sim)
-    assert np.all(np.diag(g.item_sim.values) == 1.0)
-    # original graph untouched
-    assert fix4_graph.item_sim is None
-
-
-def test_attach_dimension_mismatch(fix4_graph):
-    with pytest.raises(GraphError, match="dimension"):
-        attach_similarity(fix4_graph, identity_sim(3))
-
-
-def test_attach_wrong_axis(fix4_graph):
-    sim = simkit.SimilarityMatrix(
-        axis="users",
-        values=np.eye(4),
-        defined=np.ones((4, 4), dtype=bool),
-        normalized=True,
-    )
-    with pytest.raises(GraphError, match="axis"):
-        attach_similarity(fix4_graph, sim)
-
-
-def test_attach_requires_normalized(fix4_graph):
-    sim = simkit.SimilarityMatrix(
-        axis="items",
-        values=np.eye(4),
-        defined=np.ones((4, 4), dtype=bool),
-        normalized=False,
-    )
-    with pytest.raises(GraphError, match="normalized"):
-        attach_similarity(fix4_graph, sim)
 
 
 def test_dump_csv(fix4_graph, tmp_path):

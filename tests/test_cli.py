@@ -81,10 +81,10 @@ def test_recommend_honours_knn_measure(synth_csv, tmp_path, capsys):
     ds = corpus.load_ratings(synth_csv, "generic-csv", corpus.RatingScale(1, 5, 1))
     g = bigraph.build_graph(ds)
     sim = simkit.normalize(simkit.cosine_matrix(g, "users"))
-    rec = recommend.recommend_knn_cf(sim, g, 0, "UBCF", k=3)
+    rec = recommend.rank(0, recommend.knn_scores(sim, g, 0, k=3), g.user_items(0)[0])
     expected = [
         f"u0,{rank},{ds.item_labels[item]},{score:.4f}"
-        for rank, (item, score) in enumerate(rec.ranked[:5], start=1)
+        for rank, (item, score) in enumerate(zip(rec.items[:5], rec.scores[:5]), start=1)
     ]
     cfg = tmp_path / "run.cfg"
     cfg.write_text("knn_measure = cosine\nknn_k = 3\n")
@@ -141,6 +141,14 @@ def test_eval_writes_report_and_lists(synth_csv, tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert stdout.startswith("dataset,fold,method,theta,L,metric,value")
     assert ",MD," in stdout and ",PIM+RA," in stdout
+
+
+def test_eval_rejects_theta_before_any_fold(synth_csv, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["eval", "--input", str(synth_csv), "--out-dir", str(out), "--theta", "1.5"])
+    assert code == 1
+    assert "theta must be in [0, 1], got 1.5" in capsys.readouterr().err
+    assert not list(out.glob("recommendations_*"))
 
 
 def test_sweep_theta_cli(synth_csv, tmp_path, capsys):

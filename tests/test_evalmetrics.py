@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffrec import simkit
 from diffrec.bigraph import build_graph
@@ -28,10 +30,10 @@ from conftest import random_dataset
 SCALE15 = RatingScale(1, 5, 1)
 
 
-def rl(user, items, seen=()):
+def rl(user, items):
     """Recommendation list with strictly descending scores in list order."""
-    ranked = tuple((i, float(len(items) - pos)) for pos, i in enumerate(items))
-    return RecommendationList(user=user, ranked=ranked, seen=frozenset(seen))
+    items = np.asarray(items, dtype=np.int64)
+    return RecommendationList(user=user, items=items, scores=np.arange(len(items), 0, -1.0))
 
 
 def item_sim(values):
@@ -318,3 +320,42 @@ def test_bounds_on_generated_lists():
     assert 0.0 <= inter_user_diversity(lists, 4) <= 1.0
     assert 0.0 <= novelty(lists, histories, sim, 4) <= 1.0
     assert 0.0 <= gini(rec_counts(lists, 10, 4)) <= 1.0 + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Array metrics against their per-slot oracles
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    n_items=st.integers(2, 9),
+    length=st.integers(1, 6),
+    data=st.data(),
+)
+@settings(deadline=None, max_examples=150)
+def test_array_metrics_match_oracles(seed, n_items, length, data):
+    # lists of distinct items, empty ones and ones shorter than `length` included
+    n_users = data.draw(st.integers(0, 6))
+    lists = [
+        rl(u, data.draw(st.lists(st.integers(0, n_items - 1), unique=True, max_size=n_items)))
+        for u in range(n_users)
+    ]
+    g = build_graph(random_dataset(seed, n_users=4, n_items=n_items))
+
+    counts = rec_counts(lists, n_items, length)
+    assert counts.tolist() == oracles.rec_counts(lists, n_items, length)
+
+    expected = oracles.avg_popularity(lists, g, length)
+    if expected is None:
+        with pytest.raises(MetricError):
+            avg_popularity(lists, g, length)
+    else:
+        assert avg_popularity(lists, g, length) == pytest.approx(expected, abs=1e-12)
+
+    if n_users < 2:
+        with pytest.raises(MetricError):
+            inter_user_diversity(lists, length)
+    else:
+        assert inter_user_diversity(lists, length) == pytest.approx(
+            oracles.inter_user_diversity(lists, length), abs=1e-12
+        )

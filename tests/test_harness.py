@@ -61,6 +61,9 @@ class TestConfig:
             ExperimentConfig(methods=())
         with pytest.raises(HarnessError):
             ExperimentConfig(knn_k=0)
+        for theta in (-0.1, 1.5):
+            with pytest.raises(HarnessError, match=r"theta must be in \[0, 1\]"):
+                ExperimentConfig(theta=theta)
 
     @pytest.mark.parametrize(
         "name,allowed",
@@ -157,7 +160,7 @@ class TestRankingErrors:
         def broken(g, user):
             raise raised("boom")
 
-        monkeypatch.setattr(recommend, "recommend_md", broken)
+        monkeypatch.setattr(recommend, "md_scores", broken)
         ctx = FoldContext(corpus.kfold_split(ds, cfg.k_folds, cfg.seed)[0], cfg)
         with pytest.raises(expected, match="boom") as info:
             ctx.rankings("MD")
@@ -262,6 +265,15 @@ class TestSweepKnn:
         expected = "measures must be drawn from cosine, pcc, pim, got 'bogus'"
         with pytest.raises(HarnessError, match=expected):
             sweep_knn(ds, cfg, (3,), measures=("pcc", "bogus"))
+
+    def test_rejects_unknown_mode_before_any_fold(self, ds, cfg, monkeypatch):
+        def no_graph(train):
+            raise AssertionError("a fold ran before the modes were checked")
+
+        monkeypatch.setattr(bigraph, "build_graph", no_graph)
+        expected = "modes must be drawn from UBCF, IBCF, got 'bogus'"
+        with pytest.raises(HarnessError, match=expected):
+            sweep_knn(ds, cfg, (3,), measures=("pcc",), modes=("IBCF", "bogus"))
 
     def test_matches_pointwise_predictions(self, ds, cfg):
         k = 3

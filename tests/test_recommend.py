@@ -6,21 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffrec import bigraph, corpus, recommend, simkit
-from diffrec.bigraph import attach_similarity, build_graph
+from diffrec.bigraph import build_graph
 from diffrec.corpus import RatingScale
 from diffrec.recommend import (
     MfConfig,
     MfDivergenceError,
     PimraScorer,
-    RaConfig,
     RecommendError,
     knn_predict,
+    knn_scores,
     md_scores,
     predict_mf,
-    recommend_knn_cf,
-    recommend_md,
-    recommend_mf,
-    recommend_pimra,
+    rank,
     train_mf,
 )
 from diffrec.simkit import SimilarityMatrix
@@ -45,17 +42,24 @@ def pim_item_sim(g):
     return simkit.normalize(simkit.pim_matrix(g, "items"))
 
 
+def ranked(g, user, scores):
+    """The ranking of `scores` over the items `user` has not rated in g."""
+    return rank(user, scores, g.user_items(user)[0])
+
+
+def seen(g, user):
+    return set(g.user_items(user)[0].tolist())
+
+
 # ---------------------------------------------------------------------------
 # Mass diffusion
 
 
 class TestMassDiffusion:
     def test_fix4_u1(self, fix4_graph, fix4, uid, iid):
-        rec = recommend_md(fix4_graph, uid["u1"])
-        assert len(rec.ranked) == 1
-        item, score = rec.ranked[0]
-        assert item == iid["i2"]
-        assert score == pytest.approx(1.0 / 3.0, abs=1e-12)
+        rec = ranked(fix4_graph, uid["u1"], md_scores(fix4_graph, uid["u1"])[1])
+        assert rec.items.tolist() == [iid["i2"]]
+        assert rec.scores[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_fix4_step2_resources(self, fix4_graph, uid):
         res_users, _ = md_scores(fix4_graph, uid["u1"])
@@ -98,12 +102,12 @@ class TestMassDiffusion:
         sub = fix4.subset(np.arange(3))  # only u1's ratings
         g = build_graph(sub)
         with pytest.raises(RecommendError):
-            recommend_md(g, 1)
+            md_scores(g, 1)
 
     def test_no_seen_items_in_output(self, fix4_graph, uid):
-        for label, u in uid.items():
-            rec = recommend_md(fix4_graph, u)
-            assert not {item for item, _ in rec.ranked} & rec.seen
+        for u in uid.values():
+            rec = ranked(fix4_graph, u, md_scores(fix4_graph, u)[1])
+            assert not set(rec.items.tolist()) & seen(fix4_graph, u)
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +196,8 @@ class TestKnnPrediction:
 class TestKnnRecommend:
     def test_fix4_u1_singleton(self, fix4_graph, uid, iid):
         sim = simkit.normalize(simkit.pcc_matrix(fix4_graph, "users"))
-        rec = recommend_knn_cf(sim, fix4_graph, uid["u1"], "UBCF", k=3)
-        assert [item for item, _ in rec.ranked] == [iid["i2"]]
+        rec = ranked(fix4_graph, uid["u1"], knn_scores(sim, fix4_graph, uid["u1"], k=3))
+        assert rec.items.tolist() == [iid["i2"]]
 
     def test_rated_everything_empty(self):
         ds = corpus.from_triples(
@@ -201,33 +205,28 @@ class TestKnnRecommend:
         )
         g = build_graph(ds)
         sim = simkit.normalize(simkit.cosine_matrix(g, "users"))
-        rec = recommend_knn_cf(sim, g, 0, "UBCF", k=1)
-        assert rec.ranked == ()
+        rec = ranked(g, 0, knn_scores(sim, g, 0, k=1))
+        assert rec.items.size == rec.scores.size == 0
 
     def test_ibcf_identity_falls_back_to_user_mean(self, fix4_graph, uid):
         sim = identity_item_sim(fix4_graph.n_items)
-        rec = recommend_knn_cf(sim, fix4_graph, uid["u1"], "IBCF", k=2)
-        items = [item for item, _ in rec.ranked]
-        scores = [score for _, score in rec.ranked]
+        rec = ranked(fix4_graph, uid["u1"], knn_scores(sim, fix4_graph, uid["u1"], k=2))
+        items = rec.items.tolist()
         assert items == sorted(items)  # id-ordered under constant scores
-        assert all(s == pytest.approx(10 / 3) for s in scores)
-
-    def test_mode_axis_mismatch(self, fix4_graph):
-        sim = identity_item_sim(fix4_graph.n_items)
-        with pytest.raises(RecommendError):
-            recommend_knn_cf(sim, fix4_graph, 0, "UBCF", k=1)
+        assert all(s == pytest.approx(10 / 3) for s in rec.scores)
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("mode,axis", [("UBCF", "users"), ("IBCF", "items")])
     def test_batch_matches_pointwise(self, seed, mode, axis):
+        # the similarity's axis selects the mode
         ds = random_dataset(60 + seed, n_users=8, n_items=9, density=0.5)
         g = build_graph(ds)
         sim = simkit.normalize(simkit.pcc_matrix(g, axis))
         for u in range(g.n_users):
             if g.user_degree[u] == 0:
                 continue
-            rec = recommend_knn_cf(sim, g, u, mode, k=3)
-            for item, score in rec.ranked:
+            rec = ranked(g, u, knn_scores(sim, g, u, k=3))
+            for item, score in zip(rec.items.tolist(), rec.scores.tolist()):
                 expected = oracles.knn_rating(ds, sim.values, u, item, 3, axis)
                 assert score == pytest.approx(expected, abs=1e-9)
 
@@ -239,15 +238,13 @@ class TestKnnRecommend:
 class TestPimra:
     def test_single_user_single_item(self):
         ds = corpus.from_triples([("a", "x", 4)], SCALE15)
-        g = attach_similarity(build_graph(ds), identity_item_sim(1))
-        scorer = PimraScorer(g, RaConfig(theta=0.0))
-        scores = scorer.scores(0)
+        g = build_graph(ds)
+        scores = PimraScorer(g, identity_item_sim(1)).scores(0, theta=0.0)
         assert scores[0] == pytest.approx(1.0)  # R1 = 1, all mass returns
-        assert scorer.recommend(0).ranked == ()
+        assert ranked(g, 0, scores).items.size == 0
 
     def test_fix4_identity_theta0_table(self, fix4, fix4_graph, uid, iid):
-        g = attach_similarity(fix4_graph, identity_item_sim(4))
-        scores = PimraScorer(g, RaConfig(theta=0.0)).scores(uid["u1"])
+        scores = PimraScorer(fix4_graph, identity_item_sim(4)).scores(uid["u1"], theta=0.0)
         expected = {
             "i1": 0.3928531395,
             "i2": 0.0,
@@ -261,42 +258,38 @@ class TestPimra:
     @pytest.mark.parametrize("mode", ["literal-w_vi", "alt-w_vj"])
     def test_fix4_matches_path_oracle(self, fix4, fix4_graph, theta, mode):
         sim = pim_item_sim(fix4_graph)
-        g = attach_similarity(fix4_graph, sim)
-        scorer = PimraScorer(g, RaConfig(theta=theta, step3_weight=mode))
-        sim_lookup = g.item_sim.values
+        scorer = PimraScorer(fix4_graph, sim, step3_weight=mode)
         for u in range(fix4.n_users):
             expected = oracles.pimra_item_scores(
-                fix4, u, sim_lookup, theta, alt_weight=(mode == "alt-w_vj")
+                fix4, u, sim.values, theta, alt_weight=(mode == "alt-w_vj")
             )
-            scores = scorer.scores(u)
+            scores = scorer.scores(u, theta)
             for j in range(fix4.n_items):
                 assert scores[j] == pytest.approx(expected.get(j, 0.0), abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_matches_path_oracle(self, seed):
         ds = random_dataset(80 + seed, n_users=7, n_items=6, density=0.5)
-        g0 = build_graph(ds)
-        g = attach_similarity(g0, pim_item_sim(g0))
-        scorer = PimraScorer(g, RaConfig(theta=0.4))
+        g = build_graph(ds)
+        sim = pim_item_sim(g)
+        scorer = PimraScorer(g, sim)
         for u in range(ds.n_users):
-            expected = oracles.pimra_item_scores(ds, u, g.item_sim.values, 0.4)
-            scores = scorer.scores(u)
+            expected = oracles.pimra_item_scores(ds, u, sim.values, 0.4)
+            scores = scorer.scores(u, 0.4)
             for j in range(ds.n_items):
                 assert scores[j] == pytest.approx(expected.get(j, 0.0), abs=1e-9)
 
     def test_theta_scaling_identity(self, fix4_graph, uid):
-        g = attach_similarity(fix4_graph, pim_item_sim(fix4_graph))
-        scorer = PimraScorer(g, RaConfig(theta=0.0))
-        base = scorer.scores(uid["u2"])
-        deg = np.where(g.item_degree > 0, g.item_degree, 1).astype(float)
+        scorer = PimraScorer(fix4_graph, pim_item_sim(fix4_graph))
+        base = scorer.scores(uid["u2"], theta=0.0)
+        deg = np.where(fix4_graph.item_degree > 0, fix4_graph.item_degree, 1).astype(float)
         for theta in (0.25, 0.5, 1.0):
             scaled = scorer.scores(uid["u2"], theta=theta)
             assert np.allclose(scaled, base / deg**theta, atol=1e-12)
 
     def test_theta_demotes_popular_relative_to_rare(self, fix4_graph, uid, iid):
         # u2's candidates: i1 (degree 2) and i4 (degree 3)
-        g = attach_similarity(fix4_graph, pim_item_sim(fix4_graph))
-        scorer = PimraScorer(g, RaConfig())
+        scorer = PimraScorer(fix4_graph, pim_item_sim(fix4_graph))
         prev = None
         for theta in np.linspace(0.0, 1.0, 11):
             scores = scorer.scores(uid["u2"], theta=theta)
@@ -307,9 +300,24 @@ class TestPimra:
                     assert ratio <= prev + 1e-12
                 prev = ratio
 
-    def test_missing_attachment(self, fix4_graph):
-        with pytest.raises(RecommendError, match="similarity"):
-            recommend_pimra(fix4_graph, 0, RaConfig())
+    @pytest.mark.parametrize(
+        "axis,n,normalized,match",
+        [
+            ("users", 4, True, "axis"),
+            ("items", 3, True, "dimension"),
+            ("items", 4, False, "normalized"),
+        ],
+        ids=["axis", "dimension", "normalized"],
+    )
+    def test_rejects_bad_similarity(self, fix4_graph, axis, n, normalized, match):
+        sim = SimilarityMatrix(
+            axis=axis,
+            values=np.eye(n),
+            defined=np.ones((n, n), dtype=bool),
+            normalized=normalized,
+        )
+        with pytest.raises(RecommendError, match=match):
+            PimraScorer(fix4_graph, sim)
 
     def test_uniform_ratings_step2_matches_reweighted_diffusion(self):
         # with equal ratings the weighted user hop reduces to the plain
@@ -328,9 +336,11 @@ class TestPimra:
                     w_i = 3 * len(by_item[i])
                     assert r1 * 3 / w_i == pytest.approx(r1 / len(by_item[i]))
 
-    def test_invalid_theta(self):
-        with pytest.raises(RecommendError):
-            RaConfig(theta=1.5)
+    def test_invalid_theta(self, fix4_graph):
+        scorer = PimraScorer(fix4_graph, identity_item_sim(4))
+        for theta in (-0.1, 1.5):
+            with pytest.raises(RecommendError, match=r"theta must be in \[0, 1\]"):
+                scorer.scores(0, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +386,11 @@ class TestMf:
 
     def test_recommend_excludes_seen(self, fix4, fix4_graph, uid):
         model = train_mf(fix4, MfConfig(epochs=5, seed=0))
-        rec = recommend_mf(model, fix4_graph, uid["u1"])
-        assert not {item for item, _ in rec.ranked} & rec.seen
+        n = fix4_graph.n_items
+        u = uid["u1"]
+        rec = ranked(fix4_graph, u, predict_mf(model, np.full(n, u), np.arange(n)))
+        assert not set(rec.items.tolist()) & seen(fix4_graph, u)
+        assert len(rec.items) == n - len(seen(fix4_graph, u))
 
 
 # ---------------------------------------------------------------------------
@@ -390,14 +403,23 @@ class TestRankingContracts:
         triples = [("a", "x", 3), ("b", "x", 3), ("b", "y", 3), ("b", "z", 3)]
         ds = corpus.from_triples(triples, SCALE15)
         g = build_graph(ds)
-        rec = recommend_md(g, 0)
-        scores = [s for _, s in rec.ranked]
-        items = [i for i, _ in rec.ranked]
-        assert scores[0] == scores[1]
-        assert items == sorted(items)
+        rec = ranked(g, 0, md_scores(g, 0)[1])
+        assert rec.scores[0] == rec.scores[1]
+        assert rec.items.tolist() == sorted(rec.items.tolist())
+
+    def test_rank_orders_by_score_then_id(self):
+        scores = np.array([0.5, 2.0, 0.5, 1.0, 2.0, 0.0])
+        rec = rank(7, scores, np.array([3]))
+        assert rec.user == 7
+        assert rec.items.tolist() == [1, 4, 0, 2, 5]
+        assert rec.scores.tolist() == [2.0, 2.0, 0.5, 0.5, 0.0]
+        assert rec.top(2).tolist() == [1, 4]
 
     def test_repeat_runs_identical(self, fix4_graph, uid):
-        g = attach_similarity(fix4_graph, pim_item_sim(fix4_graph))
-        a = recommend_pimra(g, uid["u2"], RaConfig(theta=0.6))
-        b = recommend_pimra(g, uid["u2"], RaConfig(theta=0.6))
-        assert a == b
+        u = uid["u2"]
+        runs = [
+            ranked(fix4_graph, u, PimraScorer(fix4_graph, pim_item_sim(fix4_graph)).scores(u, 0.6))
+            for _ in range(2)
+        ]
+        assert np.array_equal(runs[0].items, runs[1].items)
+        assert np.array_equal(runs[0].scores, runs[1].scores)
