@@ -5,6 +5,7 @@ score row into a ranked list."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -57,6 +58,14 @@ class MfConfig:
             raise RecommendError("factors must be >= 1")
         if self.epochs < 1:
             raise RecommendError("epochs must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise RecommendError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}"
+            )
+        if not (math.isfinite(self.regularization) and self.regularization >= 0):
+            raise RecommendError(
+                f"regularization must be finite and >= 0, got {self.regularization}"
+            )
 
 
 def rank(user: int, scores: np.ndarray, seen: np.ndarray) -> RecommendationList:
@@ -177,8 +186,8 @@ def md_scores(g: BipartiteGraph, user: int) -> tuple[np.ndarray, np.ndarray]:
     init[seen] = 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         per_item = np.where(g.item_degree > 0, init / g.item_degree, 0.0)
-    res_users = g.adjacency @ per_item
-    per_user = np.where(g.user_degree > 0, res_users / g.user_degree, 0.0)
+        res_users = g.adjacency @ per_item
+        per_user = np.where(g.user_degree > 0, res_users / g.user_degree, 0.0)
     res_items = g.adjacency_t @ per_user
     return res_users, res_items
 
@@ -266,7 +275,18 @@ class MFModel:
 
 def train_mf(train: RatingDataset, cfg: MfConfig) -> MFModel:
     """Biased latent-factor model fit by per-rating stochastic gradient
-    descent on squared error; deterministic given cfg.seed."""
+    descent on squared error; deterministic given cfg.seed.
+
+    Each epoch visits the ratings in a fresh random permutation, one SGD
+    step per rating, but applies the steps in dependency waves: a step's
+    wave is one past the latest wave that already holds its user or its
+    item. No two steps in a wave share a user or an item, so each wave is
+    one vectorised update, and every row of the biases and factors gets
+    the same updates, in the same order and with the same element-wise
+    arithmetic, as when the steps run one at a time (the interchangeable
+    strata of Gemulla et al., KDD 2011). The parameters are therefore
+    those of plain sequential SGD, bit for bit.
+    """
     rng = np.random.default_rng(cfg.seed)
     n_users, n_items = train.n_users, train.n_items
     p = rng.normal(0.0, 0.1, size=(n_users, cfg.factors))
@@ -280,18 +300,32 @@ def train_mf(train: RatingDataset, cfg: MfConfig) -> MFModel:
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             order = rng.permutation(len(ratings))
-            sq_err = 0.0
-            for n in order:
-                u, i, r = users[n], items[n], ratings[n]
-                pu, qi = p[u], q[i]
-                err = r - (mu + bu[u] + bi[i] + pu @ qi)
-                sq_err += err * err
-                bu[u] += lr * (err - reg * bu[u])
-                bi[i] += lr * (err - reg * bi[i])
+            wave = _waves(users[order].tolist(), items[order].tolist(), n_users, n_items)
+            by_wave = np.argsort(wave, kind="stable")
+            ends = np.cumsum(np.bincount(wave)).tolist()
+            steps = order[by_wave]
+            wu, wi, wr = users[steps], items[steps], ratings[steps]
+            errs = np.empty(len(steps))
+            lo = 0
+            for hi in ends:
+                u, i, r = wu[lo:hi], wi[lo:hi], wr[lo:hi]
+                bu_u, bi_i, pu, qi = bu[u], bi[i], p[u], q[i]
+                # 1×k by k×1 products take the dot kernel of `pu @ qi`;
+                # einsum or (pu * qi).sum(1) would add in another order
+                dot = np.matmul(pu[:, None, :], qi[:, :, None])[:, 0, 0]
+                err = r - (mu + bu_u + bi_i + dot)
+                errs[lo:hi] = err
+                bu[u] = bu_u + lr * (err - reg * bu_u)
+                bi[i] = bi_i + lr * (err - reg * bi_i)
+                err = err[:, None]
                 pu_new = pu + lr * (err * qi - reg * pu)
                 q[i] = qi + lr * (err * pu - reg * qi)
                 p[u] = pu_new
-            if not np.isfinite(sq_err):
+                lo = hi
+            # the squared errors summed in permutation order, as step by step
+            sq = np.empty_like(errs)
+            sq[by_wave] = errs * errs
+            if len(sq) and not np.isfinite(np.cumsum(sq)[-1]):
                 raise MfDivergenceError(epoch)
     return MFModel(
         global_mean=mu,
@@ -302,6 +336,20 @@ def train_mf(train: RatingDataset, cfg: MfConfig) -> MFModel:
         scale_min=train.scale.min,
         scale_max=train.scale.max,
     )
+
+
+def _waves(users: list[int], items: list[int], n_users: int, n_items: int) -> list[int]:
+    """Wave of each SGD step: one past the latest wave of an earlier step
+    on the same user or item, counting from 0."""
+    user_wave = [-1] * n_users
+    item_wave = [-1] * n_items
+    waves = []
+    for u, i in zip(users, items):
+        a, b = user_wave[u], item_wave[i]
+        w = (a if a > b else b) + 1
+        user_wave[u] = item_wave[i] = w
+        waves.append(w)
+    return waves
 
 
 def predict_mf(model: MFModel, users: np.ndarray, items: np.ndarray) -> np.ndarray:

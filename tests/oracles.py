@@ -4,6 +4,10 @@ computation paths."""
 
 import math
 
+import numpy as np
+
+from diffrec.recommend import MFModel, MfDivergenceError
+
 
 def rating_map(ds):
     """dict (user, item) -> rating from a dataset."""
@@ -211,3 +215,44 @@ def gini_complement_mad(counts):
     mad = sum(abs(a - b) for a in counts for b in counts) / (n * n)
     gini = mad / (2 * mean) * (n / (n - 1))
     return 1.0 - gini
+
+
+def train_mf(train, cfg):
+    """Biased latent-factor model fit by per-rating stochastic gradient
+    descent on squared error, one rating at a time in each epoch's
+    permutation order."""
+    rng = np.random.default_rng(cfg.seed)
+    n_users, n_items = train.n_users, train.n_items
+    p = rng.normal(0.0, 0.1, size=(n_users, cfg.factors))
+    q = rng.normal(0.0, 0.1, size=(n_items, cfg.factors))
+    bu = np.zeros(n_users)
+    bi = np.zeros(n_items)
+    mu = float(train.ratings.mean())
+    users, items, ratings = train.users, train.items, train.ratings
+    lr, reg = cfg.learning_rate, cfg.regularization
+    # divergence surfaces as non-finite error; silence the interim overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(len(ratings))
+            sq_err = 0.0
+            for n in order:
+                u, i, r = users[n], items[n], ratings[n]
+                pu, qi = p[u], q[i]
+                err = r - (mu + bu[u] + bi[i] + pu @ qi)
+                sq_err += err * err
+                bu[u] += lr * (err - reg * bu[u])
+                bi[i] += lr * (err - reg * bi[i])
+                pu_new = pu + lr * (err * qi - reg * pu)
+                q[i] = qi + lr * (err * pu - reg * qi)
+                p[u] = pu_new
+            if not np.isfinite(sq_err):
+                raise MfDivergenceError(epoch)
+    return MFModel(
+        global_mean=mu,
+        user_bias=bu,
+        item_bias=bi,
+        user_factors=p,
+        item_factors=q,
+        scale_min=train.scale.min,
+        scale_max=train.scale.max,
+    )

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diffrec import bigraph, corpus, recommend, simkit
@@ -103,6 +104,20 @@ class TestMassDiffusion:
         g = build_graph(sub)
         with pytest.raises(RecommendError):
             md_scores(g, 1)
+
+    def test_fold_user_without_ratings_warns_nothing(self, fix4, uid):
+        # a training fold that holds none of u2's ratings
+        sub = fix4.subset(np.flatnonzero(fix4.users != uid["u2"]))
+        g = build_graph(sub)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res_users, res_items = md_scores(g, uid["u1"])
+        exp_users, exp_items = oracles.md_item_scores(sub, uid["u1"])
+        assert res_users[uid["u2"]] == 0.0
+        for v, val in exp_users.items():
+            assert res_users[v] == pytest.approx(val, abs=1e-12)
+        for j, val in exp_items.items():
+            assert res_items[j] == pytest.approx(val, abs=1e-12)
 
     def test_no_seen_items_in_output(self, fix4_graph, uid):
         for u in uid.values():
@@ -380,9 +395,63 @@ class TestMf:
         )
 
     def test_divergence_reports_epoch(self, fix4):
-        with pytest.raises(MfDivergenceError) as exc:
-            train_mf(fix4, MfConfig(learning_rate=1e6, epochs=10, seed=0))
-        assert exc.value.epoch >= 0
+        # learning rates at which the scalar oracle diverges on fix4, seed 0,
+        # and the epoch at which it does
+        for lr, epoch in ((1e6, 1), (2.0, 2), (0.8, 3)):
+            cfg = MfConfig(learning_rate=lr, epochs=10, seed=0)
+            with pytest.raises(MfDivergenceError) as expected:
+                oracles.train_mf(fix4, cfg)
+            with pytest.raises(MfDivergenceError) as exc:
+                train_mf(fix4, cfg)
+            assert exc.value.epoch == expected.value.epoch == epoch, lr
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("factors", 0),
+            ("epochs", 0),
+            ("learning_rate", 0.0),
+            ("learning_rate", -0.01),
+            ("learning_rate", math.inf),
+            ("learning_rate", math.nan),
+            ("regularization", -0.01),
+            ("regularization", math.inf),
+            ("regularization", math.nan),
+        ],
+    )
+    def test_config_validation(self, field, value):
+        with pytest.raises(RecommendError, match=field):
+            MfConfig(**{field: value})
+
+    def test_config_accepts_zero_regularization(self):
+        assert MfConfig(regularization=0.0).regularization == 0.0
+
+    @given(
+        seed=st.integers(0, 2**16),
+        n_users=st.integers(1, 9),
+        n_items=st.integers(1, 9),
+        density=st.floats(0.05, 1.0),
+        full_user=st.booleans(),
+        factors=st.integers(1, 8),
+        epochs=st.integers(1, 4),
+        mf_seed=st.integers(0, 3),
+    )
+    @example(seed=0, n_users=5, n_items=1, density=0.5, full_user=False, factors=3, epochs=2, mf_seed=0)
+    @example(seed=1, n_users=4, n_items=7, density=0.2, full_user=True, factors=8, epochs=4, mf_seed=1)
+    @settings(deadline=None, max_examples=80)
+    def test_matches_scalar_sgd(
+        self, seed, n_users, n_items, density, full_user, factors, epochs, mf_seed
+    ):
+        ds = random_dataset(seed, n_users=n_users, n_items=n_items, density=density)
+        if full_user:
+            # one more user who rated every item
+            rated = list(ds.triples()) + [(n_users, i, 3.0) for i in range(ds.n_items)]
+            ds = corpus.from_triples([(f"u{u}", f"i{i}", r) for u, i, r in rated], SCALE15)
+        cfg = MfConfig(factors=factors, epochs=epochs, seed=mf_seed)
+        got, expected = train_mf(ds, cfg), oracles.train_mf(ds, cfg)
+        assert got.global_mean == expected.global_mean
+        for field in ("user_bias", "item_bias", "user_factors", "item_factors"):
+            assert np.array_equal(getattr(got, field), getattr(expected, field)), field
 
     def test_recommend_excludes_seen(self, fix4, fix4_graph, uid):
         model = train_mf(fix4, MfConfig(epochs=5, seed=0))
