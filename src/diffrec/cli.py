@@ -240,7 +240,7 @@ def _run(args: argparse.Namespace) -> int:
             raise CliError(f"unknown user {user_label!r}")
         # the whole dataset is the training side; nothing is held out
         ctx = harness.FoldContext(FoldPair(train=ds, test=ds.subset(np.arange(0))), cfg)
-        lists = ctx.rank(cfg.methods[0], [ds.user_labels.index(user_label)])
+        lists = ctx.rank(cfg.methods[0], [ds.user_labels.index(user_label)], None, cfg.list_length)
         _write_lists(sys.stdout, lists, ds.item_labels, ds.user_labels, res.list_length)
         return 0
 

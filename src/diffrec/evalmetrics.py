@@ -3,7 +3,7 @@ prediction error, and recommendation-count summaries."""
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -26,24 +26,18 @@ def liked_test_set(test: RatingDataset, threshold: float) -> dict[int, set[int]]
     return likes
 
 
-def ars(lists: Sequence[RecommendationList], likes: Mapping[int, set[int]]) -> float:
+def ars(lists: Sequence[RecommendationList]) -> float:
     """Average ranking score over users with at least one liked candidate
     test item: the user count divided by the sum of relative ranks
-    (1-based rank / full candidate count). Higher is better."""
+    (1-based rank in the full ranking / candidate count). Higher is better."""
     total = 0.0
     n_users = 0
     for rec in lists:
-        liked = likes.get(rec.user)
-        if not liked:
-            continue
-        length = len(rec.items)
-        if length == 0:
-            continue
-        positions = np.flatnonzero(np.isin(rec.items, list(liked))) + 1
-        if len(positions) == 0:
+        if len(rec.liked_ranks) == 0:
             continue
         n_users += 1
-        total += sum(pos / length for pos in positions.tolist())
+        length = rec.n_candidates
+        total += sum(pos / length for pos in rec.liked_ranks.tolist())
     if n_users == 0:
         raise MetricError("no user has a liked candidate test item")
     return n_users / total
@@ -75,19 +69,32 @@ def rec_counts(lists: Sequence[RecommendationList], n_items: int, length: int) -
     return np.bincount(_tops(lists, length), minlength=n_items)
 
 
+def _block_gather(sim: SimilarityMatrix):
+    """A function of (rows, cols) returning sim.values[np.ix_(rows, cols)].
+
+    The block is read through flat indices into a C-ordered array, so its
+    sums add the same values in the same order as the np.ix_ block, while
+    only len(rows) x len(cols) values are touched, not whole rows.
+    """
+    flat = np.ascontiguousarray(sim.values).ravel()
+    n = sim.values.shape[1]
+    return lambda rows, cols: flat.take(rows[:, None] * n + cols)
+
+
 def internal_diversity(
     lists: Sequence[RecommendationList], sim: SimilarityMatrix, length: int
 ) -> float:
     """Mean over users of 1 - average pairwise similarity within the
     truncated list; users with fewer than two recommendations are skipped."""
+    gather = _block_gather(sim)
     vals = []
     for rec in lists:
         top = rec.top(length)
         l = len(top)
         if l < 2:
             continue
-        block = sim.values[np.ix_(top, top)]
-        pair_sum = (block.sum() - np.trace(block)) / 2.0
+        block = gather(top, top)
+        pair_sum = (block.sum() - block.trace()) / 2.0
         vals.append(1.0 - 2.0 * pair_sum / (l * (l - 1)))
     if not vals:
         raise MetricError("no user has a list of length >= 2")
@@ -110,20 +117,20 @@ def inter_user_diversity(lists: Sequence[RecommendationList], length: int) -> fl
 
 def novelty(
     lists: Sequence[RecommendationList],
-    histories: Mapping[int, Iterable[int]],
+    histories: Mapping[int, Sequence[int]],
     sim: SimilarityMatrix,
     length: int,
 ) -> float:
     """Mean over users of 1 - average similarity between recommended items
     and the user's training history."""
+    gather = _block_gather(sim)
     vals = []
     for rec in lists:
         top = rec.top(length)
-        hist = np.asarray(list(histories.get(rec.user, ())), dtype=np.int64)
+        hist = np.asarray(histories.get(rec.user, ()), dtype=np.int64)
         if len(top) == 0 or len(hist) == 0:
             continue
-        block = sim.values[np.ix_(top, hist)]
-        vals.append(1.0 - float(block.mean()))
+        vals.append(1.0 - float(gather(top, hist).mean()))
     if not vals:
         raise MetricError("no user has both a list and a history")
     return float(np.mean(vals))

@@ -31,6 +31,8 @@ _METHOD_ERRORS = (
     simkit.SimilarityError,
     bigraph.GraphError,
 )
+# bytes of float64 score rows ranked together in one block
+_BLOCK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,8 @@ class MetricRow:
 class EvaluationReport:
     rows: list[MetricRow]
     config: ExperimentConfig
+    # per fold: evaluated test users, and those excluded for want of training ratings
+    fold_users: list[dict[str, int]] = field(default_factory=list)
 
     def mean(self, method: str, metric: str, theta: float | None = None) -> float:
         vals = [
@@ -121,7 +125,7 @@ class EvaluationReport:
                 groups.items(), key=lambda kv: (kv[0][0], str(kv[0][1]), str(kv[0][2]), kv[0][3])
             )
         ]
-        return EvaluationReport(rows=self.rows + extra, config=self.config)
+        return EvaluationReport(self.rows + extra, self.config, self.fold_users)
 
 
 def write_report_csv(report: EvaluationReport, path) -> None:
@@ -141,6 +145,13 @@ def write_manifest(report: EvaluationReport, path) -> None:
         "seed": report.config.seed,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "rows": len(report.rows),
+        "folds": report.fold_users,
+        "na": [
+            {"fold": r.fold, "method": r.method, "theta": r.theta, "L": r.length,
+             "metric": r.metric, "note": r.note}
+            for r in report.rows
+            if r.value is None
+        ],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, default=str)
@@ -163,6 +174,7 @@ class FoldContext:
         self.test_users = sorted(
             u for u, liked in self.likes.items() if liked and self.graph.user_degree[u] > 0
         )
+        # users with a liked test item but no training ratings
         self.excluded_users = len(self.likes) - len(self.test_users)
         self._sims: dict[tuple[str, str], SimilarityMatrix] = {}
         self._pimra: recommend.PimraScorer | None = None
@@ -195,21 +207,33 @@ class FoldContext:
             self._mf = recommend.train_mf(self.pair.train, self.cfg.mf)
         return self._mf
 
+    def user_counts(self, fold: int) -> dict[str, int]:
+        return {
+            "fold": fold,
+            "evaluated_users": len(self.test_users),
+            "excluded_users": self.excluded_users,
+        }
+
     def histories(self) -> dict[int, np.ndarray]:
         return {u: self.graph.user_items(u)[0] for u in self.test_users}
 
-    def rankings(self, method: str, theta: float | None = None) -> list[RecommendationList]:
-        """Rankings for the fold's evaluated test users."""
+    def rankings(
+        self, method: str, theta: float | None = None, length: int | None = None
+    ) -> list[RecommendationList]:
+        """Top-`length` lists (default the configured list length) for the
+        fold's evaluated test users."""
         if not self.test_users:
             raise HarnessError(
                 f"fold has no evaluable test users (like_threshold {self.cfg.like_threshold})"
             )
-        return self.rank(method, self.test_users, theta)
+        length = self.cfg.list_length if length is None else length
+        return self.rank(method, self.test_users, theta, length)
 
     def rank(
-        self, method: str, users: Sequence[int], theta: float | None = None
+        self, method: str, users: Sequence[int], theta: float | None, length: int
     ) -> list[RecommendationList]:
-        """One full ranking of unseen items per user, from the training graph."""
+        """One top-`length` list of unseen items per user, from the training
+        graph; score rows are ranked in blocks of at most _BLOCK_BYTES."""
         g = self.graph
         try:
             if method == "MD":
@@ -226,7 +250,15 @@ class FoldContext:
                 score = lambda u: scorer.scores(u, theta)
             else:
                 raise HarnessError(f"unknown method {method!r}")
-            return [recommend.rank(u, score(u), g.user_items(u)[0]) for u in users]
+            per_block = max(1, _BLOCK_BYTES // (8 * g.n_items))
+            lists = []
+            for lo in range(0, len(users), per_block):
+                block = users[lo : lo + per_block]
+                rows = np.empty((len(block), g.n_items))
+                for r, u in enumerate(block):
+                    rows[r] = score(u)
+                lists.extend(recommend.rank(g, block, rows, length, self.likes))
+            return lists
         except _METHOD_ERRORS as exc:
             raise HarnessError(f"method {method} failed: {exc}") from exc
 
@@ -239,27 +271,27 @@ def _metric_rows(
     theta: float | None,
     length: int,
 ) -> list[MetricRow]:
-    cfg = ctx.cfg
-    name = cfg.dataset_name
-    rows = [
-        MetricRow(name, fold, method, theta, None, "ars",
-                  evalmetrics.ars(lists, ctx.likes))
-    ]
+    """One row per metric; a metric undefined on these lists is NA, with
+    the reason as the row's note."""
+
+    def row(metric: str, at: int | None, compute: Callable[[], float]) -> MetricRow:
+        try:
+            value, note = compute(), ""
+        except evalmetrics.MetricError as exc:
+            value, note = None, str(exc)
+        return MetricRow(ctx.cfg.dataset_name, fold, method, theta, at, metric, value, note)
+
     counts = evalmetrics.rec_counts(lists, ctx.graph.n_items, length)
-    rows.append(MetricRow(name, fold, method, theta, length, "gini",
-                          evalmetrics.gini(counts)))
-    try:
-        id_val = evalmetrics.internal_diversity(lists, ctx.metric_sim, length)
-        rows.append(MetricRow(name, fold, method, theta, length, "id", id_val))
-    except evalmetrics.MetricError as exc:
-        rows.append(MetricRow(name, fold, method, theta, length, "id", None, str(exc)))
-    rows.append(MetricRow(name, fold, method, theta, length, "iud",
-                          evalmetrics.inter_user_diversity(lists, length)))
-    rows.append(MetricRow(name, fold, method, theta, length, "novelty",
-                          evalmetrics.novelty(lists, ctx.histories(), ctx.metric_sim, length)))
-    rows.append(MetricRow(name, fold, method, theta, length, "avg_popularity",
-                          evalmetrics.avg_popularity(lists, ctx.graph, length)))
-    return rows
+    return [
+        row("ars", None, lambda: evalmetrics.ars(lists)),
+        row("gini", length, lambda: evalmetrics.gini(counts)),
+        row("id", length, lambda: evalmetrics.internal_diversity(lists, ctx.metric_sim, length)),
+        row("iud", length, lambda: evalmetrics.inter_user_diversity(lists, length)),
+        row("novelty", length,
+            lambda: evalmetrics.novelty(lists, ctx.histories(), ctx.metric_sim, length)),
+        row("avg_popularity", length,
+            lambda: evalmetrics.avg_popularity(lists, ctx.graph, length)),
+    ]
 
 
 ListSink = Callable[[int, str, list[RecommendationList]], None]
@@ -278,14 +310,16 @@ def run_experiment(
 ) -> EvaluationReport:
     """Evaluate every configured method over a k-fold split."""
     rows: list[MetricRow] = []
+    fold_users = []
     for f, ctx in _folds(ds, cfg):
+        fold_users.append(ctx.user_counts(f))
         for method in cfg.methods:
             theta = cfg.theta if method == "PIM+RA" else None
             lists = ctx.rankings(method)
             rows.extend(_metric_rows(ctx, str(f), method, lists, theta, cfg.list_length))
             if list_sink is not None:
                 list_sink(f, method, lists)
-    return EvaluationReport(rows=rows, config=cfg).with_means()
+    return EvaluationReport(rows, cfg, fold_users).with_means()
 
 
 def sweep_theta(
@@ -297,31 +331,38 @@ def sweep_theta(
         if not 0.0 <= t <= 1.0:
             raise HarnessError(f"theta {t} outside [0, 1]")
     rows: list[MetricRow] = []
+    fold_users = []
     for f, ctx in _folds(ds, cfg):
+        fold_users.append(ctx.user_counts(f))
         for theta in thetas:
             lists = ctx.rankings("PIM+RA", theta=theta)
             rows.extend(
                 _metric_rows(ctx, str(f), "PIM+RA", lists, theta, cfg.list_length)
             )
-    return EvaluationReport(rows=rows, config=cfg).with_means()
+    return EvaluationReport(rows, cfg, fold_users).with_means()
 
 
 def sweep_list_length(
     ds: RatingDataset, cfg: ExperimentConfig, lengths: Sequence[int]
 ) -> EvaluationReport:
     """List-length sweep; rankings are generated once per (fold, method)."""
+    if not lengths:
+        raise HarnessError("no list lengths given")
     for length in lengths:
         if length < 1:
             raise HarnessError(f"list length {length} must be >= 1")
     rows: list[MetricRow] = []
+    fold_users = []
     for f, ctx in _folds(ds, cfg):
+        fold_users.append(ctx.user_counts(f))
         for method in cfg.methods:
             theta = cfg.theta if method == "PIM+RA" else None
-            lists = ctx.rankings(method)
+            # lists hold the largest length asked for; shorter ones are its heads
+            lists = ctx.rankings(method, length=max(lengths))
             for length in lengths:
                 base = _metric_rows(ctx, str(f), method, lists, theta, length)
                 rows.extend(r for r in base if r.metric != "ars")
-    return EvaluationReport(rows=rows, config=cfg).with_means()
+    return EvaluationReport(rows, cfg, fold_users).with_means()
 
 
 def sweep_knn(

@@ -1,13 +1,13 @@
 """Recommenders: kNN rating prediction and CF scoring, mass diffusion,
 a matrix-factorization baseline, and the similarity-guided three-step
-resource walk. Each method scores every item; `rank` turns one user's
-score row into a ranked list."""
+resource walk. Each method scores every item; `rank` turns a block of
+users' score rows into their top-L lists."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Collection, Literal, Mapping, Sequence
 
 import numpy as np
 
@@ -28,15 +28,20 @@ class MfDivergenceError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class RecommendationList:
-    """Full descending ranking of unseen items for one user: `items` in
-    rank order and their `scores`.
+    """Head of one user's ranking of unseen items.
 
-    Ties break by ascending item id, so repeated runs are byte-identical.
+    `items` and `scores` hold the first L candidates in descending score,
+    ties by ascending item id, so repeated runs are byte-identical.
+    `liked_ranks` holds, ascending, the 1-based rank in the full ranking of
+    each liked test item that is a candidate; `n_candidates` is the length
+    of that full ranking.
     """
 
     user: int
     items: np.ndarray
     scores: np.ndarray
+    liked_ranks: np.ndarray
+    n_candidates: int
 
     def top(self, length: int) -> np.ndarray:
         return self.items[:length]
@@ -68,11 +73,96 @@ class MfConfig:
             )
 
 
-def rank(user: int, scores: np.ndarray, seen: np.ndarray) -> RecommendationList:
-    """Rank every item not in `seen` by descending score, ties by ascending id."""
-    candidates = np.setdiff1d(np.arange(scores.shape[0]), seen, assume_unique=False)
-    items = candidates[np.lexsort((candidates, -scores[candidates]))]
-    return RecommendationList(user=user, items=items, scores=scores[items])
+# elements of the (pairs x items) comparison stack for liked ranks
+_LIKED_CHUNK = 1 << 17
+
+
+def rank(
+    g: BipartiteGraph,
+    users: Sequence[int],
+    scores: np.ndarray,
+    length: int,
+    likes: Mapping[int, Collection[int]] | None = None,
+) -> list[RecommendationList]:
+    """Top-`length` lists for a block of users, one per row of `scores`.
+
+    Row r of the (users x items) `scores` scores every item for users[r];
+    the items that user rated in `g` are not candidates. A list holds the
+    first `length` candidates of the full ranking by descending score, ties
+    by ascending id: every candidate strictly above the length-th score,
+    then the tied ones in ascending id order. `likes` maps a user to the
+    test items they like, whose full-ranking ranks the list records.
+    """
+    if length < 1:
+        raise RecommendError(f"list length must be >= 1, got {length}")
+    users = np.asarray(users, dtype=np.int64)
+    n_rows, n_items = scores.shape
+    pair, edge = _row_edges(g.weights, users)
+    seen = np.zeros((n_rows, n_items), dtype=bool)
+    seen[pair, g.weights.indices[edge]] = True
+    k = min(length, n_items)
+    key = np.where(seen, -np.inf, scores)
+    kth = np.argpartition(key, n_items - k, axis=1)[:, n_items - k]
+    bound = key[np.arange(n_rows), kth][:, None]
+    tied = ~seen & (key == bound)
+    fill = k - (key > bound).sum(axis=1)
+    keep = (key > bound) | (tied & (np.cumsum(tied, axis=1) <= fill[:, None]))
+    # kept items row by row in ascending id; a stable sort on -score within
+    # each row then orders them by (-score, id), padding (+inf) last
+    counts = keep.sum(axis=1)
+    rows, items = np.divmod(np.flatnonzero(keep), n_items)
+    slot = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    width = int(counts.max(initial=0))
+    neg = np.full((n_rows, width), np.inf)
+    neg[rows, slot] = -scores[rows, items]
+    ids = np.zeros((n_rows, width), dtype=np.int64)
+    ids[rows, slot] = items
+    ids = np.take_along_axis(ids, np.argsort(neg, axis=1, kind="stable"), axis=1)
+    top = np.take_along_axis(scores, ids, axis=1)
+    liked = _liked_ranks(users, scores, seen, likes or {})
+    n_candidates = (n_items - seen.sum(axis=1)).tolist()
+    return [
+        RecommendationList(
+            user=u, items=ids[r, :c], scores=top[r, :c], liked_ranks=liked[r], n_candidates=n
+        )
+        for r, (u, c, n) in enumerate(zip(users.tolist(), counts.tolist(), n_candidates))
+    ]
+
+
+def _liked_ranks(
+    users: np.ndarray, scores: np.ndarray, seen: np.ndarray, likes: Mapping[int, Collection[int]]
+) -> list[np.ndarray]:
+    """Per row, the ascending full-ranking ranks of the user's liked
+    candidates: 1 + the candidates that beat each on (-score, id)."""
+    n_rows, n_items = scores.shape
+    liked = [np.fromiter(likes.get(u, ()), dtype=np.int64) for u in users.tolist()]
+    pr = np.repeat(np.arange(n_rows), [len(a) for a in liked])
+    pj = np.concatenate([np.empty(0, dtype=np.int64)] + liked)
+    cand = ~seen[pr, pj]
+    pr, pj = pr[cand], pj[cand]
+    ranks = np.empty(len(pr), dtype=np.int64)
+    ids = np.arange(n_items)
+    step = max(1, _LIKED_CHUNK // n_items)
+    for lo in range(0, len(pr), step):
+        r, j = pr[lo : lo + step], pj[lo : lo + step]
+        row, s = scores[r], scores[r, j][:, None]
+        beats = ((row > s) | ((row == s) & (ids < j[:, None]))) & ~seen[r]
+        ranks[lo : lo + step] = 1 + beats.sum(axis=1)
+    # rows stay grouped in order; ranks (<= n_items) sort within each row
+    offset = pr * (n_items + 1)
+    ranks = np.sort(offset + ranks) - offset
+    ends = np.cumsum(np.bincount(pr, minlength=n_rows)).tolist()
+    return [ranks[lo:hi] for lo, hi in zip([0] + ends, ends)]
+
+
+def _row_edges(csr, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(position in `rows`, index into csr.indices/data) of every stored
+    entry in the given CSR rows, row by row."""
+    starts = csr.indptr[rows]
+    counts = csr.indptr[rows + 1] - starts
+    pair = np.repeat(np.arange(len(rows)), counts)
+    edge = np.arange(len(pair)) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return pair, edge
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +196,7 @@ def knn_predict(
         anchors, rows, csr = items, users, g.weights
     n_pairs = len(rows)
     # every pair's neighbor edges, gathered from the CSR rows
-    starts = csr.indptr[rows]
-    counts = csr.indptr[rows + 1] - starts
-    pair = np.repeat(np.arange(n_pairs), counts)
-    edge = np.arange(len(pair)) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    pair, edge = _row_edges(csr, rows)
     nbr = csr.indices[edge]
     anchor = anchors[pair]
     sims = sim.values[anchor, nbr]

@@ -4,8 +4,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from diffrec import bigraph, corpus
+
+
+# Property tests run without a per-example deadline: wall time on a shared
+# host swings several-fold, and a slow example is not a failing one.
+settings.register_profile("diffrec", deadline=None)
+settings.load_profile("diffrec")
 
 
 # The canonical 4-user / 4-item oracle fixture on a [1,5,1] scale.
@@ -60,6 +67,30 @@ def random_dataset(seed, n_users=6, n_items=6, density=0.5, scale=None):
             u = int(rng.integers(n_users))
             triples.append((f"u{u}", f"i{i}", float(rng.choice(grid))))
     return corpus.from_triples(triples, scale)
+
+
+def random_ranking(seed, n_users, n_items, density, full_user=False):
+    """(graph, users x items scores, likes) for ranking properties.
+
+    Scores come from a few values, -inf among them, so ties are common,
+    at the list-length boundary too; likes may name seen items. With
+    `full_user`, one more user has rated every item.
+    """
+    ds = random_dataset(seed, n_users=n_users, n_items=n_items, density=density)
+    if full_user:
+        rated = list(ds.triples()) + [(n_users, i, 3.0) for i in range(ds.n_items)]
+        ds = corpus.from_triples(
+            [(f"u{u}", f"i{i}", r) for u, i, r in rated], corpus.RatingScale(1, 5, 1)
+        )
+    g = bigraph.build_graph(ds)
+    rng = np.random.default_rng(seed)
+    scores = rng.choice([-np.inf, -1.5, 0.0, 0.25, 0.25 + 2**-50, 3.0], size=(g.n_users, g.n_items))
+    likes = {
+        u: set(rng.choice(g.n_items, size=rng.integers(0, g.n_items + 1), replace=False).tolist())
+        for u in range(g.n_users)
+        if rng.random() < 0.8
+    }
+    return g, scores, likes
 
 
 def dump_csv(g, path):

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from diffrec.recommend import MFModel, MfDivergenceError
+from diffrec.recommend import MFModel, MfDivergenceError, RecommendationList
 
 
 def rating_map(ds):
@@ -172,6 +172,77 @@ def knn_rating(ds, sim_lookup, user, item, k, axis="users"):
         rated = user_items_map(ds).get(user) or item_users_map(ds).get(item)
         pred = sum(rated.values()) / len(rated) if rated else (ds.scale.min + ds.scale.max) / 2
     return min(max(pred, ds.scale.min), ds.scale.max)
+
+
+def rank(scores, seen):
+    """Full ranking of every item not in `seen`: (items, scores) by
+    descending score, ties by ascending id."""
+    candidates = np.setdiff1d(np.arange(scores.shape[0]), seen, assume_unique=False)
+    items = candidates[np.lexsort((candidates, -scores[candidates]))]
+    return items, scores[items]
+
+
+def ars(lists, likes):
+    """Average ranking score from full rankings (`rec.items` holds every
+    candidate): relative rank is the 1-based position over the list's
+    length; None without a user having a liked candidate."""
+    total = 0.0
+    n_users = 0
+    for rec in lists:
+        liked = likes.get(rec.user)
+        if not liked:
+            continue
+        length = len(rec.items)
+        if length == 0:
+            continue
+        positions = np.flatnonzero(np.isin(rec.items, list(liked))) + 1
+        if len(positions) == 0:
+            continue
+        n_users += 1
+        total += sum(pos / length for pos in positions.tolist())
+    if n_users == 0:
+        return None
+    return n_users / total
+
+
+def full_lists(g, users, scores, likes=None):
+    """One full-ranking RecommendationList per row of `scores`: every
+    candidate, and the liked ranks read off their positions."""
+    lists = []
+    for u, row in zip(users, scores):
+        items, top = rank(row, g.user_items(u)[0])
+        liked = list((likes or {}).get(u, ()))
+        ranks = np.flatnonzero(np.isin(items, liked)) + 1
+        lists.append(RecommendationList(u, items, top, ranks, len(items)))
+    return lists
+
+
+def internal_diversity(lists, values, length):
+    """Mean of 1 - average pairwise similarity over lists of two or more,
+    each block gathered with np.ix_; None without such a list."""
+    vals = []
+    for rec in lists:
+        top = rec.top(length)
+        l = len(top)
+        if l < 2:
+            continue
+        block = values[np.ix_(top, top)]
+        pair_sum = (block.sum() - np.trace(block)) / 2.0
+        vals.append(1.0 - 2.0 * pair_sum / (l * (l - 1)))
+    return float(np.mean(vals)) if vals else None
+
+
+def novelty(lists, histories, values, length):
+    """Mean of 1 - average list-to-history similarity, each block gathered
+    with np.ix_; None without a user having both."""
+    vals = []
+    for rec in lists:
+        top = rec.top(length)
+        hist = np.asarray(list(histories.get(rec.user, ())), dtype=np.int64)
+        if len(top) == 0 or len(hist) == 0:
+            continue
+        vals.append(1.0 - float(values[np.ix_(top, hist)].mean()))
+    return float(np.mean(vals)) if vals else None
 
 
 def rec_count_distribution(lists, g, length):

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -81,7 +82,7 @@ def test_recommend_honours_knn_measure(synth_csv, tmp_path, capsys):
     ds = corpus.load_ratings(synth_csv, "generic-csv", corpus.RatingScale(1, 5, 1))
     g = bigraph.build_graph(ds)
     sim = simkit.normalize(simkit.cosine_matrix(g, "users"))
-    rec = recommend.rank(0, recommend.knn_scores(sim, g, 0, k=3), g.user_items(0)[0])
+    rec = recommend.rank(g, [0], recommend.knn_scores(sim, g, 0, k=3)[None, :], 5)[0]
     expected = [
         f"u0,{rank},{ds.item_labels[item]},{score:.4f}"
         for rank, (item, score) in enumerate(zip(rec.items[:5], rec.scores[:5]), start=1)
@@ -141,6 +142,29 @@ def test_eval_writes_report_and_lists(synth_csv, tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert stdout.startswith("dataset,fold,method,theta,L,metric,value")
     assert ",MD," in stdout and ",PIM+RA," in stdout
+
+
+def test_eval_one_user_fold_writes_na_rows(tmp_path, capsys):
+    # 8 folds of this 8 x 8 corpus leave some folds one evaluable user, on
+    # whom inter-user diversity is undefined
+    triples = [
+        (f"u{u}", f"i{i}", 1 + (u * i) % 5) for u in range(8) for i in range(8) if (u + i) % 3
+    ]
+    data = tmp_path / "c8.csv"
+    corpus.write_ratings(corpus.from_triples(triples, corpus.RatingScale(1, 5, 1)), data)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("folds = 8\n")
+    out = tmp_path / "out"
+    code = main(["eval", "--input", str(data), "--config", str(cfg), "--out-dir", str(out)])
+    assert code == 0, capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    single = [f["fold"] for f in manifest["folds"] if f["evaluated_users"] == 1]
+    assert single
+    report = (out / "report.csv").read_text().splitlines()
+    for fold in single:
+        assert f"dataset,{fold},MD,,100,iud,NA" in report
+        assert {"fold": str(fold), "method": "MD", "theta": None, "L": 100,
+                "metric": "iud", "note": "need at least 2 users"} in manifest["na"]
 
 
 def test_eval_rejects_theta_before_any_fold(synth_csv, tmp_path, capsys):

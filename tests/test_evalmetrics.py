@@ -20,20 +20,27 @@ from diffrec.evalmetrics import (
     nrmse,
     rec_counts,
 )
-from diffrec.recommend import RecommendationList
+from diffrec.recommend import RecommendationList, rank
 from diffrec.simkit import SimilarityMatrix
 
 import oracles
-from conftest import random_dataset
+from conftest import random_dataset, random_ranking
 
 
 SCALE15 = RatingScale(1, 5, 1)
 
 
-def rl(user, items):
-    """Recommendation list with strictly descending scores in list order."""
+def rl(user, items, liked=()):
+    """Full ranking `items`, strictly descending scores in list order, with
+    the ranks of the `liked` items among them."""
     items = np.asarray(items, dtype=np.int64)
-    return RecommendationList(user=user, items=items, scores=np.arange(len(items), 0, -1.0))
+    return RecommendationList(
+        user=user,
+        items=items,
+        scores=np.arange(len(items), 0, -1.0),
+        liked_ranks=np.flatnonzero(np.isin(items, list(liked))) + 1,
+        n_candidates=len(items),
+    )
 
 
 def item_sim(values):
@@ -63,35 +70,32 @@ def test_liked_test_set(fix4, uid, iid):
 
 class TestArs:
     def test_liked_first_of_ten(self):
-        lists = [rl(u, list(range(10))) for u in range(2)]
-        likes = {0: {0}, 1: {0}}
-        assert ars(lists, likes) == pytest.approx(10.0)
+        lists = [rl(u, list(range(10)), {0}) for u in range(2)]
+        assert ars(lists) == pytest.approx(10.0)
 
     def test_liked_last_at_most_one(self):
-        lists = [rl(u, list(range(10))) for u in range(3)]
-        likes = {u: {9} for u in range(3)}
-        assert ars(lists, likes) == pytest.approx(1.0)
-        likes = {u: {8, 9} for u in range(3)}
-        assert ars(lists, likes) < 1.0
+        lists = [rl(u, list(range(10)), {9}) for u in range(3)]
+        assert ars(lists) == pytest.approx(1.0)
+        lists = [rl(u, list(range(10)), {8, 9}) for u in range(3)]
+        assert ars(lists) < 1.0
 
     def test_no_liked_candidates(self):
         with pytest.raises(MetricError):
-            ars([rl(0, [1, 2])], {0: {7}})
+            ars([rl(0, [1, 2], {7})])
         with pytest.raises(MetricError):
-            ars([rl(0, [1, 2])], {})
+            ars([rl(0, [1, 2])])
 
     def test_rank_monotonicity(self):
-        likes = {0: {5}}
-        worse = ars([rl(0, [0, 1, 2, 5, 3, 4])], likes)
-        better = ars([rl(0, [0, 5, 1, 2, 3, 4])], likes)
+        worse = ars([rl(0, [0, 1, 2, 5, 3, 4], {5})])
+        better = ars([rl(0, [0, 5, 1, 2, 3, 4], {5})])
         assert better > worse
 
     def test_positive(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             items = list(rng.permutation(8))
-            likes = {0: set(map(int, rng.choice(8, size=3, replace=False)))}
-            assert ars([rl(0, items)], likes) > 0
+            liked = set(map(int, rng.choice(8, size=3, replace=False)))
+            assert ars([rl(0, items, liked)]) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +336,7 @@ def test_bounds_on_generated_lists():
     length=st.integers(1, 6),
     data=st.data(),
 )
-@settings(deadline=None, max_examples=150)
+@settings(max_examples=150)
 def test_array_metrics_match_oracles(seed, n_items, length, data):
     # lists of distinct items, empty ones and ones shorter than `length` included
     n_users = data.draw(st.integers(0, 6))
@@ -359,3 +363,41 @@ def test_array_metrics_match_oracles(seed, n_items, length, data):
         assert inter_user_diversity(lists, length) == pytest.approx(
             oracles.inter_user_diversity(lists, length), abs=1e-12
         )
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    n_users=st.integers(1, 7),
+    n_items=st.integers(1, 9),
+    density=st.floats(0.05, 1.0),
+    full_user=st.booleans(),
+    list_length=st.integers(1, 11),
+    length=st.integers(1, 11),
+)
+@settings(max_examples=150)
+def test_list_metrics_match_full_list_oracles(
+    seed, n_users, n_items, density, full_user, list_length, length
+):
+    # top-L lists against full rankings: ARS from the liked ranks, and the
+    # take-gathered diversity and novelty blocks, all bit for bit
+    g, scores, likes = random_ranking(seed, n_users, n_items, density, full_user)
+    users = np.arange(g.n_users)
+    lists = rank(g, users, scores, max(list_length, length), likes)
+    full = oracles.full_lists(g, users, scores, likes)
+    rng = np.random.default_rng(seed)
+    # not symmetric, so a transposed (F-ordered) gather sums in another order
+    sim = item_sim(rng.random((g.n_items, g.n_items)))
+    histories = {u: g.user_items(u)[0] for u in range(g.n_users) if rng.random() < 0.8}
+
+    for got, expected in (
+        (lambda: ars(lists), oracles.ars(full, likes)),
+        (lambda: internal_diversity(lists, sim, length),
+         oracles.internal_diversity(full, sim.values, length)),
+        (lambda: novelty(lists, histories, sim, length),
+         oracles.novelty(full, histories, sim.values, length)),
+    ):
+        if expected is None:
+            with pytest.raises(MetricError):
+                got()
+        else:
+            assert got() == expected

@@ -191,6 +191,135 @@ class TestSerialization:
         assert doc["config"]["k_folds"] == report.config.k_folds
 
 
+    def test_manifest_user_counts_and_na_notes(self, tmp_path):
+        ds = one_user_fold_corpus()
+        cfg = ExperimentConfig(k_folds=8, methods=("MD",))
+        report = run_experiment(ds, cfg)
+        write_manifest(report, tmp_path / "manifest.json")
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        contexts = [FoldContext(pair, cfg) for pair in corpus.kfold_split(ds, 8, cfg.seed)]
+        assert doc["folds"] == [
+            {"fold": f, "evaluated_users": len(ctx.test_users), "excluded_users": ctx.excluded_users}
+            for f, ctx in enumerate(contexts)
+        ]
+        na = [r for r in report.rows if r.value is None]
+        assert na and all(r.note for r in na)
+        assert doc["na"] == [
+            {"fold": r.fold, "method": r.method, "theta": r.theta, "L": r.length,
+             "metric": r.metric, "note": r.note}
+            for r in na
+        ]
+        # the notes stay out of the report itself
+        write_report_csv(report, tmp_path / "report.csv")
+        assert "need at least" not in (tmp_path / "report.csv").read_text()
+
+
+def one_user_fold_corpus():
+    """8 x 8 corpus whose 8-fold split has folds with one evaluable user."""
+    return corpus.from_triples(
+        [(f"u{u}", f"i{i}", 1 + (u * i) % 5) for u in range(8) for i in range(8) if (u + i) % 3],
+        corpus.RatingScale(1, 5, 1),
+    )
+
+
+class TestSingleUserFold:
+    def test_list_metrics_undefined_on_one_user_are_na(self):
+        ds = one_user_fold_corpus()
+        cfg = ExperimentConfig(k_folds=8)
+        report = run_experiment(ds, cfg)
+        single = [
+            str(f)
+            for f, pair in enumerate(corpus.kfold_split(ds, 8, cfg.seed))
+            if len(FoldContext(pair, cfg).test_users) == 1
+        ]
+        assert single
+        for fold in single:
+            for method in cfg.methods:
+                (row,) = [
+                    r for r in report.rows
+                    if r.fold == fold and r.method == method and r.metric == "iud"
+                ]
+                assert row.value is None and row.note == "need at least 2 users"
+        assert all(r.value is not None for r in report.rows if r.fold == "mean")
+
+
+class TestDegenerateInputs:
+    """Degenerate corpora through the whole run: a report with finite
+    values, or a typed error."""
+
+    CFG = ExperimentConfig(
+        k_folds=3, list_length=5, knn_k=3, mf=recommend.MfConfig(factors=4, epochs=5)
+    )
+
+    @staticmethod
+    def assert_finite_report(report):
+        assert report.rows
+        for r in report.rows:
+            assert r.value is None or np.isfinite(r.value), r
+
+    @staticmethod
+    def corpus_8x8(scale=corpus.RatingScale(1, 5, 1), extra=()):
+        rng = np.random.default_rng(0)
+        lo, hi = int(scale.min), int(scale.max)
+        triples = [
+            (f"u{u}", f"i{i}", int(rng.integers(lo, hi + 1)))
+            for u in range(8)
+            for i in range(8)
+            if (u * i + u) % 3
+        ]
+        return corpus.from_triples(triples + list(extra), scale)
+
+    def test_all_equal_ratings_is_a_typed_error(self):
+        ds = corpus.from_triples(
+            [(f"u{u}", f"i{i}", 4) for u in range(6) for i in range(6) if (u + i) % 2],
+            corpus.RatingScale(1, 5, 1),
+        )
+        with pytest.raises(HarnessError, match="no defined off-diagonal values to normalize"):
+            run_experiment(ds, self.CFG)
+
+    def test_user_who_has_seen_every_item(self):
+        ds = self.corpus_8x8(extra=[("full", f"i{i}", 2 + i % 4) for i in range(8)])
+        self.assert_finite_report(run_experiment(ds, self.CFG))
+        # trained on everything, as `diffrec recommend` is: no candidates left
+        ctx = FoldContext(corpus.FoldPair(train=ds, test=ds.subset(np.arange(0))), self.CFG)
+        full = ds.user_labels.index("full")
+        for method in KNOWN_METHODS:
+            (rec,) = ctx.rank(method, [full], None, self.CFG.list_length)
+            assert rec.n_candidates == 0
+            assert rec.items.size == rec.scores.size == rec.liked_ranks.size == 0
+
+    def test_user_present_only_in_test(self):
+        ds = self.corpus_8x8(extra=[("lone", "i0", 5)])
+        report = run_experiment(ds, self.CFG)
+        self.assert_finite_report(report)
+        assert sum(f["excluded_users"] for f in report.fold_users) == 1
+
+    def test_scale_starting_at_zero(self):
+        ds = self.corpus_8x8(scale=corpus.RatingScale(0, 5, 1))
+        assert (ds.ratings == 0).any()
+        self.assert_finite_report(run_experiment(ds, self.CFG))
+
+    def test_one_item_folds(self):
+        # every rating liked, so each one-rating test fold has one evaluable user
+        ds = corpus.from_triples(
+            [(f"u{u}", f"i{i}", 3 + (u + i) % 3) for u in range(4) for i in range(4) if (u + i) % 2],
+            corpus.RatingScale(1, 5, 1),
+        )
+        cfg = ExperimentConfig(
+            k_folds=ds.n_links, list_length=5, knn_k=3, mf=recommend.MfConfig(factors=4, epochs=5)
+        )
+        report = run_experiment(ds, cfg)
+        self.assert_finite_report(report)
+        assert [f["evaluated_users"] for f in report.fold_users] == [1] * ds.n_links
+        # a one-rating fold whose rating is not liked has no one to evaluate
+        ds = corpus.from_triples(
+            [(f"u{u}", f"i{i}", 1 + (u * i) % 5) for u in range(4) for i in range(4) if (u + i) % 2],
+            corpus.RatingScale(1, 5, 1),
+        )
+        with pytest.raises(HarnessError, match="no evaluable test users"):
+            run_experiment(ds, cfg)
+
+
 class TestSweepTheta:
     def test_matches_single_runs(self, ds, cfg):
         thetas = (0.0, 0.5)
@@ -242,6 +371,29 @@ class TestSweepListLength:
     def test_rejects_bad_length(self, ds, cfg):
         with pytest.raises(HarnessError):
             sweep_list_length(ds, cfg, (0,))
+        with pytest.raises(HarnessError, match="no list lengths"):
+            sweep_list_length(ds, cfg, ())
+
+    def test_lengths_above_list_length_match_full_oracle(self, monkeypatch):
+        # lists hold the largest length asked for, not -L
+        ds = random_dataset(321, n_users=12, n_items=170, density=0.3)
+        cfg = ExperimentConfig(
+            k_folds=3, seed=1, list_length=100, knn_k=5,
+            mf=recommend.MfConfig(factors=4, epochs=5, seed=1),
+        )
+        lengths = (10, 150)
+        got = sweep_list_length(ds, cfg, lengths)
+        monkeypatch.setattr(
+            recommend, "rank",
+            lambda g, users, scores, length, likes=None: oracles.full_lists(g, users, scores, likes),
+        )
+        expected = sweep_list_length(ds, cfg, lengths)
+        assert got.rows == expected.rows
+        at_150 = [r for r in got.rows if r.length == 150 and r.metric == "avg_popularity"]
+        at_100 = sweep_list_length(ds, cfg, (100,)).rows
+        assert [r.value for r in at_150] != [
+            r.value for r in at_100 if r.metric == "avg_popularity"
+        ]
 
 
 class TestSweepKnn:

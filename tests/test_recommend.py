@@ -24,7 +24,7 @@ from diffrec.recommend import (
 from diffrec.simkit import SimilarityMatrix
 
 import oracles
-from conftest import FIX4_TRIPLES, random_dataset
+from conftest import FIX4_TRIPLES, random_dataset, random_ranking
 
 
 SCALE15 = RatingScale(1, 5, 1)
@@ -44,8 +44,8 @@ def pim_item_sim(g):
 
 
 def ranked(g, user, scores):
-    """The ranking of `scores` over the items `user` has not rated in g."""
-    return rank(user, scores, g.user_items(user)[0])
+    """The full ranking of `scores` over the items `user` has not rated in g."""
+    return rank(g, [user], scores[None, :], g.n_items)[0]
 
 
 def seen(g, user):
@@ -192,7 +192,7 @@ class TestKnnPrediction:
         axis=st.sampled_from(["users", "items"]),
         measure=st.sampled_from(["cosine", "pcc"]),
     )
-    @settings(deadline=None, max_examples=60)
+    @settings(max_examples=60)
     def test_matches_oracle(self, seed, n_users, n_items, density, axis, measure):
         ds = random_dataset(seed, n_users=n_users, n_items=n_items, density=density)
         g = build_graph(ds)
@@ -438,7 +438,7 @@ class TestMf:
     )
     @example(seed=0, n_users=5, n_items=1, density=0.5, full_user=False, factors=3, epochs=2, mf_seed=0)
     @example(seed=1, n_users=4, n_items=7, density=0.2, full_user=True, factors=8, epochs=4, mf_seed=1)
-    @settings(deadline=None, max_examples=80)
+    @settings(max_examples=80)
     def test_matches_scalar_sgd(
         self, seed, n_users, n_items, density, full_user, factors, epochs, mf_seed
     ):
@@ -477,12 +477,63 @@ class TestRankingContracts:
         assert rec.items.tolist() == sorted(rec.items.tolist())
 
     def test_rank_orders_by_score_then_id(self):
+        # user 1 has rated item 3 only
+        ds = corpus.from_triples([("a", f"i{i}", 3) for i in range(6)] + [("b", "i3", 4)], SCALE15)
+        g = build_graph(ds)
         scores = np.array([0.5, 2.0, 0.5, 1.0, 2.0, 0.0])
-        rec = rank(7, scores, np.array([3]))
-        assert rec.user == 7
+        rec = ranked(g, 1, scores)
+        assert rec.user == 1
         assert rec.items.tolist() == [1, 4, 0, 2, 5]
         assert rec.scores.tolist() == [2.0, 2.0, 0.5, 0.5, 0.0]
         assert rec.top(2).tolist() == [1, 4]
+        assert rec.n_candidates == 5
+        # the list holds the head of that ranking; ties at the boundary by id
+        short = rank(g, [1], scores[None, :], 3, likes={1: {2, 3, 5}})[0]
+        assert short.items.tolist() == [1, 4, 0]
+        assert short.scores.tolist() == [2.0, 2.0, 0.5]
+        assert short.liked_ranks.tolist() == [4, 5]  # item 3 is seen
+        assert short.n_candidates == 5
+
+    @given(
+        seed=st.integers(0, 2**16),
+        n_users=st.integers(1, 7),
+        n_items=st.integers(1, 9),
+        density=st.floats(0.05, 1.0),
+        full_user=st.booleans(),
+        length=st.integers(1, 11),
+        block=st.integers(1, 8),
+    )
+    @example(seed=3, n_users=4, n_items=6, density=0.5, full_user=True, length=2, block=1)
+    @example(seed=5, n_users=6, n_items=9, density=0.3, full_user=False, length=4, block=3)
+    @settings(max_examples=200)
+    def test_block_rank_matches_full_oracle(
+        self, seed, n_users, n_items, density, full_user, length, block
+    ):
+        # lists shorter than `length`, lengths above the item count, blocks
+        # of one and of several users in no particular order
+        g, scores, likes = random_ranking(seed, n_users, n_items, density, full_user)
+        users = np.random.default_rng(seed).permutation(g.n_users)
+        for lo in range(0, len(users), block):
+            chunk = users[lo : lo + block]
+            got = rank(g, chunk, scores[chunk], length, likes)
+            expected = oracles.full_lists(g, chunk, scores[chunk], likes)
+            assert len(got) == len(chunk)
+            for rec, full in zip(got, expected):
+                assert rec.user == full.user
+                assert np.array_equal(rec.items, full.items[:length])
+                assert np.array_equal(rec.scores, full.scores[:length])
+                assert np.array_equal(rec.liked_ranks, full.liked_ranks)
+                assert rec.n_candidates == full.n_candidates
+
+    def test_user_who_has_seen_every_item(self):
+        g, scores, _ = random_ranking(2, 3, 5, 0.5, full_user=True)
+        rec = rank(g, [g.n_users - 1], scores[-1:], 3, {g.n_users - 1: {0, 4}})[0]
+        assert rec.n_candidates == 0
+        assert rec.items.size == rec.scores.size == rec.liked_ranks.size == 0
+
+    def test_rejects_length_below_one(self, fix4_graph):
+        with pytest.raises(RecommendError, match="list length"):
+            rank(fix4_graph, [0], np.zeros((1, fix4_graph.n_items)), 0)
 
     def test_repeat_runs_identical(self, fix4_graph, uid):
         u = uid["u2"]

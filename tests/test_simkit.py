@@ -235,7 +235,7 @@ class TestMatrixVsScalarOracle:
     axis=st.sampled_from(["users", "items"]),
     variant=st.sampled_from(["pair-max", "global-max"]),
 )
-@settings(deadline=None, max_examples=80)
+@settings(max_examples=80)
 def test_pim_matches_oracle_with_independent_ar(seed, n_users, n_items, axis, variant):
     # every node has a rating, so the oracle's AR averages over all pairs
     ds = random_dataset(seed, n_users=n_users, n_items=n_items, density=0.4)
@@ -376,7 +376,7 @@ class TestTopK:
 
 
 @given(st.lists(st.floats(-1, 1, allow_nan=False), min_size=2, max_size=12, unique=True))
-@settings(deadline=None, max_examples=50)
+@settings(max_examples=50)
 def test_normalize_preserves_order(values):
     n = len(values) + 1
     mat = np.zeros((n, n))
