@@ -3,7 +3,14 @@
 from __future__ import annotations
 
 import csv
+import io
+import math
+import re
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain, count, islice, repeat
+from operator import itemgetter
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -21,6 +28,10 @@ class RatingScale:
     step: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.min, self.max, self.step)):
+            raise CorpusError(
+                f"scale min, max and step must be finite, got {self.min}:{self.max}:{self.step}"
+            )
         if not self.min < self.max:
             raise CorpusError(f"scale min must be < max, got [{self.min}, {self.max}]")
         if self.step <= 0:
@@ -32,6 +43,8 @@ class RatingScale:
             )
 
     def on_grid(self, rating: float) -> bool:
+        if not math.isfinite(rating):
+            return False
         if rating < self.min - 1e-9 or rating > self.max + 1e-9:
             return False
         k = (rating - self.min) / self.step
@@ -120,6 +133,28 @@ class FilterSpec:
             raise CorpusError("filter thresholds must be >= 0")
 
 
+# characters of a text file split into fields at a time: the strings of
+# one chunk's fields, not of the whole file's, are alive at once
+_CHUNK_CHARS = 1 << 18
+
+
+@dataclass(frozen=True)
+class _Columns:
+    """Rating rows, unparsed: `chunks` yields `rows` rows in all, as flat
+    lists of `width` fields per row, and is read once.
+
+    `where(row)` names a row in a parse error: its line in a file.
+    `error` belongs to the input after the last row; it stands unless one
+    of the rows fails to parse first.
+    """
+
+    chunks: Iterable[list]
+    rows: int
+    width: int
+    where: Callable[[int], str] = lambda row: f"row {row + 1}"
+    error: CorpusError | None = None
+
+
 def from_triples(
     triples,
     scale: RatingScale,
@@ -127,139 +162,239 @@ def from_triples(
     """Build a dataset from (user, item, rating[, timestamp]) tuples.
 
     Labels get dense ids in order of first appearance. Duplicate
-    (user, item) pairs and off-grid ratings are errors.
+    (user, item) pairs and off-grid ratings are errors, as are tuples of
+    another width and a mix of stamped and unstamped tuples (a timestamp
+    of None is no timestamp). The tuples take the same checks as a loaded
+    file's rows, with errors named by row.
     """
-    user_ids: dict[str, int] = {}
-    item_ids: dict[str, int] = {}
-    users, items, ratings, stamps = [], [], [], []
-    seen: set[tuple[int, int]] = set()
-    has_ts = None
-    for row_no, row in enumerate(triples, start=1):
-        if len(row) == 3:
-            u, i, r = row
-            ts = None
-        elif len(row) == 4:
-            u, i, r, ts = row
-        else:
-            raise CorpusError(f"row {row_no}: expected 3 or 4 fields, got {len(row)}")
-        if has_ts is None:
-            has_ts = ts is not None
-        elif has_ts != (ts is not None):
-            raise CorpusError(f"row {row_no}: inconsistent timestamp presence")
-        r = float(r)
-        if not scale.on_grid(r):
-            raise CorpusError(
-                f"row {row_no}: rating {r} is off the scale grid "
-                f"[{scale.min}, {scale.max}] step {scale.step}"
-            )
-        uid = user_ids.setdefault(str(u), len(user_ids))
-        iid = item_ids.setdefault(str(i), len(item_ids))
-        if (uid, iid) in seen:
-            raise CorpusError(f"row {row_no}: duplicate (user, item) pair ({u}, {i})")
-        seen.add((uid, iid))
-        users.append(uid)
-        items.append(iid)
-        ratings.append(r)
-        if ts is not None:
-            stamps.append(int(ts))
-    return RatingDataset(
-        users=np.asarray(users, dtype=np.int64),
-        items=np.asarray(items, dtype=np.int64),
-        ratings=np.asarray(ratings, dtype=np.float64),
-        scale=scale,
-        user_labels=tuple(user_ids),
-        item_labels=tuple(item_ids),
-        timestamps=np.asarray(stamps, dtype=np.int64) if stamps else None,
+    rows = list(triples)
+    widths = np.fromiter(
+        (len(r) - (len(r) == 4 and r[3] is None) for r in rows), np.intp, len(rows)
     )
+    valid = (widths == 3) | (widths == 4)
+    bad = np.flatnonzero(~valid | (widths != widths[:1]))
+    n = int(bad[0]) if len(bad) else len(rows)
+    error = None
+    if n < len(rows):
+        error = CorpusError(
+            f"row {n + 1}: expected 3 or 4 fields, got {widths[n]}"
+            if not valid[n]
+            else f"row {n + 1}: inconsistent timestamp presence"
+        )
+    head = rows[:n]
+    width = int(widths[0]) if n else 3
+    columns = [map(str, map(itemgetter(0), head)), map(str, map(itemgetter(1), head))]
+    columns += [map(itemgetter(k), head) for k in range(2, width)]
+    flat = list(chain.from_iterable(zip(*columns)))
+    return _dataset(_Columns([flat], n, width, error=error), scale)
 
 
 def load_ratings(path, format: str, scale: RatingScale) -> RatingDataset:
-    """Load a rating file in 'ml100k-tsv' or 'generic-csv' format."""
+    """Load a rating file in 'ml100k-tsv' or 'generic-csv' format.
+
+    Errors name the first offending input: `line N` (physical lines,
+    blank ones counted) for a wrong field count or an unparsable value,
+    `row N` (data rows) for an off-grid rating or a repeated pair.
+    """
     if format == "ml100k-tsv":
-        rows = _read_ml100k(path)
+        with open(path, encoding="utf-8") as fh:  # \r\n and lone \r read as \n
+            cols = _text_columns(fh.read(), "\t", 4, 1, "tab-separated ")
     elif format == "generic-csv":
-        rows = _read_generic_csv(path)
+        cols = _read_generic_csv(path)
     else:
         raise CorpusError(f"unknown format {format!r}")
-    return from_triples(rows, scale)
+    return _dataset(cols, scale)
 
 
-def _read_ml100k(path):
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise CorpusError(f"line {line_no}: expected 4 tab-separated fields")
-            u, i, r, ts = parts
-            try:
-                rows.append((u, i, float(r), int(ts)))
-            except ValueError as exc:
-                raise CorpusError(f"line {line_no}: {exc}") from exc
-    return rows
-
-
-def _read_generic_csv(path):
-    rows = []
+def _read_generic_csv(path) -> _Columns:
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            return []
-        header = [h.strip().lower() for h in header]
-        if header[:3] != ["user", "item", "rating"]:
-            raise CorpusError(
-                "line 1: expected header user,item,rating[,timestamp], "
-                f"got {','.join(header)}"
-            )
-        has_ts = len(header) == 4 and header[3] == "timestamp"
-        width = 4 if has_ts else 3
-        for line_no, parts in enumerate(reader, start=2):
-            if not parts:
-                continue
-            if len(parts) != width:
-                raise CorpusError(f"line {line_no}: expected {width} fields")
+        text = fh.read()
+    if not text:
+        return _Columns([], 0, 3)
+    if '"' in text or ("\r" in text and text.count("\r") != text.count("\r\n")):
+        # quoted fields or lone \r line ends: the csv module's rules
+        records = list(csv.reader(io.StringIO(text, newline="")))
+        body = records[1:]
+        widths = np.fromiter(map(len, body), np.intp, len(body))
+        return _columns(
+            widths,
+            _header_width(records[0]),
+            2,
+            "",
+            lambda n: [list(chain.from_iterable(body[:n]))],
+        )
+    head, _, text = text.replace("\r\n", "\n").partition("\n")
+    return _text_columns(text, ",", _header_width(head.split(",") if head else []), 2, "")
+
+
+def _header_width(header: list[str]) -> int:
+    header = [h.strip().lower() for h in header]
+    if header[:3] != ["user", "item", "rating"]:
+        raise CorpusError(
+            "line 1: expected header user,item,rating[,timestamp], "
+            f"got {','.join(header)}"
+        )
+    return 4 if len(header) == 4 and header[3] == "timestamp" else 3
+
+
+def _text_columns(body: str, sep: str, width: int, first_line: int, what: str) -> _Columns:
+    """Columns of unquoted `sep`-separated lines, split on "\\n" only."""
+    widths = _line_widths(body, sep)
+
+    def chunks(n: int):
+        # whole lines, about _CHUNK_CHARS at a time
+        text = body if n == len(widths) else "\n".join(body.split("\n", n)[:n])
+        start = 0
+        while start < len(text):
+            end = text.find("\n", start + _CHUNK_CHARS)
+            end = len(text) if end < 0 else end
+            part = text[start:end].strip("\n")
+            if "\n\n" in part:
+                part = re.sub("\n\n+", "\n", part)  # blank lines hold no fields
+            if part:
+                yield part.replace("\n", sep).split(sep)
+            start = end + 1
+
+    return _columns(widths, width, first_line, what, chunks)
+
+
+def _line_widths(body: str, sep: str) -> np.ndarray:
+    """Fields on each "\\n"-separated line of body, 0 on a blank line.
+
+    Counted on the UTF-8 bytes: sep and "\\n" are single bytes there, and
+    no multi-byte character contains them.
+    """
+    b = np.frombuffer(body.encode(), np.uint8)
+    ends = np.append(np.flatnonzero(b == 10), len(b))
+    seps = np.searchsorted(np.flatnonzero(b == ord(sep)), ends)
+    return np.where(np.diff(ends, prepend=-1) > 1, np.diff(seps, prepend=0) + 1, 0)
+
+
+def _columns(widths, width: int, first_line: int, what: str, chunks) -> _Columns:
+    """The rows before the first line whose field count is not `width`,
+    with that line's error; blank lines (width 0) hold no row. `chunks(n)`
+    gives the first n lines' fields, row after row, in flat lists."""
+    bad = np.flatnonzero((widths != width) & (widths != 0))
+    n = int(bad[0]) if len(bad) else len(widths)
+    error = None
+    if len(bad):
+        error = CorpusError(f"line {n + first_line}: expected {width} {what}fields")
+    filled = widths[:n] != 0
+    return _Columns(
+        chunks(n),
+        np.count_nonzero(filled),
+        width,
+        lambda row: f"line {np.flatnonzero(filled)[row] + first_line}",
+        error,
+    )
+
+
+def _dataset(cols: _Columns, scale: RatingScale) -> RatingDataset:
+    """Parse, check and number the columns; an error names the first row
+    at fault. Parse and field-count errors come before grid and duplicate
+    errors; within a row the rating comes before the timestamp, and the
+    grid check before the duplicate check. float() and on_grid run once
+    per distinct rating; ids follow first appearance."""
+    n, w = cols.rows, cols.width
+    codes, user_ids, item_ids = (defaultdict(count().__next__) for _ in range(3))
+    users, items, rating_code = np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n, np.intp)
+    stamps = np.empty(n, np.int64) if w == 4 and n else None
+    errors, overflow, lo = [], None, 0
+    for fields in cols.chunks:
+        hi = lo + len(fields) // w
+        for out, ids, k in ((users, user_ids, 0), (items, item_ids, 1), (rating_code, codes, 2)):
+            column = islice(fields, k, None, w)
+            out[lo:hi] = np.fromiter(map(ids.__getitem__, column), out.dtype, hi - lo)
+        if stamps is not None and not errors:
+            texts = fields[3::w]
             try:
-                if has_ts:
-                    u, i, r, ts = parts
-                    rows.append((u, i, float(r), int(ts)))
-                else:
-                    u, i, r = parts
-                    rows.append((u, i, float(r)))
-            except ValueError as exc:
-                raise CorpusError(f"line {line_no}: {exc}") from exc
-    return rows
+                stamps[lo:hi] = np.fromiter(map(int, texts), np.int64, hi - lo)
+            except (ValueError, OverflowError) as exc:
+                overflow = exc  # an unparsable stamp, found below, or one beyond int64
+                for row, text in enumerate(texts, lo):
+                    try:
+                        int(text)
+                    except ValueError as bad:
+                        errors.append((row, 1, bad))
+                        break
+        lo = hi
+    values, failed = [], {}
+    for code, text in enumerate(codes):
+        try:
+            values.append(float(text))
+        except ValueError as exc:
+            values.append(math.nan)
+            failed[code] = exc
+    if failed:
+        row = int(np.flatnonzero(np.isin(rating_code, list(failed)))[0])
+        errors.append((row, 0, failed[rating_code[row]]))
+    if errors:
+        row, _, exc = min(errors, key=itemgetter(0, 1))
+        raise CorpusError(f"{cols.where(row)}: {exc}") from exc
+    if cols.error is not None:
+        raise cols.error
+
+    user_labels, item_labels = tuple(user_ids), tuple(item_ids)
+    on_grid = np.array([scale.on_grid(v) for v in values], dtype=bool)
+    off = int(np.argmin(on_grid[rating_code])) if not on_grid.all() else n
+    pairs = users * len(item_labels)
+    pairs += items
+    dup = _first_repeat(pairs)
+    if off < n and off <= dup:
+        raise CorpusError(
+            f"row {off + 1}: rating {values[rating_code[off]]} is off the scale grid "
+            f"[{scale.min}, {scale.max}] step {scale.step}"
+        )
+    if dup < n:
+        u, i = user_labels[users[dup]], item_labels[items[dup]]
+        raise CorpusError(f"row {dup + 1}: duplicate (user, item) pair ({u}, {i})")
+    if overflow is not None:
+        raise overflow  # a stamp beyond int64 ranks after every row check
+    return RatingDataset(
+        users=users,
+        items=items,
+        ratings=np.array(values, dtype=np.float64)[rating_code],
+        scale=scale,
+        user_labels=user_labels,
+        item_labels=item_labels,
+        timestamps=stamps,
+    )
+
+
+def _first_repeat(keys: np.ndarray) -> int:
+    """Index of the first key equal to an earlier one, or len(keys)."""
+    ordered = np.sort(keys)
+    if not (ordered[1:] == ordered[:-1]).any():
+        return len(keys)
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    return int(order[1:][ordered[1:] == ordered[:-1]].min())
 
 
 def write_ratings(ds: RatingDataset, path) -> None:
     """Write a dataset as generic-csv using the original labels."""
+    header, columns = ["user", "item", "rating"], _text_fields(ds)
+    if ds.timestamps is not None:
+        header.append("timestamp")
+        columns.append(ds.timestamps.tolist())
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        if ds.timestamps is not None:
-            writer.writerow(["user", "item", "rating", "timestamp"])
-            for n in range(ds.n_links):
-                writer.writerow(
-                    [
-                        ds.user_labels[ds.users[n]],
-                        ds.item_labels[ds.items[n]],
-                        _fmt_rating(ds.ratings[n]),
-                        int(ds.timestamps[n]),
-                    ]
-                )
-        else:
-            writer.writerow(["user", "item", "rating"])
-            for n in range(ds.n_links):
-                writer.writerow(
-                    [
-                        ds.user_labels[ds.users[n]],
-                        ds.item_labels[ds.items[n]],
-                        _fmt_rating(ds.ratings[n]),
-                    ]
-                )
+        writer.writerow(header)
+        writer.writerows(zip(*columns))
+
+
+def _text_fields(ds: RatingDataset) -> list:
+    """User label, item label and rating text columns, each rating
+    formatted once per distinct value."""
+    ratings = ds.ratings.tolist()
+    texts = dict.fromkeys(ratings)
+    for r in texts:
+        texts[r] = _fmt_rating(r)
+    return [
+        map(ds.user_labels.__getitem__, ds.users.tolist()),
+        map(ds.item_labels.__getitem__, ds.items.tolist()),
+        map(texts.__getitem__, ratings),
+    ]
 
 
 def _fmt_rating(r: float) -> str:
@@ -344,10 +479,7 @@ def write_fold_manifest(folds: list[FoldPair], path) -> None:
         writer.writerow(["fold", "user", "item", "rating", "split"])
         for f, pair in enumerate(folds):
             for part, name in ((pair.train, "train"), (pair.test, "test")):
-                for u, i, r in part.triples():
-                    writer.writerow(
-                        [f, part.user_labels[u], part.item_labels[i], _fmt_rating(r), name]
-                    )
+                writer.writerows(zip(repeat(f), *_text_fields(part), repeat(name)))
 
 
 def dataset_stats(ds: RatingDataset) -> DatasetStats:

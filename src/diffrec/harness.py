@@ -221,11 +221,9 @@ class FoldContext:
         self, method: str, theta: float | None = None, length: int | None = None
     ) -> list[RecommendationList]:
         """Top-`length` lists (default the configured list length) for the
-        fold's evaluated test users."""
+        fold's evaluated test users; none if the fold has none."""
         if not self.test_users:
-            raise HarnessError(
-                f"fold has no evaluable test users (like_threshold {self.cfg.like_threshold})"
-            )
+            return []
         length = self.cfg.list_length if length is None else length
         return self.rank(method, self.test_users, theta, length)
 
@@ -271,11 +269,15 @@ def _metric_rows(
     theta: float | None,
     length: int,
 ) -> list[MetricRow]:
-    """One row per metric; a metric undefined on these lists is NA, with
-    the reason as the row's note."""
+    """One row per metric; a metric undefined on these lists, or on a fold
+    without evaluable test users, is NA, with the reason as the row's note."""
 
     def row(metric: str, at: int | None, compute: Callable[[], float]) -> MetricRow:
         try:
+            if not ctx.test_users:
+                raise evalmetrics.MetricError(
+                    f"fold has no evaluable test users (like_threshold {ctx.cfg.like_threshold})"
+                )
             value, note = compute(), ""
         except evalmetrics.MetricError as exc:
             value, note = None, str(exc)
@@ -295,6 +297,18 @@ def _metric_rows(
 
 
 ListSink = Callable[[int, str, list[RecommendationList]], None]
+
+
+def _ranked_report(
+    rows: list[MetricRow], cfg: ExperimentConfig, fold_users: list[dict[str, int]]
+) -> EvaluationReport:
+    """The report of a run that ranks lists, with cross-fold means; a run
+    in which no fold has an evaluable test user is an error."""
+    if not any(f["evaluated_users"] for f in fold_users):
+        raise HarnessError(
+            f"no evaluable test users in any fold (like_threshold {cfg.like_threshold})"
+        )
+    return EvaluationReport(rows, cfg, fold_users).with_means()
 
 
 def _folds(ds: RatingDataset, cfg: ExperimentConfig) -> Iterator[tuple[int, FoldContext]]:
@@ -319,7 +333,7 @@ def run_experiment(
             rows.extend(_metric_rows(ctx, str(f), method, lists, theta, cfg.list_length))
             if list_sink is not None:
                 list_sink(f, method, lists)
-    return EvaluationReport(rows, cfg, fold_users).with_means()
+    return _ranked_report(rows, cfg, fold_users)
 
 
 def sweep_theta(
@@ -339,7 +353,7 @@ def sweep_theta(
             rows.extend(
                 _metric_rows(ctx, str(f), "PIM+RA", lists, theta, cfg.list_length)
             )
-    return EvaluationReport(rows, cfg, fold_users).with_means()
+    return _ranked_report(rows, cfg, fold_users)
 
 
 def sweep_list_length(
@@ -362,7 +376,7 @@ def sweep_list_length(
             for length in lengths:
                 base = _metric_rows(ctx, str(f), method, lists, theta, length)
                 rows.extend(r for r in base if r.metric != "ars")
-    return EvaluationReport(rows, cfg, fold_users).with_means()
+    return _ranked_report(rows, cfg, fold_users)
 
 
 def sweep_knn(

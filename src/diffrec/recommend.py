@@ -327,6 +327,11 @@ class PimraScorer:
         else:
             raise RecommendError(f"unknown step3 weight mode {step3_weight!r}")
         self._p = item_sim.values * m
+        # popularity penalty base |U_j| (1 for unrated items), raised to
+        # theta once per theta value
+        deg = g.item_degree.astype(np.float64)
+        self._deg = np.where(deg > 0, deg, 1.0)
+        self._theta, self._penalty = None, None
 
     def scores(self, user: int, theta: float) -> np.ndarray:
         """Walk scores for all items, seen ones included, under the
@@ -341,8 +346,9 @@ class PimraScorer:
         r1 = 1.0 / n_u + np.log(n_u / g.item_degree[seen])
         coef = r1 / g.item_weight_sum[seen]
         raw = coef @ self._p[seen]
-        deg = g.item_degree.astype(np.float64)
-        return raw / np.where(deg > 0, deg, 1.0) ** theta
+        if theta != self._theta:
+            self._theta, self._penalty = theta, self._deg**theta
+        return raw / self._penalty
 
 
 # ---------------------------------------------------------------------------

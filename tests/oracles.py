@@ -2,10 +2,12 @@
 matrix-level code. Deliberately slow and independent of the package's
 computation paths."""
 
+import csv
 import math
 
 import numpy as np
 
+from diffrec.corpus import CorpusError, RatingDataset
 from diffrec.recommend import MFModel, MfDivergenceError, RecommendationList
 
 
@@ -327,3 +329,157 @@ def train_mf(train, cfg):
         scale_min=train.scale.min,
         scale_max=train.scale.max,
     )
+
+
+def load_ratings(path, format, scale):
+    """Row-by-row loader: read every row into a tuple, then build the
+    dataset one rating at a time."""
+    if format == "ml100k-tsv":
+        rows = _read_ml100k(path)
+    elif format == "generic-csv":
+        rows = _read_generic_csv(path)
+    else:
+        raise CorpusError(f"unknown format {format!r}")
+    return from_triples(rows, scale)
+
+
+def _read_ml100k(path):
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 4:
+                raise CorpusError(f"line {line_no}: expected 4 tab-separated fields")
+            u, i, r, ts = parts
+            try:
+                rows.append((u, i, float(r), int(ts)))
+            except ValueError as exc:
+                raise CorpusError(f"line {line_no}: {exc}") from exc
+    return rows
+
+
+def _read_generic_csv(path):
+    rows = []
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            return []
+        header = [h.strip().lower() for h in header]
+        if header[:3] != ["user", "item", "rating"]:
+            raise CorpusError(
+                "line 1: expected header user,item,rating[,timestamp], "
+                f"got {','.join(header)}"
+            )
+        has_ts = len(header) == 4 and header[3] == "timestamp"
+        width = 4 if has_ts else 3
+        for line_no, parts in enumerate(reader, start=2):
+            if not parts:
+                continue
+            if len(parts) != width:
+                raise CorpusError(f"line {line_no}: expected {width} fields")
+            try:
+                if has_ts:
+                    u, i, r, ts = parts
+                    rows.append((u, i, float(r), int(ts)))
+                else:
+                    u, i, r = parts
+                    rows.append((u, i, float(r)))
+            except ValueError as exc:
+                raise CorpusError(f"line {line_no}: {exc}") from exc
+    return rows
+
+
+def from_triples(triples, scale):
+    """Dataset from (user, item, rating[, timestamp]) tuples, one row at a
+    time: ids on first appearance, a set of seen pairs, on_grid per row."""
+    user_ids = {}
+    item_ids = {}
+    users, items, ratings, stamps = [], [], [], []
+    seen = set()
+    has_ts = None
+    for row_no, row in enumerate(triples, start=1):
+        if len(row) == 3:
+            u, i, r = row
+            ts = None
+        elif len(row) == 4:
+            u, i, r, ts = row
+        else:
+            raise CorpusError(f"row {row_no}: expected 3 or 4 fields, got {len(row)}")
+        if has_ts is None:
+            has_ts = ts is not None
+        elif has_ts != (ts is not None):
+            raise CorpusError(f"row {row_no}: inconsistent timestamp presence")
+        r = float(r)
+        if not scale.on_grid(r):
+            raise CorpusError(
+                f"row {row_no}: rating {r} is off the scale grid "
+                f"[{scale.min}, {scale.max}] step {scale.step}"
+            )
+        uid = user_ids.setdefault(str(u), len(user_ids))
+        iid = item_ids.setdefault(str(i), len(item_ids))
+        if (uid, iid) in seen:
+            raise CorpusError(f"row {row_no}: duplicate (user, item) pair ({u}, {i})")
+        seen.add((uid, iid))
+        users.append(uid)
+        items.append(iid)
+        ratings.append(r)
+        if ts is not None:
+            stamps.append(int(ts))
+    return RatingDataset(
+        users=np.asarray(users, dtype=np.int64),
+        items=np.asarray(items, dtype=np.int64),
+        ratings=np.asarray(ratings, dtype=np.float64),
+        scale=scale,
+        user_labels=tuple(user_ids),
+        item_labels=tuple(item_ids),
+        timestamps=np.asarray(stamps, dtype=np.int64) if stamps else None,
+    )
+
+
+def write_ratings(ds, path):
+    """generic-csv, one csv.writer row per rating, indexed by numpy scalars."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        if ds.timestamps is not None:
+            writer.writerow(["user", "item", "rating", "timestamp"])
+            for n in range(ds.n_links):
+                writer.writerow(
+                    [
+                        ds.user_labels[ds.users[n]],
+                        ds.item_labels[ds.items[n]],
+                        _fmt_rating(ds.ratings[n]),
+                        int(ds.timestamps[n]),
+                    ]
+                )
+        else:
+            writer.writerow(["user", "item", "rating"])
+            for n in range(ds.n_links):
+                writer.writerow(
+                    [
+                        ds.user_labels[ds.users[n]],
+                        ds.item_labels[ds.items[n]],
+                        _fmt_rating(ds.ratings[n]),
+                    ]
+                )
+
+
+def write_fold_manifest(folds, path):
+    """fold,user,item,rating,split, one csv.writer row per rating."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["fold", "user", "item", "rating", "split"])
+        for f, pair in enumerate(folds):
+            for part, name in ((pair.train, "train"), (pair.test, "test")):
+                for u, i, r in part.triples():
+                    writer.writerow(
+                        [f, part.user_labels[u], part.item_labels[i], _fmt_rating(r), name]
+                    )
+
+
+def _fmt_rating(r):
+    return str(int(r)) if float(r).is_integer() else repr(float(r))

@@ -46,6 +46,20 @@ def test_nonexistent_file_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_nan_rating_is_a_row_error(tmp_path, capsys):
+    path = tmp_path / "nan.csv"
+    path.write_text("user,item,rating\na,b,nan\n")
+    assert main(["stats", "--input", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err == "error: row 1: rating nan is off the scale grid [1.0, 5.0] step 1.0"
+
+
+def test_non_finite_scale_is_rejected(fix4_csv, capsys):
+    assert main(["stats", "--input", str(fix4_csv), "--scale", "1:5:nan"]) == 1
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err == "error: scale min, max and step must be finite, got 1.0:5.0:nan"
+
+
 def test_unknown_config_key_rejected(fix4_csv, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"input = {fix4_csv}\nbogus_key = 1\n")
@@ -165,6 +179,35 @@ def test_eval_one_user_fold_writes_na_rows(tmp_path, capsys):
         assert f"dataset,{fold},MD,,100,iud,NA" in report
         assert {"fold": str(fold), "method": "MD", "theta": None, "L": 100,
                 "metric": "iud", "note": "need at least 2 users"} in manifest["na"]
+
+
+def test_eval_fold_without_evaluable_users_writes_na_rows(tmp_path, capsys):
+    # one-rating folds; the folds whose rating is not liked have no one to rank for
+    triples = [
+        (f"u{u}", f"i{i}", 2 if (u + i) % 3 == 0 else 3 + (u + i) % 3)
+        for u in range(4) for i in range(4) if (u + i) % 2
+    ]
+    data = tmp_path / "c4.csv"
+    corpus.write_ratings(corpus.from_triples(triples, corpus.RatingScale(1, 5, 1)), data)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("folds = 8\n")
+    out = tmp_path / "out"
+    code = main(["eval", "--input", str(data), "--config", str(cfg), "--method", "MD",
+                 "-L", "5", "--out-dir", str(out)])
+    assert code == 0, capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    empty = [f["fold"] for f in manifest["folds"] if f["evaluated_users"] == 0]
+    assert empty
+    report = (out / "report.csv").read_text().splitlines()
+    note = "fold has no evaluable test users (like_threshold 3.0)"
+    for fold in empty:
+        assert (out / f"recommendations_fold{fold}_MD.csv").read_text() == "user,rank,item,score\n"
+        for metric in ("ars", "gini", "id", "iud", "novelty", "avg_popularity"):
+            length = "" if metric == "ars" else "5"
+            assert f"dataset,{fold},MD,,{length},{metric},NA" in report
+            assert {"fold": str(fold), "method": "MD", "theta": None,
+                    "L": None if metric == "ars" else 5, "metric": metric,
+                    "note": note} in manifest["na"]
 
 
 def test_eval_rejects_theta_before_any_fold(synth_csv, tmp_path, capsys):

@@ -1,5 +1,12 @@
+import math
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffrec import corpus
 from diffrec.corpus import (
@@ -12,6 +19,7 @@ from diffrec.corpus import (
     load_ratings,
 )
 
+import oracles
 from conftest import random_dataset
 
 
@@ -32,6 +40,18 @@ class TestRatingScale:
         assert scale.on_grid(0.6)
         assert not scale.on_grid(0.5)
         assert not scale.on_grid(1.2)
+
+    @pytest.mark.parametrize("rating", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rating_is_off_grid(self, rating):
+        assert not SCALE15.on_grid(rating)
+
+    @pytest.mark.parametrize(
+        "bounds", [(math.nan, 5, 1), (1, math.nan, 1), (1, 5, math.nan), (-math.inf, 5, 1),
+                   (1, math.inf, 1), (1, 5, math.inf)]
+    )
+    def test_non_finite_bounds_rejected(self, bounds):
+        with pytest.raises(CorpusError, match="must be finite"):
+            RatingScale(*bounds)
 
 
 class TestLoad:
@@ -84,6 +104,274 @@ class TestLoad:
         assert back.user_labels == ds.user_labels
         assert back.item_labels == ds.item_labels
         assert list(back.triples()) == list(ds.triples())
+
+
+def load_text(tmp_path, text, fmt="generic-csv"):
+    """Load `text`, written byte for byte (no newline translation)."""
+    path = tmp_path / ("r.csv" if fmt == "generic-csv" else "u.data")
+    path.write_bytes(text.encode("utf-8"))
+    return load_ratings(path, fmt, SCALE15)
+
+
+class TestLoadErrors:
+    """Which error a malformed file raises: `line N` counts physical lines,
+    blank ones included; `row N` counts data rows; field-count and parse
+    errors come before grid and duplicate errors."""
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("user,item,rating\n\na,b,3\n\nc,d,x\n", "line 5: could not convert string to float: 'x'"),
+            ("user,item,rating\n\n\na,b\n", "line 4: expected 3 fields"),
+            ("user,item,rating\n\na,b,3\n\na,b,4\n", r"row 2: duplicate \(user, item\) pair \(a, b\)"),
+            ("user,item,rating\n\na,b,3\n\n\nc,d,3.5\n", r"row 2: rating 3.5 is off the scale grid"),
+        ],
+    )
+    def test_blank_lines_before_the_bad_row(self, tmp_path, text, message):
+        with pytest.raises(CorpusError, match=f"^{message}"):
+            load_text(tmp_path, text)
+
+    def test_blank_lines_in_ml100k(self, tmp_path):
+        with pytest.raises(CorpusError, match="^line 4: expected 4 tab-separated fields$"):
+            load_text(tmp_path, "1\t10\t4\t880\n\n\n1\t11\n", "ml100k-tsv")
+
+    @pytest.mark.parametrize(
+        "text,fmt,bad_line",
+        [
+            ("user,item,rating,timestamp\r\na,b,3,7\r\n\r\nc,b,4,8\r\n", "generic-csv", 4),
+            ("a\tb\t3\t7\r\n\r\nc\tb\t4\t8\r\n", "ml100k-tsv", 3),
+        ],
+    )
+    def test_crlf(self, tmp_path, text, fmt, bad_line):
+        ds = load_text(tmp_path, text, fmt)
+        assert ds.user_labels == ("a", "c") and ds.item_labels == ("b",)
+        assert ds.ratings.tolist() == [3.0, 4.0] and ds.timestamps.tolist() == [7, 8]
+        with pytest.raises(CorpusError, match=f"^line {bad_line}: could not convert"):
+            load_text(tmp_path, text.replace("4", "x", 1), fmt)
+
+    @pytest.mark.parametrize("header", ["user,item,rating", "user,item,rating,timestamp\n"])
+    def test_header_only(self, tmp_path, header):
+        ds = load_text(tmp_path, header)
+        assert (ds.n_users, ds.n_items, ds.n_links) == (0, 0, 0)
+        assert ds.timestamps is None
+
+    def test_timestamps(self, tmp_path):
+        ds = load_text(tmp_path, "user,item,rating,timestamp\na,b,3,880\nc,b,4,-5\n")
+        assert ds.timestamps.dtype == np.int64 and ds.timestamps.tolist() == [880, -5]
+        with pytest.raises(CorpusError, match=r"^line 3: invalid literal for int\(\)"):
+            load_text(tmp_path, "user,item,rating,timestamp\na,b,3,880\nc,b,4,8.5\n")
+
+    def test_timestamp_header_with_another_fourth_column_means_three_fields(self, tmp_path):
+        with pytest.raises(CorpusError, match="^line 2: expected 3 fields$"):
+            load_text(tmp_path, "user,item,rating,when\na,b,3,880\n")
+
+    def test_short_row_after_unparsable_rating(self, tmp_path):
+        with pytest.raises(CorpusError, match="^line 2: could not convert string to float: 'x'$"):
+            load_text(tmp_path, "user,item,rating\na,b,x\nc,d\n")
+
+    def test_unparsable_rating_before_timestamp_in_a_row(self, tmp_path):
+        with pytest.raises(CorpusError, match="^line 2: could not convert string to float"):
+            load_text(tmp_path, "user,item,rating,timestamp\na,b,x,y\n")
+
+    def test_short_row_before_duplicate(self, tmp_path):
+        # the duplicate comes first in the file, but a field-count error wins
+        with pytest.raises(CorpusError, match="^line 4: expected 3 fields$"):
+            load_text(tmp_path, "user,item,rating\na,b,3\na,b,4\nc\n")
+
+    def test_grid_before_duplicate_in_one_row(self, tmp_path):
+        with pytest.raises(CorpusError, match="^row 2: rating 9.0 is off the scale grid"):
+            load_text(tmp_path, "user,item,rating\na,b,3\na,b,9\n")
+
+    def test_first_duplicate_is_reported(self, tmp_path):
+        with pytest.raises(CorpusError, match=r"^row 4: duplicate \(user, item\) pair \(c, d\)$"):
+            load_text(tmp_path, "user,item,rating\na,b,3\nc,d,3\na,x,3\nc,d,3\na,b,3\n")
+
+    def test_nan_rating_is_off_the_grid(self, tmp_path):
+        with pytest.raises(
+            CorpusError, match=r"^row 1: rating nan is off the scale grid \[1, 5\] step 1$"
+        ):
+            load_text(tmp_path, "user,item,rating\na,b,nan\n")
+
+    def test_quoted_and_lone_cr_files_read_through_csv(self, tmp_path):
+        ds = load_text(tmp_path, 'user,item,rating\r"a,1",b,3\r"say ""hi""",b,4\r')
+        assert ds.user_labels == ("a,1", 'say "hi"')
+        with pytest.raises(CorpusError, match="^line 3: expected 3 fields$"):
+            load_text(tmp_path, 'user,item,rating\r"a,1",b,3\rc,d\r')
+
+
+# Generated rating files for the loader property. Small label alphabets
+# and repeated pairs make duplicates. A file's noise level sets what else
+# can go wrong in it:
+# 0 only duplicates, 1 also off-grid ratings, 2 also bad headers, short,
+# long and blank lines, and unparsable values.
+LABELS = ["a", "b", "c", "u1", "i1", "é", " a", "\x0c", "\x00", "", "x,y", 'q"t']
+GOOD_RATINGS = ["1", "2", "3", "4", "5", "4.0", " 2", "1e0"]
+OFF_GRID = ["3.5", "0", "6", "nan", "inf", "-1"]
+BAD = {"rating": ["x", "", "4,0"], "stamp": ["x", "1.5", ""], "line": ["short", "long", "blank"]}
+STAMPS = ["880", "0", "-3", " 7", "1_0"]
+HEADERS = ["user,item,rating", "user,item,rating,timestamp", " User , ITEM,rating"]
+BAD_HEADERS = ["user,item,rating,when", "usr,item,rating", ""]
+
+
+def _csv_field(text, quote):
+    return '"' + text.replace('"', '""') + '"' if quote or "," in text or '"' in text else text
+
+
+@st.composite
+def rating_files(draw):
+    """(text, format): a generic-csv or ml100k-tsv file, well formed or not."""
+    fmt = draw(st.sampled_from(["generic-csv", "ml100k-tsv"]))
+    noise = draw(st.integers(0, 2))
+    rare = lambda: draw(st.integers(0, 7)) == 0  # noqa: E731
+    ends = draw(st.sampled_from([["\n"], ["\r\n"], ["\n", "\r\n"], ["\n", "\r"]]))
+    quoting = fmt == "generic-csv" and draw(st.booleans())
+    labels = st.sampled_from(LABELS[: 10 if fmt == "ml100k-tsv" or quoting else 9])
+    lines = []
+    width, sep = 4, "\t"
+    if fmt == "generic-csv":
+        header = draw(st.sampled_from(HEADERS + (BAD_HEADERS if noise == 2 else [])))
+        if not (noise == 2 and rare()):  # else a file of rows, or empty, without one
+            lines.append(header)
+        width, sep = (4 if header.endswith("timestamp") else 3), ","
+    pairs = []
+    for _ in range(draw(st.integers(0, 12))):
+        if pairs and draw(st.integers(0, 5)) == 0:  # a pair given before
+            pair = draw(st.sampled_from(pairs))
+        else:
+            pair = [draw(labels), draw(labels)]
+            pairs.append(pair)
+        rating = draw(st.sampled_from(OFF_GRID if noise and rare() else GOOD_RATINGS))
+        fields = (pair + [rating, draw(st.sampled_from(STAMPS))])[:width]
+        if noise == 2 and rare():
+            fields[2] = draw(st.sampled_from(BAD["rating"]))
+        if noise == 2 and width == 4 and rare():
+            fields[3] = draw(st.sampled_from(BAD["stamp"]))
+        if quoting and rare():  # a label only the csv module reads
+            fields[0] = draw(st.sampled_from(LABELS[10:]))
+        if fmt == "generic-csv":
+            fields = [_csv_field(f, quoting and rare()) for f in fields]
+        line = sep.join(fields)
+        if noise == 2 and rare():
+            kind = draw(st.sampled_from(BAD["line"]))
+            line = "" if kind == "blank" else sep.join(fields[:-1] if kind == "short" else fields + ["9"])
+        lines.append(line)
+    text = "".join(line + draw(st.sampled_from(ends)) for line in lines)
+    if text and draw(st.booleans()):
+        text = text[: -1 - text.endswith("\r\n")]  # no line end after the last line
+    return text, fmt
+
+
+def outcome(load, path, fmt):
+    try:
+        ds = load(path, fmt, SCALE15)
+    except Exception as exc:
+        return type(exc), str(exc)
+    arrays = [ds.users, ds.items, ds.ratings] + ([] if ds.timestamps is None else [ds.timestamps])
+    return (
+        [(a.dtype, a.tolist()) for a in arrays],
+        ds.timestamps is None,
+        ds.user_labels,
+        ds.item_labels,
+    )
+
+
+class TestLoaderMatchesRowOracle:
+    @settings(max_examples=600)
+    @given(rating_files(), st.sampled_from([1, 2, 5, 16, corpus._CHUNK_CHARS]))
+    def test_load_matches_oracle(self, case, chunk_chars):
+        # small chunks put chunk boundaries among the lines of small files
+        text, fmt = case
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+            corpus, "_CHUNK_CHARS", chunk_chars
+        ):
+            path = Path(tmp) / "ratings"
+            path.write_bytes(text.encode("utf-8"))
+            assert outcome(load_ratings, path, fmt) == outcome(oracles.load_ratings, path, fmt)
+
+    def test_timestamp_beyond_int64_fails_after_the_checks(self, tmp_path):
+        big = str(2**70)
+        for text in (f"user,item,rating,timestamp\na,b,3,{big}\n",
+                     f"user,item,rating,timestamp\na,b,3,{big}\na,b,4,1\n"):
+            path = tmp_path / "r.csv"
+            path.write_text(text)
+            assert outcome(load_ratings, path, "generic-csv") == outcome(
+                oracles.load_ratings, path, "generic-csv"
+            )
+
+
+class TestFromTriples:
+    def test_matches_oracle(self):
+        triples = [("u1", "i1", 5), (2, 3.0, "4"), ("u1", "i2", np.float64(1.0))]
+        ours, theirs = corpus.from_triples(triples, SCALE15), oracles.from_triples(triples, SCALE15)
+        assert ours.user_labels == theirs.user_labels == ("u1", "2")
+        assert ours.item_labels == theirs.item_labels == ("i1", "3.0", "i2")
+        assert ours.ratings.tolist() == theirs.ratings.tolist() == [5.0, 4.0, 1.0]
+        assert ours.timestamps is theirs.timestamps is None
+
+    def test_stamps_of_none_are_no_stamps(self):
+        ds = corpus.from_triples([("a", "b", 3, None), ("c", "b", 4)], SCALE15)
+        assert ds.timestamps is None and ds.n_links == 2
+
+    @pytest.mark.parametrize(
+        "triples,message",
+        [
+            ([("a", "b", 3), ("a", "b")], "^row 2: expected 3 or 4 fields, got 2$"),
+            ([("a", "b", 3, 1), ("c", "b", 3)], "^row 2: inconsistent timestamp presence$"),
+            ([("a", "b", 3), ("c", "b", 7)], "^row 2: rating 7.0 is off the scale grid"),
+            ([("a", "b", 3), ("a", "b", 2)], r"^row 2: duplicate \(user, item\) pair \(a, b\)$"),
+            ([("a", "b", 3), ("c", "b", "x")], "^row 2: could not convert string to float: 'x'$"),
+            ([("a", "b", 3, "x")], r"^row 1: invalid literal for int\(\)"),
+        ],
+    )
+    def test_errors_name_the_row(self, triples, message):
+        with pytest.raises(CorpusError, match=message):
+            corpus.from_triples(triples, SCALE15)
+
+
+class TestWriters:
+    """The column writers give the row-by-row writers' bytes."""
+
+    SCALE = RatingScale(0, 5, 0.5)
+    TRIPLES = [
+        ("plain", "i1", 4.5, 880),
+        ("comma, user", 'quote "i"', 0.0, 881),
+        ('say "hi"', "i1", 5.0, -2),
+        ("plain", 'quote "i"', 2.5, 10**12),
+        ("é", "line\nbreak", 1.0, 0),
+    ]
+
+    @pytest.mark.parametrize("stamped", [True, False])
+    def test_ratings_bytes_and_round_trip(self, tmp_path, stamped):
+        ds = corpus.from_triples([t if stamped else t[:3] for t in self.TRIPLES], self.SCALE)
+        ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+        corpus.write_ratings(ds, ours)
+        oracles.write_ratings(ds, theirs)
+        assert ours.read_bytes() == theirs.read_bytes()
+        assert b"\r\n" in ours.read_bytes() and b'"comma, user"' in ours.read_bytes()
+        back = load_ratings(ours, "generic-csv", self.SCALE)
+        assert (back.user_labels, back.item_labels) == (ds.user_labels, ds.item_labels)
+        assert list(back.triples()) == list(ds.triples())
+        assert (back.timestamps is None) == (not stamped)
+        if stamped:
+            assert back.timestamps.tolist() == ds.timestamps.tolist()
+
+    def test_fold_manifest_bytes(self, tmp_path):
+        ds = corpus.from_triples(self.TRIPLES, self.SCALE)
+        folds = kfold_split(ds, 2, seed=3)
+        ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+        corpus.write_fold_manifest(folds, ours)
+        oracles.write_fold_manifest(folds, theirs)
+        assert ours.read_bytes() == theirs.read_bytes()
+
+    def test_crlf_output_takes_the_split_path(self, tmp_path):
+        ds = random_dataset(5, n_users=7, n_items=9)
+        path = tmp_path / "out.csv"
+        corpus.write_ratings(ds, path)
+        text = path.read_bytes()
+        assert text.count(b"\r\n") == ds.n_links + 1 and b'"' not in text
+        assert outcome(load_ratings, path, "generic-csv") == outcome(
+            oracles.load_ratings, path, "generic-csv"
+        )
 
 
 class TestFilter:

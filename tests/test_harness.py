@@ -301,23 +301,31 @@ class TestDegenerateInputs:
 
     def test_one_item_folds(self):
         # every rating liked, so each one-rating test fold has one evaluable user
-        ds = corpus.from_triples(
-            [(f"u{u}", f"i{i}", 3 + (u + i) % 3) for u in range(4) for i in range(4) if (u + i) % 2],
-            corpus.RatingScale(1, 5, 1),
-        )
+        triples = [
+            (f"u{u}", f"i{i}", 3 + (u + i) % 3) for u in range(4) for i in range(4) if (u + i) % 2
+        ]
+        ds = corpus.from_triples(triples, corpus.RatingScale(1, 5, 1))
         cfg = ExperimentConfig(
             k_folds=ds.n_links, list_length=5, knn_k=3, mf=recommend.MfConfig(factors=4, epochs=5)
         )
         report = run_experiment(ds, cfg)
         self.assert_finite_report(report)
         assert [f["evaluated_users"] for f in report.fold_users] == [1] * ds.n_links
-        # a one-rating fold whose rating is not liked has no one to evaluate
+        # a one-rating fold whose rating is not liked has no one to evaluate:
+        # its metrics are NA rows with the reason, and the other folds run
         ds = corpus.from_triples(
-            [(f"u{u}", f"i{i}", 1 + (u * i) % 5) for u in range(4) for i in range(4) if (u + i) % 2],
-            corpus.RatingScale(1, 5, 1),
+            [(u, i, 2 if r == 3 else r) for u, i, r in triples], corpus.RatingScale(1, 5, 1)
         )
-        with pytest.raises(HarnessError, match="no evaluable test users"):
-            run_experiment(ds, cfg)
+        report = run_experiment(ds, cfg)
+        self.assert_finite_report(report)
+        empty = [str(f["fold"]) for f in report.fold_users if f["evaluated_users"] == 0]
+        assert len(empty) == 4
+        note = "fold has no evaluable test users (like_threshold 3.0)"
+        for fold in empty:
+            rows = [r for r in report.rows if r.fold == fold]
+            assert len(rows) == 6 * len(KNOWN_METHODS)
+            assert all(r.value is None and r.note == note for r in rows)
+        assert any(r.value is not None for r in report.rows if r.fold not in empty)
 
 
 class TestSweepTheta:

@@ -302,6 +302,21 @@ class TestPimra:
             scaled = scorer.scores(uid["u2"], theta=theta)
             assert np.allclose(scaled, base / deg**theta, atol=1e-12)
 
+    def test_penalty_once_per_theta_is_bitwise_the_per_user_expression(self):
+        # a fold's training graph, so that some items have no training rating
+        train = corpus.kfold_split(random_dataset(91, n_users=9, n_items=12, density=0.3), 2, 0)[0].train
+        g = build_graph(train)
+        assert (g.item_degree == 0).any()
+        scorer = PimraScorer(g, pim_item_sim(g))
+        deg = g.item_degree.astype(np.float64)
+        for theta in (0.6, 0.0, 1.0, 0.6, 0.25, 0.25, 1 / 3):
+            for u in np.flatnonzero(g.user_degree > 0).tolist():
+                seen, _ = g.user_items(u)
+                n_u = float(len(seen))
+                coef = (1.0 / n_u + np.log(n_u / g.item_degree[seen])) / g.item_weight_sum[seen]
+                expected = coef @ scorer._p[seen] / np.where(deg > 0, deg, 1.0) ** theta
+                assert np.array_equal(scorer.scores(u, theta), expected)
+
     def test_theta_demotes_popular_relative_to_rare(self, fix4_graph, uid, iid):
         # u2's candidates: i1 (degree 2) and i4 (degree 3)
         scorer = PimraScorer(fix4_graph, pim_item_sim(fix4_graph))
