@@ -213,13 +213,16 @@ def _read_generic_csv(path) -> _Columns:
         return _Columns([], 0, 3)
     if '"' in text or ("\r" in text and text.count("\r") != text.count("\r\n")):
         # quoted fields or lone \r line ends: the csv module's rules
-        records = list(csv.reader(io.StringIO(text, newline="")))
+        reader = csv.reader(io.StringIO(text, newline=""))
+        records, ends = zip(*((record, reader.line_num) for record in reader))
         body = records[1:]
         widths = np.fromiter(map(len, body), np.intp, len(body))
+        # a record starts on the physical line after the one its predecessor ends on
+        starts = np.asarray(ends[:-1]) + 1
         return _columns(
             widths,
             _header_width(records[0]),
-            2,
+            starts.__getitem__,
             "",
             lambda n: [list(chain.from_iterable(body[:n]))],
         )
@@ -255,7 +258,7 @@ def _text_columns(body: str, sep: str, width: int, first_line: int, what: str) -
                 yield part.replace("\n", sep).split(sep)
             start = end + 1
 
-    return _columns(widths, width, first_line, what, chunks)
+    return _columns(widths, width, lambda k: k + first_line, what, chunks)
 
 
 def _line_widths(body: str, sep: str) -> np.ndarray:
@@ -270,21 +273,22 @@ def _line_widths(body: str, sep: str) -> np.ndarray:
     return np.where(np.diff(ends, prepend=-1) > 1, np.diff(seps, prepend=0) + 1, 0)
 
 
-def _columns(widths, width: int, first_line: int, what: str, chunks) -> _Columns:
+def _columns(widths, width: int, line_of, what: str, chunks) -> _Columns:
     """The rows before the first line whose field count is not `width`,
-    with that line's error; blank lines (width 0) hold no row. `chunks(n)`
-    gives the first n lines' fields, row after row, in flat lists."""
+    with that line's error; blank lines (width 0) hold no row. `line_of(k)`
+    is the physical line number of line k, and `chunks(n)` gives the first
+    n lines' fields, row after row, in flat lists."""
     bad = np.flatnonzero((widths != width) & (widths != 0))
     n = int(bad[0]) if len(bad) else len(widths)
     error = None
     if len(bad):
-        error = CorpusError(f"line {n + first_line}: expected {width} {what}fields")
+        error = CorpusError(f"line {line_of(n)}: expected {width} {what}fields")
     filled = widths[:n] != 0
     return _Columns(
         chunks(n),
         np.count_nonzero(filled),
         width,
-        lambda row: f"line {np.flatnonzero(filled)[row] + first_line}",
+        lambda row: f"line {line_of(np.flatnonzero(filled)[row])}",
         error,
     )
 

@@ -75,6 +75,13 @@ class ExperimentConfig:
             if value not in allowed:
                 raise HarnessError(f"{name} must be one of {', '.join(allowed)}, got {value!r}")
 
+    def run_theta(self, method: str, theta: float | None = None) -> float | None:
+        """The theta a run of `method` uses: only PIM+RA takes one, by
+        default the configured theta."""
+        if method != "PIM+RA":
+            return None
+        return self.theta if theta is None else theta
+
     def digest(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True, default=str)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
@@ -164,7 +171,7 @@ def write_manifest(report: EvaluationReport, path) -> None:
 
 class FoldContext:
     """Shared per-fold state: graph, lazily computed similarity matrices,
-    the evaluated-user population, and method rankings."""
+    the evaluated-user population, and the method dispatch."""
 
     def __init__(self, pair: FoldPair, cfg: ExperimentConfig):
         self.pair = pair
@@ -217,16 +224,6 @@ class FoldContext:
     def histories(self) -> dict[int, np.ndarray]:
         return {u: self.graph.user_items(u)[0] for u in self.test_users}
 
-    def rankings(
-        self, method: str, theta: float | None = None, length: int | None = None
-    ) -> list[RecommendationList]:
-        """Top-`length` lists (default the configured list length) for the
-        fold's evaluated test users; none if the fold has none."""
-        if not self.test_users:
-            return []
-        length = self.cfg.list_length if length is None else length
-        return self.rank(method, self.test_users, theta, length)
-
     def rank(
         self, method: str, users: Sequence[int], theta: float | None, length: int
     ) -> list[RecommendationList]:
@@ -243,8 +240,7 @@ class FoldContext:
                 model, items = self.mf_model, np.arange(g.n_items)
                 score = lambda u: recommend.predict_mf(model, np.full(g.n_items, u), items)
             elif method == "PIM+RA":
-                scorer = self.pimra_scorer
-                theta = self.cfg.theta if theta is None else theta
+                scorer, theta = self.pimra_scorer, self.cfg.run_theta(method, theta)
                 score = lambda u: scorer.scores(u, theta)
             else:
                 raise HarnessError(f"unknown method {method!r}")
@@ -268,24 +264,25 @@ def _metric_rows(
     lists: list[RecommendationList],
     theta: float | None,
     length: int,
+    reason: str,
+    ars: bool,
 ) -> list[MetricRow]:
-    """One row per metric; a metric undefined on these lists, or on a fold
-    without evaluable test users, is NA, with the reason as the row's note."""
+    """One row per metric, ARS only if `ars`. A metric undefined on these
+    lists is NA, and so is every metric when `reason` says why nothing was
+    ranked; the row's note gives the reason."""
 
     def row(metric: str, at: int | None, compute: Callable[[], float]) -> MetricRow:
-        try:
-            if not ctx.test_users:
-                raise evalmetrics.MetricError(
-                    f"fold has no evaluable test users (like_threshold {ctx.cfg.like_threshold})"
-                )
-            value, note = compute(), ""
-        except evalmetrics.MetricError as exc:
-            value, note = None, str(exc)
+        value, note = None, reason
+        if not reason:
+            try:
+                value = compute()
+            except evalmetrics.MetricError as exc:
+                note = str(exc)
         return MetricRow(ctx.cfg.dataset_name, fold, method, theta, at, metric, value, note)
 
     counts = evalmetrics.rec_counts(lists, ctx.graph.n_items, length)
-    return [
-        row("ars", None, lambda: evalmetrics.ars(lists)),
+    rows = [row("ars", None, lambda: evalmetrics.ars(lists))] if ars else []
+    return rows + [
         row("gini", length, lambda: evalmetrics.gini(counts)),
         row("id", length, lambda: evalmetrics.internal_diversity(lists, ctx.metric_sim, length)),
         row("iud", length, lambda: evalmetrics.inter_user_diversity(lists, length)),
@@ -299,22 +296,55 @@ def _metric_rows(
 ListSink = Callable[[int, str, list[RecommendationList]], None]
 
 
-def _ranked_report(
-    rows: list[MetricRow], cfg: ExperimentConfig, fold_users: list[dict[str, int]]
-) -> EvaluationReport:
-    """The report of a run that ranks lists, with cross-fold means; a run
-    in which no fold has an evaluable test user is an error."""
-    if not any(f["evaluated_users"] for f in fold_users):
-        raise HarnessError(
-            f"no evaluable test users in any fold (like_threshold {cfg.like_threshold})"
-        )
-    return EvaluationReport(rows, cfg, fold_users).with_means()
-
-
 def _folds(ds: RatingDataset, cfg: ExperimentConfig) -> Iterator[tuple[int, FoldContext]]:
     """Each fold of the configured k-fold split with its context."""
     for f, pair in enumerate(corpus.kfold_split(ds, cfg.k_folds, cfg.seed)):
         yield f, FoldContext(pair, cfg)
+
+
+def _ranked_run(
+    ds: RatingDataset,
+    cfg: ExperimentConfig,
+    runs: Sequence[tuple[str, float | None]],
+    lengths: Sequence[int],
+    list_sink: ListSink | None = None,
+    ars: bool = True,
+) -> EvaluationReport:
+    """Rank each (method, theta) run once per fold, at the largest length,
+    and report its metrics at every length, with cross-fold means.
+
+    A fold without evaluable test users ranks nothing, and neither does a
+    method that fails on a fold; their rows are NA with the reason and
+    their lists are empty. A run that ranks nothing at all is an error."""
+    rows: list[MetricRow] = []
+    fold_users = []
+    failures: list[HarnessError] = []
+    ranked = False
+    for f, ctx in _folds(ds, cfg):
+        fold_users.append(ctx.user_counts(f))
+        for method, theta in runs:
+            theta = cfg.run_theta(method, theta)
+            lists, reason = [], ""
+            if not ctx.test_users:
+                reason = f"fold has no evaluable test users (like_threshold {cfg.like_threshold})"
+            else:
+                try:
+                    lists = ctx.rank(method, ctx.test_users, theta, max(lengths))
+                    ranked = True
+                except HarnessError as exc:  # a method's domain error
+                    reason = str(exc)
+                    failures.append(exc)
+            for length in lengths:
+                rows.extend(_metric_rows(ctx, str(f), method, lists, theta, length, reason, ars))
+            if list_sink is not None:
+                list_sink(f, method, lists)
+    if not any(f["evaluated_users"] for f in fold_users):
+        raise HarnessError(
+            f"no evaluable test users in any fold (like_threshold {cfg.like_threshold})"
+        )
+    if failures and not ranked:
+        raise failures[0]
+    return EvaluationReport(rows, cfg, fold_users).with_means()
 
 
 def run_experiment(
@@ -323,17 +353,8 @@ def run_experiment(
     list_sink: ListSink | None = None,
 ) -> EvaluationReport:
     """Evaluate every configured method over a k-fold split."""
-    rows: list[MetricRow] = []
-    fold_users = []
-    for f, ctx in _folds(ds, cfg):
-        fold_users.append(ctx.user_counts(f))
-        for method in cfg.methods:
-            theta = cfg.theta if method == "PIM+RA" else None
-            lists = ctx.rankings(method)
-            rows.extend(_metric_rows(ctx, str(f), method, lists, theta, cfg.list_length))
-            if list_sink is not None:
-                list_sink(f, method, lists)
-    return _ranked_report(rows, cfg, fold_users)
+    runs = [(method, None) for method in cfg.methods]
+    return _ranked_run(ds, cfg, runs, [cfg.list_length], list_sink)
 
 
 def sweep_theta(
@@ -344,39 +365,21 @@ def sweep_theta(
     for t in thetas:
         if not 0.0 <= t <= 1.0:
             raise HarnessError(f"theta {t} outside [0, 1]")
-    rows: list[MetricRow] = []
-    fold_users = []
-    for f, ctx in _folds(ds, cfg):
-        fold_users.append(ctx.user_counts(f))
-        for theta in thetas:
-            lists = ctx.rankings("PIM+RA", theta=theta)
-            rows.extend(
-                _metric_rows(ctx, str(f), "PIM+RA", lists, theta, cfg.list_length)
-            )
-    return _ranked_report(rows, cfg, fold_users)
+    return _ranked_run(ds, cfg, [("PIM+RA", t) for t in thetas], [cfg.list_length])
 
 
 def sweep_list_length(
     ds: RatingDataset, cfg: ExperimentConfig, lengths: Sequence[int]
 ) -> EvaluationReport:
-    """List-length sweep; rankings are generated once per (fold, method)."""
+    """List-length sweep without ARS, which no length changes; each
+    (fold, method) is ranked once."""
     if not lengths:
         raise HarnessError("no list lengths given")
     for length in lengths:
         if length < 1:
             raise HarnessError(f"list length {length} must be >= 1")
-    rows: list[MetricRow] = []
-    fold_users = []
-    for f, ctx in _folds(ds, cfg):
-        fold_users.append(ctx.user_counts(f))
-        for method in cfg.methods:
-            theta = cfg.theta if method == "PIM+RA" else None
-            # lists hold the largest length asked for; shorter ones are its heads
-            lists = ctx.rankings(method, length=max(lengths))
-            for length in lengths:
-                base = _metric_rows(ctx, str(f), method, lists, theta, length)
-                rows.extend(r for r in base if r.metric != "ars")
-    return _ranked_report(rows, cfg, fold_users)
+    runs = [(method, None) for method in cfg.methods]
+    return _ranked_run(ds, cfg, runs, lengths, ars=False)
 
 
 def sweep_knn(

@@ -201,14 +201,11 @@ def knn_predict(
     anchor = anchors[pair]
     sims = sim.values[anchor, nbr]
     keep = sim.defined[anchor, nbr] & (sims > 0) & (nbr != anchor)
-    pair, nbr, anchor, sims = pair[keep], nbr[keep], anchor[keep], sims[keep]
+    pair, sims = pair[keep], sims[keep]
     weighted = sims * csr.data[edge[keep]]
-    # neighbor preference: rank in the anchor's descending-similarity row
-    row_of, slot = np.unique(anchor, return_inverse=True)
-    order = np.argsort(-sim.values[row_of], axis=1, kind="stable")
-    rank = np.empty_like(order)
-    np.put_along_axis(rank, order, np.arange(sim.n), axis=1)
-    srt = np.argsort(pair * (sim.n + 1) + rank[slot, nbr], kind="stable")
+    # within a pair the edges come in ascending neighbor id, so a stable
+    # sort by (pair, descending similarity) breaks ties by id
+    srt = np.lexsort((-sims, pair))
     pair, sims, weighted = pair[srt], sims[srt], weighted[srt]
     per_pair = np.bincount(pair, minlength=n_pairs)
     nth = np.arange(len(pair)) - (np.cumsum(per_pair) - per_pair)[pair]

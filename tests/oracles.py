@@ -377,7 +377,10 @@ def _read_generic_csv(path):
             )
         has_ts = len(header) == 4 and header[3] == "timestamp"
         width = 4 if has_ts else 3
-        for line_no, parts in enumerate(reader, start=2):
+        start = reader.line_num + 1
+        for parts in reader:
+            # a record's physical line is the one after its predecessor's end
+            line_no, start = start, reader.line_num + 1
             if not parts:
                 continue
             if len(parts) != width:

@@ -1,11 +1,15 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from diffrec import bigraph, corpus, recommend, simkit
-from diffrec.cli import main
+from diffrec.cli import SETTINGS, build_parser, main, resolve
+from diffrec.corpus import FilterSpec
+from diffrec.harness import KNOWN_METHODS, ExperimentConfig
+from diffrec.recommend import MfConfig
 
 from conftest import random_dataset
 
@@ -79,6 +83,77 @@ def test_flag_overrides_config(fix4_csv, tmp_path, capsys):
     cfg.write_text("input = /does/not/exist.csv\n")
     assert main(["stats", "--config", str(cfg), "--input", str(fix4_csv)]) == 0
     assert capsys.readouterr().out.strip() == "4,4,10,0.3750"
+
+
+def resolved(tmp_path, config="", flags=()):
+    path = tmp_path / "run.cfg"
+    path.write_text(config)
+    return resolve(build_parser().parse_args(["eval", "--config", str(path), *flags]))
+
+
+def test_empty_config_takes_the_dataclass_defaults(tmp_path):
+    settings = resolved(tmp_path, flags=["--input", "r.csv"])
+    assert settings.experiment == ExperimentConfig(mf=MfConfig(seed=0))
+    assert settings.filters == FilterSpec()
+
+
+# config key -> (its text in a config file, the resolved object and field
+# it sets, the value it gives there, which is not the default)
+NON_DEFAULT = {
+    "dataset_name": ("ml", "experiment", "dataset_name", "ml"),
+    "folds": ("3", "experiment", "k_folds", 3),
+    "seed": ("7", "experiment", "seed", 7),
+    "list_length": ("9", "experiment", "list_length", 9),
+    "like_threshold": ("4.5", "experiment", "like_threshold", 4.5),
+    "methods": ("MD, SVD", "experiment", "methods", ("MD", "SVD")),
+    "method": ("PIM+RA", "experiment", "methods", ("PIM+RA",)),
+    "theta": ("0.25", "experiment", "theta", 0.25),
+    "knn_k": ("4", "experiment", "knn_k", 4),
+    "knn_measure": ("cosine", "experiment", "knn_measure", "cosine"),
+    "penalty_variant": ("global-max", "experiment", "penalty_variant", "global-max"),
+    "step3_weight": ("alt-w_vj", "experiment", "step3_weight", "alt-w_vj"),
+    "metric_sim": ("pcc", "experiment", "metric_sim", "pcc"),
+    "top_items": ("10", "filters", "top_items", 10),
+    "min_item_ratings": ("2", "filters", "min_item_ratings", 2),
+    "min_user_ratings": ("3", "filters", "min_user_ratings", 3),
+    "input": ("ratings.dat", None, "input", "ratings.dat"),
+    "format": ("ml100k-tsv", None, "format", "ml100k-tsv"),
+    "scale": ("0:10:0.5", None, "scale", corpus.RatingScale(0.0, 10.0, 0.5)),
+    "out_dir": ("results", None, "out_dir", Path("results")),
+}
+
+
+def test_every_config_key_is_covered():
+    assert set(NON_DEFAULT) == set(SETTINGS)
+
+
+@pytest.mark.parametrize("key", sorted(NON_DEFAULT))
+def test_config_key_reaches_its_field(tmp_path, key):
+    text, owner, name, value = NON_DEFAULT[key]
+    default = resolved(tmp_path, "input = r.csv\n")
+    settings = resolved(tmp_path, f"input = r.csv\n{key} = {text}\n")
+    get = lambda s: getattr(getattr(s, owner) if owner else s, name)
+    assert get(default) != value
+    assert get(settings) == value
+    # the MF seed follows the run's seed
+    assert settings.experiment.mf.seed == settings.experiment.seed
+
+
+def test_method_precedence(tmp_path):
+    def methods(config, flags=()):
+        return resolved(tmp_path, "input = r.csv\n" + config, flags).experiment.methods
+
+    assert methods("") == KNOWN_METHODS
+    assert methods("methods = MD,SVD\n") == ("MD", "SVD")
+    assert methods("methods = MD,SVD\nmethod = IBCF\n") == ("IBCF",)
+    assert methods("methods = MD,SVD\nmethod =\n") == ("MD", "SVD")
+    assert methods("methods = MD,SVD\nmethod = IBCF\n", ["--method", "UBCF"]) == ("UBCF",)
+
+
+def test_flag_overrides_config_value(tmp_path):
+    settings = resolved(tmp_path, "input = r.csv\nseed = 3\ntheta = 0.1\n", ["--seed", "5"])
+    assert (settings.experiment.seed, settings.experiment.mf.seed) == (5, 5)
+    assert settings.experiment.theta == 0.1
 
 
 def test_recommend_md_fix4(fix4_csv, capsys):

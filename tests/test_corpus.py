@@ -131,6 +131,23 @@ class TestLoadErrors:
         with pytest.raises(CorpusError, match=f"^{message}"):
             load_text(tmp_path, text)
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('user,item,rating\n"a\nb",c,3\nd,e\n', "line 4: expected 3 fields"),
+            ('user,item,rating\n"a\nb",c\nd,e,3\n', "line 2: expected 3 fields"),
+            ('user,item,rating\n"a\n\nb",c,3\n\nd,e,x\n', "line 6: could not convert"),
+            ('user,item,rating\r"a\r\nb",c,3\rd,e\r', "line 4: expected 3 fields"),
+        ],
+    )
+    def test_line_breaks_in_quoted_fields_count(self, tmp_path, text, message):
+        # the csv path numbers a record by the physical line it starts on
+        for load in (load_ratings, oracles.load_ratings):
+            path = tmp_path / "r.csv"
+            path.write_bytes(text.encode("utf-8"))
+            with pytest.raises(CorpusError, match=f"^{message}"):
+                load(path, "generic-csv", SCALE15)
+
     def test_blank_lines_in_ml100k(self, tmp_path):
         with pytest.raises(CorpusError, match="^line 4: expected 4 tab-separated fields$"):
             load_text(tmp_path, "1\t10\t4\t880\n\n\n1\t11\n", "ml100k-tsv")

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -163,7 +164,7 @@ class TestRankingErrors:
         monkeypatch.setattr(recommend, "md_scores", broken)
         ctx = FoldContext(corpus.kfold_split(ds, cfg.k_folds, cfg.seed)[0], cfg)
         with pytest.raises(expected, match="boom") as info:
-            ctx.rankings("MD")
+            ctx.rank("MD", ctx.test_users, None, cfg.list_length)
         assert type(info.value) is expected
 
 
@@ -269,13 +270,34 @@ class TestDegenerateInputs:
         ]
         return corpus.from_triples(triples + list(extra), scale)
 
-    def test_all_equal_ratings_is_a_typed_error(self):
+    def test_all_equal_ratings_leave_only_the_similarity_methods_na(self):
         ds = corpus.from_triples(
             [(f"u{u}", f"i{i}", 4) for u in range(6) for i in range(6) if (u + i) % 2],
             corpus.RatingScale(1, 5, 1),
         )
+        lists = {}
+        report = run_experiment(
+            ds, self.CFG, list_sink=lambda f, m, ls: lists.setdefault(m, []).append(ls)
+        )
+        self.assert_finite_report(report)
+        folds = [r for r in report.rows if r.fold != "mean"]
+        # MD and SVD need no rating similarity; the others normalize a
+        # Pearson matrix that no pair of raters defines
+        for method in ("MD", "SVD"):
+            assert all(r.value is not None for r in folds if r.method == method)
+            assert all(lists[method])
+        for method in ("UBCF", "IBCF", "PIM+RA"):
+            rows = [r for r in folds if r.method == method]
+            assert rows and all(r.value is None for r in rows)
+            assert all(
+                r.note.startswith(f"method {method} failed: ")
+                and r.note.endswith("no defined off-diagonal values to normalize")
+                for r in rows
+            )
+            assert lists[method] == [[]] * self.CFG.k_folds
+        # with only failing methods there is nothing to report
         with pytest.raises(HarnessError, match="no defined off-diagonal values to normalize"):
-            run_experiment(ds, self.CFG)
+            run_experiment(ds, replace(self.CFG, methods=("UBCF", "PIM+RA")))
 
     def test_user_who_has_seen_every_item(self):
         ds = self.corpus_8x8(extra=[("full", f"i{i}", 2 + i % 4) for i in range(8)])

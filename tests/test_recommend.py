@@ -190,8 +190,10 @@ class TestKnnPrediction:
         n_items=st.integers(2, 7),
         density=st.floats(0.2, 0.9),
         axis=st.sampled_from(["users", "items"]),
-        measure=st.sampled_from(["cosine", "pcc"]),
+        measure=st.sampled_from(["cosine", "pcc", "near-tie"]),
     )
+    @example(seed=5, n_users=6, n_items=6, density=0.8, axis="users", measure="near-tie")
+    @example(seed=5, n_users=6, n_items=6, density=0.8, axis="items", measure="near-tie")
     @settings(max_examples=60)
     def test_matches_oracle(self, seed, n_users, n_items, density, axis, measure):
         ds = random_dataset(seed, n_users=n_users, n_items=n_items, density=density)
@@ -199,6 +201,12 @@ class TestKnnPrediction:
         # raw matrices: pcc is signed and cosine ties often, so the
         # positive-similarity filter and the id tie-break both matter
         sim = simkit.cosine_matrix(g, axis) if measure == "cosine" else simkit.pcc_matrix(g, axis)
+        if measure == "near-tie":
+            # defined similarities 1 ulp apart: only an exact order by value,
+            # then id, takes the same neighbors as the oracle
+            up = np.random.default_rng(seed).random(sim.values.shape) < 0.5
+            values = np.where(up, np.nextafter(0.5, 1.0), 0.5)
+            sim = SimilarityMatrix(axis, np.where(sim.defined, values, 0.0), sim.defined)
         users, items = np.divmod(np.arange(g.n_users * g.n_items), g.n_items)
         ks = [1, 2, 3, max(n_users, n_items) + 1]
         got = knn_predict(sim, g, users, items, ks)
