@@ -33,6 +33,21 @@ def _parse_list(text: str) -> tuple[str, ...]:
     return tuple(m.strip() for m in text.split(",") if m.strip())
 
 
+def _parsed(name: str, parse, text: str):
+    """parse(text); a bare ValueError becomes a CliError led by `name`, a
+    typed one keeps its text."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        if type(exc) is not ValueError:
+            raise
+        raise CliError(f"{name}: {exc}") from exc
+
+
+def _parsed_list(flag: str, parse, text: str) -> list:
+    return _parsed(flag, lambda t: [parse(m) for m in _parse_list(t)], text)
+
+
 # config key -> (parser of its text, the flag that sets it or None). An unset
 # key takes the default of the ExperimentConfig or FilterSpec field of its
 # name ("folds" sets k_folds; "method", else "methods", sets methods), or
@@ -132,7 +147,7 @@ def resolve(args: argparse.Namespace) -> Settings:
     """Each setting from its flag, else the config file, else its default."""
     texts = _read_config_file(args.config) if args.config else {}
     texts.update((k, v) for k in SETTINGS if (v := getattr(args, k, None)) is not None)
-    values = {k: SETTINGS[k][0](text) for k, text in texts.items()}
+    values = {k: _parsed(k, SETTINGS[k][0], text) for k, text in texts.items()}
     if "input" not in values:
         raise CliError("no input dataset given (--input or config 'input')")
     methods = values.pop("method", ()) or values.get("methods")
@@ -237,20 +252,16 @@ def _run(args: argparse.Namespace) -> int:
         report = harness.run_experiment(ds, cfg, list_sink=sink)
         harness.write_manifest(report, out / "manifest.json")
     elif cmd == "sweep-theta":
-        thetas = [round(0.1 * t, 1) for t in range(11)]
-        if args.thetas:
-            thetas = [float(t) for t in _parse_list(args.thetas)]
+        default = [round(0.1 * t, 1) for t in range(11)]
+        thetas = _parsed_list("--thetas", float, args.thetas) if args.thetas else default
         report = harness.sweep_theta(ds, cfg, thetas)
     elif cmd == "sweep-length":
-        lengths = list(range(10, 101, 10))
-        if args.lengths:
-            lengths = [int(t) for t in _parse_list(args.lengths)]
+        default = list(range(10, 101, 10))
+        lengths = _parsed_list("--lengths", int, args.lengths) if args.lengths else default
         report = harness.sweep_list_length(ds, cfg, lengths)
     elif cmd == "sweep-knn":
-        ks = [int(t) for t in _parse_list(args.ks)] if args.ks else [5, 10, 20, 40, 80]
-        measures = (
-            [m.strip() for m in args.measures.split(",")] if args.measures else simkit.MEASURES
-        )
+        ks = _parsed_list("--ks", int, args.ks) if args.ks else [5, 10, 20, 40, 80]
+        measures = list(_parse_list(args.measures)) if args.measures else simkit.MEASURES
         report = harness.sweep_knn(ds, cfg, ks, measures)
     else:
         raise CliError(f"unknown command {cmd!r}")

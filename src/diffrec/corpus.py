@@ -136,6 +136,7 @@ class FilterSpec:
 # characters of a text file split into fields at a time: the strings of
 # one chunk's fields, not of the whole file's, are alive at once
 _CHUNK_CHARS = 1 << 18
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)
@@ -194,7 +195,8 @@ def load_ratings(path, format: str, scale: RatingScale) -> RatingDataset:
 
     Errors name the first offending input: `line N` (physical lines,
     blank ones counted) for a wrong field count or an unparsable value,
-    `row N` (data rows) for an off-grid rating or a repeated pair.
+    `row N` (data rows) for an off-grid rating, a repeated pair or a
+    timestamp beyond int64.
     """
     if format == "ml100k-tsv":
         with open(path, encoding="utf-8") as fh:  # \r\n and lone \r read as \n
@@ -297,8 +299,9 @@ def _dataset(cols: _Columns, scale: RatingScale) -> RatingDataset:
     """Parse, check and number the columns; an error names the first row
     at fault. Parse and field-count errors come before grid and duplicate
     errors; within a row the rating comes before the timestamp, and the
-    grid check before the duplicate check. float() and on_grid run once
-    per distinct rating; ids follow first appearance."""
+    grid check before the duplicate check, and a timestamp beyond int64
+    comes last. float() and on_grid run once per distinct rating; ids
+    follow first appearance."""
     n, w = cols.rows, cols.width
     codes, user_ids, item_ids = (defaultdict(count().__next__) for _ in range(3))
     users, items, rating_code = np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n, np.intp)
@@ -313,14 +316,16 @@ def _dataset(cols: _Columns, scale: RatingScale) -> RatingDataset:
             texts = fields[3::w]
             try:
                 stamps[lo:hi] = np.fromiter(map(int, texts), np.int64, hi - lo)
-            except (ValueError, OverflowError) as exc:
-                overflow = exc  # an unparsable stamp, found below, or one beyond int64
+            except (ValueError, OverflowError):
+                # an unparsable stamp, or one beyond int64
                 for row, text in enumerate(texts, lo):
                     try:
-                        int(text)
+                        stamp = int(text)
                     except ValueError as bad:
                         errors.append((row, 1, bad))
                         break
+                    if overflow is None and not _INT64.min <= stamp <= _INT64.max:
+                        overflow = CorpusError(f"row {row + 1}: timestamp {stamp} is beyond int64")
         lo = hi
     values, failed = [], {}
     for code, text in enumerate(codes):
@@ -353,7 +358,7 @@ def _dataset(cols: _Columns, scale: RatingScale) -> RatingDataset:
         u, i = user_labels[users[dup]], item_labels[items[dup]]
         raise CorpusError(f"row {dup + 1}: duplicate (user, item) pair ({u}, {i})")
     if overflow is not None:
-        raise overflow  # a stamp beyond int64 ranks after every row check
+        raise overflow  # ranks after every row check
     return RatingDataset(
         users=users,
         items=items,

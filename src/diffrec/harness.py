@@ -106,19 +106,6 @@ class EvaluationReport:
     # per fold: evaluated test users, and those excluded for want of training ratings
     fold_users: list[dict[str, int]] = field(default_factory=list)
 
-    def mean(self, method: str, metric: str, theta: float | None = None) -> float:
-        vals = [
-            r.value
-            for r in self.rows
-            if r.method == method
-            and r.metric == metric
-            and r.value is not None
-            and (theta is None or r.theta == theta)
-        ]
-        if not vals:
-            raise HarnessError(f"no values for ({method}, {metric})")
-        return float(np.mean(vals))
-
     def with_means(self) -> "EvaluationReport":
         """Append cross-fold mean rows (fold='mean')."""
         groups: dict[tuple, list[float]] = {}

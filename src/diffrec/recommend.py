@@ -73,10 +73,6 @@ class MfConfig:
             )
 
 
-# elements of the (pairs x items) comparison stack for liked ranks
-_LIKED_CHUNK = 1 << 17
-
-
 def rank(
     g: BipartiteGraph,
     users: Sequence[int],
@@ -87,72 +83,46 @@ def rank(
     """Top-`length` lists for a block of users, one per row of `scores`.
 
     Row r of the (users x items) `scores` scores every item for users[r];
-    the items that user rated in `g` are not candidates. A list holds the
-    first `length` candidates of the full ranking by descending score, ties
-    by ascending id: every candidate strictly above the length-th score,
-    then the tied ones in ascending id order. `likes` maps a user to the
-    test items they like, whose full-ranking ranks the list records.
+    the items that user rated in `g` are not candidates, and a NaN score is
+    an error. One stable sort per row gives the full ranking by descending
+    score, ties by ascending id; a list holds its first `length` candidates.
+    `likes` maps a user to the test items they like, whose full-ranking
+    ranks the list records.
     """
     if length < 1:
         raise RecommendError(f"list length must be >= 1, got {length}")
     users = np.asarray(users, dtype=np.int64)
     n_rows, n_items = scores.shape
+    nan_rows = np.flatnonzero(np.isnan(scores).any(axis=1))
+    if len(nan_rows):
+        raise RecommendError(f"user {users[nan_rows[0]]} has a NaN score")
     pair, edge = _row_edges(g.weights, users)
     seen = np.zeros((n_rows, n_items), dtype=bool)
     seen[pair, g.weights.indices[edge]] = True
-    k = min(length, n_items)
-    key = np.where(seen, -np.inf, scores)
-    kth = np.argpartition(key, n_items - k, axis=1)[:, n_items - k]
-    bound = key[np.arange(n_rows), kth][:, None]
-    tied = ~seen & (key == bound)
-    fill = k - (key > bound).sum(axis=1)
-    keep = (key > bound) | (tied & (np.cumsum(tied, axis=1) <= fill[:, None]))
-    # kept items row by row in ascending id; a stable sort on -score within
-    # each row then orders them by (-score, id), padding (+inf) last
-    counts = keep.sum(axis=1)
-    rows, items = np.divmod(np.flatnonzero(keep), n_items)
-    slot = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-    width = int(counts.max(initial=0))
-    neg = np.full((n_rows, width), np.inf)
-    neg[rows, slot] = -scores[rows, items]
-    ids = np.zeros((n_rows, width), dtype=np.int64)
-    ids[rows, slot] = items
-    ids = np.take_along_axis(ids, np.argsort(neg, axis=1, kind="stable"), axis=1)
+    # a stable sort keeps ties (0.0 and -0.0 too) in ascending id; seen
+    # items (NaN) sort after every candidate
+    order = np.argsort(np.where(seen, np.nan, -scores), axis=1, kind="stable")
+    ids = order[:, : min(length, n_items)].copy()  # the lists keep no full order alive
     top = np.take_along_axis(scores, ids, axis=1)
-    liked = _liked_ranks(users, scores, seen, likes or {})
     n_candidates = (n_items - seen.sum(axis=1)).tolist()
-    return [
-        RecommendationList(
-            user=u, items=ids[r, :c], scores=top[r, :c], liked_ranks=liked[r], n_candidates=n
-        )
-        for r, (u, c, n) in enumerate(zip(users.tolist(), counts.tolist(), n_candidates))
-    ]
-
-
-def _liked_ranks(
-    users: np.ndarray, scores: np.ndarray, seen: np.ndarray, likes: Mapping[int, Collection[int]]
-) -> list[np.ndarray]:
-    """Per row, the ascending full-ranking ranks of the user's liked
-    candidates: 1 + the candidates that beat each on (-score, id)."""
-    n_rows, n_items = scores.shape
-    liked = [np.fromiter(likes.get(u, ()), dtype=np.int64) for u in users.tolist()]
+    # the liked candidates as (row, item) pairs, row by row, ranked through
+    # the inverse permutation of each row's order
+    liked = [np.fromiter((likes or {}).get(u, ()), dtype=np.int64) for u in users.tolist()]
     pr = np.repeat(np.arange(n_rows), [len(a) for a in liked])
     pj = np.concatenate([np.empty(0, dtype=np.int64)] + liked)
     cand = ~seen[pr, pj]
     pr, pj = pr[cand], pj[cand]
-    ranks = np.empty(len(pr), dtype=np.int64)
-    ids = np.arange(n_items)
-    step = max(1, _LIKED_CHUNK // n_items)
-    for lo in range(0, len(pr), step):
-        r, j = pr[lo : lo + step], pj[lo : lo + step]
-        row, s = scores[r], scores[r, j][:, None]
-        beats = ((row > s) | ((row == s) & (ids < j[:, None]))) & ~seen[r]
-        ranks[lo : lo + step] = 1 + beats.sum(axis=1)
+    position = np.empty_like(order)
+    np.put_along_axis(position, order, np.arange(n_items), axis=1)
+    ranks = position[pr, pj] + 1
     # rows stay grouped in order; ranks (<= n_items) sort within each row
     offset = pr * (n_items + 1)
     ranks = np.sort(offset + ranks) - offset
     ends = np.cumsum(np.bincount(pr, minlength=n_rows)).tolist()
-    return [ranks[lo:hi] for lo, hi in zip([0] + ends, ends)]
+    return [
+        RecommendationList(u, ids[r, :n], top[r, :n], ranks[lo:hi], n)
+        for r, (u, n, lo, hi) in enumerate(zip(users.tolist(), n_candidates, [0] + ends, ends))
+    ]
 
 
 def _row_edges(csr, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

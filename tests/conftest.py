@@ -7,6 +7,7 @@ import pytest
 from hypothesis import settings
 
 from diffrec import bigraph, corpus
+from diffrec.harness import HarnessError
 
 
 # Property tests run without a per-example deadline: wall time on a shared
@@ -72,9 +73,9 @@ def random_dataset(seed, n_users=6, n_items=6, density=0.5, scale=None):
 def random_ranking(seed, n_users, n_items, density, full_user=False):
     """(graph, users x items scores, likes) for ranking properties.
 
-    Scores come from a few values, -inf among them, so ties are common,
-    at the list-length boundary too; likes may name seen items. With
-    `full_user`, one more user has rated every item.
+    Scores come from a few values, -inf among them and 0.0 next to -0.0,
+    so ties are common, at the list-length boundary too; likes may name
+    seen items. With `full_user`, one more user has rated every item.
     """
     ds = random_dataset(seed, n_users=n_users, n_items=n_items, density=density)
     if full_user:
@@ -84,13 +85,30 @@ def random_ranking(seed, n_users, n_items, density, full_user=False):
         )
     g = bigraph.build_graph(ds)
     rng = np.random.default_rng(seed)
-    scores = rng.choice([-np.inf, -1.5, 0.0, 0.25, 0.25 + 2**-50, 3.0], size=(g.n_users, g.n_items))
+    values = [-np.inf, -1.5, -0.0, 0.0, 0.25, 0.25 + 2**-50, 3.0]
+    scores = rng.choice(values, size=(g.n_users, g.n_items))
     likes = {
         u: set(rng.choice(g.n_items, size=rng.integers(0, g.n_items + 1), replace=False).tolist())
         for u in range(g.n_users)
         if rng.random() < 0.8
     }
     return g, scores, likes
+
+
+def report_mean(report, method, metric, theta=None):
+    """Mean of a report's defined values for (method, metric), over every
+    row (per-fold and mean rows alike), at `theta` if given."""
+    vals = [
+        r.value
+        for r in report.rows
+        if r.method == method
+        and r.metric == metric
+        and r.value is not None
+        and (theta is None or r.theta == theta)
+    ]
+    if not vals:
+        raise HarnessError(f"no values for ({method}, {metric})")
+    return float(np.mean(vals))
 
 
 def dump_csv(g, path):

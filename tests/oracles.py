@@ -433,6 +433,9 @@ def from_triples(triples, scale):
         ratings.append(r)
         if ts is not None:
             stamps.append(int(ts))
+    for row_no, ts in enumerate(stamps, start=1):
+        if not -(2**63) <= ts < 2**63:
+            raise CorpusError(f"row {row_no}: timestamp {ts} is beyond int64")
     return RatingDataset(
         users=np.asarray(users, dtype=np.int64),
         items=np.asarray(items, dtype=np.int64),

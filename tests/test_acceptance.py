@@ -13,7 +13,7 @@ from diffrec.corpus import FilterSpec, RatingScale
 from diffrec.harness import ExperimentConfig
 
 import oracles
-from conftest import ml100k_path, random_dataset, requires_ml100k
+from conftest import ml100k_path, random_dataset, report_mean, requires_ml100k
 
 
 @pytest.fixture(scope="module")
@@ -137,12 +137,12 @@ class TestCriterion4MethodComparison:
     @requires_ml100k
     def test_rankings_and_loose_values(self, ml100k, ml_cfg):
         rep = harness.run_experiment(ml100k, ml_cfg)
-        ars = {m: rep.mean(m, "ars") for m in harness.KNOWN_METHODS}
+        ars = {m: report_mean(rep, m, "ars") for m in harness.KNOWN_METHODS}
         for m in ("MD", "UBCF", "IBCF", "SVD"):
             assert ars["PIM+RA"] > ars[m], f"PIM+RA ARS not above {m}"
-        nov = {m: rep.mean(m, "novelty") for m in harness.KNOWN_METHODS}
+        nov = {m: report_mean(rep, m, "novelty") for m in harness.KNOWN_METHODS}
         assert max(nov, key=nov.get) == "PIM+RA"
-        gin = {m: rep.mean(m, "gini") for m in harness.KNOWN_METHODS}
+        gin = {m: report_mean(rep, m, "gini") for m in harness.KNOWN_METHODS}
         assert gin["IBCF"] > gin["PIM+RA"]
         for m in ("UBCF", "SVD", "MD"):
             assert gin["PIM+RA"] > gin[m]
@@ -161,14 +161,14 @@ class TestCriterion5ThetaTrends:
         rep = harness.sweep_theta(ml100k, ml_cfg, thetas)
 
         def series(metric):
-            return [rep.mean("PIM+RA", metric, theta=t) for t in thetas]
+            return [report_mean(rep, "PIM+RA", metric, theta=t) for t in thetas]
 
         pop = series("avg_popularity")
         assert all(a > b for a, b in zip(pop, pop[1:])), "popularity not decreasing"
         for metric in ("gini", "iud", "novelty"):
             vals = series(metric)
             assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:])), metric
-        ars = {t: rep.mean("PIM+RA", "ars", theta=t) for t in (0.0, 0.5, 1.0)}
+        ars = {t: report_mean(rep, "PIM+RA", "ars", theta=t) for t in (0.0, 0.5, 1.0)}
         assert ars[0.5] > ars[0.0]
         assert ars[1.0] < ars[0.5]
 

@@ -64,6 +64,33 @@ def test_non_finite_scale_is_rejected(fix4_csv, capsys):
     assert err == "error: scale min, max and step must be finite, got 1.0:5.0:nan"
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["stats", "-L", "abc"], "list_length: invalid literal for int() with base 10: 'abc'"),
+        (["stats", "--scale", "a:5:1"], "scale: could not convert string to float: 'a'"),
+        (["sweep-theta", "--thetas", "0.1,x"], "--thetas: could not convert string to float: 'x'"),
+        (["sweep-length", "--lengths", "5,ten"],
+         "--lengths: invalid literal for int() with base 10: 'ten'"),
+        (["sweep-knn", "--ks", "1.5"], "--ks: invalid literal for int() with base 10: '1.5'"),
+        (["sweep-knn", "--measures", "pcc,,bogus"],
+         "measures must be drawn from cosine, pcc, pim, got 'bogus'"),
+    ],
+)
+def test_malformed_setting_names_its_key(fix4_csv, tmp_path, capsys, argv, message):
+    argv += ["--input", str(fix4_csv), "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+
+
+def test_timestamp_beyond_int64_is_an_error(tmp_path, capsys):
+    path = tmp_path / "big.csv"
+    path.write_text("user,item,rating,timestamp\na,x,3,1\nb,x,3,99999999999999999999\n")
+    assert main(["stats", "--input", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err == "error: row 2: timestamp 99999999999999999999 is beyond int64"
+
+
 def test_unknown_config_key_rejected(fix4_csv, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"input = {fix4_csv}\nbogus_key = 1\n")

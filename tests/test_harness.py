@@ -21,7 +21,7 @@ from diffrec.harness import (
 )
 
 import oracles
-from conftest import random_dataset
+from conftest import random_dataset, report_mean
 
 
 LIST_METRICS = ("gini", "id", "iud", "novelty", "avg_popularity")
@@ -369,8 +369,8 @@ class TestSweepTheta:
                 ),
             )
             for metric in ("ars", "gini", "iud", "novelty", "avg_popularity"):
-                assert swept.mean("PIM+RA", metric, theta=theta) == pytest.approx(
-                    single.mean("PIM+RA", metric), abs=1e-12
+                assert report_mean(swept, "PIM+RA", metric, theta=theta) == pytest.approx(
+                    report_mean(single, "PIM+RA", metric), abs=1e-12
                 )
 
     def test_rejects_out_of_range(self, ds, cfg):
@@ -394,8 +394,8 @@ class TestSweepListLength:
 
     def test_matches_run_experiment_length(self, ds, cfg):
         rep = sweep_list_length(ds, cfg, (5,))
-        assert rep.mean("MD", "gini") == pytest.approx(
-            run_experiment(ds, cfg).mean("MD", "gini"), abs=1e-12
+        assert report_mean(rep, "MD", "gini") == pytest.approx(
+            report_mean(run_experiment(ds, cfg), "MD", "gini"), abs=1e-12
         )
 
     def test_rejects_bad_length(self, ds, cfg):

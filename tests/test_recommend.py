@@ -528,6 +528,9 @@ class TestRankingContracts:
     )
     @example(seed=3, n_users=4, n_items=6, density=0.5, full_user=True, length=2, block=1)
     @example(seed=5, n_users=6, n_items=9, density=0.3, full_user=False, length=4, block=3)
+    # user 1's candidates score 3.0, -0.0 (item 4), 0.0 (item 5) and -inf:
+    # the zeros tie, so the list of two ends at item 4
+    @example(seed=3, n_users=3, n_items=6, density=0.3, full_user=False, length=2, block=3)
     @settings(max_examples=200)
     def test_block_rank_matches_full_oracle(
         self, seed, n_users, n_items, density, full_user, length, block
@@ -553,6 +556,15 @@ class TestRankingContracts:
         rec = rank(g, [g.n_users - 1], scores[-1:], 3, {g.n_users - 1: {0, 4}})[0]
         assert rec.n_candidates == 0
         assert rec.items.size == rec.scores.size == rec.liked_ranks.size == 0
+
+    @pytest.mark.parametrize("length", [1, 2])
+    def test_nan_score_is_an_error(self, length):
+        # user 1 has rated item 0 only, so the NaN item is a candidate
+        triples = [("a", f"i{i}", 3) for i in range(4)] + [("b", "i0", 4)]
+        g = build_graph(corpus.from_triples(triples, SCALE15))
+        scores = np.array([[0.1, 0.2, np.nan, 0.3]])
+        with pytest.raises(RecommendError, match="user 1 has a NaN score"):
+            rank(g, [1], scores, length)
 
     def test_rejects_length_below_one(self, fix4_graph):
         with pytest.raises(RecommendError, match="list length"):
