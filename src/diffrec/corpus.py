@@ -8,7 +8,7 @@ import math
 import re
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, count, islice, repeat
+from itertools import chain, count, islice
 from operator import itemgetter
 from typing import Callable, Iterable
 
@@ -316,11 +316,13 @@ def _dataset(cols: _Columns, scale: RatingScale) -> RatingDataset:
             texts = fields[3::w]
             try:
                 stamps[lo:hi] = np.fromiter(map(int, texts), np.int64, hi - lo)
+                if "_" in "".join(map(str, texts)):
+                    raise ValueError  # a digit separator, which int() takes
             except (ValueError, OverflowError):
                 # an unparsable stamp, or one beyond int64
                 for row, text in enumerate(texts, lo):
                     try:
-                        stamp = int(text)
+                        stamp = _number(int, text)
                     except ValueError as bad:
                         errors.append((row, 1, bad))
                         break
@@ -330,7 +332,7 @@ def _dataset(cols: _Columns, scale: RatingScale) -> RatingDataset:
     values, failed = [], {}
     for code, text in enumerate(codes):
         try:
-            values.append(float(text))
+            values.append(_number(float, text))
         except ValueError as exc:
             values.append(math.nan)
             failed[code] = exc
@@ -368,6 +370,14 @@ def _dataset(cols: _Columns, scale: RatingScale) -> RatingDataset:
         item_labels=item_labels,
         timestamps=stamps,
     )
+
+
+def _number(parse, text):
+    """parse(text), where parse is int or float, refusing the "_" digit
+    separators that both take from Python literals ("1_000")."""
+    if isinstance(text, str) and "_" in text:
+        raise ValueError(f"digit separator '_' in number {text!r}")
+    return parse(text)
 
 
 def _first_repeat(keys: np.ndarray) -> int:
@@ -482,13 +492,45 @@ def kfold_split(ds: RatingDataset, k: int, seed: int) -> list[FoldPair]:
 
 
 def write_fold_manifest(folds: list[FoldPair], path) -> None:
-    """Write fold membership as CSV: fold,user,item,rating,split."""
+    """Write fold membership as CSV: fold,user,item,rating,split, with
+    csv.writer's quoting and line ends. The folds must share one label
+    space, as kfold_split's do; a part with other labels is a CorpusError.
+
+    Each label is quoted once and each distinct rating formatted once
+    per part; a part's lines are one join of those texts.
+    """
+    space = folds[0].train if folds else None
+    for f, pair in enumerate(folds):
+        for part, name in ((pair.train, "train"), (pair.test, "test")):
+            # equal at once when shared, as no label is compared
+            if (part.user_labels, part.item_labels) != (space.user_labels, space.item_labels):
+                raise CorpusError(f"fold {f} {name} labels differ from fold 0's")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fold", "user", "item", "rating", "split"])
+        fh.write("fold,user,item,rating,split\r\n")
+        if not folds:
+            return
+        users = [_csv_field(u) + "," for u in space.user_labels]
+        items = np.array([_csv_field(i) + "," for i in space.item_labels], dtype=object)
         for f, pair in enumerate(folds):
+            fold_users = np.array([f"{f},{u}" for u in users], dtype=object)
             for part, name in ((pair.train, "train"), (pair.test, "test")):
-                writer.writerows(zip(repeat(f), *_text_fields(part), repeat(name)))
+                values, codes = np.unique(part.ratings, return_inverse=True)
+                ratings = np.array(
+                    [f"{_fmt_rating(r)},{name}\r\n" for r in values.tolist()], dtype=object
+                )
+                line = np.empty((part.n_links, 3), dtype=object)
+                line[:, 0] = fold_users[part.users]
+                line[:, 1] = items[part.items]
+                line[:, 2] = ratings[codes]
+                fh.write("".join(line.ravel().tolist()))
+
+
+def _csv_field(text: str) -> str:
+    """One field as csv.writer's default dialect writes it in a row of
+    several: quoted, with doubled quotes, if it holds , " \r or \n."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def dataset_stats(ds: RatingDataset) -> DatasetStats:

@@ -5,13 +5,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import platform
+import resource
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterator, Sequence, get_args
 
 import numpy as np
+import scipy
 from scipy import stats
 
+import diffrec
 from diffrec import bigraph, corpus, evalmetrics, recommend, simkit
 from diffrec.corpus import FoldPair, RatingDataset
 from diffrec.recommend import MfConfig, RecommendationList, Step3Weight
@@ -138,6 +142,14 @@ def write_manifest(report: EvaluationReport, path) -> None:
         "config_hash": report.config.digest(),
         "seed": report.config.seed,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        # the process's peak so far; ru_maxrss is in KiB on Linux
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "versions": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "diffrec": diffrec.__version__,
+        },
         "rows": len(report.rows),
         "folds": report.fold_users,
         "na": [
@@ -240,6 +252,8 @@ class FoldContext:
                     rows[r] = score(u)
                 lists.extend(recommend.rank(g, block, rows, length, self.likes))
             return lists
+        except simkit.MemoryCeilingError:
+            raise  # this machine's limit: an NA row would make the report depend on it
         except _METHOD_ERRORS as exc:
             raise HarnessError(f"method {method} failed: {exc}") from exc
 

@@ -11,6 +11,7 @@ from typing import Collection, Literal, Mapping, Sequence
 
 import numpy as np
 
+from diffrec import simkit
 from diffrec.bigraph import BipartiteGraph
 from diffrec.corpus import RatingDataset
 from diffrec.simkit import SimilarityMatrix
@@ -260,8 +261,9 @@ class PimraScorer:
     where R1(i) = 1/|I_u| + ln(|I_u|/|U_i|) is the (possibly negative)
     initial resource, and M[i, j] aggregates the user-hop transfer
     sum_{v in U_i ∩ U_j} w_vi^2 / w_v (or w_vi * w_vj / w_v in the
-    alternate weight convention). M and the similarity product are
-    computed once and shared across users and theta values.
+    alternate weight convention). The product P = sim * M is computed
+    once, in blocks of item rows, and shared across users and theta
+    values; M is never held whole.
     """
 
     def __init__(
@@ -287,13 +289,20 @@ class PimraScorer:
         b = g.weights_t.copy()  # items x users
         if step3_weight == "literal-w_vi":
             b.data = b.data * b.data * inv_wv[b.indices]
-            m = (b @ g.adjacency).toarray()
+            right = g.adjacency
         elif step3_weight == "alt-w_vj":
             b.data = b.data * inv_wv[b.indices]
-            m = (b @ g.weights).toarray()
+            right = g.weights
         else:
             raise RecommendError(f"unknown step3 weight mode {step3_weight!r}")
-        self._p = item_sim.values * m
+        # P = sim * (b @ right), a block of rows of similarity's tile size
+        # at a time; a sparse product row depends only on its own row of b
+        n = g.n_items
+        self._p = np.empty((n, n))
+        per_block = max(1, simkit._TILE_BYTES // (8 * n))
+        for lo in range(0, n, per_block):
+            rows = slice(lo, lo + per_block)
+            np.multiply(item_sim.values[rows], (b[rows] @ right).toarray(), out=self._p[rows])
         # popularity penalty base |U_j| (1 for unrated items), raised to
         # theta once per theta value
         deg = g.item_degree.astype(np.float64)

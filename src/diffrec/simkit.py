@@ -1,9 +1,20 @@
 """Similarity measures over either graph axis: cosine, Pearson, and the
 co-rating/activity/popularity-corrected Pearson variant, plus min-max
-normalization and one entry point choosing among them."""
+normalization and one entry point choosing among them.
+
+All three measures run on one tiled core. The axis's rating rows are
+scattered from the CSR rows into dense tiles of about _TILE_BYTES, and
+every pair of tiles on or above the diagonal fills its block of the
+n x n output and the mirrored block below it. Memory is the output plus
+a few tiles, never a dense copy of the rating matrix (the row-block
+scheme of Bayardo, Ma and Srikant, "Scaling up all pairs similarity
+search", WWW 2007).
+"""
 
 from __future__ import annotations
 
+import os
+import resource
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Literal, get_args
 
@@ -17,17 +28,22 @@ PenaltyVariant = Literal["pair-max", "global-max"]
 MEASURES = ("cosine", "pcc", "pim")
 # base of the logarithm in pim's popularity down-weighting
 LOG_BASE_POPULARITY = 10.0
-
-
-def _mirror(values: np.ndarray) -> np.ndarray:
-    """Copy the upper triangle onto the lower so sim(a,b) == sim(b,a)
-    bitwise (BLAS products are only symmetric up to rounding)."""
-    upper = np.triu(values)
-    return upper + np.triu(values, 1).T
+# bytes of one dense tile of float64 rows: rating rows, or output rows in normalize
+_TILE_BYTES = 24 << 20
+# dense tiles counted in a size estimate: four of the row tile and two of
+# the column tile are alive at once, plus room for a pair's products
+_TILES_ALIVE = 8
+# the largest degree whose co-rating counts, float32 sums of ones, are exact
+_FLOAT32_EXACT = 2**24
 
 
 class SimilarityError(ValueError):
     pass
+
+
+class MemoryCeilingError(SimilarityError):
+    """The matrix does not fit the memory this process may hold: a limit
+    of the machine, not a fault of the input."""
 
 
 @dataclass(frozen=True)
@@ -48,93 +64,222 @@ class SimilarityMatrix:
         return self.values.shape[0]
 
 
-def _axis_vectors(g: "BipartiteGraph", axis: Axis):
-    """Rows = axis nodes, columns = the opposite side; returns
-    (dense weight matrix, dense 0/1 mask, node degrees, opposite-side degrees)."""
+# ---------------------------------------------------------------------------
+# Tiles
+
+
+def _axis_rows(g: "BipartiteGraph", axis: Axis):
+    """(CSR rows = axis nodes, node degrees, opposite-side degrees), the
+    degrees as float64."""
     if axis == "users":
-        w = g.weights
-        deg = g.user_degree
-        other_deg = g.item_degree
+        w, deg, other_deg = g.weights, g.user_degree, g.item_degree
     elif axis == "items":
-        w = g.weights_t
-        deg = g.item_degree
-        other_deg = g.user_degree
+        w, deg, other_deg = g.weights_t, g.item_degree, g.user_degree
     else:
         raise SimilarityError(f"unknown axis {axis!r}")
-    dense = np.asarray(w.todense(), dtype=np.float64)
-    mask = (dense != 0).astype(np.float64)
-    return dense, mask, deg.astype(np.float64), other_deg.astype(np.float64)
+    return w, deg.astype(np.float64), other_deg.astype(np.float64)
+
+
+def _spans(n: int, m: int) -> list[slice]:
+    """Row ranges of the tiles: as many m-wide float64 rows as fit in
+    _TILE_BYTES, at least one."""
+    h = max(1, _TILE_BYTES // (8 * m))
+    return [slice(lo, min(lo + h, n)) for lo in range(0, n, h)]
+
+
+def _scatter(w, rows: slice, values=None, dtype=np.float64) -> np.ndarray:
+    """Dense rows `rows` of CSR `w`, 0 where nothing is stored. `values`
+    is a function of (row within the tile, stored value) giving what to
+    put at each stored entry; by default the stored value itself."""
+    lo, hi = w.indptr[rows.start], w.indptr[rows.stop]
+    height = rows.stop - rows.start
+    local = np.repeat(np.arange(height), np.diff(w.indptr[rows.start : rows.stop + 1]))
+    out = np.zeros((height, w.shape[1]), dtype)
+    data = w.data[lo:hi]
+    out[local, w.indices[lo:hi]] = data if values is None else values(local, data)
+    return out
+
+
+def _row_sums(w, spans, square: bool = False) -> np.ndarray:
+    """Sum of each dense row (of its squares if `square`), summed over
+    the full row with its zeros, as `x.sum(axis=1)` sums."""
+    sums = np.empty(w.shape[0])
+    for rows in spans:
+        x = _scatter(w, rows)
+        sums[rows] = (x * x if square else x).sum(axis=1)
+    return sums
+
+
+def _tile_pairs(spans, build):
+    """(b, c, tile_b, tile_c) for every pair of tile spans with b on or
+    before c. A diagonal pair is one built tile twice, so that a tile
+    times its own transpose takes numpy's symmetric product, as the
+    whole matrix times its transpose does."""
+    for k, b in enumerate(spans):
+        tb = build(b)
+        yield b, b, tb, tb
+        for c in spans[k + 1 :]:
+            yield b, c, tb, build(c)
+
+
+def _put(out: np.ndarray, b: slice, c: slice, tile: np.ndarray, mirror: bool = False) -> None:
+    """Write the tile of pair (b, c) at [b, c] and its transpose at
+    [c, b]; the tile may be overwritten. A diagonal tile is bitwise
+    symmetric already when it is a function of a tile times itself
+    (numpy's symmetric product) and of terms symmetric in the pair.
+    Otherwise `mirror` keeps its upper triangle, mirrored below, so
+    sim(a, b) == sim(b, a) bitwise (other BLAS products are symmetric
+    only up to rounding). Adding a zero makes a float -0.0 +0.0, as the
+    mirror's sum does."""
+    if b == c and mirror:
+        out[b, b] = np.triu(tile)
+        out[b, b] += np.triu(tile, 1).T
+        return
+    tile += tile.dtype.type(0)
+    out[b, c] = tile
+    if b != c:
+        out[c, b] = tile.T
+
+
+def _quotient(num: np.ndarray, denom: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """num / denom where ok, else 0, written over num."""
+    np.divide(num, denom, out=num, where=ok)
+    num[~ok] = 0.0
+    return num
+
+
+def _memory_limit() -> int:
+    """Bytes this process may hold: its address-space limit when set,
+    else physical memory."""
+    phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    return phys if soft == resource.RLIM_INFINITY else min(soft, phys)
+
+
+def _output(measure: str, axis: Axis, w) -> tuple[np.ndarray, np.ndarray, list[slice]]:
+    """The n x n values and defined arrays and the tile spans, after
+    checking that they and the tiles fit in memory."""
+    n, m = w.shape
+    spans = _spans(n, m)
+    need = 9 * n * n + _TILES_ALIVE * 8 * (spans[0].stop if spans else 0) * m
+    limit = _memory_limit()
+    if need > limit:
+        raise MemoryCeilingError(
+            f"{measure} similarity over {n} {axis} needs {need:,} bytes "
+            f"({need / 2**20:,.0f} MiB), more than the {limit:,} this process may hold"
+        )
+    return np.empty((n, n)), np.empty((n, n), dtype=bool), spans
+
+
+# ---------------------------------------------------------------------------
+# Measures
 
 
 def cosine_matrix(g: "BipartiteGraph", axis: Axis) -> SimilarityMatrix:
     """Cosine similarity over full rating vectors, missing entries as 0."""
-    x, _, deg, _ = _axis_vectors(g, axis)
-    norms = np.sqrt((x * x).sum(axis=1))
-    dot = x @ x.T
-    denom = np.outer(norms, norms)
-    defined = denom > 0
-    values = np.zeros_like(dot)
-    np.divide(dot, denom, out=values, where=defined)
-    np.clip(values, -1.0, 1.0, out=values)
-    values = _mirror(values)
+    w, _, _ = _axis_rows(g, axis)
+    values, defined, spans = _output("cosine", axis, w)
+    norms = np.sqrt(_row_sums(w, spans, square=True))
+    for b, c, xb, xc in _tile_pairs(spans, lambda rows: _scatter(w, rows)):
+        denom = np.outer(norms[b], norms[c])
+        ok = denom > 0
+        tile = _quotient(xb @ xc.T, denom, ok)
+        _put(values, b, c, np.clip(tile, -1.0, 1.0, out=tile))
+        _put(defined, b, c, ok)
     np.fill_diagonal(values, np.where(norms > 0, 1.0, 0.0))
     return SimilarityMatrix(axis=axis, values=values, defined=defined)
 
 
-def _pearson_core(g: "BipartiteGraph", axis: Axis):
-    """Centered ratings and the Pearson terms shared by pcc and pim.
-
-    Returns (xc, deg, other_deg, denom, inter, defined): `xc` holds each
-    rating minus its node's mean rating (0 where unrated), `denom` the
-    per-pair variance product over the co-rating set, `inter` the
-    co-rating counts and `defined` the pairs with a computable value.
-    """
-    x, mask, deg, other_deg = _axis_vectors(g, axis)
-    sums = x.sum(axis=1)
+def _centred_tiles(w, spans, deg):
+    """A builder of (xc, mask) tiles of rows: `xc` each rating minus its
+    node's mean rating (0 where unrated), `mask` 1 where rated. Node
+    means come from the dense row sums over all of each node's ratings."""
+    sums = _row_sums(w, spans)
     means = np.divide(sums, deg, out=np.zeros_like(sums), where=deg > 0)
-    xc = (x - means[:, None]) * mask
-    del x
-    # per-pair variance terms restricted to the co-rating set
-    d = (xc * xc) @ mask.T
-    denom = np.sqrt(d * d.T)
-    del d
-    inter = mask @ mask.T
-    defined = (inter > 0) & (denom > 0)
-    defined &= defined.T
-    return xc, deg, other_deg, denom, inter, defined
+
+    def build(rows: slice):
+        xc = _scatter(w, rows, lambda r, v: v - means[rows][r])
+        return xc, _scatter(w, rows, lambda r, v: 1.0)
+
+    return build
+
+
+def _pearson_tiles(w, spans, deg, col_w=None):
+    """For every tile pair (b, c, num, denom): `num` the co-rating sums
+    of centred products (each column weighted by `col_w` if given) and
+    `denom` the per-pair variance product over the co-rating set.
+
+    A pair has a value where denom > 0. That needs a co-rated column,
+    since a centred rating is nonzero only where its node rated, so
+    no co-rating count is needed to tell which pairs are defined.
+
+    Each row tile's diagonal pair is computed first and given last, so
+    that no dense tile is alive while the caller works on it."""
+    build = _centred_tiles(w, spans, deg)
+    for k, b in enumerate(spans):
+        xb, mb = build(b)
+        left = xb if col_w is None else xb * col_w[None, :]
+        sq_b = xb * xb
+        d = sq_b @ mb.T
+        denom = d * d.T
+        del d
+        # the tile times its own transpose, as x @ x.T is computed whole
+        diagonal = left @ xb.T, np.sqrt(denom, out=denom)
+        del xb, denom
+        for c in spans[k + 1 :]:
+            xc, mc = build(c)
+            num = left @ xc.T
+            d_bc = sq_b @ mc.T
+            # this column tile is not used again, so it is squared in place
+            denom = d_bc * (np.multiply(xc, xc, out=xc) @ mb.T).T
+            del d_bc, xc, mc  # so the next column tile is built without this one alive
+            yield b, c, num, np.sqrt(denom, out=denom)
+        del left, sq_b, mb
+        yield (b, b, *diagonal)
 
 
 def pcc_matrix(g: "BipartiteGraph", axis: Axis) -> SimilarityMatrix:
     """Pearson similarity: sums over the co-rating set, means over all
     of each node's own ratings."""
-    xc, _, _, denom, _, defined = _pearson_core(g, axis)
-    num = xc @ xc.T
-    del xc
-    values = np.zeros_like(num)
-    np.divide(num, denom, out=values, where=defined)
-    np.clip(values, -1.0, 1.0, out=values)
-    values = _mirror(values)
+    w, deg, _ = _axis_rows(g, axis)
+    values, defined, spans = _output("pcc", axis, w)
+    for b, c, num, denom in _pearson_tiles(w, spans, deg):
+        ok = denom > 0
+        _put(values, b, c, np.clip(_quotient(num, denom, ok), -1.0, 1.0, out=num))
+        _put(defined, b, c, ok)
     np.fill_diagonal(values, np.where(np.diag(defined), 1.0, 0.0))
     return SimilarityMatrix(axis=axis, values=values, defined=defined)
 
 
-def _cri_ratio(inter: np.ndarray, deg: np.ndarray) -> tuple[np.ndarray, float]:
-    """Per-pair intersection/union ratio of rating sets and its mean over
-    all unordered distinct node pairs (AR); empty-union pairs count 0."""
-    n = inter.shape[0]
+def _cri_ratios(w, spans, deg, out: np.ndarray) -> float:
+    """Write each pair's intersection/union ratio of rating sets into
+    `out` (both triangles; empty-union pairs 0) and return its mean over
+    all unordered distinct node pairs (AR)."""
+    n = out.shape[0]
     if n < 2:
         raise SimilarityError("need at least 2 nodes to average pair ratios")
-    union = deg[:, None] + deg[None, :] - inter
-    ratio = np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
-    total = (ratio.sum() - np.trace(ratio)) / 2.0
-    return ratio, float(total / (n * (n - 1) / 2.0))
+    # the mask product runs in float32, about a third faster than float64
+    # at ML-1M; its counts, at most the larger degree, are exact up to 2**24
+    if deg.max() > _FLOAT32_EXACT:
+        raise SimilarityError(
+            f"a node has {deg.max():,.0f} ratings, more than the {_FLOAT32_EXACT:,} "
+            f"whose co-rating counts are exact in float32"
+        )
+    mask = lambda rows: _scatter(w, rows, lambda r, v: 1.0, np.float32)  # noqa: E731
+    for b, c, mb, mc in _tile_pairs(spans, mask):
+        inter = (mb @ mc.T).astype(np.float64)  # exact co-rating counts
+        union = deg[b, None] + deg[None, c] - inter
+        _put(out, b, c, np.divide(inter, union, out=np.zeros_like(inter), where=union > 0))
+    total = (out.sum() - np.trace(out)) / 2.0
+    return float(total / (n * (n - 1) / 2.0))
 
 
 def average_cri_ratio(g: "BipartiteGraph", axis: Axis) -> float:
     """AR: the mean intersection/union ratio of rating sets over all
     unordered distinct node pairs; empty-union pairs contribute 0."""
-    _, mask, deg, _ = _axis_vectors(g, axis)
-    return _cri_ratio(mask @ mask.T, deg)[1]
+    w, deg, _ = _axis_rows(g, axis)
+    ratios, _, spans = _output("pim", axis, w)
+    return _cri_ratios(w, spans, deg, ratios)
 
 
 def pim_matrix(
@@ -149,39 +294,48 @@ def pim_matrix(
     penalty_variant picks the numerator of x: 'pair-max' the larger of
     the two node degrees, 'global-max' the maximum degree on the axis.
     AR = 0 (no two nodes co-rate) is a SimilarityError.
+
+    Two passes over the tile pairs: the first writes the ratios into the
+    output and takes AR from them, the second overwrites each ratio tile
+    with its similarities.
     """
     if penalty_variant not in get_args(PenaltyVariant):
         raise SimilarityError(f"unknown penalty variant {penalty_variant!r}")
-    xc, deg, other_deg, denom, inter, defined = _pearson_core(g, axis)
+    w, deg, other_deg = _axis_rows(g, axis)
+    values, defined, spans = _output("pim", axis, w)
+    ar = _cri_ratios(w, spans, deg, values)
+    if ar <= 0:
+        raise SimilarityError(f"no two {axis} co-rate, so the mean co-rating ratio is 0")
 
     col_w = np.zeros_like(other_deg)
     pos = other_deg > 0
     col_w[pos] = np.log(LOG_BASE_POPULARITY) / np.log1p(other_deg[pos])
-    num = (xc * col_w[None, :]) @ xc.T
-    del xc
-
-    ratio, ar = _cri_ratio(inter, deg)
-    del inter
-    if ar <= 0:
-        raise SimilarityError(f"no two {axis} co-rate, so the mean co-rating ratio is 0")
-    num *= np.log1p(ratio / ar)
-    del ratio
-
-    deg_sum = deg[:, None] + deg[None, :]
-    if penalty_variant == "pair-max":
-        top = np.maximum(deg[:, None], deg[None, :])
-    else:
-        top = np.full_like(deg_sum, deg.max())
-    x_pen = np.divide(top, deg_sum, out=np.zeros_like(deg_sum), where=deg_sum > 0)
-    del top, deg_sum
-    denom *= 1.0 + np.exp(x_pen)
-    del x_pen
-
-    values = np.zeros_like(num)
-    np.divide(num, denom, out=values, where=defined)
-    values = _mirror(values)
-    np.fill_diagonal(values, np.where(np.diag(defined), np.diag(values), 0.0))
+    deg_max = None if penalty_variant == "pair-max" else deg.max()
+    for b, c, num, denom in _pearson_tiles(w, spans, deg, col_w):
+        ok = denom > 0
+        reward = values[b, c] / ar
+        num *= np.log1p(reward, out=reward)
+        del reward
+        denom *= _activity_penalty(deg[b], deg[c], deg_max)
+        # a diagonal num is the column-weighted tile times the plain one
+        _put(values, b, c, _quotient(num, denom, ok), mirror=True)
+        _put(defined, b, c, ok)
     return SimilarityMatrix(axis=axis, values=values, defined=defined)
+
+
+def _activity_penalty(deg_b: np.ndarray, deg_c: np.ndarray, deg_max=None) -> np.ndarray:
+    """1 + e^x for every pair of a tile: x is the larger of the pair's
+    degrees (or deg_max, if given) over their sum, 0 where the sum is 0."""
+    deg_sum = deg_b[:, None] + deg_c[None, :]
+    if deg_max is None:
+        x = np.maximum(deg_b[:, None], deg_c[None, :])
+    else:
+        x = np.full_like(deg_sum, deg_max)
+    x = _quotient(x, deg_sum, deg_sum > 0)
+    del deg_sum
+    x = np.exp(x, out=x)
+    x += 1.0
+    return x
 
 
 def similarity(
@@ -197,28 +351,41 @@ def similarity(
         raw = pim_matrix(g, axis, penalty_variant)
     else:
         raise SimilarityError(f"unknown similarity measure {measure!r}")
-    return normalize(raw)
+    return _normalize_in_place(raw)
 
 
 def normalize(m: SimilarityMatrix) -> SimilarityMatrix:
     """Min-max normalize defined off-diagonal values to [0, 1].
 
     Undefined entries map to 0, the diagonal to 1. If every defined
-    off-diagonal value is equal, they all map to 0.5.
+    off-diagonal value is equal, they all map to 0.5. `m` is left as it
+    is.
     """
-    n = m.n
-    off = ~np.eye(n, dtype=bool)
-    sel = m.defined & off
-    if not sel.any():
+    return _normalize_in_place(
+        SimilarityMatrix(axis=m.axis, values=m.values.copy(), defined=m.defined.copy())
+    )
+
+
+def _normalize_in_place(m: SimilarityMatrix) -> SimilarityMatrix:
+    """normalize, overwriting m's arrays, one block of rows at a time."""
+    values, defined = m.values, m.defined
+    blocks = _spans(m.n, m.n)
+
+    def selected(rows: slice) -> np.ndarray:
+        sel = defined[rows].copy()
+        sel[np.arange(rows.stop - rows.start), np.arange(rows.start, rows.stop)] = False
+        return sel
+
+    lo, hi = np.inf, -np.inf
+    for rows in blocks:
+        picked = values[rows][selected(rows)]
+        if picked.size:
+            lo, hi = min(lo, picked.min()), max(hi, picked.max())
+    if lo > hi:
         raise SimilarityError("no defined off-diagonal values to normalize")
-    lo = m.values[sel].min()
-    hi = m.values[sel].max()
-    values = np.zeros_like(m.values)
-    if hi > lo:
-        values[sel] = (m.values[sel] - lo) / (hi - lo)
-    else:
-        values[sel] = 0.5
+    for rows in blocks:
+        scaled = (values[rows] - lo) / (hi - lo) if hi > lo else 0.5
+        values[rows] = np.where(selected(rows), scaled, 0.0)
     np.fill_diagonal(values, 1.0)
-    defined = m.defined.copy()
     np.fill_diagonal(defined, True)
     return SimilarityMatrix(axis=m.axis, values=values, defined=defined, normalized=True)

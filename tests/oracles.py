@@ -9,6 +9,7 @@ import numpy as np
 
 from diffrec.corpus import CorpusError, RatingDataset
 from diffrec.recommend import MFModel, MfDivergenceError, RecommendationList
+from diffrec.simkit import LOG_BASE_POPULARITY, SimilarityError, SimilarityMatrix
 
 
 def rating_map(ds):
@@ -86,6 +87,124 @@ def pim_pair(vec_a, vec_b, col_degree, ar, max_degree=None):
     top = max_degree if max_degree is not None else max(len(vec_a), len(vec_b))
     penalty = 1 + math.exp(top / (len(vec_a) + len(vec_b)))
     return ln_factor * num / (math.sqrt(da * db) * penalty)
+
+
+# ---------------------------------------------------------------------------
+# Dense similarity: the untiled matrix path, whole n x m rating matrices
+# and whole n x n products, mirrored at the end.
+
+
+def _mirror(values):
+    upper = np.triu(values)
+    return upper + np.triu(values, 1).T
+
+
+def _axis_vectors(g, axis):
+    if axis == "users":
+        w, deg, other_deg = g.weights, g.user_degree, g.item_degree
+    else:
+        w, deg, other_deg = g.weights_t, g.item_degree, g.user_degree
+    dense = np.asarray(w.todense(), dtype=np.float64)
+    mask = (dense != 0).astype(np.float64)
+    return dense, mask, deg.astype(np.float64), other_deg.astype(np.float64)
+
+
+def cosine_matrix(g, axis):
+    x, _, _, _ = _axis_vectors(g, axis)
+    norms = np.sqrt((x * x).sum(axis=1))
+    dot = x @ x.T
+    denom = np.outer(norms, norms)
+    defined = denom > 0
+    values = np.zeros_like(dot)
+    np.divide(dot, denom, out=values, where=defined)
+    np.clip(values, -1.0, 1.0, out=values)
+    values = _mirror(values)
+    np.fill_diagonal(values, np.where(norms > 0, 1.0, 0.0))
+    return SimilarityMatrix(axis=axis, values=values, defined=defined)
+
+
+def _pearson_core(g, axis):
+    x, mask, deg, other_deg = _axis_vectors(g, axis)
+    sums = x.sum(axis=1)
+    means = np.divide(sums, deg, out=np.zeros_like(sums), where=deg > 0)
+    xc = (x - means[:, None]) * mask
+    d = (xc * xc) @ mask.T
+    denom = np.sqrt(d * d.T)
+    inter = mask @ mask.T
+    defined = (inter > 0) & (denom > 0)
+    defined &= defined.T
+    return xc, deg, other_deg, denom, inter, defined
+
+
+def pcc_matrix(g, axis):
+    xc, _, _, denom, _, defined = _pearson_core(g, axis)
+    num = xc @ xc.T
+    values = np.zeros_like(num)
+    np.divide(num, denom, out=values, where=defined)
+    np.clip(values, -1.0, 1.0, out=values)
+    values = _mirror(values)
+    np.fill_diagonal(values, np.where(np.diag(defined), 1.0, 0.0))
+    return SimilarityMatrix(axis=axis, values=values, defined=defined)
+
+
+def _cri_ratio(inter, deg):
+    """(pair ratio matrix, AR) from co-rating counts and node degrees."""
+    n = inter.shape[0]
+    if n < 2:
+        raise SimilarityError("need at least 2 nodes to average pair ratios")
+    union = deg[:, None] + deg[None, :] - inter
+    ratio = np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
+    total = (ratio.sum() - np.trace(ratio)) / 2.0
+    return ratio, float(total / (n * (n - 1) / 2.0))
+
+
+def dense_average_cri_ratio(g, axis):
+    _, mask, deg, _ = _axis_vectors(g, axis)
+    return _cri_ratio(mask @ mask.T, deg)[1]
+
+
+def pim_matrix(g, axis, penalty_variant="pair-max"):
+    xc, deg, other_deg, denom, inter, defined = _pearson_core(g, axis)
+    col_w = np.zeros_like(other_deg)
+    pos = other_deg > 0
+    col_w[pos] = np.log(LOG_BASE_POPULARITY) / np.log1p(other_deg[pos])
+    num = (xc * col_w[None, :]) @ xc.T
+    ratio, ar = _cri_ratio(inter, deg)
+    if ar <= 0:
+        raise SimilarityError(f"no two {axis} co-rate, so the mean co-rating ratio is 0")
+    num *= np.log1p(ratio / ar)
+    deg_sum = deg[:, None] + deg[None, :]
+    if penalty_variant == "pair-max":
+        top = np.maximum(deg[:, None], deg[None, :])
+    else:
+        top = np.full_like(deg_sum, deg.max())
+    x_pen = np.divide(top, deg_sum, out=np.zeros_like(deg_sum), where=deg_sum > 0)
+    denom *= 1.0 + np.exp(x_pen)
+    values = np.zeros_like(num)
+    np.divide(num, denom, out=values, where=defined)
+    values = _mirror(values)
+    np.fill_diagonal(values, np.where(np.diag(defined), np.diag(values), 0.0))
+    return SimilarityMatrix(axis=axis, values=values, defined=defined)
+
+
+def normalize(m):
+    """Min-max normalization through boolean-indexed copies of the whole matrix."""
+    n = m.n
+    off = ~np.eye(n, dtype=bool)
+    sel = m.defined & off
+    if not sel.any():
+        raise SimilarityError("no defined off-diagonal values to normalize")
+    lo = m.values[sel].min()
+    hi = m.values[sel].max()
+    values = np.zeros_like(m.values)
+    if hi > lo:
+        values[sel] = (m.values[sel] - lo) / (hi - lo)
+    else:
+        values[sel] = 0.5
+    np.fill_diagonal(values, 1.0)
+    defined = m.defined.copy()
+    np.fill_diagonal(defined, True)
+    return SimilarityMatrix(axis=m.axis, values=values, defined=defined, normalized=True)
 
 
 def top_k_neighbors(m, node, k):
@@ -355,10 +474,16 @@ def _read_ml100k(path):
                 raise CorpusError(f"line {line_no}: expected 4 tab-separated fields")
             u, i, r, ts = parts
             try:
-                rows.append((u, i, float(r), int(ts)))
+                rows.append((u, i, _number(float, r), _number(int, ts)))
             except ValueError as exc:
                 raise CorpusError(f"line {line_no}: {exc}") from exc
     return rows
+
+
+def _number(parse, text):
+    if "_" in text:
+        raise ValueError(f"digit separator '_' in number {text!r}")
+    return parse(text)
 
 
 def _read_generic_csv(path):
@@ -388,10 +513,10 @@ def _read_generic_csv(path):
             try:
                 if has_ts:
                     u, i, r, ts = parts
-                    rows.append((u, i, float(r), int(ts)))
+                    rows.append((u, i, _number(float, r), _number(int, ts)))
                 else:
                     u, i, r = parts
-                    rows.append((u, i, float(r)))
+                    rows.append((u, i, _number(float, r)))
             except ValueError as exc:
                 raise CorpusError(f"line {line_no}: {exc}") from exc
     return rows

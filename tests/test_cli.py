@@ -260,6 +260,39 @@ def test_eval_writes_report_and_lists(synth_csv, tmp_path, capsys):
     assert ",MD," in stdout and ",PIM+RA," in stdout
 
 
+def test_manifest_records_peak_rss_and_versions(synth_csv, tmp_path, capsys):
+    import numpy
+    import scipy
+
+    import diffrec
+
+    out, cfg = tmp_path / "out", tmp_path / "run.cfg"
+    cfg.write_text("folds = 2\n")
+    assert main(["eval", "--input", str(synth_csv), "--out-dir", str(out), "--config", str(cfg),
+                 "--method", "MD", "-L", "5"]) == 0
+    report = (out / "report.csv").read_bytes()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 0
+    assert manifest["versions"] == {
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "diffrec": diffrec.__version__,
+    }
+    # the report itself carries none of it
+    assert b"rss" not in report and numpy.__version__.encode() not in report
+    capsys.readouterr()
+
+
+def test_eval_memory_ceiling_is_an_error(synth_csv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(simkit, "_memory_limit", lambda: 0)
+    code = main(["eval", "--input", str(synth_csv), "--out-dir", str(tmp_path / "out"),
+                 "--method", "MD,PIM+RA", "-L", "5"])
+    assert code == 1
+    assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.csv").exists()
+
+
 def test_eval_one_user_fold_writes_na_rows(tmp_path, capsys):
     # 8 folds of this 8 x 8 corpus leave some folds one evaluable user, on
     # whom inter-user diversity is undefined

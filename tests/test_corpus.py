@@ -1,5 +1,6 @@
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -12,6 +13,7 @@ from diffrec import corpus
 from diffrec.corpus import (
     CorpusError,
     FilterSpec,
+    FoldPair,
     RatingScale,
     dataset_stats,
     filter_dataset,
@@ -209,6 +211,33 @@ class TestLoadErrors:
         ):
             load_text(tmp_path, "user,item,rating\na,b,nan\n")
 
+    @pytest.mark.parametrize(
+        "text,fmt,message",
+        [
+            ("user,item,rating,timestamp\na,x,3,1_000\nb,x,4, 7\n", "generic-csv",
+             "line 2: digit separator '_' in number '1_000'"),
+            ("user,item,rating\na,x,3\nb,x,1_0\n", "generic-csv",
+             "line 3: digit separator '_' in number '1_0'"),
+            ('user,item,rating\n"a",x,1_0\n', "generic-csv",
+             "line 2: digit separator '_' in number '1_0'"),
+            ('user,item,rating,timestamp\n"a",x,3,7\nb,x,4,-1_0\n', "generic-csv",
+             "line 3: digit separator '_' in number '-1_0'"),
+            ("a\tx\t3\t7\n\nb\tx\t4\t1_0\n", "ml100k-tsv",
+             "line 3: digit separator '_' in number '1_0'"),
+            # the rating's error comes first within a row
+            ("user,item,rating,timestamp\na,x,1_0,2_0\n", "generic-csv",
+             "line 2: digit separator '_' in number '1_0'"),
+        ],
+        ids=["stamp", "rating", "csv-rating", "csv-stamp", "ml100k", "rating-first"],
+    )
+    def test_digit_separators_are_unparsable(self, tmp_path, text, fmt, message):
+        # int() and float() take Python's "1_000"; a rating file does not
+        path = tmp_path / "r.txt"
+        path.write_text(text, encoding="utf-8")
+        for load in (load_ratings, oracles.load_ratings):
+            with pytest.raises(CorpusError, match=f"^{message}$"):
+                load(path, fmt, RatingScale(1, 10, 1))
+
     def test_quoted_and_lone_cr_files_read_through_csv(self, tmp_path):
         ds = load_text(tmp_path, 'user,item,rating\r"a,1",b,3\r"say ""hi""",b,4\r')
         assert ds.user_labels == ("a,1", 'say "hi"')
@@ -338,6 +367,8 @@ class TestFromTriples:
             ([("a", "b", 3), ("a", "b", 2)], r"^row 2: duplicate \(user, item\) pair \(a, b\)$"),
             ([("a", "b", 3), ("c", "b", "x")], "^row 2: could not convert string to float: 'x'$"),
             ([("a", "b", 3, "x")], r"^row 1: invalid literal for int\(\)"),
+            ([("a", "b", "1_0")], "^row 1: digit separator '_' in number '1_0'$"),
+            ([("a", "b", 3, "1_0")], "^row 1: digit separator '_' in number '1_0'$"),
         ],
     )
     def test_errors_name_the_row(self, triples, message):
@@ -379,6 +410,34 @@ class TestWriters:
         corpus.write_fold_manifest(folds, ours)
         oracles.write_fold_manifest(folds, theirs)
         assert ours.read_bytes() == theirs.read_bytes()
+
+    def test_fold_manifest_bytes_with_labels_that_need_quoting(self, tmp_path):
+        labels = ["a,b", 'say "x"', "cr\rx", "lf\nx", "", " lead", "plain", '"', ","]
+        triples = [(u, i, 1.0 + (n % 9) / 2, n) for n, (u, i) in enumerate(
+            (u, i) for u in labels for i in reversed(labels)
+        )]
+        folds = kfold_split(corpus.from_triples(triples, self.SCALE), 3, seed=1)
+        ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+        corpus.write_fold_manifest(folds, ours)
+        oracles.write_fold_manifest(folds, theirs)
+        assert ours.read_bytes() == theirs.read_bytes()
+        assert b'"a,b"' in ours.read_bytes() and b'"say ""x"""' in ours.read_bytes()
+
+    def test_fold_manifest_rejects_folds_with_other_labels(self, tmp_path):
+        folds = kfold_split(corpus.from_triples(self.TRIPLES, self.SCALE), 2, seed=3)
+        # the same codes under a relabelled user space
+        test = folds[1].test
+        relabelled = replace(test, user_labels=tuple(f"x{u}" for u in test.user_labels))
+        path = tmp_path / "out.csv"
+        with pytest.raises(CorpusError, match="^fold 1 test labels differ from fold 0's$"):
+            corpus.write_fold_manifest([folds[0], FoldPair(folds[1].train, relabelled)], path)
+        assert not path.exists()
+
+    def test_fold_manifest_of_no_folds_is_a_header(self, tmp_path):
+        ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+        corpus.write_fold_manifest([], ours)
+        oracles.write_fold_manifest([], theirs)
+        assert ours.read_bytes() == theirs.read_bytes() == b"fold,user,item,rating,split\r\n"
 
     def test_crlf_output_takes_the_split_path(self, tmp_path):
         ds = random_dataset(5, n_users=7, n_items=9)

@@ -168,6 +168,30 @@ class TestRankingErrors:
         assert type(info.value) is expected
 
 
+class TestMemoryCeiling:
+    """A similarity matrix too big for this process stops the run: NA rows
+    would make the report depend on the machine."""
+
+    @staticmethod
+    def items_fit_users_do_not(ds, monkeypatch):
+        # the metrics' cosine over items fits, UBCF's pcc over users does not
+        n_users, n_items = ds.n_users, ds.n_items
+        assert n_users > n_items
+        need = 9 * n_items**2 + simkit._TILES_ALIVE * 8 * n_items * n_users
+        monkeypatch.setattr(simkit, "_memory_limit", lambda: need)
+
+    def test_rank_raises_it_unwrapped(self, ds, cfg, monkeypatch):
+        ctx = FoldContext(corpus.kfold_split(ds, cfg.k_folds, cfg.seed)[0], cfg)
+        self.items_fit_users_do_not(ds, monkeypatch)
+        with pytest.raises(simkit.MemoryCeilingError, match="^pcc similarity over 20 users needs"):
+            ctx.rank("UBCF", ctx.test_users, None, cfg.list_length)
+
+    def test_run_fails_rather_than_writing_na_rows(self, ds, cfg, monkeypatch):
+        self.items_fit_users_do_not(ds, monkeypatch)
+        with pytest.raises(simkit.MemoryCeilingError):
+            run_experiment(ds, replace(cfg, methods=("MD", "UBCF")))
+
+
 class TestSerialization:
     def test_csv_format(self, report, tmp_path):
         path = tmp_path / "report.csv"

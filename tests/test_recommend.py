@@ -374,6 +374,26 @@ class TestPimra:
                     w_i = 3 * len(by_item[i])
                     assert r1 * 3 / w_i == pytest.approx(r1 / len(by_item[i]))
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("mode", ["literal-w_vi", "alt-w_vj"])
+    @pytest.mark.parametrize("rows", [1, 2, 3, None])
+    def test_blocked_p_is_the_unblocked_product(self, seed, mode, rows, monkeypatch):
+        g = build_graph(random_dataset(seed, n_users=8, n_items=7, density=0.4))
+        sim = pim_item_sim(g)
+        # the unblocked form: the whole step-3 transfer matrix, then one product
+        inv_wv = 1.0 / g.user_weight_sum
+        b = g.weights_t.copy()
+        if mode == "literal-w_vi":
+            b.data = b.data * b.data * inv_wv[b.indices]
+            expected = sim.values * (b @ g.adjacency).toarray()
+        else:
+            b.data = b.data * inv_wv[b.indices]
+            expected = sim.values * (b @ g.weights).toarray()
+        if rows is not None:
+            monkeypatch.setattr(simkit, "_TILE_BYTES", 8 * g.n_items * rows)
+        got = PimraScorer(g, sim, step3_weight=mode)._p
+        assert got.tobytes() == expected.tobytes()
+
     def test_invalid_theta(self, fix4_graph):
         scorer = PimraScorer(fix4_graph, identity_item_sim(4))
         for theta in (-0.1, 1.5):

@@ -1,4 +1,6 @@
 import math
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -83,6 +85,18 @@ class TestAverageCriRatio:
         ds = corpus.from_triples([("a", "x", 3)], RatingScale(1, 5, 1))
         with pytest.raises(SimilarityError):
             average_cri_ratio(bigraph.build_graph(ds), "users")
+
+    @pytest.mark.parametrize("call", [average_cri_ratio, pim_matrix], ids=["ar", "pim"])
+    def test_degrees_past_exact_counts_are_rejected(self, fix4_graph, call):
+        top = int(fix4_graph.user_degree.max())
+        with mock.patch.object(simkit, "_FLOAT32_EXACT", top - 1):
+            with pytest.raises(SimilarityError, match=(
+                rf"^a node has {top} ratings, more than the {top - 1} whose co-rating "
+                rf"counts are exact in float32$"
+            )):
+                call(fix4_graph, "users")
+        with mock.patch.object(simkit, "_FLOAT32_EXACT", top):
+            call(fix4_graph, "users")
 
     def test_matches_scalar_oracle(self, fix4):
         expected = oracles.average_cri_ratio(oracles.user_items_map(fix4))
@@ -387,3 +401,157 @@ def test_normalize_preserves_order(values):
     order_raw = np.argsort(mat[0, 1:], kind="stable")
     by_raw_order = out.values[0, 1:][order_raw]
     assert np.all(np.diff(by_raw_order) >= 0)
+
+
+# ---------------------------------------------------------------------------
+# The tiled core
+
+MEASURE_CASES = [
+    ("cosine", "pair-max"), ("pcc", "pair-max"), ("pim", "pair-max"), ("pim", "global-max")
+]
+
+
+def _raw(g, measure, axis, variant="pair-max", module=simkit):
+    if measure == "pim":
+        return module.pim_matrix(g, axis, variant)
+    return {"cosine": module.cosine_matrix, "pcc": module.pcc_matrix}[measure](g, axis)
+
+
+def _other_side(g, axis):
+    return g.n_items if axis == "users" else g.n_users
+
+
+def _bits(m):
+    """values (signed zeros told apart) and defined, as bytes."""
+    return m.values.tobytes(), m.defined.tobytes()
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    n_users=st.integers(2, 9),
+    n_items=st.integers(2, 9),
+    density=st.sampled_from([0.2, 0.5, 0.9]),
+    rows=st.integers(1, 3),
+    measure=st.sampled_from(MEASURE_CASES),
+    axis=st.sampled_from(["users", "items"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_tiles_agree_with_one_tile(seed, n_users, n_items, density, rows, measure, axis):
+    # tiles of 1-3 rows against one tile holding every row
+    g = bigraph.build_graph(random_dataset(seed, n_users=n_users, n_items=n_items, density=density))
+    name, variant = measure
+    try:
+        whole = _raw(g, name, axis, variant)
+    except SimilarityError:
+        with mock.patch.object(simkit, "_TILE_BYTES", 8 * _other_side(g, axis) * rows):
+            with pytest.raises(SimilarityError):
+                _raw(g, name, axis, variant)
+        return
+    with mock.patch.object(simkit, "_TILE_BYTES", 8 * _other_side(g, axis) * rows):
+        assert len(simkit._spans(whole.n, _other_side(g, axis))) > 1 or whole.n <= rows
+        tiled = _raw(g, name, axis, variant)
+        if name == "pim":
+            assert average_cri_ratio(g, axis) == oracles.dense_average_cri_ratio(g, axis)
+    np.testing.assert_allclose(tiled.values, whole.values, rtol=0, atol=1e-12)
+    assert np.array_equal(tiled.defined, whole.defined)
+    for m in (tiled, whole):
+        assert np.array_equal(m.values, m.values.T)
+        assert np.array_equal(m.defined, m.defined.T)
+
+
+class TestOneTileMatchesDenseOracle:
+    """At bench shapes every axis is one tile, and the tiled core gives
+    the dense matrix path's bits, signed zeros included."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("axis", ["users", "items"])
+    @pytest.mark.parametrize("measure,variant", MEASURE_CASES)
+    def test_bitwise(self, seed, axis, measure, variant):
+        g = bigraph.build_graph(random_dataset(seed, n_users=9, n_items=12, density=0.4))
+        assert len(simkit._spans(g.n_users, g.n_items)) == 1
+        try:
+            expected = _raw(g, measure, axis, variant, module=oracles)
+        except SimilarityError as exc:
+            with pytest.raises(SimilarityError, match=str(exc)):
+                _raw(g, measure, axis, variant)
+            return
+        got = _raw(g, measure, axis, variant)
+        assert _bits(got) == _bits(expected)
+        assert _bits(normalize(got)) == _bits(oracles.normalize(expected))
+        assert _bits(simkit.similarity(g, measure, axis, variant)) == _bits(
+            oracles.normalize(expected)
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("axis", ["users", "items"])
+    def test_average_cri_ratio_bitwise(self, seed, axis):
+        g = bigraph.build_graph(random_dataset(seed, n_users=9, n_items=12, density=0.4))
+        assert average_cri_ratio(g, axis) == oracles.dense_average_cri_ratio(g, axis)
+
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    def test_normalize_in_row_blocks_is_bitwise(self, rows):
+        g = bigraph.build_graph(random_dataset(4, n_users=11, n_items=9, density=0.5))
+        raw = pim_matrix(g, "users")
+        before = _bits(raw)
+        with mock.patch.object(simkit, "_TILE_BYTES", 8 * raw.n * rows):
+            got = normalize(raw)
+        assert _bits(got) == _bits(oracles.normalize(raw))
+        assert _bits(raw) == before  # the public normalize copies
+
+    def test_similarity_normalizes_its_own_matrix(self, fix4_graph):
+        # no second n x n copy: the raw arrays become the normalized ones
+        made = []
+        real = simkit.pcc_matrix
+
+        def spy(g, axis):
+            made.append(real(g, axis))
+            return made[-1]
+
+        with mock.patch.object(simkit, "pcc_matrix", spy):
+            out = simkit.similarity(fix4_graph, "pcc", "users")
+        assert out.values is made[0].values and out.defined is made[0].defined
+
+
+class TestMemoryCeiling:
+    @pytest.mark.parametrize("call", [
+        lambda g: cosine_matrix(g, "items"),
+        lambda g: pcc_matrix(g, "items"),
+        lambda g: pim_matrix(g, "items"),
+        lambda g: average_cri_ratio(g, "items"),
+        lambda g: simkit.similarity(g, "pim", "items"),
+    ], ids=["cosine", "pcc", "pim", "ar", "similarity"])
+    def test_too_big_fails_before_any_tile(self, fix4_graph, call):
+        n, m = fix4_graph.n_items, fix4_graph.n_users
+        need = 9 * n * n + simkit._TILES_ALIVE * 8 * n * m
+        with mock.patch.object(simkit, "_memory_limit", return_value=need - 1), \
+                mock.patch.object(simkit, "_scatter", side_effect=AssertionError("tile built")):
+            with pytest.raises(simkit.MemoryCeilingError) as info:
+                call(fix4_graph)
+        msg = str(info.value)
+        assert f"over {n} items needs {need:,} bytes" in msg
+        assert msg.split()[0] in {"cosine", "pcc", "pim"}
+
+    def test_fitting_size_runs(self, fix4_graph):
+        n, m = fix4_graph.n_items, fix4_graph.n_users
+        need = 9 * n * n + simkit._TILES_ALIVE * 8 * n * m
+        with mock.patch.object(simkit, "_memory_limit", return_value=need):
+            pim_matrix(fix4_graph, "items")
+
+    def test_message_names_measure_axis_size_and_bytes(self, fix4_graph):
+        # 4 x 4 values and defined flags, and eight one-tile copies of 4 rows of 4 floats
+        need = 9 * 4 * 4 + simkit._TILES_ALIVE * 8 * 4 * 4
+        with mock.patch.object(simkit, "_memory_limit", return_value=need - 1):
+            with pytest.raises(SimilarityError, match=(
+                rf"^pcc similarity over 4 users needs {need:,} bytes \(0 MiB\), "
+                rf"more than the {need - 1:,} this process may hold$"
+            )):
+                pcc_matrix(fix4_graph, "users")
+
+    def test_ceiling_is_a_similarity_error(self):
+        assert issubclass(simkit.MemoryCeilingError, SimilarityError)
+
+    def test_limit_reader(self):
+        phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        for soft, expected in ((1000, 1000), (simkit.resource.RLIM_INFINITY, phys)):
+            with mock.patch.object(simkit.resource, "getrlimit", return_value=(soft, soft)):
+                assert simkit._memory_limit() == expected
