@@ -20,9 +20,7 @@ from diffrec.corpus import (
 from diffrec.bigraph import BipartiteGraph, build_graph
 from diffrec.simkit import (
     SimilarityMatrix,
-    average_cri_ratio,
     cosine_matrix,
-    normalize,
     pcc_matrix,
     pim_matrix,
 )
@@ -46,7 +44,6 @@ __all__ = [
     "RatingScale",
     "RecommendationList",
     "SimilarityMatrix",
-    "average_cri_ratio",
     "build_graph",
     "cosine_matrix",
     "dataset_stats",
@@ -55,7 +52,6 @@ __all__ = [
     "knn_scores",
     "load_ratings",
     "md_scores",
-    "normalize",
     "pcc_matrix",
     "pim_matrix",
     "rank",

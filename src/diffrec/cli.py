@@ -6,7 +6,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +14,6 @@ import numpy as np
 from diffrec import corpus, harness, simkit
 from diffrec.corpus import FilterSpec, FoldPair, RatingScale
 from diffrec.harness import ExperimentConfig
-from diffrec.recommend import MfConfig
 
 
 class CliError(ValueError):
@@ -159,14 +158,12 @@ def resolve(args: argparse.Namespace) -> Settings:
     def given(cls) -> dict:
         return {f.name: values[f.name] for f in fields(cls) if f.name in values}
 
-    cfg = ExperimentConfig(**given(ExperimentConfig))
     return Settings(
         input=values["input"],
         format=values.get("format", "generic-csv"),
         scale=values.get("scale", RatingScale(1.0, 5.0, 1.0)),
         out_dir=values.get("out_dir", Path(os.environ.get("DIFFREC_OUT_DIR", "."))),
-        # the MF seed follows the run's seed
-        experiment=replace(cfg, mf=MfConfig(seed=cfg.seed)),
+        experiment=ExperimentConfig(**given(ExperimentConfig)),
         filters=FilterSpec(**given(FilterSpec)),
     )
 

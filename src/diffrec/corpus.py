@@ -152,42 +152,8 @@ class _Columns:
     chunks: Iterable[list]
     rows: int
     width: int
-    where: Callable[[int], str] = lambda row: f"row {row + 1}"
+    where: Callable[[int], str]
     error: CorpusError | None = None
-
-
-def from_triples(
-    triples,
-    scale: RatingScale,
-) -> RatingDataset:
-    """Build a dataset from (user, item, rating[, timestamp]) tuples.
-
-    Labels get dense ids in order of first appearance. Duplicate
-    (user, item) pairs and off-grid ratings are errors, as are tuples of
-    another width and a mix of stamped and unstamped tuples (a timestamp
-    of None is no timestamp). The tuples take the same checks as a loaded
-    file's rows, with errors named by row.
-    """
-    rows = list(triples)
-    widths = np.fromiter(
-        (len(r) - (len(r) == 4 and r[3] is None) for r in rows), np.intp, len(rows)
-    )
-    valid = (widths == 3) | (widths == 4)
-    bad = np.flatnonzero(~valid | (widths != widths[:1]))
-    n = int(bad[0]) if len(bad) else len(rows)
-    error = None
-    if n < len(rows):
-        error = CorpusError(
-            f"row {n + 1}: expected 3 or 4 fields, got {widths[n]}"
-            if not valid[n]
-            else f"row {n + 1}: inconsistent timestamp presence"
-        )
-    head = rows[:n]
-    width = int(widths[0]) if n else 3
-    columns = [map(str, map(itemgetter(0), head)), map(str, map(itemgetter(1), head))]
-    columns += [map(itemgetter(k), head) for k in range(2, width)]
-    flat = list(chain.from_iterable(zip(*columns)))
-    return _dataset(_Columns([flat], n, width, error=error), scale)
 
 
 def load_ratings(path, format: str, scale: RatingScale) -> RatingDataset:
@@ -212,7 +178,7 @@ def _read_generic_csv(path) -> _Columns:
     with open(path, encoding="utf-8", newline="") as fh:
         text = fh.read()
     if not text:
-        return _Columns([], 0, 3)
+        return _text_columns(text, ",", 3, 2, "")  # no header and no rows
     if '"' in text or ("\r" in text and text.count("\r") != text.count("\r\n")):
         # quoted fields or lone \r line ends: the csv module's rules
         reader = csv.reader(io.StringIO(text, newline=""))
@@ -316,8 +282,9 @@ def _dataset(cols: _Columns, scale: RatingScale) -> RatingDataset:
             texts = fields[3::w]
             try:
                 stamps[lo:hi] = np.fromiter(map(int, texts), np.int64, hi - lo)
-                if "_" in "".join(map(str, texts)):
-                    raise ValueError  # a digit separator, which int() takes
+                joined = "".join(texts)
+                if "_" in joined or not joined.isascii():
+                    raise ValueError  # what _number refuses and int() takes
             except (ValueError, OverflowError):
                 # an unparsable stamp, or one beyond int64
                 for row, text in enumerate(texts, lo):
@@ -372,11 +339,14 @@ def _dataset(cols: _Columns, scale: RatingScale) -> RatingDataset:
     )
 
 
-def _number(parse, text):
-    """parse(text), where parse is int or float, refusing the "_" digit
-    separators that both take from Python literals ("1_000")."""
-    if isinstance(text, str) and "_" in text:
+def _number(parse, text: str):
+    """parse(text), where parse is int or float, refusing what both take
+    beyond ASCII numbers: the "_" digit separators of Python literals
+    ("1_000"), and non-ASCII digits and spaces ("٣", "１２")."""
+    if "_" in text:
         raise ValueError(f"digit separator '_' in number {text!r}")
+    if not text.isascii():
+        raise ValueError(f"non-ASCII character in number {text!r}")
     return parse(text)
 
 

@@ -43,7 +43,7 @@ _BLOCK_BYTES = 8 << 20
 class ExperimentConfig:
     dataset_name: str = "dataset"
     k_folds: int = 5
-    seed: int = 0
+    seed: int = 0  # splits the folds and trains MF
     list_length: int = 100
     like_threshold: float = 3.0
     methods: tuple[str, ...] = KNOWN_METHODS
@@ -210,7 +210,7 @@ class FoldContext:
     @property
     def mf_model(self) -> recommend.MFModel:
         if self._mf is None:
-            self._mf = recommend.train_mf(self.pair.train, self.cfg.mf)
+            self._mf = recommend.train_mf(self.pair.train, self.cfg.mf, self.cfg.seed)
         return self._mf
 
     def user_counts(self, fold: int) -> dict[str, int]:

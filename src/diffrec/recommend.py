@@ -57,7 +57,6 @@ class MfConfig:
     learning_rate: float = 0.005
     regularization: float = 0.02
     epochs: int = 50
-    seed: int = 0
 
     def __post_init__(self):
         if self.factors < 1:
@@ -342,9 +341,9 @@ class MFModel:
     scale_max: float
 
 
-def train_mf(train: RatingDataset, cfg: MfConfig) -> MFModel:
+def train_mf(train: RatingDataset, cfg: MfConfig, seed: int) -> MFModel:
     """Biased latent-factor model fit by per-rating stochastic gradient
-    descent on squared error; deterministic given cfg.seed.
+    descent on squared error; deterministic given the seed.
 
     Each epoch visits the ratings in a fresh random permutation, one SGD
     step per rating, but applies the steps in dependency waves: a step's
@@ -356,7 +355,7 @@ def train_mf(train: RatingDataset, cfg: MfConfig) -> MFModel:
     strata of Gemulla et al., KDD 2011). The parameters are therefore
     those of plain sequential SGD, bit for bit.
     """
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     n_users, n_items = train.n_users, train.n_items
     p = rng.normal(0.0, 0.1, size=(n_users, cfg.factors))
     q = rng.normal(0.0, 0.1, size=(n_items, cfg.factors))

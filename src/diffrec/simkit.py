@@ -1,6 +1,6 @@
 """Similarity measures over either graph axis: cosine, Pearson, and the
-co-rating/activity/popularity-corrected Pearson variant, plus min-max
-normalization and one entry point choosing among them.
+co-rating/activity/popularity-corrected Pearson variant, and one entry
+point that computes one of them and min-max normalizes it.
 
 All three measures run on one tiled core. The axis's rating rows are
 scattered from the CSR rows into dense tiles of about _TILE_BYTES, and
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Literal, get_args
 
 import numpy as np
+import scipy.sparse as sp
 
 if TYPE_CHECKING:
     from diffrec.bigraph import BipartiteGraph
@@ -28,7 +29,7 @@ PenaltyVariant = Literal["pair-max", "global-max"]
 MEASURES = ("cosine", "pcc", "pim")
 # base of the logarithm in pim's popularity down-weighting
 LOG_BASE_POPULARITY = 10.0
-# bytes of one dense tile of float64 rows: rating rows, or output rows in normalize
+# bytes of one dense tile of float64 rows: rating rows, or output rows in _normalize
 _TILE_BYTES = 24 << 20
 # dense tiles counted in a size estimate: four of the row tile and two of
 # the column tile are alive at once, plus room for a pair's products
@@ -69,15 +70,15 @@ class SimilarityMatrix:
 
 
 def _axis_rows(g: "BipartiteGraph", axis: Axis):
-    """(CSR rows = axis nodes, node degrees, opposite-side degrees), the
-    degrees as float64."""
+    """(CSR rows = axis nodes, their 0/1 adjacency rows, node degrees,
+    opposite-side degrees), the degrees as float64."""
     if axis == "users":
-        w, deg, other_deg = g.weights, g.user_degree, g.item_degree
+        w, a, deg, other_deg = g.weights, g.adjacency, g.user_degree, g.item_degree
     elif axis == "items":
-        w, deg, other_deg = g.weights_t, g.item_degree, g.user_degree
+        w, a, deg, other_deg = g.weights_t, g.adjacency_t, g.item_degree, g.user_degree
     else:
         raise SimilarityError(f"unknown axis {axis!r}")
-    return w, deg.astype(np.float64), other_deg.astype(np.float64)
+    return w, a, deg.astype(np.float64), other_deg.astype(np.float64)
 
 
 def _spans(n: int, m: int) -> list[slice]:
@@ -87,16 +88,13 @@ def _spans(n: int, m: int) -> list[slice]:
     return [slice(lo, min(lo + h, n)) for lo in range(0, n, h)]
 
 
-def _scatter(w, rows: slice, values=None, dtype=np.float64) -> np.ndarray:
-    """Dense rows `rows` of CSR `w`, 0 where nothing is stored. `values`
-    is a function of (row within the tile, stored value) giving what to
-    put at each stored entry; by default the stored value itself."""
+def _scatter(w, rows: slice, dtype=np.float64) -> np.ndarray:
+    """Dense rows `rows` of CSR `w`, 0 where nothing is stored."""
     lo, hi = w.indptr[rows.start], w.indptr[rows.stop]
     height = rows.stop - rows.start
     local = np.repeat(np.arange(height), np.diff(w.indptr[rows.start : rows.stop + 1]))
     out = np.zeros((height, w.shape[1]), dtype)
-    data = w.data[lo:hi]
-    out[local, w.indices[lo:hi]] = data if values is None else values(local, data)
+    out[local, w.indices[lo:hi]] = w.data[lo:hi]
     return out
 
 
@@ -177,7 +175,7 @@ def _output(measure: str, axis: Axis, w) -> tuple[np.ndarray, np.ndarray, list[s
 
 def cosine_matrix(g: "BipartiteGraph", axis: Axis) -> SimilarityMatrix:
     """Cosine similarity over full rating vectors, missing entries as 0."""
-    w, _, _ = _axis_rows(g, axis)
+    w, _, _, _ = _axis_rows(g, axis)
     values, defined, spans = _output("cosine", axis, w)
     norms = np.sqrt(_row_sums(w, spans, square=True))
     for b, c, xb, xc in _tile_pairs(spans, lambda rows: _scatter(w, rows)):
@@ -190,21 +188,20 @@ def cosine_matrix(g: "BipartiteGraph", axis: Axis) -> SimilarityMatrix:
     return SimilarityMatrix(axis=axis, values=values, defined=defined)
 
 
-def _centred_tiles(w, spans, deg):
+def _centred_tiles(w, a, spans, deg):
     """A builder of (xc, mask) tiles of rows: `xc` each rating minus its
-    node's mean rating (0 where unrated), `mask` 1 where rated. Node
-    means come from the dense row sums over all of each node's ratings."""
+    node's mean rating (0 where unrated), `mask` the adjacency `a`, 1
+    where rated even where the centred rating is 0. Node means come from
+    the dense row sums over all of each node's ratings."""
     sums = _row_sums(w, spans)
     means = np.divide(sums, deg, out=np.zeros_like(sums), where=deg > 0)
-
-    def build(rows: slice):
-        xc = _scatter(w, rows, lambda r, v: v - means[rows][r])
-        return xc, _scatter(w, rows, lambda r, v: 1.0)
-
-    return build
+    centred = sp.csr_matrix(
+        (w.data - np.repeat(means, np.diff(w.indptr)), w.indices, w.indptr), shape=w.shape
+    )
+    return lambda rows: (_scatter(centred, rows), _scatter(a, rows))
 
 
-def _pearson_tiles(w, spans, deg, col_w=None):
+def _pearson_tiles(w, a, spans, deg, col_w=None):
     """For every tile pair (b, c, num, denom): `num` the co-rating sums
     of centred products (each column weighted by `col_w` if given) and
     `denom` the per-pair variance product over the co-rating set.
@@ -215,7 +212,7 @@ def _pearson_tiles(w, spans, deg, col_w=None):
 
     Each row tile's diagonal pair is computed first and given last, so
     that no dense tile is alive while the caller works on it."""
-    build = _centred_tiles(w, spans, deg)
+    build = _centred_tiles(w, a, spans, deg)
     for k, b in enumerate(spans):
         xb, mb = build(b)
         left = xb if col_w is None else xb * col_w[None, :]
@@ -241,9 +238,9 @@ def _pearson_tiles(w, spans, deg, col_w=None):
 def pcc_matrix(g: "BipartiteGraph", axis: Axis) -> SimilarityMatrix:
     """Pearson similarity: sums over the co-rating set, means over all
     of each node's own ratings."""
-    w, deg, _ = _axis_rows(g, axis)
+    w, a, deg, _ = _axis_rows(g, axis)
     values, defined, spans = _output("pcc", axis, w)
-    for b, c, num, denom in _pearson_tiles(w, spans, deg):
+    for b, c, num, denom in _pearson_tiles(w, a, spans, deg):
         ok = denom > 0
         _put(values, b, c, np.clip(_quotient(num, denom, ok), -1.0, 1.0, out=num))
         _put(defined, b, c, ok)
@@ -251,10 +248,10 @@ def pcc_matrix(g: "BipartiteGraph", axis: Axis) -> SimilarityMatrix:
     return SimilarityMatrix(axis=axis, values=values, defined=defined)
 
 
-def _cri_ratios(w, spans, deg, out: np.ndarray) -> float:
-    """Write each pair's intersection/union ratio of rating sets into
-    `out` (both triangles; empty-union pairs 0) and return its mean over
-    all unordered distinct node pairs (AR)."""
+def _cri_ratios(a, spans, deg, out: np.ndarray) -> float:
+    """Write each pair's intersection/union ratio of rating sets, from the
+    0/1 adjacency rows `a`, into `out` (both triangles; empty-union pairs
+    0) and return its mean over all unordered distinct node pairs (AR)."""
     n = out.shape[0]
     if n < 2:
         raise SimilarityError("need at least 2 nodes to average pair ratios")
@@ -265,21 +262,12 @@ def _cri_ratios(w, spans, deg, out: np.ndarray) -> float:
             f"a node has {deg.max():,.0f} ratings, more than the {_FLOAT32_EXACT:,} "
             f"whose co-rating counts are exact in float32"
         )
-    mask = lambda rows: _scatter(w, rows, lambda r, v: 1.0, np.float32)  # noqa: E731
-    for b, c, mb, mc in _tile_pairs(spans, mask):
+    for b, c, mb, mc in _tile_pairs(spans, lambda rows: _scatter(a, rows, np.float32)):
         inter = (mb @ mc.T).astype(np.float64)  # exact co-rating counts
         union = deg[b, None] + deg[None, c] - inter
         _put(out, b, c, np.divide(inter, union, out=np.zeros_like(inter), where=union > 0))
     total = (out.sum() - np.trace(out)) / 2.0
     return float(total / (n * (n - 1) / 2.0))
-
-
-def average_cri_ratio(g: "BipartiteGraph", axis: Axis) -> float:
-    """AR: the mean intersection/union ratio of rating sets over all
-    unordered distinct node pairs; empty-union pairs contribute 0."""
-    w, deg, _ = _axis_rows(g, axis)
-    ratios, _, spans = _output("pim", axis, w)
-    return _cri_ratios(w, spans, deg, ratios)
 
 
 def pim_matrix(
@@ -301,9 +289,9 @@ def pim_matrix(
     """
     if penalty_variant not in get_args(PenaltyVariant):
         raise SimilarityError(f"unknown penalty variant {penalty_variant!r}")
-    w, deg, other_deg = _axis_rows(g, axis)
+    w, a, deg, other_deg = _axis_rows(g, axis)
     values, defined, spans = _output("pim", axis, w)
-    ar = _cri_ratios(w, spans, deg, values)
+    ar = _cri_ratios(a, spans, deg, values)
     if ar <= 0:
         raise SimilarityError(f"no two {axis} co-rate, so the mean co-rating ratio is 0")
 
@@ -311,7 +299,7 @@ def pim_matrix(
     pos = other_deg > 0
     col_w[pos] = np.log(LOG_BASE_POPULARITY) / np.log1p(other_deg[pos])
     deg_max = None if penalty_variant == "pair-max" else deg.max()
-    for b, c, num, denom in _pearson_tiles(w, spans, deg, col_w):
+    for b, c, num, denom in _pearson_tiles(w, a, spans, deg, col_w):
         ok = denom > 0
         reward = values[b, c] / ar
         num *= np.log1p(reward, out=reward)
@@ -351,23 +339,16 @@ def similarity(
         raw = pim_matrix(g, axis, penalty_variant)
     else:
         raise SimilarityError(f"unknown similarity measure {measure!r}")
-    return _normalize_in_place(raw)
+    return _normalize(raw)
 
 
-def normalize(m: SimilarityMatrix) -> SimilarityMatrix:
-    """Min-max normalize defined off-diagonal values to [0, 1].
+def _normalize(m: SimilarityMatrix) -> SimilarityMatrix:
+    """Min-max normalize defined off-diagonal values to [0, 1], overwriting
+    m's arrays one block of rows at a time.
 
     Undefined entries map to 0, the diagonal to 1. If every defined
-    off-diagonal value is equal, they all map to 0.5. `m` is left as it
-    is.
+    off-diagonal value is equal, they all map to 0.5.
     """
-    return _normalize_in_place(
-        SimilarityMatrix(axis=m.axis, values=m.values.copy(), defined=m.defined.copy())
-    )
-
-
-def _normalize_in_place(m: SimilarityMatrix) -> SimilarityMatrix:
-    """normalize, overwriting m's arrays, one block of rows at a time."""
     values, defined = m.values, m.defined
     blocks = _spans(m.n, m.n)
 

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from diffrec import bigraph, corpus
+from diffrec import bigraph, corpus, simkit
 from diffrec.harness import HarnessError
+
+import oracles
 
 
 # Property tests run without a per-example deadline: wall time on a shared
@@ -31,9 +33,21 @@ FIX4_TRIPLES = (
 )
 
 
+def cri_ratios(g, axis):
+    """(pair ratio matrix, AR) over one axis, from the ratio pass that
+    pim_matrix runs (simkit._cri_ratios), at the tile size in force."""
+    w, a, deg, _ = simkit._axis_rows(g, axis)
+    ratios, _, spans = simkit._output("pim", axis, w)
+    return ratios, simkit._cri_ratios(a, spans, deg, ratios)
+
+
+def average_cri_ratio(g, axis):
+    return cri_ratios(g, axis)[1]
+
+
 @pytest.fixture
 def fix4():
-    return corpus.from_triples(FIX4_TRIPLES, corpus.RatingScale(1, 5, 1))
+    return oracles.from_triples(FIX4_TRIPLES, corpus.RatingScale(1, 5, 1))
 
 
 @pytest.fixture
@@ -67,7 +81,7 @@ def random_dataset(seed, n_users=6, n_items=6, density=0.5, scale=None):
         if f"i{i}" not in rated_items:
             u = int(rng.integers(n_users))
             triples.append((f"u{u}", f"i{i}", float(rng.choice(grid))))
-    return corpus.from_triples(triples, scale)
+    return oracles.from_triples(triples, scale)
 
 
 def random_ranking(seed, n_users, n_items, density, full_user=False):
@@ -80,7 +94,7 @@ def random_ranking(seed, n_users, n_items, density, full_user=False):
     ds = random_dataset(seed, n_users=n_users, n_items=n_items, density=density)
     if full_user:
         rated = list(ds.triples()) + [(n_users, i, 3.0) for i in range(ds.n_items)]
-        ds = corpus.from_triples(
+        ds = oracles.from_triples(
             [(f"u{u}", f"i{i}", r) for u, i, r in rated], corpus.RatingScale(1, 5, 1)
         )
     g = bigraph.build_graph(ds)

@@ -409,11 +409,11 @@ def gini_complement_mad(counts):
     return 1.0 - gini
 
 
-def train_mf(train, cfg):
+def train_mf(train, cfg, seed):
     """Biased latent-factor model fit by per-rating stochastic gradient
     descent on squared error, one rating at a time in each epoch's
     permutation order."""
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     n_users, n_items = train.n_users, train.n_items
     p = rng.normal(0.0, 0.1, size=(n_users, cfg.factors))
     q = rng.normal(0.0, 0.1, size=(n_items, cfg.factors))
@@ -483,6 +483,8 @@ def _read_ml100k(path):
 def _number(parse, text):
     if "_" in text:
         raise ValueError(f"digit separator '_' in number {text!r}")
+    if not text.isascii():
+        raise ValueError(f"non-ASCII character in number {text!r}")
     return parse(text)
 
 
@@ -524,7 +526,8 @@ def _read_generic_csv(path):
 
 def from_triples(triples, scale):
     """Dataset from (user, item, rating[, timestamp]) tuples, one row at a
-    time: ids on first appearance, a set of seen pairs, on_grid per row."""
+    time: ids on first appearance, a set of seen pairs, on_grid per row.
+    The tests build their fixtures with it."""
     user_ids = {}
     item_ids = {}
     users, items, ratings, stamps = [], [], [], []

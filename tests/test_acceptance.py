@@ -13,7 +13,7 @@ from diffrec.corpus import FilterSpec, RatingScale
 from diffrec.harness import ExperimentConfig
 
 import oracles
-from conftest import ml100k_path, random_dataset, report_mean, requires_ml100k
+from conftest import average_cri_ratio, ml100k_path, random_dataset, report_mean, requires_ml100k
 
 
 @pytest.fixture(scope="module")
@@ -280,7 +280,7 @@ class TestCriterion7Properties:
     def test_similarity_matches_scalar_oracle(self, seed):
         ds = random_dataset(600 + seed, n_users=6, n_items=6, density=0.5)
         g = bigraph.build_graph(ds)
-        ar = simkit.average_cri_ratio(g, "users")
+        ar = average_cri_ratio(g, "users")
         pim = simkit.pim_matrix(g, "users")
         pcc = simkit.pcc_matrix(g, "users")
         cs = simkit.cosine_matrix(g, "users")
@@ -301,7 +301,7 @@ class TestCriterion7Properties:
                         assert matrix.values[a, b] == pytest.approx(expected, abs=1e-9)
 
     def test_pimra_fix4_oracle(self, fix4, fix4_graph):
-        sim = simkit.normalize(simkit.pim_matrix(fix4_graph, "items"))
+        sim = simkit.similarity(fix4_graph, "pim", "items")
         scorer = recommend.PimraScorer(fix4_graph, sim)
         for u in range(fix4.n_users):
             expected = oracles.pimra_item_scores(fix4, u, sim.values, 0.6)

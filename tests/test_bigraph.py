@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from diffrec import corpus
 from diffrec.bigraph import GraphError, build_graph
 from diffrec.corpus import RatingScale
 
+import oracles
 from conftest import dump_csv, random_dataset
 
 
@@ -21,7 +21,7 @@ def test_fix4_weight_sums(fix4_graph, uid, iid):
 
 
 def test_single_triple():
-    ds = corpus.from_triples([("u", "i", 4)], RatingScale(1, 5, 1))
+    ds = oracles.from_triples([("u", "i", 4)], RatingScale(1, 5, 1))
     g = build_graph(ds)
     assert g.user_degree[0] == g.item_degree[0] == 1
     assert g.user_weight_sum[0] == g.item_weight_sum[0] == 4
@@ -29,7 +29,7 @@ def test_single_triple():
 
 def test_zero_rating_clamped():
     scale = RatingScale(0, 1, 0.2)
-    ds = corpus.from_triples([("u", "a", 0.0), ("u", "b", 0.6)], scale)
+    ds = oracles.from_triples([("u", "a", 0.0), ("u", "b", 0.6)], scale)
     g = build_graph(ds)
     _, weights = g.user_items(0)
     assert weights.min() == pytest.approx(0.2)
@@ -37,7 +37,7 @@ def test_zero_rating_clamped():
 
 
 def test_empty_dataset_rejected():
-    ds = corpus.from_triples([], RatingScale(1, 5, 1))
+    ds = oracles.from_triples([], RatingScale(1, 5, 1))
     with pytest.raises(GraphError):
         build_graph(ds)
 

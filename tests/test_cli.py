@@ -9,8 +9,8 @@ from diffrec import bigraph, corpus, recommend, simkit
 from diffrec.cli import SETTINGS, build_parser, main, resolve
 from diffrec.corpus import FilterSpec
 from diffrec.harness import KNOWN_METHODS, ExperimentConfig
-from diffrec.recommend import MfConfig
 
+import oracles
 from conftest import random_dataset
 
 
@@ -120,7 +120,7 @@ def resolved(tmp_path, config="", flags=()):
 
 def test_empty_config_takes_the_dataclass_defaults(tmp_path):
     settings = resolved(tmp_path, flags=["--input", "r.csv"])
-    assert settings.experiment == ExperimentConfig(mf=MfConfig(seed=0))
+    assert settings.experiment == ExperimentConfig()
     assert settings.filters == FilterSpec()
 
 
@@ -162,8 +162,6 @@ def test_config_key_reaches_its_field(tmp_path, key):
     get = lambda s: getattr(getattr(s, owner) if owner else s, name)
     assert get(default) != value
     assert get(settings) == value
-    # the MF seed follows the run's seed
-    assert settings.experiment.mf.seed == settings.experiment.seed
 
 
 def test_method_precedence(tmp_path):
@@ -179,7 +177,7 @@ def test_method_precedence(tmp_path):
 
 def test_flag_overrides_config_value(tmp_path):
     settings = resolved(tmp_path, "input = r.csv\nseed = 3\ntheta = 0.1\n", ["--seed", "5"])
-    assert (settings.experiment.seed, settings.experiment.mf.seed) == (5, 5)
+    assert settings.experiment.seed == 5
     assert settings.experiment.theta == 0.1
 
 
@@ -197,7 +195,7 @@ def test_recommend_md_fix4(fix4_csv, capsys):
 def test_recommend_honours_knn_measure(synth_csv, tmp_path, capsys):
     ds = corpus.load_ratings(synth_csv, "generic-csv", corpus.RatingScale(1, 5, 1))
     g = bigraph.build_graph(ds)
-    sim = simkit.normalize(simkit.cosine_matrix(g, "users"))
+    sim = simkit.similarity(g, "cosine", "users")
     rec = recommend.rank(g, [0], recommend.knn_scores(sim, g, 0, k=3)[None, :], 5)[0]
     expected = [
         f"u0,{rank},{ds.item_labels[item]},{score:.4f}"
@@ -300,7 +298,7 @@ def test_eval_one_user_fold_writes_na_rows(tmp_path, capsys):
         (f"u{u}", f"i{i}", 1 + (u * i) % 5) for u in range(8) for i in range(8) if (u + i) % 3
     ]
     data = tmp_path / "c8.csv"
-    corpus.write_ratings(corpus.from_triples(triples, corpus.RatingScale(1, 5, 1)), data)
+    corpus.write_ratings(oracles.from_triples(triples, corpus.RatingScale(1, 5, 1)), data)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("folds = 8\n")
     out = tmp_path / "out"
@@ -323,7 +321,7 @@ def test_eval_fold_without_evaluable_users_writes_na_rows(tmp_path, capsys):
         for u in range(4) for i in range(4) if (u + i) % 2
     ]
     data = tmp_path / "c4.csv"
-    corpus.write_ratings(corpus.from_triples(triples, corpus.RatingScale(1, 5, 1)), data)
+    corpus.write_ratings(oracles.from_triples(triples, corpus.RatingScale(1, 5, 1)), data)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("folds = 8\n")
     out = tmp_path / "out"

@@ -238,6 +238,33 @@ class TestLoadErrors:
             with pytest.raises(CorpusError, match=f"^{message}$"):
                 load(path, fmt, RatingScale(1, 10, 1))
 
+    @pytest.mark.parametrize(
+        "text,fmt,message",
+        [
+            # the rating's error comes first within a row
+            ("user,item,rating,timestamp\na,x,\u0663,\uff11\uff12\n", "generic-csv",
+             "line 2: non-ASCII character in number '\u0663'"),
+            ("user,item,rating,timestamp\na,x,3,7\nb,x,4,\uff11\uff12\n", "generic-csv",
+             "line 3: non-ASCII character in number '\uff11\uff12'"),
+            ('user,item,rating\n"a",x,3\nb,x,\u0664\n', "generic-csv",
+             "line 3: non-ASCII character in number '\u0664'"),
+            ('user,item,rating,timestamp\n"a",x,3,\u00a07\n', "generic-csv",
+             r"line 2: non-ASCII character in number '\\xa07'"),  # a no-break space
+            ("a\tx\t3\t7\n\nb\tx\t\uff14\t8\n", "ml100k-tsv",
+             "line 3: non-ASCII character in number '\uff14'"),
+            ("a\tx\t3\t7\nb\tx\t4\t\u0668\n", "ml100k-tsv",
+             "line 2: non-ASCII character in number '\u0668'"),
+        ],
+        ids=["rating-first", "stamp", "csv-rating", "csv-stamp-space", "ml100k", "ml100k-stamp"],
+    )
+    def test_non_ascii_digits_are_unparsable(self, tmp_path, text, fmt, message):
+        # int() and float() take any Unicode digit or space; a rating file does not
+        path = tmp_path / "r.txt"
+        path.write_text(text, encoding="utf-8")
+        for load in (load_ratings, oracles.load_ratings):
+            with pytest.raises(CorpusError, match=f"^{message}$"):
+                load(path, fmt, RatingScale(1, 10, 1))
+
     def test_quoted_and_lone_cr_files_read_through_csv(self, tmp_path):
         ds = load_text(tmp_path, 'user,item,rating\r"a,1",b,3\r"say ""hi""",b,4\r')
         assert ds.user_labels == ("a,1", 'say "hi"')
@@ -253,7 +280,11 @@ class TestLoadErrors:
 LABELS = ["a", "b", "c", "u1", "i1", "é", " a", "\x0c", "\x00", "", "x,y", 'q"t']
 GOOD_RATINGS = ["1", "2", "3", "4", "5", "4.0", " 2", "1e0"]
 OFF_GRID = ["3.5", "0", "6", "nan", "inf", "-1"]
-BAD = {"rating": ["x", "", "4,0"], "stamp": ["x", "1.5", ""], "line": ["short", "long", "blank"]}
+BAD = {
+    "rating": ["x", "", "4,0", "\u0663"],
+    "stamp": ["x", "1.5", "", "\uff11\uff12"],
+    "line": ["short", "long", "blank"],
+}
 STAMPS = ["880", "0", "-3", " 7", "1_0"]
 HEADERS = ["user,item,rating", "user,item,rating,timestamp", " User , ITEM,rating"]
 BAD_HEADERS = ["user,item,rating,when", "usr,item,rating", ""]
@@ -345,37 +376,6 @@ class TestLoaderMatchesRowOracle:
             )
 
 
-class TestFromTriples:
-    def test_matches_oracle(self):
-        triples = [("u1", "i1", 5), (2, 3.0, "4"), ("u1", "i2", np.float64(1.0))]
-        ours, theirs = corpus.from_triples(triples, SCALE15), oracles.from_triples(triples, SCALE15)
-        assert ours.user_labels == theirs.user_labels == ("u1", "2")
-        assert ours.item_labels == theirs.item_labels == ("i1", "3.0", "i2")
-        assert ours.ratings.tolist() == theirs.ratings.tolist() == [5.0, 4.0, 1.0]
-        assert ours.timestamps is theirs.timestamps is None
-
-    def test_stamps_of_none_are_no_stamps(self):
-        ds = corpus.from_triples([("a", "b", 3, None), ("c", "b", 4)], SCALE15)
-        assert ds.timestamps is None and ds.n_links == 2
-
-    @pytest.mark.parametrize(
-        "triples,message",
-        [
-            ([("a", "b", 3), ("a", "b")], "^row 2: expected 3 or 4 fields, got 2$"),
-            ([("a", "b", 3, 1), ("c", "b", 3)], "^row 2: inconsistent timestamp presence$"),
-            ([("a", "b", 3), ("c", "b", 7)], "^row 2: rating 7.0 is off the scale grid"),
-            ([("a", "b", 3), ("a", "b", 2)], r"^row 2: duplicate \(user, item\) pair \(a, b\)$"),
-            ([("a", "b", 3), ("c", "b", "x")], "^row 2: could not convert string to float: 'x'$"),
-            ([("a", "b", 3, "x")], r"^row 1: invalid literal for int\(\)"),
-            ([("a", "b", "1_0")], "^row 1: digit separator '_' in number '1_0'$"),
-            ([("a", "b", 3, "1_0")], "^row 1: digit separator '_' in number '1_0'$"),
-        ],
-    )
-    def test_errors_name_the_row(self, triples, message):
-        with pytest.raises(CorpusError, match=message):
-            corpus.from_triples(triples, SCALE15)
-
-
 class TestWriters:
     """The column writers give the row-by-row writers' bytes."""
 
@@ -390,7 +390,7 @@ class TestWriters:
 
     @pytest.mark.parametrize("stamped", [True, False])
     def test_ratings_bytes_and_round_trip(self, tmp_path, stamped):
-        ds = corpus.from_triples([t if stamped else t[:3] for t in self.TRIPLES], self.SCALE)
+        ds = oracles.from_triples([t if stamped else t[:3] for t in self.TRIPLES], self.SCALE)
         ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
         corpus.write_ratings(ds, ours)
         oracles.write_ratings(ds, theirs)
@@ -404,7 +404,7 @@ class TestWriters:
             assert back.timestamps.tolist() == ds.timestamps.tolist()
 
     def test_fold_manifest_bytes(self, tmp_path):
-        ds = corpus.from_triples(self.TRIPLES, self.SCALE)
+        ds = oracles.from_triples(self.TRIPLES, self.SCALE)
         folds = kfold_split(ds, 2, seed=3)
         ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
         corpus.write_fold_manifest(folds, ours)
@@ -416,7 +416,7 @@ class TestWriters:
         triples = [(u, i, 1.0 + (n % 9) / 2, n) for n, (u, i) in enumerate(
             (u, i) for u in labels for i in reversed(labels)
         )]
-        folds = kfold_split(corpus.from_triples(triples, self.SCALE), 3, seed=1)
+        folds = kfold_split(oracles.from_triples(triples, self.SCALE), 3, seed=1)
         ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
         corpus.write_fold_manifest(folds, ours)
         oracles.write_fold_manifest(folds, theirs)
@@ -424,7 +424,7 @@ class TestWriters:
         assert b'"a,b"' in ours.read_bytes() and b'"say ""x"""' in ours.read_bytes()
 
     def test_fold_manifest_rejects_folds_with_other_labels(self, tmp_path):
-        folds = kfold_split(corpus.from_triples(self.TRIPLES, self.SCALE), 2, seed=3)
+        folds = kfold_split(oracles.from_triples(self.TRIPLES, self.SCALE), 2, seed=3)
         # the same codes under a relabelled user space
         test = folds[1].test
         relabelled = replace(test, user_labels=tuple(f"x{u}" for u in test.user_labels))
@@ -467,7 +467,7 @@ class TestFilter:
             ("u2", "i0", 5),
             ("u2", "i1", 1),
         ]
-        ds = corpus.from_triples(triples, SCALE15)
+        ds = oracles.from_triples(triples, SCALE15)
         out = filter_dataset(ds, FilterSpec(min_item_ratings=2, min_user_ratings=2))
         assert "i1" not in out.item_labels
         assert "u2" not in out.user_labels
@@ -475,7 +475,7 @@ class TestFilter:
 
     def test_top_items(self):
         triples = [("u0", "i0", 3), ("u1", "i0", 4), ("u0", "i1", 2), ("u1", "i2", 5)]
-        ds = corpus.from_triples(triples, SCALE15)
+        ds = oracles.from_triples(triples, SCALE15)
         out = filter_dataset(ds, FilterSpec(top_items=1))
         assert out.item_labels == ("i0",)
         assert out.n_links == 2
@@ -486,7 +486,7 @@ class TestFilter:
 
     def test_densify(self):
         triples = [("u0", "i0", 3), ("u1", "i1", 4), ("u1", "i0", 2)]
-        ds = corpus.from_triples(triples, SCALE15)
+        ds = oracles.from_triples(triples, SCALE15)
         out = filter_dataset(ds, FilterSpec(min_item_ratings=2))
         assert out.n_items == 1
         assert out.users.max() == out.n_users - 1
@@ -538,6 +538,6 @@ class TestStats:
         assert st.sparsity == pytest.approx(1 - 10 / 16)
 
     def test_empty(self):
-        ds = corpus.from_triples([], SCALE15)
+        ds = oracles.from_triples([], SCALE15)
         st = dataset_stats(ds)
         assert (st.users, st.items, st.links, st.sparsity) == (0, 0, 0, 0.0)

@@ -313,7 +313,7 @@ class TestCounts:
 def test_bounds_on_generated_lists():
     ds = random_dataset(5, n_users=8, n_items=10, density=0.5)
     g = build_graph(ds)
-    sim = simkit.normalize(simkit.cosine_matrix(g, "items"))
+    sim = simkit.similarity(g, "cosine", "items")
     rng = np.random.default_rng(6)
     lists = [
         rl(u, list(map(int, rng.choice(10, size=4, replace=False))))

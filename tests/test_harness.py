@@ -41,7 +41,7 @@ def cfg():
         list_length=5,
         knn_k=5,
         theta=0.6,
-        mf=recommend.MfConfig(factors=8, epochs=20, seed=7),
+        mf=recommend.MfConfig(factors=8, epochs=20),
     )
 
 
@@ -151,6 +151,27 @@ class TestRunExperiment:
         write_report_csv(run_experiment(ds, cfg), b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_mf_trains_with_the_run_seed(self, monkeypatch):
+        ds = random_dataset(17, n_users=8, n_items=9, density=0.5)
+        cfg = ExperimentConfig(
+            k_folds=2, seed=3, list_length=5, methods=("SVD",),
+            mf=recommend.MfConfig(factors=3, epochs=2),
+        )
+        trained, real = [], recommend.train_mf
+
+        def spy(*args):
+            trained.append(real(*args))
+            return trained[-1]
+
+        monkeypatch.setattr(recommend, "train_mf", spy)
+        run_experiment(ds, cfg)
+        folds = corpus.kfold_split(ds, cfg.k_folds, 3)
+        assert len(trained) == len(folds)
+        for pair, model in zip(folds, trained):
+            expected = oracles.train_mf(pair.train, cfg.mf, 3)
+            assert np.array_equal(model.user_factors, expected.user_factors)
+            assert np.array_equal(model.item_factors, expected.item_factors)
+
 
 class TestRankingErrors:
     @pytest.mark.parametrize(
@@ -241,7 +262,7 @@ class TestSerialization:
 
 def one_user_fold_corpus():
     """8 x 8 corpus whose 8-fold split has folds with one evaluable user."""
-    return corpus.from_triples(
+    return oracles.from_triples(
         [(f"u{u}", f"i{i}", 1 + (u * i) % 5) for u in range(8) for i in range(8) if (u + i) % 3],
         corpus.RatingScale(1, 5, 1),
     )
@@ -292,10 +313,10 @@ class TestDegenerateInputs:
             for i in range(8)
             if (u * i + u) % 3
         ]
-        return corpus.from_triples(triples + list(extra), scale)
+        return oracles.from_triples(triples + list(extra), scale)
 
     def test_all_equal_ratings_leave_only_the_similarity_methods_na(self):
-        ds = corpus.from_triples(
+        ds = oracles.from_triples(
             [(f"u{u}", f"i{i}", 4) for u in range(6) for i in range(6) if (u + i) % 2],
             corpus.RatingScale(1, 5, 1),
         )
@@ -350,7 +371,7 @@ class TestDegenerateInputs:
         triples = [
             (f"u{u}", f"i{i}", 3 + (u + i) % 3) for u in range(4) for i in range(4) if (u + i) % 2
         ]
-        ds = corpus.from_triples(triples, corpus.RatingScale(1, 5, 1))
+        ds = oracles.from_triples(triples, corpus.RatingScale(1, 5, 1))
         cfg = ExperimentConfig(
             k_folds=ds.n_links, list_length=5, knn_k=3, mf=recommend.MfConfig(factors=4, epochs=5)
         )
@@ -359,7 +380,7 @@ class TestDegenerateInputs:
         assert [f["evaluated_users"] for f in report.fold_users] == [1] * ds.n_links
         # a one-rating fold whose rating is not liked has no one to evaluate:
         # its metrics are NA rows with the reason, and the other folds run
-        ds = corpus.from_triples(
+        ds = oracles.from_triples(
             [(u, i, 2 if r == 3 else r) for u, i, r in triples], corpus.RatingScale(1, 5, 1)
         )
         report = run_experiment(ds, cfg)
@@ -433,7 +454,7 @@ class TestSweepListLength:
         ds = random_dataset(321, n_users=12, n_items=170, density=0.3)
         cfg = ExperimentConfig(
             k_folds=3, seed=1, list_length=100, knn_k=5,
-            mf=recommend.MfConfig(factors=4, epochs=5, seed=1),
+            mf=recommend.MfConfig(factors=4, epochs=5),
         )
         lengths = (10, 150)
         got = sweep_list_length(ds, cfg, lengths)
@@ -486,7 +507,7 @@ class TestSweepKnn:
         rep = sweep_knn(ds, cfg, (k,), measures=("pcc",), modes=("UBCF",))
         pair = corpus.kfold_split(ds, cfg.k_folds, cfg.seed)[0]
         g = bigraph.build_graph(pair.train)
-        sim = simkit.normalize(simkit.pcc_matrix(g, "users"))
+        sim = simkit.similarity(g, "pcc", "users")
         sq = [
             (oracles.knn_rating(pair.train, sim.values, u, i, k) - r) ** 2
             for u, i, r in pair.test.triples()

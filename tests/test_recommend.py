@@ -40,7 +40,7 @@ def identity_item_sim(n):
 
 
 def pim_item_sim(g):
-    return simkit.normalize(simkit.pim_matrix(g, "items"))
+    return simkit.similarity(g, "pim", "items")
 
 
 def ranked(g, user, scores):
@@ -93,7 +93,7 @@ class TestMassDiffusion:
                 assert res_items[j] == pytest.approx(val, abs=1e-9)
 
     def test_sole_rater_returns_mass(self):
-        ds = corpus.from_triples([("a", "x", 3), ("a", "y", 5)], SCALE15)
+        ds = oracles.from_triples([("a", "x", 3), ("a", "y", 5)], SCALE15)
         g = build_graph(ds)
         res_users, _ = md_scores(g, 0)
         assert res_users[0] == pytest.approx(2.0)
@@ -135,12 +135,12 @@ def predict_one(sim, g, user, item, k):
 
 class TestKnnPrediction:
     def test_single_neighbor_similarity_cancels(self):
-        ds = corpus.from_triples(
+        ds = oracles.from_triples(
             [("a", "x", 2), ("a", "y", 4), ("b", "x", 2), ("b", "y", 4), ("b", "z", 5)],
             SCALE15,
         )
         g = build_graph(ds)
-        sim = simkit.normalize(simkit.pcc_matrix(g, "users"))
+        sim = simkit.similarity(g, "pcc", "users")
         pred = predict_one(sim, g, user=0, item=2, k=5)
         assert pred == pytest.approx(5.0)
 
@@ -157,7 +157,7 @@ class TestKnnPrediction:
         assert pred == pytest.approx(7 / 3)  # u3's mean rating
 
     def test_fix4_ubcf_k3_oracle(self, fix4, fix4_graph, uid, iid):
-        sim = simkit.normalize(simkit.pcc_matrix(fix4_graph, "users"))
+        sim = simkit.similarity(fix4_graph, "pcc", "users")
         lookup = sim.values
         expected = oracles.knn_prediction(fix4, lookup, uid["u3"], iid["i2"], k=3)
         pred = predict_one(sim, fix4_graph, uid["u3"], iid["i2"], k=3)
@@ -167,7 +167,7 @@ class TestKnnPrediction:
         assert pred == pytest.approx(4.0)
 
     def test_scale_invariance(self, fix4, fix4_graph, uid, iid):
-        base = simkit.normalize(simkit.pcc_matrix(fix4_graph, "users"))
+        base = simkit.similarity(fix4_graph, "pcc", "users")
         scaled = SimilarityMatrix(
             axis="users",
             values=base.values * 0.37,
@@ -180,7 +180,7 @@ class TestKnnPrediction:
             assert a == pytest.approx(b, abs=1e-12)
 
     def test_rejects_k_below_one(self, fix4_graph):
-        sim = simkit.normalize(simkit.pcc_matrix(fix4_graph, "users"))
+        sim = simkit.similarity(fix4_graph, "pcc", "users")
         with pytest.raises(RecommendError):
             knn_predict(sim, fix4_graph, [0], [1], [3, 0])
 
@@ -218,16 +218,16 @@ class TestKnnPrediction:
 
 class TestKnnRecommend:
     def test_fix4_u1_singleton(self, fix4_graph, uid, iid):
-        sim = simkit.normalize(simkit.pcc_matrix(fix4_graph, "users"))
+        sim = simkit.similarity(fix4_graph, "pcc", "users")
         rec = ranked(fix4_graph, uid["u1"], knn_scores(sim, fix4_graph, uid["u1"], k=3))
         assert rec.items.tolist() == [iid["i2"]]
 
     def test_rated_everything_empty(self):
-        ds = corpus.from_triples(
+        ds = oracles.from_triples(
             [("a", "x", 2), ("a", "y", 4), ("b", "x", 3)], SCALE15
         )
         g = build_graph(ds)
-        sim = simkit.normalize(simkit.cosine_matrix(g, "users"))
+        sim = simkit.similarity(g, "cosine", "users")
         rec = ranked(g, 0, knn_scores(sim, g, 0, k=1))
         assert rec.items.size == rec.scores.size == 0
 
@@ -244,7 +244,7 @@ class TestKnnRecommend:
         # the similarity's axis selects the mode
         ds = random_dataset(60 + seed, n_users=8, n_items=9, density=0.5)
         g = build_graph(ds)
-        sim = simkit.normalize(simkit.pcc_matrix(g, axis))
+        sim = simkit.similarity(g, "pcc", axis)
         for u in range(g.n_users):
             if g.user_degree[u] == 0:
                 continue
@@ -260,7 +260,7 @@ class TestKnnRecommend:
 
 class TestPimra:
     def test_single_user_single_item(self):
-        ds = corpus.from_triples([("a", "x", 4)], SCALE15)
+        ds = oracles.from_triples([("a", "x", 4)], SCALE15)
         g = build_graph(ds)
         scores = PimraScorer(g, identity_item_sim(1)).scores(0, theta=0.0)
         assert scores[0] == pytest.approx(1.0)  # R1 = 1, all mass returns
@@ -361,7 +361,7 @@ class TestPimra:
         # with equal ratings the weighted user hop reduces to the plain
         # diffusion hop scaled by the initialization term
         triples = [(u, i, 3) for u, i, _ in FIX4_TRIPLES]
-        ds = corpus.from_triples(triples, SCALE15)
+        ds = oracles.from_triples(triples, SCALE15)
         g = build_graph(ds)
         by_user = oracles.user_items_map(ds)
         by_item = oracles.item_users_map(ds)
@@ -407,10 +407,10 @@ class TestPimra:
 
 class TestMf:
     def test_descent_on_fix4(self, fix4):
-        cfg = MfConfig(factors=4, epochs=200, seed=3)
-        model = train_mf(fix4, cfg)
+        cfg = MfConfig(factors=4, epochs=200)
+        model = train_mf(fix4, cfg, 3)
         # reconstruct the epoch-0 parameters from the same seed
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(3)
         p0 = rng.normal(0.0, 0.1, size=(fix4.n_users, cfg.factors))
         q0 = rng.normal(0.0, 0.1, size=(fix4.n_items, cfg.factors))
         mu = fix4.ratings.mean()
@@ -422,15 +422,15 @@ class TestMf:
 
     def test_constant_ratings(self):
         triples = [(f"u{u}", f"i{i}", 3) for u in range(4) for i in range(4)]
-        ds = corpus.from_triples(triples, SCALE15)
-        model = train_mf(ds, MfConfig(factors=4, epochs=300, seed=1))
+        ds = oracles.from_triples(triples, SCALE15)
+        model = train_mf(ds, MfConfig(factors=4, epochs=300), 1)
         pred = predict_mf(model, ds.users, ds.items)
         assert np.allclose(pred, 3.0, atol=0.05)
         assert np.linalg.norm(model.user_factors) < 0.1 * np.sqrt(16)
 
     def test_deterministic(self, fix4):
-        a = train_mf(fix4, MfConfig(epochs=5, seed=7))
-        b = train_mf(fix4, MfConfig(epochs=5, seed=7))
+        a = train_mf(fix4, MfConfig(epochs=5), 7)
+        b = train_mf(fix4, MfConfig(epochs=5), 7)
         assert np.array_equal(a.user_factors, b.user_factors)
         assert np.array_equal(
             predict_mf(a, fix4.users, fix4.items),
@@ -441,11 +441,11 @@ class TestMf:
         # learning rates at which the scalar oracle diverges on fix4, seed 0,
         # and the epoch at which it does
         for lr, epoch in ((1e6, 1), (2.0, 2), (0.8, 3)):
-            cfg = MfConfig(learning_rate=lr, epochs=10, seed=0)
+            cfg = MfConfig(learning_rate=lr, epochs=10)
             with pytest.raises(MfDivergenceError) as expected:
-                oracles.train_mf(fix4, cfg)
+                oracles.train_mf(fix4, cfg, 0)
             with pytest.raises(MfDivergenceError) as exc:
-                train_mf(fix4, cfg)
+                train_mf(fix4, cfg, 0)
             assert exc.value.epoch == expected.value.epoch == epoch, lr
 
     @pytest.mark.parametrize(
@@ -489,15 +489,15 @@ class TestMf:
         if full_user:
             # one more user who rated every item
             rated = list(ds.triples()) + [(n_users, i, 3.0) for i in range(ds.n_items)]
-            ds = corpus.from_triples([(f"u{u}", f"i{i}", r) for u, i, r in rated], SCALE15)
-        cfg = MfConfig(factors=factors, epochs=epochs, seed=mf_seed)
-        got, expected = train_mf(ds, cfg), oracles.train_mf(ds, cfg)
+            ds = oracles.from_triples([(f"u{u}", f"i{i}", r) for u, i, r in rated], SCALE15)
+        cfg = MfConfig(factors=factors, epochs=epochs)
+        got, expected = train_mf(ds, cfg, mf_seed), oracles.train_mf(ds, cfg, mf_seed)
         assert got.global_mean == expected.global_mean
         for field in ("user_bias", "item_bias", "user_factors", "item_factors"):
             assert np.array_equal(getattr(got, field), getattr(expected, field)), field
 
     def test_recommend_excludes_seen(self, fix4, fix4_graph, uid):
-        model = train_mf(fix4, MfConfig(epochs=5, seed=0))
+        model = train_mf(fix4, MfConfig(epochs=5), 0)
         n = fix4_graph.n_items
         u = uid["u1"]
         rec = ranked(fix4_graph, u, predict_mf(model, np.full(n, u), np.arange(n)))
@@ -513,7 +513,7 @@ class TestRankingContracts:
     def test_tie_break_ascending_id(self):
         # symmetric two-user graph: both unseen items tie
         triples = [("a", "x", 3), ("b", "x", 3), ("b", "y", 3), ("b", "z", 3)]
-        ds = corpus.from_triples(triples, SCALE15)
+        ds = oracles.from_triples(triples, SCALE15)
         g = build_graph(ds)
         rec = ranked(g, 0, md_scores(g, 0)[1])
         assert rec.scores[0] == rec.scores[1]
@@ -521,7 +521,7 @@ class TestRankingContracts:
 
     def test_rank_orders_by_score_then_id(self):
         # user 1 has rated item 3 only
-        ds = corpus.from_triples([("a", f"i{i}", 3) for i in range(6)] + [("b", "i3", 4)], SCALE15)
+        ds = oracles.from_triples([("a", f"i{i}", 3) for i in range(6)] + [("b", "i3", 4)], SCALE15)
         g = build_graph(ds)
         scores = np.array([0.5, 2.0, 0.5, 1.0, 2.0, 0.0])
         rec = ranked(g, 1, scores)
@@ -581,7 +581,7 @@ class TestRankingContracts:
     def test_nan_score_is_an_error(self, length):
         # user 1 has rated item 0 only, so the NaN item is a candidate
         triples = [("a", f"i{i}", 3) for i in range(4)] + [("b", "i0", 4)]
-        g = build_graph(corpus.from_triples(triples, SCALE15))
+        g = build_graph(oracles.from_triples(triples, SCALE15))
         scores = np.array([[0.1, 0.2, np.nan, 0.3]])
         with pytest.raises(RecommendError, match="user 1 has a NaN score"):
             rank(g, [1], scores, length)

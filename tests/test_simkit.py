@@ -7,20 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffrec import bigraph, corpus, simkit
+from diffrec import bigraph, simkit
 from diffrec.corpus import RatingScale
 from diffrec.simkit import (
     SimilarityError,
     SimilarityMatrix,
-    average_cri_ratio,
     cosine_matrix,
-    normalize,
     pcc_matrix,
     pim_matrix,
 )
 
 import oracles
-from conftest import random_dataset
+from conftest import average_cri_ratio, cri_ratios, random_dataset
 
 
 FIX4_AR = 0.3889  # hand enumeration over all 6 pairs, both axes
@@ -39,7 +37,7 @@ class TestCosine:
         assert np.allclose(np.diag(cs.values), 1.0)
 
     def test_orthogonal_pair_zero(self):
-        ds = corpus.from_triples(
+        ds = oracles.from_triples(
             [("a", "x", 3), ("b", "y", 4)], RatingScale(1, 5, 1)
         )
         cs = cosine_matrix(bigraph.build_graph(ds), "users")
@@ -56,12 +54,12 @@ class TestPcc:
 
     def test_identical_vectors(self):
         triples = [("a", "x", 2), ("a", "y", 5), ("b", "x", 2), ("b", "y", 5)]
-        ds = corpus.from_triples(triples, RatingScale(1, 5, 1))
+        ds = oracles.from_triples(triples, RatingScale(1, 5, 1))
         pcc = pcc_matrix(bigraph.build_graph(ds), "users")
         assert pcc.values[0, 1] == pytest.approx(1.0)
 
     def test_empty_cri_undefined(self):
-        ds = corpus.from_triples(
+        ds = oracles.from_triples(
             [("a", "x", 3), ("b", "y", 4)], RatingScale(1, 5, 1)
         )
         pcc = pcc_matrix(bigraph.build_graph(ds), "users")
@@ -78,11 +76,11 @@ class TestAverageCriRatio:
 
     def test_identical_sets(self):
         triples = [("a", "x", 2), ("a", "y", 5), ("b", "x", 3), ("b", "y", 4)]
-        ds = corpus.from_triples(triples, RatingScale(1, 5, 1))
+        ds = oracles.from_triples(triples, RatingScale(1, 5, 1))
         assert average_cri_ratio(bigraph.build_graph(ds), "users") == pytest.approx(1.0)
 
     def test_single_node_rejected(self):
-        ds = corpus.from_triples([("a", "x", 3)], RatingScale(1, 5, 1))
+        ds = oracles.from_triples([("a", "x", 3)], RatingScale(1, 5, 1))
         with pytest.raises(SimilarityError):
             average_cri_ratio(bigraph.build_graph(ds), "users")
 
@@ -127,7 +125,7 @@ class TestPim:
 
     def test_empty_cri_undefined(self):
         # a and b share no item; c co-rates with each, so AR > 0
-        ds = corpus.from_triples(
+        ds = oracles.from_triples(
             [
                 ("a", "x", 3), ("a", "z", 4),
                 ("b", "y", 4), ("b", "w", 2),
@@ -144,7 +142,7 @@ class TestPim:
 
     def test_no_co_rating_rejected(self):
         # AR = 0: no two users share an item
-        ds = corpus.from_triples(
+        ds = oracles.from_triples(
             [("a", "x", 3), ("a", "z", 4), ("b", "y", 4), ("b", "w", 2)],
             RatingScale(1, 5, 1),
         )
@@ -185,8 +183,8 @@ class TestPim:
         ]
         extra = [("a", f"y{n}", 4) for n in range(6)]
         scale = RatingScale(1, 5, 1)
-        g1 = bigraph.build_graph(corpus.from_triples(base, scale))
-        g2 = bigraph.build_graph(corpus.from_triples(base + extra, scale))
+        g1 = bigraph.build_graph(oracles.from_triples(base, scale))
+        g2 = bigraph.build_graph(oracles.from_triples(base + extra, scale))
         s1 = pim_matrix(g1, "users").values[0, 1]
         s2 = pim_matrix(g2, "users").values[0, 1]
         assert abs(s2) <= abs(s1)
@@ -286,7 +284,7 @@ class TestDispatch:
         else:
             raw = {"cosine": cosine_matrix, "pcc": pcc_matrix}[measure](g, axis)
         got = simkit.similarity(g, measure, axis, variant)
-        expected = normalize(raw)
+        expected = oracles.normalize(raw)
         assert got.axis == expected.axis and got.normalized
         assert np.array_equal(got.values, expected.values)
         assert np.array_equal(got.defined, expected.defined)
@@ -327,7 +325,7 @@ class TestNormalize:
         m = SimilarityMatrix(
             axis="users", values=values, defined=np.ones((3, 3), dtype=bool)
         )
-        out = normalize(m)
+        out = simkit._normalize(m)
         assert out.values[0, 1] == 0.0
         assert out.values[0, 2] == 0.5
         assert out.values[1, 2] == 1.0
@@ -338,7 +336,7 @@ class TestNormalize:
         m = SimilarityMatrix(
             axis="users", values=values, defined=np.ones((3, 3), dtype=bool)
         )
-        out = normalize(m)
+        out = simkit._normalize(m)
         off = ~np.eye(3, dtype=bool)
         assert np.all(out.values[off] == 0.5)
 
@@ -347,12 +345,11 @@ class TestNormalize:
         defined = np.ones((3, 3), dtype=bool)
         defined[0, 2] = defined[2, 0] = False
         m = SimilarityMatrix(axis="users", values=values, defined=defined)
-        out = normalize(m)
+        out = simkit._normalize(m)
         assert out.values[0, 2] == 0.0
 
     def test_rank_order_preserved(self, fix4_graph, uid):
-        pcc = pcc_matrix(fix4_graph, "users")
-        out = normalize(pcc)
+        out = simkit.similarity(fix4_graph, "pcc", "users")
         u3 = uid["u3"]
         assert (
             out.values[u3, uid["u2"]]
@@ -363,8 +360,8 @@ class TestNormalize:
 
 class TestTopK:
     def test_fix4_rankings(self, fix4_graph, uid):
-        pcc = normalize(pcc_matrix(fix4_graph, "users"))
-        cs = normalize(cosine_matrix(fix4_graph, "users"))
+        pcc = simkit.similarity(fix4_graph, "pcc", "users")
+        cs = simkit.similarity(fix4_graph, "cosine", "users")
         u3 = uid["u3"]
         assert oracles.top_k_neighbors(pcc, u3, 1)[0][0] == uid["u2"]
         assert oracles.top_k_neighbors(cs, u3, 1)[0][0] == uid["u1"]
@@ -377,7 +374,7 @@ class TestTopK:
         ]
 
     def test_saturation(self, fix4_graph, uid):
-        pcc = normalize(pcc_matrix(fix4_graph, "users"))
+        pcc = simkit.similarity(fix4_graph, "pcc", "users")
         assert len(oracles.top_k_neighbors(pcc, uid["u3"], 99)) == 3
 
     def test_tie_break_by_id(self):
@@ -397,7 +394,7 @@ def test_normalize_preserves_order(values):
     mat[0, 1:] = values
     mat[1:, 0] = values
     m = SimilarityMatrix(axis="users", values=mat, defined=np.ones((n, n), dtype=bool))
-    out = normalize(m)
+    out = simkit._normalize(m)
     order_raw = np.argsort(mat[0, 1:], kind="stable")
     by_raw_order = out.values[0, 1:][order_raw]
     assert np.all(np.diff(by_raw_order) >= 0)
@@ -477,7 +474,6 @@ class TestOneTileMatchesDenseOracle:
             return
         got = _raw(g, measure, axis, variant)
         assert _bits(got) == _bits(expected)
-        assert _bits(normalize(got)) == _bits(oracles.normalize(expected))
         assert _bits(simkit.similarity(g, measure, axis, variant)) == _bits(
             oracles.normalize(expected)
         )
@@ -492,11 +488,10 @@ class TestOneTileMatchesDenseOracle:
     def test_normalize_in_row_blocks_is_bitwise(self, rows):
         g = bigraph.build_graph(random_dataset(4, n_users=11, n_items=9, density=0.5))
         raw = pim_matrix(g, "users")
-        before = _bits(raw)
+        expected = oracles.normalize(raw)
         with mock.patch.object(simkit, "_TILE_BYTES", 8 * raw.n * rows):
-            got = normalize(raw)
-        assert _bits(got) == _bits(oracles.normalize(raw))
-        assert _bits(raw) == before  # the public normalize copies
+            got = simkit._normalize(raw)
+        assert _bits(got) == _bits(expected)
 
     def test_similarity_normalizes_its_own_matrix(self, fix4_graph):
         # no second n x n copy: the raw arrays become the normalized ones
@@ -510,6 +505,42 @@ class TestOneTileMatchesDenseOracle:
         with mock.patch.object(simkit, "pcc_matrix", spy):
             out = simkit.similarity(fix4_graph, "pcc", "users")
         assert out.values is made[0].values and out.defined is made[0].defined
+
+
+class TestRatingsAtTheMean:
+    """A rating equal to its node's mean centres to a stored 0.0 and still
+    counts as rated, in the co-rating ratios and in the variance sums:
+    the masks come from the adjacency, not from the centred values."""
+
+    @staticmethod
+    def graph():
+        base = random_dataset(5, n_users=6, n_items=7, density=0.5)
+        u, i = base.user_labels, base.item_labels
+        triples = [(u[a], i[b], r) for a, b, r in base.triples()]
+        triples += [("flat", i[b], 3) for b in range(4)]  # every rating at the mean
+        triples += [("wide", i[b], r) for b, r in ((0, 1), (2, 3), (4, 5))]  # one at it
+        triples += [(u[a], "same", 4) for a in range(3)]
+        triples += [(u[a], "mid", r) for a, r in zip(range(3, 6), (2, 3, 4))]
+        return bigraph.build_graph(oracles.from_triples(triples, RatingScale(1, 5, 1)))
+
+    @pytest.mark.parametrize("rows", [None, 1, 2, 3])
+    @pytest.mark.parametrize("axis", ["users", "items"])
+    def test_ratios_and_defined_match_the_dense_oracles(self, axis, rows):
+        g = self.graph()
+        _, mask, deg, _ = oracles._axis_vectors(g, axis)
+        tile = mock.patch.object(simkit, "_TILE_BYTES", 8 * _other_side(g, axis) * (rows or 10**6))
+        with tile:
+            ratios, ar = cri_ratios(g, axis)
+            got = {name: _raw(g, name, axis) for name in ("pcc", "pim")}
+        expected_ratios, expected_ar = oracles._cri_ratio(mask @ mask.T, deg)
+        assert np.array_equal(ratios, expected_ratios) and ar == expected_ar
+        for name, m in got.items():
+            expected = _raw(g, name, axis, module=oracles)
+            assert np.array_equal(m.defined, expected.defined), name
+            if rows is None:
+                assert _bits(m) == _bits(expected), name
+            else:
+                np.testing.assert_allclose(m.values, expected.values, rtol=0, atol=1e-12)
 
 
 class TestMemoryCeiling:

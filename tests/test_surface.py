@@ -1,0 +1,80 @@
+"""The package's public surface is what its own pipeline runs: every public
+top-level function in src/diffrec is referenced by package code other than
+its own definition and `__init__`. A function that only tests call belongs
+under tests/."""
+
+import ast
+from pathlib import Path
+
+import diffrec
+
+PACKAGE = Path(diffrec.__file__).resolve().parent
+# called from outside the package: the console script
+ENTRY_POINTS = {"cli.main"}
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "__init__"
+    }
+
+
+def _loads(tree, skip=None):
+    """(names loaded, (module, attribute) pairs loaded) in tree, outside
+    the subtree `skip`."""
+    names, attrs, todo = set(), set(), [tree]
+    while todo:
+        node = todo.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            attrs.add((node.value.id, node.attr))
+        todo.extend(ast.iter_child_nodes(node))
+    return names, attrs
+
+
+def _imported(tree, module: str) -> set[str]:
+    """Names `tree` imports with `from diffrec.<module> import ...`."""
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == f"diffrec.{module}"
+        for alias in node.names
+    }
+
+
+def unused_public_functions(modules: dict[str, ast.Module]) -> list[str]:
+    unused = []
+    for module, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            if f"{module}.{node.name}" in ENTRY_POINTS:
+                continue
+            used = False
+            for other, other_tree in modules.items():
+                names, attrs = _loads(other_tree, skip=node if other == module else None)
+                visible = other == module or node.name in _imported(other_tree, module)
+                if (visible and node.name in names) or (module, node.name) in attrs:
+                    used = True
+                    break
+            if not used:
+                unused.append(f"{module}.{node.name}")
+    return unused
+
+
+def test_every_public_function_is_used_by_the_package():
+    assert unused_public_functions(_modules()) == []
+
+
+def test_the_guard_finds_a_function_only_its_own_body_calls():
+    modules = {
+        "a": ast.parse("def kept():\n    return 1\n\ndef dead(n):\n    return dead(n - 1)\n"),
+        "b": ast.parse("from diffrec.a import kept\n\ndef main():\n    return kept()\n"),
+        "c": ast.parse("from diffrec import a\n\ndef helper():\n    return a.kept\n"),
+    }
+    assert unused_public_functions(modules) == ["a.dead", "b.main", "c.helper"]
