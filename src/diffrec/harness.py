@@ -230,27 +230,26 @@ class FoldContext:
         graph; score rows are ranked in blocks of at most _BLOCK_BYTES."""
         g = self.graph
         try:
-            if method == "MD":
-                score = lambda u: recommend.md_scores(g, u)[1]
-            elif method in KNN_AXES:
-                sim = self.similarity(self.cfg.knn_measure, KNN_AXES[method])
-                score = lambda u: recommend.knn_scores(sim, g, u, self.cfg.knn_k)
-            elif method == "SVD":
-                model, items = self.mf_model, np.arange(g.n_items)
-                score = lambda u: recommend.predict_mf(model, np.full(g.n_items, u), items)
-            elif method == "PIM+RA":
+            if method == "PIM+RA":
                 scorer, theta = self.pimra_scorer, self.cfg.run_theta(method, theta)
-                score = lambda u: scorer.scores(u, theta)
+                score_block = lambda block: scorer.scores(block, theta)
             else:
-                raise HarnessError(f"unknown method {method!r}")
+                if method == "MD":
+                    score = lambda u: recommend.md_scores(g, u)[1]
+                elif method in KNN_AXES:
+                    sim = self.similarity(self.cfg.knn_measure, KNN_AXES[method])
+                    score = lambda u: recommend.knn_scores(sim, g, u, self.cfg.knn_k)
+                elif method == "SVD":
+                    model, items = self.mf_model, np.arange(g.n_items)
+                    score = lambda u: recommend.predict_mf(model, np.full(g.n_items, u), items)
+                else:
+                    raise HarnessError(f"unknown method {method!r}")
+                score_block = lambda block: np.array([score(u) for u in block])
             per_block = max(1, _BLOCK_BYTES // (8 * g.n_items))
             lists = []
             for lo in range(0, len(users), per_block):
                 block = users[lo : lo + per_block]
-                rows = np.empty((len(block), g.n_items))
-                for r, u in enumerate(block):
-                    rows[r] = score(u)
-                lists.extend(recommend.rank(g, block, rows, length, self.likes))
+                lists.extend(recommend.rank(g, block, score_block(block), length, self.likes))
             return lists
         except simkit.MemoryCeilingError:
             raise  # this machine's limit: an NA row would make the report depend on it
@@ -480,11 +479,7 @@ def analyze_corpus(
 
     samples = {}
     for measure in ("pcc", "pim"):
-        norm = simkit.similarity(g, measure, "users")
-        off = norm.defined & ~np.eye(norm.n, dtype=bool)
-        iu, ju = np.triu_indices(norm.n, k=1)
-        keep = off[iu, ju]
-        vals = norm.values[iu[keep], ju[keep]]
+        vals = _upper_defined(simkit.similarity(g, measure, "users"))
         if len(vals) > sim_sample:
             vals = rng.choice(vals, size=sim_sample, replace=False)
         samples[measure] = vals
@@ -497,6 +492,15 @@ def analyze_corpus(
         popularity_regression=pop_reg,
         similarity_samples=samples,
     )
+
+
+def _upper_defined(sim: SimilarityMatrix) -> np.ndarray:
+    """The defined values above the diagonal in row-major order, gathered
+    one tile of rows at a time."""
+    return np.concatenate([
+        sim.values[rows][np.triu(sim.defined[rows], k=rows.start + 1)]
+        for rows in simkit._spans(sim.n, sim.n)
+    ])
 
 
 def _grouped_mean(levels: np.ndarray, values: np.ndarray) -> list[tuple[int, float]]:

@@ -251,7 +251,7 @@ def md_scores(g: BipartiteGraph, user: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class PimraScorer:
-    """Per-fold precomputation for the three-step weighted resource walk.
+    """Per-fold state for the three-step weighted resource walk.
 
     The walk scores item j for user u as
 
@@ -260,9 +260,10 @@ class PimraScorer:
     where R1(i) = 1/|I_u| + ln(|I_u|/|U_i|) is the (possibly negative)
     initial resource, and M[i, j] aggregates the user-hop transfer
     sum_{v in U_i ∩ U_j} w_vi^2 / w_v (or w_vi * w_vj / w_v in the
-    alternate weight convention). The product P = sim * M is computed
-    once, in blocks of item rows, and shared across users and theta
-    values; M is never held whole.
+    alternate weight convention). A row i of P = sim * M is built on
+    first use, when a block of users that rated item i is scored, and is
+    then shared across blocks and theta values; M is never held whole,
+    and P is resident only for the rows that were read.
     """
 
     def __init__(
@@ -281,6 +282,7 @@ class PimraScorer:
         if not item_sim.normalized:
             raise RecommendError("item similarity must be normalized to [0, 1]")
         self.g = g
+        self._sim = item_sim.values
         inv_wv = np.zeros(g.n_users)
         pos = g.user_weight_sum > 0
         inv_wv[pos] = 1.0 / g.user_weight_sum[pos]
@@ -288,42 +290,67 @@ class PimraScorer:
         b = g.weights_t.copy()  # items x users
         if step3_weight == "literal-w_vi":
             b.data = b.data * b.data * inv_wv[b.indices]
-            right = g.adjacency
+            self._right = g.adjacency
         elif step3_weight == "alt-w_vj":
             b.data = b.data * inv_wv[b.indices]
-            right = g.weights
+            self._right = g.weights
         else:
             raise RecommendError(f"unknown step3 weight mode {step3_weight!r}")
-        # P = sim * (b @ right), a block of rows of similarity's tile size
-        # at a time; a sparse product row depends only on its own row of b
+        self._b = b
+        # P's rows are built a chunk of similarity's tile size at a time,
+        # with two chunk-sized temporaries alive (the product and the
+        # gathered similarity rows)
         n = g.n_items
+        self._per_chunk = max(1, simkit._TILE_BYTES // (8 * n))
+        simkit._check_fits(
+            f"PIM+RA product over {n} items", 8 * n * n + 2 * 8 * min(self._per_chunk, n) * n
+        )
+        # pages of P are touched, and so held, only as its rows are built
         self._p = np.empty((n, n))
-        per_block = max(1, simkit._TILE_BYTES // (8 * n))
-        for lo in range(0, n, per_block):
-            rows = slice(lo, lo + per_block)
-            np.multiply(item_sim.values[rows], (b[rows] @ right).toarray(), out=self._p[rows])
+        self._built = np.zeros(n, dtype=bool)
         # popularity penalty base |U_j| (1 for unrated items), raised to
         # theta once per theta value
         deg = g.item_degree.astype(np.float64)
         self._deg = np.where(deg > 0, deg, 1.0)
         self._theta, self._penalty = None, None
 
-    def scores(self, user: int, theta: float) -> np.ndarray:
-        """Walk scores for all items, seen ones included, under the
-        popularity-penalty exponent theta in [0, 1]."""
+    def _build(self, users: np.ndarray) -> None:
+        """Build the rows of P that the users' rated items need and that
+        are not built yet. A sparse product row depends only on its own
+        row of b, so P's bytes do not depend on which rows are built
+        together."""
+        _, edge = _row_edges(self.g.weights, users)
+        need = np.zeros(len(self._built), dtype=bool)
+        need[self.g.weights.indices[edge]] = True
+        rows = np.flatnonzero(need & ~self._built)
+        for lo in range(0, len(rows), self._per_chunk):
+            chunk = rows[lo : lo + self._per_chunk]
+            prod = (self._b[chunk] @ self._right).toarray()
+            np.multiply(self._sim[chunk], prod, out=prod)
+            self._p[chunk] = prod
+        self._built[rows] = True
+
+    def scores(self, users: Sequence[int], theta: float) -> np.ndarray:
+        """Walk scores for all items, seen ones included, one row per
+        user, under the popularity-penalty exponent theta in [0, 1]."""
         if not 0.0 <= theta <= 1.0:
             raise RecommendError(f"theta must be in [0, 1], got {theta}")
         g = self.g
-        seen, _ = g.user_items(user)
-        if len(seen) == 0:
-            raise RecommendError(f"user {user} has no training interactions")
-        n_u = float(len(seen))
-        r1 = 1.0 / n_u + np.log(n_u / g.item_degree[seen])
-        coef = r1 / g.item_weight_sum[seen]
-        raw = coef @ self._p[seen]
+        users = np.asarray(users, dtype=np.int64)
+        idle = users[g.user_degree[users] == 0]
+        if len(idle):
+            raise RecommendError(f"user {idle[0]} has no training interactions")
+        self._build(users)
         if theta != self._theta:
             self._theta, self._penalty = theta, self._deg**theta
-        return raw / self._penalty
+        out = np.empty((len(users), g.n_items))
+        for r, u in enumerate(users.tolist()):
+            seen, _ = g.user_items(u)
+            n_u = float(len(seen))
+            r1 = 1.0 / n_u + np.log(n_u / g.item_degree[seen])
+            coef = r1 / g.item_weight_sum[seen]
+            np.divide(coef @ self._p[seen], self._penalty, out=out[r])
+        return out
 
 
 # ---------------------------------------------------------------------------

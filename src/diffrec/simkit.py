@@ -154,18 +154,26 @@ def _memory_limit() -> int:
     return phys if soft == resource.RLIM_INFINITY else min(soft, phys)
 
 
+def _check_fits(what: str, need: int) -> None:
+    """MemoryCeilingError, naming `what`, unless `need` bytes fit in
+    what this process may hold."""
+    limit = _memory_limit()
+    if need > limit:
+        raise MemoryCeilingError(
+            f"{what} needs {need:,} bytes ({need / 2**20:,.0f} MiB), "
+            f"more than the {limit:,} this process may hold"
+        )
+
+
 def _output(measure: str, axis: Axis, w) -> tuple[np.ndarray, np.ndarray, list[slice]]:
     """The n x n values and defined arrays and the tile spans, after
     checking that they and the tiles fit in memory."""
     n, m = w.shape
     spans = _spans(n, m)
-    need = 9 * n * n + _TILES_ALIVE * 8 * (spans[0].stop if spans else 0) * m
-    limit = _memory_limit()
-    if need > limit:
-        raise MemoryCeilingError(
-            f"{measure} similarity over {n} {axis} needs {need:,} bytes "
-            f"({need / 2**20:,.0f} MiB), more than the {limit:,} this process may hold"
-        )
+    _check_fits(
+        f"{measure} similarity over {n} {axis}",
+        9 * n * n + _TILES_ALIVE * 8 * (spans[0].stop if spans else 0) * m,
+    )
     return np.empty((n, n)), np.empty((n, n), dtype=bool), spans
 
 

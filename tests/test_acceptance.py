@@ -305,7 +305,7 @@ class TestCriterion7Properties:
         scorer = recommend.PimraScorer(fix4_graph, sim)
         for u in range(fix4.n_users):
             expected = oracles.pimra_item_scores(fix4, u, sim.values, 0.6)
-            scores = scorer.scores(u, 0.6)
+            scores = scorer.scores([u], 0.6)[0]
             for j in range(fix4.n_items):
                 assert scores[j] == pytest.approx(expected.get(j, 0.0), abs=1e-9)
 

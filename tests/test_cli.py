@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import diffrec
 from diffrec import bigraph, corpus, recommend, simkit
 from diffrec.cli import SETTINGS, build_parser, main, resolve
 from diffrec.corpus import FilterSpec
@@ -407,10 +409,15 @@ def test_analyze_cli(synth_csv, tmp_path, capsys):
 
 
 def test_entry_point_subprocess(fix4_csv):
+    # the child imports the package this test imported, also when pytest
+    # put it on sys.path itself
+    src = str(Path(diffrec.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "diffrec.cli", "stats", "--input", str(fix4_csv)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "4,4,10,0.3750"

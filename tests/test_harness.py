@@ -213,6 +213,26 @@ class TestMemoryCeiling:
             run_experiment(ds, replace(cfg, methods=("MD", "UBCF")))
 
 
+class TestPimraRowsOnDemand:
+    def test_one_user_builds_only_its_rows(self, cfg):
+        # the recommend command's fold: every rating trains, none tests
+        ds = random_dataset(5, n_users=12, n_items=15, density=0.4)
+        pair = corpus.FoldPair(train=ds, test=ds.subset(np.arange(0)))
+        ctx = FoldContext(pair, cfg)
+        g = ctx.graph
+        u = int(np.argmin(g.user_degree))
+        assert 0 < g.user_degree[u] < g.n_items
+        got = ctx.rank("PIM+RA", [u], None, cfg.list_length)[0]
+        assert ctx.pimra_scorer._built.sum() == g.user_degree[u]
+        # a scorer with every row built ranks the same list
+        full = FoldContext(pair, cfg)
+        full.pimra_scorer.scores(np.arange(g.n_users), cfg.theta)
+        assert full.pimra_scorer._built.all()
+        want = full.rank("PIM+RA", [u], None, cfg.list_length)[0]
+        assert got.items.tobytes() == want.items.tobytes()
+        assert got.scores.tobytes() == want.scores.tobytes()
+
+
 class TestSerialization:
     def test_csv_format(self, report, tmp_path):
         path = tmp_path / "report.csv"
@@ -538,6 +558,24 @@ class TestAnalyzeCorpus:
         assert analysis.cri_skewness == pytest.approx(
             float(stats.skew(analysis.cri_ratios))
         )
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("rows", [1, 2, 3, None])
+    def test_similarity_samples_are_the_upper_triangle_gather(self, seed, rows, monkeypatch):
+        ds = random_dataset(seed, n_users=9, n_items=7, density=0.3)
+        g = bigraph.build_graph(ds)
+        if rows is not None:
+            monkeypatch.setattr(simkit, "_TILE_BYTES", 8 * ds.n_users * rows)
+        # a sample larger than the pair count keeps every defined pair in order
+        analysis = analyze_corpus(ds, seed=seed, sample_users=4, sim_sample=10**6)
+        for measure in ("pcc", "pim"):
+            norm = simkit.similarity(g, measure, "users")
+            # the whole-matrix gather
+            off = norm.defined & ~np.eye(norm.n, dtype=bool)
+            iu, ju = np.triu_indices(norm.n, k=1)
+            keep = off[iu, ju]
+            expected = norm.values[iu[keep], ju[keep]]
+            assert analysis.similarity_samples[measure].tobytes() == expected.tobytes()
 
     def test_shapes_and_bounds(self, ds):
         analysis = analyze_corpus(ds, seed=1, sample_users=15)

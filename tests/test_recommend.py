@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -50,6 +51,28 @@ def ranked(g, user, scores):
 
 def seen(g, user):
     return set(g.user_items(user)[0].tolist())
+
+
+def unblocked_p(g, sim, mode):
+    """P = sim * M from the whole step-3 transfer matrix, in one product."""
+    inv_wv = np.zeros(g.n_users)  # a user without ratings sends nothing
+    pos = g.user_weight_sum > 0
+    inv_wv[pos] = 1.0 / g.user_weight_sum[pos]
+    b = g.weights_t.copy()
+    if mode == "literal-w_vi":
+        b.data = b.data * b.data * inv_wv[b.indices]
+        return sim.values * (b @ g.adjacency).toarray()
+    b.data = b.data * inv_wv[b.indices]
+    return sim.values * (b @ g.weights).toarray()
+
+
+def walk_row(g, p, u, theta):
+    """User u's walk scores, computed for that user alone from a whole P."""
+    seen, _ = g.user_items(u)
+    n_u = float(len(seen))
+    coef = (1.0 / n_u + np.log(n_u / g.item_degree[seen])) / g.item_weight_sum[seen]
+    deg = g.item_degree.astype(np.float64)
+    return coef @ p[seen] / np.where(deg > 0, deg, 1.0) ** theta
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +285,12 @@ class TestPimra:
     def test_single_user_single_item(self):
         ds = oracles.from_triples([("a", "x", 4)], SCALE15)
         g = build_graph(ds)
-        scores = PimraScorer(g, identity_item_sim(1)).scores(0, theta=0.0)
+        scores = PimraScorer(g, identity_item_sim(1)).scores([0], theta=0.0)[0]
         assert scores[0] == pytest.approx(1.0)  # R1 = 1, all mass returns
         assert ranked(g, 0, scores).items.size == 0
 
     def test_fix4_identity_theta0_table(self, fix4, fix4_graph, uid, iid):
-        scores = PimraScorer(fix4_graph, identity_item_sim(4)).scores(uid["u1"], theta=0.0)
+        scores = PimraScorer(fix4_graph, identity_item_sim(4)).scores([uid["u1"]], theta=0.0)[0]
         expected = {
             "i1": 0.3928531395,
             "i2": 0.0,
@@ -286,7 +309,7 @@ class TestPimra:
             expected = oracles.pimra_item_scores(
                 fix4, u, sim.values, theta, alt_weight=(mode == "alt-w_vj")
             )
-            scores = scorer.scores(u, theta)
+            scores = scorer.scores([u], theta)[0]
             for j in range(fix4.n_items):
                 assert scores[j] == pytest.approx(expected.get(j, 0.0), abs=1e-9)
 
@@ -298,16 +321,16 @@ class TestPimra:
         scorer = PimraScorer(g, sim)
         for u in range(ds.n_users):
             expected = oracles.pimra_item_scores(ds, u, sim.values, 0.4)
-            scores = scorer.scores(u, 0.4)
+            scores = scorer.scores([u], 0.4)[0]
             for j in range(ds.n_items):
                 assert scores[j] == pytest.approx(expected.get(j, 0.0), abs=1e-9)
 
     def test_theta_scaling_identity(self, fix4_graph, uid):
         scorer = PimraScorer(fix4_graph, pim_item_sim(fix4_graph))
-        base = scorer.scores(uid["u2"], theta=0.0)
+        base = scorer.scores([uid["u2"]], theta=0.0)[0]
         deg = np.where(fix4_graph.item_degree > 0, fix4_graph.item_degree, 1).astype(float)
         for theta in (0.25, 0.5, 1.0):
-            scaled = scorer.scores(uid["u2"], theta=theta)
+            scaled = scorer.scores([uid["u2"]], theta=theta)[0]
             assert np.allclose(scaled, base / deg**theta, atol=1e-12)
 
     def test_penalty_once_per_theta_is_bitwise_the_per_user_expression(self):
@@ -315,22 +338,24 @@ class TestPimra:
         train = corpus.kfold_split(random_dataset(91, n_users=9, n_items=12, density=0.3), 2, 0)[0].train
         g = build_graph(train)
         assert (g.item_degree == 0).any()
-        scorer = PimraScorer(g, pim_item_sim(g))
-        deg = g.item_degree.astype(np.float64)
+        sim = pim_item_sim(g)
+        scorer = PimraScorer(g, sim)
+        users = np.flatnonzero(g.user_degree > 0)
+        scorer.scores(users, 0.6)
+        # every rated item's row is built, and no unrated item's
+        p = unblocked_p(g, sim, "literal-w_vi")
+        assert np.array_equal(scorer._built, g.item_degree > 0)
+        assert scorer._p[scorer._built].tobytes() == p[scorer._built].tobytes()
         for theta in (0.6, 0.0, 1.0, 0.6, 0.25, 0.25, 1 / 3):
-            for u in np.flatnonzero(g.user_degree > 0).tolist():
-                seen, _ = g.user_items(u)
-                n_u = float(len(seen))
-                coef = (1.0 / n_u + np.log(n_u / g.item_degree[seen])) / g.item_weight_sum[seen]
-                expected = coef @ scorer._p[seen] / np.where(deg > 0, deg, 1.0) ** theta
-                assert np.array_equal(scorer.scores(u, theta), expected)
+            for u in users.tolist():
+                assert np.array_equal(scorer.scores([u], theta)[0], walk_row(g, p, u, theta))
 
     def test_theta_demotes_popular_relative_to_rare(self, fix4_graph, uid, iid):
         # u2's candidates: i1 (degree 2) and i4 (degree 3)
         scorer = PimraScorer(fix4_graph, pim_item_sim(fix4_graph))
         prev = None
         for theta in np.linspace(0.0, 1.0, 11):
-            scores = scorer.scores(uid["u2"], theta=theta)
+            scores = scorer.scores([uid["u2"]], theta=theta)[0]
             hi, lo = scores[iid["i4"]], scores[iid["i1"]]
             if lo > 0 and hi > 0:
                 ratio = hi / lo
@@ -380,25 +405,64 @@ class TestPimra:
     def test_blocked_p_is_the_unblocked_product(self, seed, mode, rows, monkeypatch):
         g = build_graph(random_dataset(seed, n_users=8, n_items=7, density=0.4))
         sim = pim_item_sim(g)
-        # the unblocked form: the whole step-3 transfer matrix, then one product
-        inv_wv = 1.0 / g.user_weight_sum
-        b = g.weights_t.copy()
-        if mode == "literal-w_vi":
-            b.data = b.data * b.data * inv_wv[b.indices]
-            expected = sim.values * (b @ g.adjacency).toarray()
-        else:
-            b.data = b.data * inv_wv[b.indices]
-            expected = sim.values * (b @ g.weights).toarray()
         if rows is not None:
             monkeypatch.setattr(simkit, "_TILE_BYTES", 8 * g.n_items * rows)
-        got = PimraScorer(g, sim, step3_weight=mode)._p
-        assert got.tobytes() == expected.tobytes()
+        scorer = PimraScorer(g, sim, step3_weight=mode)
+        scorer.scores(np.arange(g.n_users), 0.6)  # every item is rated, so every row is built
+        assert scorer._built.all()
+        assert scorer._p.tobytes() == unblocked_p(g, sim, mode).tobytes()
+
+    @given(
+        seed=st.integers(0, 2**16),
+        n_users=st.integers(1, 8),
+        n_items=st.integers(1, 8),
+        density=st.floats(0.1, 0.9),
+        rows=st.integers(1, 3),
+        mode=st.sampled_from(["literal-w_vi", "alt-w_vj"]),
+        theta=st.sampled_from([0.0, 0.6, 1.0]),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_in_any_order_build_each_read_row_once(
+        self, seed, n_users, n_items, density, rows, mode, theta, data
+    ):
+        g = build_graph(random_dataset(seed, n_users, n_items, density))
+        vals = np.random.default_rng(seed).random((n_items, n_items))
+        sim = SimilarityMatrix("items", vals, np.ones_like(vals, dtype=bool), normalized=True)
+        p = unblocked_p(g, sim, mode)
+        # the users cut into blocks, scored in a random order
+        users = data.draw(st.permutations(range(n_users)))
+        cuts = sorted(data.draw(st.sets(st.integers(1, max(1, n_users - 1)))))
+        blocks = [users[lo:hi] for lo, hi in zip([0] + cuts, cuts + [n_users]) if lo < hi]
+        with mock.patch.object(simkit, "_TILE_BYTES", 8 * n_items * rows):
+            scorer = PimraScorer(g, sim, step3_weight=mode)
+        read = np.zeros(n_items, dtype=bool)
+        for block in data.draw(st.permutations(blocks)):
+            got = scorer.scores(block, theta)
+            for r, u in enumerate(block):
+                assert got[r].tobytes() == walk_row(g, p, u, theta).tobytes()
+                read[g.user_items(u)[0]] = True
+            assert np.array_equal(scorer._built, read)
+
+    def test_p_that_does_not_fit_is_a_memory_ceiling_error(self, fix4_graph, monkeypatch):
+        n = fix4_graph.n_items
+        sim = pim_item_sim(fix4_graph)
+        # P's n x n floats and two one-chunk temporaries of 4 rows of 4 floats
+        need = 8 * n * n + 2 * 8 * n * n
+        monkeypatch.setattr(simkit, "_memory_limit", lambda: need - 1)
+        with pytest.raises(simkit.MemoryCeilingError, match=(
+            rf"^PIM\+RA product over {n} items needs {need:,} bytes \(0 MiB\), "
+            rf"more than the {need - 1:,} this process may hold$"
+        )):
+            PimraScorer(fix4_graph, sim)
+        monkeypatch.setattr(simkit, "_memory_limit", lambda: need)
+        PimraScorer(fix4_graph, sim).scores([0], 0.6)
 
     def test_invalid_theta(self, fix4_graph):
         scorer = PimraScorer(fix4_graph, identity_item_sim(4))
         for theta in (-0.1, 1.5):
             with pytest.raises(RecommendError, match=r"theta must be in \[0, 1\]"):
-                scorer.scores(0, theta)
+                scorer.scores([0], theta)
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +657,7 @@ class TestRankingContracts:
     def test_repeat_runs_identical(self, fix4_graph, uid):
         u = uid["u2"]
         runs = [
-            ranked(fix4_graph, u, PimraScorer(fix4_graph, pim_item_sim(fix4_graph)).scores(u, 0.6))
+            ranked(fix4_graph, u, PimraScorer(fix4_graph, pim_item_sim(fix4_graph)).scores([u], 0.6)[0])
             for _ in range(2)
         ]
         assert np.array_equal(runs[0].items, runs[1].items)
