@@ -169,11 +169,17 @@ def resolve(args: argparse.Namespace) -> Settings:
 
 
 def _write_lists(fh, lists, item_labels, user_labels):
-    """`user,rank,item,score` CSV rows for each list's items."""
-    fh.write("user,rank,item,score\n")
+    """`user,rank,item,score` CSV rows for each list's items, in one write;
+    labels are quoted as `csv.writer` quotes them."""
+    items = [corpus._csv_field(label) for label in item_labels]
+    lines = ["user,rank,item,score\n"]
     for rec in lists:
-        for rank, (item, score) in enumerate(zip(rec.items.tolist(), rec.scores.tolist()), 1):
-            fh.write(f"{user_labels[rec.user]},{rank},{item_labels[item]},{score:.4f}\n")
+        user = corpus._csv_field(user_labels[rec.user])
+        lines.extend(
+            f"{user},{rank},{items[item]},{score:.4f}\n"
+            for rank, (item, score) in enumerate(zip(rec.items.tolist(), rec.scores.tolist()), 1)
+        )
+    fh.write("".join(lines))
 
 
 # the report CSV each ranked or prediction-error run writes and prints
@@ -247,7 +253,7 @@ def _run(args: argparse.Namespace) -> int:
                 _write_lists(fh, lists, ds.item_labels, ds.user_labels)
 
         report = harness.run_experiment(ds, cfg, list_sink=sink)
-        harness.write_manifest(report, out / "manifest.json")
+        harness.write_manifest(report, out / "manifest.json", settings.input)
     elif cmd == "sweep-theta":
         default = [round(0.1 * t, 1) for t in range(11)]
         thetas = _parsed_list("--thetas", float, args.thetas) if args.thetas else default

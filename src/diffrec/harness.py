@@ -9,7 +9,7 @@ import platform
 import resource
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterator, Sequence, get_args
+from typing import Callable, Sequence, get_args
 
 import numpy as np
 import scipy
@@ -109,6 +109,7 @@ class EvaluationReport:
     config: ExperimentConfig
     # per fold: evaluated test users, and those excluded for want of training ratings
     fold_users: list[dict[str, int]] = field(default_factory=list)
+    mf_train_s: float = 0.0  # seconds of the run's one MF training, 0 if none ran
 
     def with_means(self) -> "EvaluationReport":
         """Append cross-fold mean rows (fold='mean')."""
@@ -123,7 +124,7 @@ class EvaluationReport:
                 groups.items(), key=lambda kv: (kv[0][0], str(kv[0][1]), str(kv[0][2]), kv[0][3])
             )
         ]
-        return EvaluationReport(self.rows + extra, self.config, self.fold_users)
+        return EvaluationReport(self.rows + extra, self.config, self.fold_users, self.mf_train_s)
 
 
 def write_report_csv(report: EvaluationReport, path) -> None:
@@ -136,12 +137,18 @@ def write_report_csv(report: EvaluationReport, path) -> None:
             fh.write(f"{r.dataset},{r.fold},{r.method},{theta},{length},{r.metric},{value}\n")
 
 
-def write_manifest(report: EvaluationReport, path) -> None:
+def write_manifest(report: EvaluationReport, path, input_path) -> None:
+    digest = hashlib.sha256()
+    with open(input_path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
     manifest = {
         "config": asdict(report.config),
         "config_hash": report.config.digest(),
         "seed": report.config.seed,
+        "input_sha256": digest.hexdigest(),
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        "mf_train_s": report.mf_train_s,
         # the process's peak so far; ru_maxrss is in KiB on Linux
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "versions": {
@@ -168,13 +175,41 @@ def write_manifest(report: EvaluationReport, path) -> None:
 # Per-fold context
 
 
+class _MfModels:
+    """The MF models of a run's training sets, all trained by one
+    `recommend.train_mf` call on the first request."""
+
+    def __init__(self, trains: Sequence[RatingDataset], cfg: ExperimentConfig):
+        self._trains, self._cfg = trains, cfg
+        self._results: list | None = None
+        self.train_s = 0.0
+
+    def model(self, index: int) -> recommend.MFModel:
+        """Set `index`'s model; raises the error that ended its training."""
+        if self._results is None:
+            start = time.perf_counter()
+            self._results = recommend.train_mf(self._trains, self._cfg.mf, self._cfg.seed)
+            self.train_s = time.perf_counter() - start
+            self._trains = ()
+        result = self._results[index]
+        if isinstance(result, recommend.MfDivergenceError):
+            raise result
+        return result
+
+
 class FoldContext:
     """Shared per-fold state: graph, lazily computed similarity matrices,
-    the evaluated-user population, and the method dispatch."""
+    the evaluated-user population, and the method dispatch.
 
-    def __init__(self, pair: FoldPair, cfg: ExperimentConfig):
+    The folds of one run pass the run's `_MfModels` and their index in it;
+    a context built alone trains an MF model on its own training set."""
+
+    def __init__(
+        self, pair: FoldPair, cfg: ExperimentConfig, mf: tuple[_MfModels, int] | None = None
+    ):
         self.pair = pair
         self.cfg = cfg
+        self._mf = mf or (_MfModels([pair.train], cfg), 0)
         self.graph = bigraph.build_graph(pair.train)
         self.likes = evalmetrics.liked_test_set(pair.test, cfg.like_threshold)
         self.test_users = sorted(
@@ -184,7 +219,6 @@ class FoldContext:
         self.excluded_users = len(self.likes) - len(self.test_users)
         self._sims: dict[tuple[str, str], SimilarityMatrix] = {}
         self._pimra: recommend.PimraScorer | None = None
-        self._mf: recommend.MFModel | None = None
 
     def similarity(self, measure: str, axis: str) -> SimilarityMatrix:
         """Normalized similarity matrix, computed once per (measure, axis)."""
@@ -209,9 +243,8 @@ class FoldContext:
 
     @property
     def mf_model(self) -> recommend.MFModel:
-        if self._mf is None:
-            self._mf = recommend.train_mf(self.pair.train, self.cfg.mf, self.cfg.seed)
-        return self._mf
+        models, index = self._mf
+        return models.model(index)
 
     def user_counts(self, fold: int) -> dict[str, int]:
         return {
@@ -235,7 +268,7 @@ class FoldContext:
                 score_block = lambda block: scorer.scores(block, theta)
             else:
                 if method == "MD":
-                    score = lambda u: recommend.md_scores(g, u)[1]
+                    score = lambda u: recommend.md_scores(g, u)
                 elif method in KNN_AXES:
                     sim = self.similarity(self.cfg.knn_measure, KNN_AXES[method])
                     score = lambda u: recommend.knn_scores(sim, g, u, self.cfg.knn_k)
@@ -296,12 +329,6 @@ def _metric_rows(
 ListSink = Callable[[int, str, list[RecommendationList]], None]
 
 
-def _folds(ds: RatingDataset, cfg: ExperimentConfig) -> Iterator[tuple[int, FoldContext]]:
-    """Each fold of the configured k-fold split with its context."""
-    for f, pair in enumerate(corpus.kfold_split(ds, cfg.k_folds, cfg.seed)):
-        yield f, FoldContext(pair, cfg)
-
-
 def _ranked_run(
     ds: RatingDataset,
     cfg: ExperimentConfig,
@@ -320,7 +347,10 @@ def _ranked_run(
     fold_users = []
     failures: list[HarnessError] = []
     ranked = False
-    for f, ctx in _folds(ds, cfg):
+    pairs = corpus.kfold_split(ds, cfg.k_folds, cfg.seed)
+    models = _MfModels([pair.train for pair in pairs], cfg)
+    for f, pair in enumerate(pairs):
+        ctx = FoldContext(pair, cfg, (models, f))
         fold_users.append(ctx.user_counts(f))
         for method, theta in runs:
             theta = cfg.run_theta(method, theta)
@@ -344,7 +374,7 @@ def _ranked_run(
         )
     if failures and not ranked:
         raise failures[0]
-    return EvaluationReport(rows, cfg, fold_users).with_means()
+    return EvaluationReport(rows, cfg, fold_users, models.train_s).with_means()
 
 
 def run_experiment(
@@ -403,8 +433,9 @@ def sweep_knn(
                     f"{name} must be drawn from {', '.join(allowed)}, got {value!r}"
                 )
     rows: list[MetricRow] = []
-    for f, ctx in _folds(ds, cfg):
-        test = ctx.pair.test
+    for f, pair in enumerate(corpus.kfold_split(ds, cfg.k_folds, cfg.seed)):
+        ctx = FoldContext(pair, cfg)
+        test = pair.test
         for measure in measures:
             for mode in modes:
                 sim = ctx.similarity(measure, KNN_AXES[mode])

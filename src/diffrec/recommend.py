@@ -229,10 +229,9 @@ def knn_scores(sim: SimilarityMatrix, g: BipartiteGraph, user: int, k: int) -> n
 # Mass diffusion
 
 
-def md_scores(g: BipartiteGraph, user: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unweighted two-hop diffusion; returns (user resources after the
-    backtracking step, item resources after the diffusion step, including
-    seen items)."""
+def md_scores(g: BipartiteGraph, user: int) -> np.ndarray:
+    """Unweighted two-hop diffusion: the item resources after the diffusion
+    step, seen items included."""
     seen, _ = g.user_items(user)
     if len(seen) == 0:
         raise RecommendError(f"user {user} has no training interactions")
@@ -242,8 +241,7 @@ def md_scores(g: BipartiteGraph, user: int) -> tuple[np.ndarray, np.ndarray]:
         per_item = np.where(g.item_degree > 0, init / g.item_degree, 0.0)
         res_users = g.adjacency @ per_item
         per_user = np.where(g.user_degree > 0, res_users / g.user_degree, 0.0)
-    res_items = g.adjacency_t @ per_user
-    return res_users, res_items
+    return g.adjacency_t @ per_user
 
 
 # ---------------------------------------------------------------------------
@@ -368,69 +366,134 @@ class MFModel:
     scale_max: float
 
 
-def train_mf(train: RatingDataset, cfg: MfConfig, seed: int) -> MFModel:
-    """Biased latent-factor model fit by per-rating stochastic gradient
-    descent on squared error; deterministic given the seed.
+# the most SGD steps that one vectorised update takes: a wave of five
+# ML-1M-shaped folds averages about 1,350 steps, and taken whole such waves
+# made an epoch about 10% slower than in chunks of 512
+_SGD_CHUNK = 512
 
-    Each epoch visits the ratings in a fresh random permutation, one SGD
-    step per rating, but applies the steps in dependency waves: a step's
-    wave is one past the latest wave that already holds its user or its
-    item. No two steps in a wave share a user or an item, so each wave is
-    one vectorised update, and every row of the biases and factors gets
-    the same updates, in the same order and with the same element-wise
-    arithmetic, as when the steps run one at a time (the interchangeable
-    strata of Gemulla et al., KDD 2011). The parameters are therefore
-    those of plain sequential SGD, bit for bit.
+
+def train_mf(
+    trains: Sequence[RatingDataset], cfg: MfConfig, seed: int
+) -> list[MFModel | MfDivergenceError]:
+    """Biased latent-factor models, one per training set, each fit by
+    per-rating stochastic gradient descent on squared error; deterministic
+    given the seed. Returns, per set, its model or the
+    `MfDivergenceError` that ended its training.
+
+    Each set draws from its own `default_rng(seed)`: its user factors, its
+    item factors, then each epoch a fresh permutation of its ratings, one
+    SGD step per rating. The steps run in dependency waves: a step's wave
+    is one past the latest wave of its set that already holds its user or
+    its item. No two steps in a wave share a user or an item, and no two
+    sets share a parameter, so wave w of every set still training is one
+    vectorised update, taken in chunks of at most `_SGD_CHUNK` steps. Every
+    row of the biases and factors gets the same updates, in the same order
+    and with the same element-wise arithmetic, as when one set's steps run
+    one at a time (the interchangeable strata of Gemulla et al., KDD 2011).
+    Each model is therefore that of plain sequential SGD on its set alone,
+    bit for bit.
+
+    A set whose squared errors over an epoch, summed in its permutation
+    order, are not finite has diverged: it stops at that epoch, and the
+    other sets go on.
     """
-    rng = np.random.default_rng(seed)
-    n_users, n_items = train.n_users, train.n_items
-    p = rng.normal(0.0, 0.1, size=(n_users, cfg.factors))
-    q = rng.normal(0.0, 0.1, size=(n_items, cfg.factors))
-    bu = np.zeros(n_users)
-    bi = np.zeros(n_items)
-    mu = float(train.ratings.mean())
-    users, items, ratings = train.users, train.items, train.ratings
-    lr, reg = cfg.learning_rate, cfg.regularization
+    k = cfg.factors
+    rngs = [np.random.default_rng(seed) for _ in trains]
+    # one parameter table: each set's users, then its items, one row each of
+    # k factors and then the bias
+    firsts = np.cumsum([0] + [t.n_users + t.n_items for t in trains]).tolist()
+    table = np.zeros((firsts[-1], k + 1))
+    for t, rng, lo, hi in zip(trains, rngs, firsts, firsts[1:]):
+        table[lo : lo + t.n_users, :k] = rng.normal(0.0, 0.1, size=(t.n_users, k))
+        table[lo + t.n_users : hi, :k] = rng.normal(0.0, 0.1, size=(t.n_items, k))
+    mus = [float(t.ratings.mean()) for t in trains]
+    results: list[MFModel | MfDivergenceError | None] = [None] * len(trains)
+    live = list(range(len(trains)))
     # divergence surfaces as non-finite error; silence the interim overflow
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
-            order = rng.permutation(len(ratings))
-            wave = _waves(users[order].tolist(), items[order].tolist(), n_users, n_items)
-            by_wave = np.argsort(wave, kind="stable")
-            ends = np.cumsum(np.bincount(wave)).tolist()
-            steps = order[by_wave]
-            wu, wi, wr = users[steps], items[steps], ratings[steps]
-            errs = np.empty(len(steps))
-            lo = 0
-            for hi in ends:
-                u, i, r = wu[lo:hi], wi[lo:hi], wr[lo:hi]
-                bu_u, bi_i, pu, qi = bu[u], bi[i], p[u], q[i]
-                # 1×k by k×1 products take the dot kernel of `pu @ qi`;
-                # einsum or (pu * qi).sum(1) would add in another order
-                dot = np.matmul(pu[:, None, :], qi[:, :, None])[:, 0, 0]
-                err = r - (mu + bu_u + bi_i + dot)
-                errs[lo:hi] = err
-                bu[u] = bu_u + lr * (err - reg * bu_u)
-                bi[i] = bi_i + lr * (err - reg * bi_i)
-                err = err[:, None]
-                pu_new = pu + lr * (err * qi - reg * pu)
-                q[i] = qi + lr * (err * pu - reg * qi)
-                p[u] = pu_new
-                lo = hi
-            # the squared errors summed in permutation order, as step by step
-            sq = np.empty_like(errs)
-            sq[by_wave] = errs * errs
-            if len(sq) and not np.isfinite(np.cumsum(sq)[-1]):
-                raise MfDivergenceError(epoch)
-    return MFModel(
-        global_mean=mu,
-        user_bias=bu,
-        item_bias=bi,
-        user_factors=p,
-        item_factors=q,
-        scale_min=train.scale.min,
-        scale_max=train.scale.max,
-    )
+            sets = [(trains[s], rngs[s], firsts[s], mus[s]) for s in live]
+            finite = _sgd_epoch(table, sets, cfg.learning_rate, cfg.regularization)
+            for s, ok in zip(live, finite):
+                if not ok:
+                    results[s] = MfDivergenceError(epoch)
+            live = [s for s in live if results[s] is None]
+    for s in live:
+        t, lo = trains[s], firsts[s]
+        users, items = table[lo : lo + t.n_users], table[lo + t.n_users : firsts[s + 1]]
+        results[s] = MFModel(
+            global_mean=mus[s],
+            user_bias=users[:, k].copy(),
+            item_bias=items[:, k].copy(),
+            user_factors=users[:, :k].copy(),
+            item_factors=items[:, :k].copy(),
+            scale_min=t.scale.min,
+            scale_max=t.scale.max,
+        )
+    return results
+
+
+def _sgd_epoch(table: np.ndarray, sets: list, lr: float, reg: float) -> list[bool]:
+    """One SGD epoch of every (train, rng, first row, mean) set on the
+    parameter table; per set, whether its squared errors summed in its
+    permutation order are finite."""
+    k = table.shape[1] - 1
+    n = sum(t.n_links for t, _, _, _ in sets)
+    wave = np.empty(n, dtype=np.int32)
+    rows = np.empty((2, n), dtype=np.int32)  # each step's user row and item row
+    r, mu = np.empty(n), np.empty(n)
+    spans, a = [], 0
+    for t, rng, lo, mean in sets:
+        order = rng.permutation(t.n_links)
+        b = a + len(order)
+        u, i = t.users[order], t.items[order]
+        wave[a:b] = _waves(u.tolist(), i.tolist(), t.n_users, t.n_items)
+        rows[0, a:b] = u + lo
+        rows[1, a:b] = i + (lo + t.n_users)
+        r[a:b], mu[a:b] = t.ratings[order], mean
+        spans.append((a, b))
+        a = b
+    # every set's wave w together, each cut into chunks; keys of 16 bits or
+    # fewer take numpy's radix sort
+    by_wave = np.argsort(wave.astype(np.min_scalar_type(wave.max(initial=0))), kind="stable")
+    ends, hi = [], 0
+    for count in np.bincount(wave).tolist():
+        lo, hi = hi, hi + count
+        ends.extend(range(lo + _SGD_CHUNK, hi, _SGD_CHUNK))
+        ends.append(hi)
+    # each per-step array goes once it is read no more: at ML-1M shape
+    # every one holds tens of MB
+    del wave
+    rows = rows[:, by_wave]
+    r = r[by_wave]
+    mu = mu[by_wave]
+    errs = np.empty(n)
+    lo = 0
+    for hi in ends:
+        # (2, steps, k + 1): the steps' user rows, then their item rows;
+        # `take` gathers rows several times faster than fancy indexing
+        g = np.take(table, rows[:, lo:hi], axis=0)
+        # 1×k by k×1 products take the dot kernel of `pu @ qi`;
+        # einsum or (pu * qi).sum(1) would add in another order
+        dot = np.matmul(g[0, :, None, :k], g[1, :, :k, None])[:, 0, 0]
+        err = r[lo:hi] - (mu[lo:hi] + g[0, :, k] + g[1, :, k] + dot)
+        errs[lo:hi] = err
+        # s + lr * (err * t - reg * s), where a row's partner t is the other
+        # row of its step with 1.0 in the bias column (err * 1.0 is err),
+        # computed in place to spare three chunk-sized temporaries
+        step = g[::-1] * err[:, None]
+        step[:, :, k] = err
+        step -= reg * g
+        step *= lr
+        step += g
+        table[rows[:, lo:hi]] = step
+        lo = hi
+    del rows, r, mu
+    # each set's squared errors summed in its permutation order, as step by step
+    np.multiply(errs, errs, out=errs)
+    sq = np.empty(n)
+    sq[by_wave] = errs
+    return [a == b or bool(np.isfinite(np.cumsum(sq[a:b])[-1])) for a, b in spans]
 
 
 def _waves(users: list[int], items: list[int], n_users: int, n_items: int) -> list[int]:
@@ -439,11 +502,12 @@ def _waves(users: list[int], items: list[int], n_users: int, n_items: int) -> li
     user_wave = [-1] * n_users
     item_wave = [-1] * n_items
     waves = []
+    append = waves.append
     for u, i in zip(users, items):
         a, b = user_wave[u], item_wave[i]
         w = (a if a > b else b) + 1
         user_wave[u] = item_wave[i] = w
-        waves.append(w)
+        append(w)
     return waves
 
 

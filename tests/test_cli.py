@@ -1,3 +1,6 @@
+import csv
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -213,6 +216,37 @@ def test_recommend_honours_knn_measure(synth_csv, tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[1:] == expected
 
 
+def test_list_csvs_quote_labels(tmp_path, capsys):
+    # labels holding a comma, a quote and a line break, on users and items
+    labels = {"u0": "a,b", "u1": 'say "hi"', "i2": "x,y", "i3": "two\nlines"}
+    ds = random_dataset(5, n_users=12, n_items=8, density=0.5)
+    triples = [(labels.get(u, u), labels.get(i, i), r) for u, i, r in (
+        (ds.user_labels[u], ds.item_labels[i], r) for u, i, r in ds.triples())]
+    ds = oracles.from_triples(triples, corpus.RatingScale(1, 5, 1))
+    data, out = tmp_path / "quoted.csv", tmp_path / "out"
+    corpus.write_ratings(ds, data)
+
+    def rows(text):
+        table = list(csv.reader(io.StringIO(text)))
+        assert table[0] == ["user", "rank", "item", "score"]
+        assert all(len(row) == 4 for row in table)
+        assert {row[0] for row in table[1:]} <= set(ds.user_labels)
+        assert {row[2] for row in table[1:]} <= set(ds.item_labels)
+        return table[1:]
+
+    assert main(["recommend", "--input", str(data), "--user", "a,b", "--method", "MD",
+                 "-L", "3"]) == 0
+    listed = rows(capsys.readouterr().out)
+    assert [row[:2] for row in listed] == [["a,b", "1"], ["a,b", "2"], ["a,b", "3"]]
+    assert main(["eval", "--input", str(data), "--out-dir", str(out), "--method", "MD",
+                 "-L", "5"]) == 0
+    listed = [row for f in range(5)
+              for row in rows((out / f"recommendations_fold{f}_MD.csv").read_text())]
+    assert {row[0] for row in listed} & {"a,b", 'say "hi"'}
+    assert {row[2] for row in listed} & {"x,y", "two\nlines"}
+    capsys.readouterr()
+
+
 def test_recommend_unknown_user(fix4_csv, capsys):
     code = main(
         ["recommend", "--input", str(fix4_csv), "--user", "nobody", "--method", "MD"]
@@ -281,6 +315,21 @@ def test_manifest_records_peak_rss_and_versions(synth_csv, tmp_path, capsys):
     }
     # the report itself carries none of it
     assert b"rss" not in report and numpy.__version__.encode() not in report
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("methods, trained", [("MD", False), ("MD,SVD", True)])
+def test_manifest_records_input_digest_and_mf_time(synth_csv, tmp_path, capsys, methods,
+                                                   trained):
+    out = tmp_path / "out"
+    assert main(["eval", "--input", str(synth_csv), "--out-dir", str(out), "--method", methods,
+                 "-L", "5"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["input_sha256"] == hashlib.sha256(synth_csv.read_bytes()).hexdigest()
+    assert isinstance(manifest["mf_train_s"], float)
+    assert (manifest["mf_train_s"] > 0) is trained
+    report = (out / "report.csv").read_bytes()
+    assert manifest["input_sha256"].encode() not in report and b"mf_train" not in report
     capsys.readouterr()
 
 

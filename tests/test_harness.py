@@ -157,20 +157,52 @@ class TestRunExperiment:
             k_folds=2, seed=3, list_length=5, methods=("SVD",),
             mf=recommend.MfConfig(factors=3, epochs=2),
         )
-        trained, real = [], recommend.train_mf
+        calls, real = [], recommend.train_mf
 
-        def spy(*args):
-            trained.append(real(*args))
-            return trained[-1]
+        def spy(trains, mf, seed):
+            calls.append((trains, real(trains, mf, seed)))
+            return calls[-1][1]
 
         monkeypatch.setattr(recommend, "train_mf", spy)
         run_experiment(ds, cfg)
         folds = corpus.kfold_split(ds, cfg.k_folds, 3)
-        assert len(trained) == len(folds)
-        for pair, model in zip(folds, trained):
+        assert len(calls) == 1
+        trains, models = calls[0]
+        assert len(trains) == len(models) == len(folds)
+        for pair, train, model in zip(folds, trains, models):
+            assert np.array_equal(train.ratings, pair.train.ratings)
             expected = oracles.train_mf(pair.train, cfg.mf, 3)
-            assert np.array_equal(model.user_factors, expected.user_factors)
-            assert np.array_equal(model.item_factors, expected.item_factors)
+            assert model.user_factors.tobytes() == expected.user_factors.tobytes()
+            assert model.item_factors.tobytes() == expected.item_factors.tobytes()
+
+    def test_a_diverged_fold_has_na_svd_rows(self, monkeypatch):
+        # at this learning rate the oracle diverges on fold 1's training set
+        # at epoch 3 and keeps folds 0 and 2 finite
+        ds = random_dataset(1, n_users=12, n_items=10, density=0.5)
+        cfg = ExperimentConfig(
+            k_folds=3, seed=0, list_length=5, methods=("SVD",),
+            mf=recommend.MfConfig(factors=3, learning_rate=0.4, epochs=5),
+        )
+        models, real = [], recommend.train_mf
+
+        def spy(*args):
+            models.extend(real(*args))
+            return models
+
+        monkeypatch.setattr(recommend, "train_mf", spy)
+        report = run_experiment(ds, cfg)
+        note = "method SVD failed: matrix factorization diverged at epoch 3"
+        for f, pair in enumerate(corpus.kfold_split(ds, cfg.k_folds, cfg.seed)):
+            rows = [r for r in report.rows if r.fold == str(f)]
+            assert rows and FoldContext(pair, cfg).test_users
+            if f == 1:
+                assert all(r.value is None and r.note == note for r in rows)
+                assert models[f].epoch == 3
+                continue
+            assert all(r.value is not None for r in rows if r.metric == "ars")
+            expected = oracles.train_mf(pair.train, cfg.mf, cfg.seed)
+            for field in ("user_bias", "item_bias", "user_factors", "item_factors"):
+                assert getattr(models[f], field).tobytes() == getattr(expected, field).tobytes()
 
 
 class TestRankingErrors:
@@ -247,9 +279,10 @@ class TestSerialization:
             if parts[6] != "NA":
                 float(parts[6])
 
-    def test_manifest(self, report, tmp_path):
-        path = tmp_path / "manifest.json"
-        write_manifest(report, path)
+    def test_manifest(self, ds, report, tmp_path):
+        path, data = tmp_path / "manifest.json", tmp_path / "ratings.csv"
+        corpus.write_ratings(ds, data)
+        write_manifest(report, path, data)
         doc = json.loads(path.read_text())
         assert doc["config_hash"] == report.config.digest()
         assert doc["seed"] == report.config.seed
@@ -261,7 +294,8 @@ class TestSerialization:
         ds = one_user_fold_corpus()
         cfg = ExperimentConfig(k_folds=8, methods=("MD",))
         report = run_experiment(ds, cfg)
-        write_manifest(report, tmp_path / "manifest.json")
+        corpus.write_ratings(ds, tmp_path / "ratings.csv")
+        write_manifest(report, tmp_path / "manifest.json", tmp_path / "ratings.csv")
         doc = json.loads((tmp_path / "manifest.json").read_text())
         contexts = [FoldContext(pair, cfg) for pair in corpus.kfold_split(ds, 8, cfg.seed)]
         assert doc["folds"] == [

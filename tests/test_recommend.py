@@ -81,15 +81,15 @@ def walk_row(g, p, u, theta):
 
 class TestMassDiffusion:
     def test_fix4_u1(self, fix4_graph, fix4, uid, iid):
-        rec = ranked(fix4_graph, uid["u1"], md_scores(fix4_graph, uid["u1"])[1])
+        rec = ranked(fix4_graph, uid["u1"], md_scores(fix4_graph, uid["u1"]))
         assert rec.items.tolist() == [iid["i2"]]
         assert rec.scores[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
-    def test_fix4_step2_resources(self, fix4_graph, uid):
-        res_users, _ = md_scores(fix4_graph, uid["u1"])
+    def test_fix4_step2_resources(self, fix4, uid):
+        res_users, _ = oracles.md_item_scores(fix4, uid["u1"])
         expected = {"u1": 7 / 6, "u2": 1 / 3, "u3": 7 / 6, "u4": 1 / 3}
-        for label, val in expected.items():
-            assert res_users[uid[label]] == pytest.approx(val, abs=1e-12)
+        assert res_users == pytest.approx({uid[label]: val for label, val in expected.items()},
+                                          abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_mass_conservation(self, seed):
@@ -98,28 +98,27 @@ class TestMassDiffusion:
         for u in range(g.n_users):
             if g.user_degree[u] == 0:
                 continue
-            res_users, res_items = md_scores(g, u)
+            res_users, _ = oracles.md_item_scores(ds, u)
             init = float(g.user_degree[u])
-            assert res_users.sum() == pytest.approx(init, abs=1e-9)
-            assert res_items.sum() == pytest.approx(init, abs=1e-9)
+            assert sum(res_users.values()) == pytest.approx(init, abs=1e-9)
+            assert md_scores(g, u).sum() == pytest.approx(init, abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_literal_oracle(self, seed):
         ds = random_dataset(40 + seed, n_users=7, n_items=7, density=0.5)
         g = build_graph(ds)
         for u in range(ds.n_users):
-            exp_users, exp_items = oracles.md_item_scores(ds, u)
-            res_users, res_items = md_scores(g, u)
-            for v, val in exp_users.items():
-                assert res_users[v] == pytest.approx(val, abs=1e-9)
+            _, exp_items = oracles.md_item_scores(ds, u)
+            res_items = md_scores(g, u)
             for j, val in exp_items.items():
                 assert res_items[j] == pytest.approx(val, abs=1e-9)
 
     def test_sole_rater_returns_mass(self):
         ds = oracles.from_triples([("a", "x", 3), ("a", "y", 5)], SCALE15)
         g = build_graph(ds)
-        res_users, _ = md_scores(g, 0)
-        assert res_users[0] == pytest.approx(2.0)
+        res_users, _ = oracles.md_item_scores(ds, 0)
+        assert res_users == pytest.approx({0: 2.0})
+        assert md_scores(g, 0).tolist() == pytest.approx([1.0, 1.0])
 
     def test_isolated_user(self, fix4):
         # user present in the label space but absent from this subset
@@ -134,17 +133,14 @@ class TestMassDiffusion:
         g = build_graph(sub)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res_users, res_items = md_scores(g, uid["u1"])
-        exp_users, exp_items = oracles.md_item_scores(sub, uid["u1"])
-        assert res_users[uid["u2"]] == 0.0
-        for v, val in exp_users.items():
-            assert res_users[v] == pytest.approx(val, abs=1e-12)
+            res_items = md_scores(g, uid["u1"])
+        _, exp_items = oracles.md_item_scores(sub, uid["u1"])
         for j, val in exp_items.items():
             assert res_items[j] == pytest.approx(val, abs=1e-12)
 
     def test_no_seen_items_in_output(self, fix4_graph, uid):
         for u in uid.values():
-            rec = ranked(fix4_graph, u, md_scores(fix4_graph, u)[1])
+            rec = ranked(fix4_graph, u, md_scores(fix4_graph, u))
             assert not set(rec.items.tolist()) & seen(fix4_graph, u)
 
 
@@ -469,10 +465,35 @@ class TestPimra:
 # Matrix factorization
 
 
+def trained(ds, cfg, seed):
+    """train_mf on one set: its model, or the error that ended it."""
+    (result,) = train_mf([ds], cfg, seed)
+    return result
+
+
+def oracle_result(ds, cfg, seed):
+    try:
+        return oracles.train_mf(ds, cfg, seed)
+    except MfDivergenceError as exc:
+        return exc
+
+
+def assert_same_result(got, expected):
+    """The same model bit for bit (signed zeros too), or a divergence at the
+    same epoch."""
+    assert type(got) is type(expected)
+    if isinstance(expected, MfDivergenceError):
+        assert got.epoch == expected.epoch
+        return
+    assert got.global_mean == expected.global_mean
+    for field in ("user_bias", "item_bias", "user_factors", "item_factors"):
+        assert getattr(got, field).tobytes() == getattr(expected, field).tobytes(), field
+
+
 class TestMf:
     def test_descent_on_fix4(self, fix4):
         cfg = MfConfig(factors=4, epochs=200)
-        model = train_mf(fix4, cfg, 3)
+        model = trained(fix4, cfg, 3)
         # reconstruct the epoch-0 parameters from the same seed
         rng = np.random.default_rng(3)
         p0 = rng.normal(0.0, 0.1, size=(fix4.n_users, cfg.factors))
@@ -487,14 +508,14 @@ class TestMf:
     def test_constant_ratings(self):
         triples = [(f"u{u}", f"i{i}", 3) for u in range(4) for i in range(4)]
         ds = oracles.from_triples(triples, SCALE15)
-        model = train_mf(ds, MfConfig(factors=4, epochs=300), 1)
+        model = trained(ds, MfConfig(factors=4, epochs=300), 1)
         pred = predict_mf(model, ds.users, ds.items)
         assert np.allclose(pred, 3.0, atol=0.05)
         assert np.linalg.norm(model.user_factors) < 0.1 * np.sqrt(16)
 
     def test_deterministic(self, fix4):
-        a = train_mf(fix4, MfConfig(epochs=5), 7)
-        b = train_mf(fix4, MfConfig(epochs=5), 7)
+        a = trained(fix4, MfConfig(epochs=5), 7)
+        b = trained(fix4, MfConfig(epochs=5), 7)
         assert np.array_equal(a.user_factors, b.user_factors)
         assert np.array_equal(
             predict_mf(a, fix4.users, fix4.items),
@@ -508,9 +529,21 @@ class TestMf:
             cfg = MfConfig(learning_rate=lr, epochs=10)
             with pytest.raises(MfDivergenceError) as expected:
                 oracles.train_mf(fix4, cfg, 0)
-            with pytest.raises(MfDivergenceError) as exc:
-                train_mf(fix4, cfg, 0)
-            assert exc.value.epoch == expected.value.epoch == epoch, lr
+            got = trained(fix4, cfg, 0)
+            assert isinstance(got, MfDivergenceError)
+            assert got.epoch == expected.value.epoch == epoch, lr
+
+    def test_sets_diverge_on_their_own(self):
+        # at this learning rate the oracle keeps sets 0 and 2 finite, and
+        # sets 1, 3 and 4 diverge at epochs 3, 2 and 1
+        shapes = [(0, 4, 5, 0.5), (0, 8, 9, 0.5), (0, 3, 3, 0.4), (0, 9, 9, 0.9), (1, 9, 9, 0.9)]
+        sets = [random_dataset(s, n_users=u, n_items=i, density=d) for s, u, i, d in shapes]
+        cfg = MfConfig(factors=4, learning_rate=0.5, epochs=6)
+        got = train_mf(sets, cfg, 0)
+        epochs = [getattr(r, "epoch", None) for r in got]
+        assert epochs == [None, 3, None, 2, 1]
+        for ds, result in zip(sets, got):
+            assert_same_result(result, oracle_result(ds, cfg, 0))
 
     @pytest.mark.parametrize(
         "field, value",
@@ -534,34 +567,50 @@ class TestMf:
         assert MfConfig(regularization=0.0).regularization == 0.0
 
     @given(
-        seed=st.integers(0, 2**16),
-        n_users=st.integers(1, 9),
-        n_items=st.integers(1, 9),
-        density=st.floats(0.05, 1.0),
-        full_user=st.booleans(),
+        shapes=st.lists(
+            st.tuples(
+                st.integers(0, 2**16),  # dataset seed
+                st.integers(1, 9),  # users
+                st.integers(1, 9),  # items
+                st.floats(0.05, 1.0),  # density
+                st.booleans(),  # one more user who rated every item
+            ),
+            min_size=1,
+            max_size=4,
+        ),
         factors=st.integers(1, 8),
         epochs=st.integers(1, 4),
+        learning_rate=st.sampled_from([0.005, 0.5]),
         mf_seed=st.integers(0, 3),
+        chunk=st.sampled_from([1, 2, 3, 512]),
     )
-    @example(seed=0, n_users=5, n_items=1, density=0.5, full_user=False, factors=3, epochs=2, mf_seed=0)
-    @example(seed=1, n_users=4, n_items=7, density=0.2, full_user=True, factors=8, epochs=4, mf_seed=1)
+    @example(shapes=[(0, 5, 1, 0.5, False)], factors=3, epochs=2, learning_rate=0.005, mf_seed=0,
+             chunk=512)
+    @example(shapes=[(1, 4, 7, 0.2, True)], factors=8, epochs=4, learning_rate=0.005, mf_seed=1,
+             chunk=512)
+    # chunks of one and of two steps cut the merged waves of these sets
+    @example(shapes=[(2, 6, 8, 0.6, True), (3, 9, 4, 0.8, False)], factors=2, epochs=3,
+             learning_rate=0.005, mf_seed=2, chunk=1)
+    @example(shapes=[(2, 6, 8, 0.6, True), (3, 9, 4, 0.8, False), (4, 3, 9, 0.9, True)],
+             factors=5, epochs=3, learning_rate=0.005, mf_seed=0, chunk=2)
     @settings(max_examples=80)
-    def test_matches_scalar_sgd(
-        self, seed, n_users, n_items, density, full_user, factors, epochs, mf_seed
-    ):
-        ds = random_dataset(seed, n_users=n_users, n_items=n_items, density=density)
-        if full_user:
-            # one more user who rated every item
-            rated = list(ds.triples()) + [(n_users, i, 3.0) for i in range(ds.n_items)]
-            ds = oracles.from_triples([(f"u{u}", f"i{i}", r) for u, i, r in rated], SCALE15)
-        cfg = MfConfig(factors=factors, epochs=epochs)
-        got, expected = train_mf(ds, cfg, mf_seed), oracles.train_mf(ds, cfg, mf_seed)
-        assert got.global_mean == expected.global_mean
-        for field in ("user_bias", "item_bias", "user_factors", "item_factors"):
-            assert np.array_equal(getattr(got, field), getattr(expected, field)), field
+    def test_matches_scalar_sgd(self, shapes, factors, epochs, learning_rate, mf_seed, chunk):
+        sets = []
+        for seed, n_users, n_items, density, full_user in shapes:
+            ds = random_dataset(seed, n_users=n_users, n_items=n_items, density=density)
+            if full_user:
+                rated = list(ds.triples()) + [(n_users, i, 3.0) for i in range(ds.n_items)]
+                ds = oracles.from_triples([(f"u{u}", f"i{i}", r) for u, i, r in rated], SCALE15)
+            sets.append(ds)
+        cfg = MfConfig(factors=factors, epochs=epochs, learning_rate=learning_rate)
+        with mock.patch.object(recommend, "_SGD_CHUNK", chunk):
+            got = train_mf(sets, cfg, mf_seed)
+        assert len(got) == len(sets)
+        for ds, result in zip(sets, got):
+            assert_same_result(result, oracle_result(ds, cfg, mf_seed))
 
     def test_recommend_excludes_seen(self, fix4, fix4_graph, uid):
-        model = train_mf(fix4, MfConfig(epochs=5), 0)
+        model = trained(fix4, MfConfig(epochs=5), 0)
         n = fix4_graph.n_items
         u = uid["u1"]
         rec = ranked(fix4_graph, u, predict_mf(model, np.full(n, u), np.arange(n)))
@@ -579,7 +628,7 @@ class TestRankingContracts:
         triples = [("a", "x", 3), ("b", "x", 3), ("b", "y", 3), ("b", "z", 3)]
         ds = oracles.from_triples(triples, SCALE15)
         g = build_graph(ds)
-        rec = ranked(g, 0, md_scores(g, 0)[1])
+        rec = ranked(g, 0, md_scores(g, 0))
         assert rec.scores[0] == rec.scores[1]
         assert rec.items.tolist() == sorted(rec.items.tolist())
 
