@@ -392,6 +392,7 @@ def sweep_theta(
 ) -> EvaluationReport:
     """PIM+RA metrics per theta; folds and similarity matrices are shared
     across theta values."""
+    _check_sweep("thetas", thetas)
     for t in thetas:
         if not 0.0 <= t <= 1.0:
             raise HarnessError(f"theta {t} outside [0, 1]")
@@ -403,8 +404,7 @@ def sweep_list_length(
 ) -> EvaluationReport:
     """List-length sweep without ARS, which no length changes; each
     (fold, method) is ranked once."""
-    if not lengths:
-        raise HarnessError("no list lengths given")
+    _check_sweep("list lengths", lengths)
     for length in lengths:
         if length < 1:
             raise HarnessError(f"list length {length} must be >= 1")
@@ -420,6 +420,7 @@ def sweep_knn(
     modes: Sequence[str] = tuple(KNN_AXES),
 ) -> EvaluationReport:
     """Prediction-error table: NRMSE per (measure, mode, neighbor count)."""
+    _check_sweep("ks", ks)
     for k in ks:
         if k < 1:
             raise HarnessError(f"k {k} must be >= 1")
@@ -427,6 +428,7 @@ def sweep_knn(
         ("measures", measures, simkit.MEASURES),
         ("modes", modes, KNN_AXES),
     ):
+        _check_sweep(name, values)
         for value in values:
             if value not in allowed:
                 raise HarnessError(
@@ -445,6 +447,18 @@ def sweep_knn(
                 for k, err in zip(ks, errors):
                     rows.append(MetricRow(cfg.dataset_name, str(f), name, None, k, "nrmse", err))
     return EvaluationReport(rows=rows, config=cfg).with_means()
+
+
+def _check_sweep(name: str, values: Sequence) -> None:
+    """HarnessError unless a sweep has values and none twice: an empty
+    sweep would write a bare header, a repeated value its rows twice."""
+    if len(values) == 0:
+        raise HarnessError(f"no {name} given")
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise HarnessError(f"{name} repeat {value!r}")
+        seen.add(value)
 
 
 # ---------------------------------------------------------------------------

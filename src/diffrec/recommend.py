@@ -149,15 +149,22 @@ def knn_predict(
     """Predicted ratings for (user, item) pairs, one column per k in `ks`.
 
     A prediction is the similarity-weighted mean rating over the k most
-    similar neighbors (descending similarity, ties by id) with a defined,
-    positive similarity: the users who rated the item (user axis) or the
-    items the user rated (item axis). Pairs without such a neighbor fall
-    back to the user's mean rating, then the item's, then the scale
-    midpoint; results are clipped to the rating scale.
+    similar neighbors (descending similarity, ties by id) with a positive
+    similarity: the users who rated the item (user axis) or the items the
+    user rated (item axis). Pairs without such a neighbor fall back to the
+    user's mean rating, then the item's, then the scale midpoint; results
+    are clipped to the rating scale.
+
+    The neighbors are ordered by one sort of distinct integer keys, and
+    one prefix sum down a table of each pair's j-th neighbor gives the
+    sums for every k. Each sum adds 0 + s_0 + s_1 + ... in neighbor order,
+    as a running total over the sorted neighbors would.
     """
-    ks = np.asarray(ks, dtype=np.int64)
-    if np.any(ks < 1):
-        raise RecommendError(f"k must be >= 1, got {ks.tolist()}")
+    ks = np.asarray(ks, dtype=np.int64).tolist()
+    if not ks:
+        raise RecommendError("no neighbor counts given")
+    if min(ks) < 1:
+        raise RecommendError(f"k must be >= 1, got {ks}")
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
     if sim.axis == "users":
@@ -165,27 +172,102 @@ def knn_predict(
     else:
         anchors, rows, csr = items, users, g.weights
     n_pairs = len(rows)
-    # every pair's neighbor edges, gathered from the CSR rows
+    # every pair's neighbor edges, gathered from the CSR rows in ascending
+    # neighbor id; an undefined similarity is 0, so `sims > 0` drops it
     pair, edge = _row_edges(csr, rows)
     nbr = csr.indices[edge]
     anchor = anchors[pair]
     sims = sim.values[anchor, nbr]
-    keep = sim.defined[anchor, nbr] & (sims > 0) & (nbr != anchor)
-    pair, sims = pair[keep], sims[keep]
-    weighted = sims * csr.data[edge[keep]]
-    # within a pair the edges come in ascending neighbor id, so a stable
-    # sort by (pair, descending similarity) breaks ties by id
-    srt = np.lexsort((-sims, pair))
-    pair, sims, weighted = pair[srt], sims[srt], weighted[srt]
+    # positions, not a mask: three gathers by position take a fraction of
+    # the time of three boolean selections
+    keep = np.flatnonzero((sims > 0) & (nbr != anchor))
+    del nbr, anchor
+    pair, edge, sims = pair[keep], edge[keep], sims[keep]
+    del keep
     per_pair = np.bincount(pair, minlength=n_pairs)
+    # each edge's place among its pair's edges; sorting moves edges only
+    # within their pair, so the sorted edges have the same pair and place
     nth = np.arange(len(pair)) - (np.cumsum(per_pair) - per_pair)[pair]
-    num = np.empty((n_pairs, len(ks)))
-    den = np.empty((n_pairs, len(ks)))
-    for col, k in enumerate(ks):
-        take = nth < k
-        num[:, col] = np.bincount(pair[take], weights=weighted[take], minlength=n_pairs)
-        den[:, col] = np.bincount(pair[take], weights=sims[take], minlength=n_pairs)
+    widest = int(per_pair.max(initial=0))
+    kmax = min(max(ks), widest)
+    order = _neighbor_order(pair, sims, nth, widest)
+    # row j + 1 of the table holds each pair's j-th weighted rating and
+    # similarity; row 0 and the rows past a pair's last neighbor hold 0
+    take = np.flatnonzero(nth < kmax)
+    src = order[take]
+    del order
+    slot = (nth[take] + 1) * (2 * n_pairs) + pair[take]
+    del pair, nth, take
+    table = np.zeros((kmax + 1, 2, n_pairs))
+    flat = table.reshape(-1)
+    sims = sims[src]
+    flat[slot + n_pairs] = sims
+    flat[slot] = sims * csr.data[edge[src]]
+    del slot, src, sims, edge
+    # the running sums down the rows, at each k: numpy reduces a leading
+    # axis one row after another, so each reduce adds its rows in order
+    # onto the running sum at the k before (a cumsum along that axis steps
+    # one column at a time, several times slower)
+    at = [min(k, kmax) for k in ks]
+    lo = 0
+    for k in sorted(set(at)):
+        table[k] = np.add.reduce(table[lo : k + 1], axis=0)
+        lo = k
+    # (pairs x ks) blocks in C order, as the sums over pairs read them
+    num, den = table[at].transpose(1, 2, 0).copy()
     return _predictions(num, den, g, users[:, None], items[:, None])
+
+
+# the neighbor order's keys are int64: one run of pairs takes every key below this
+_KEY_LIMIT = 2**63
+
+
+def _neighbor_order(
+    pair: np.ndarray, sims: np.ndarray, nth: np.ndarray, widest: int
+) -> np.ndarray:
+    """The permutation that sorts edges by pair, then descending
+    similarity, then place in the pair: what a stable sort by (pair,
+    -sims) gives when each pair's edges come in ascending neighbor id.
+
+    Each edge's key (pair, dense rank of its similarity, place) is one
+    int64, and the keys are distinct, so one unstable sort gives that
+    order. Consecutive runs of pairs are ordered one at a time, each with
+    as many pairs as keep their keys below _KEY_LIMIT."""
+    n = len(sims)
+    by_value = np.argsort(-sims)
+    ordered = sims[by_value]
+    new = np.empty(n, dtype=bool)
+    new[:1] = False
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    del ordered
+    n_ranks = int(np.count_nonzero(new)) + 1
+    # each edge's dense rank by descending similarity; a run's ranks turn
+    # into its keys and then into its order, in place
+    out = np.empty(n, dtype=np.int64)
+    out[by_value] = np.cumsum(new)
+    del by_value, new
+    span = n_ranks * widest  # the keys of one pair
+    per_run = _KEY_LIMIT // max(span, 1)
+    if per_run < 1:
+        raise RecommendError(
+            f"{n_ranks:,} similarity ranks times {widest:,} neighbors of one pair "
+            f"do not fit an int64 sort key"
+        )
+    end = int(pair[-1]) + 1 if n else 0  # one past the last pair with an edge
+    for lo in range(0, end, per_run):
+        a, b = np.searchsorted(pair, [lo, min(lo + per_run, end)]).tolist()
+        run = out[a:b]
+        run *= widest
+        run += nth[a:b]
+        run += (pair[a:b] - lo) * span
+        # sorting the keys themselves is several times faster than an
+        # argsort; a sorted key's last part is its edge's place in the
+        # pair, and the pair's first edge is at its position less its place
+        run.sort()
+        run %= widest
+        run -= nth[a:b]
+        run += np.arange(a, b)
+    return out
 
 
 def _ibcf_scores(sim: SimilarityMatrix, g: BipartiteGraph, user: int, k: int) -> np.ndarray:
@@ -441,16 +523,19 @@ def _sgd_epoch(table: np.ndarray, sets: list, lr: float, reg: float) -> list[boo
     n = sum(t.n_links for t, _, _, _ in sets)
     wave = np.empty(n, dtype=np.int32)
     rows = np.empty((2, n), dtype=np.int32)  # each step's user row and item row
-    r, mu = np.empty(n), np.empty(n)
+    r = np.empty(n)
+    # each step's set, which gathers the set's mean rating chunk by chunk
+    owner = np.empty(n, dtype=np.min_scalar_type(len(sets) - 1))
+    means = np.array([mean for _, _, _, mean in sets])
     spans, a = [], 0
-    for t, rng, lo, mean in sets:
+    for s, (t, rng, lo, _) in enumerate(sets):
         order = rng.permutation(t.n_links)
         b = a + len(order)
         u, i = t.users[order], t.items[order]
         wave[a:b] = _waves(u.tolist(), i.tolist(), t.n_users, t.n_items)
         rows[0, a:b] = u + lo
         rows[1, a:b] = i + (lo + t.n_users)
-        r[a:b], mu[a:b] = t.ratings[order], mean
+        r[a:b], owner[a:b] = t.ratings[order], s
         spans.append((a, b))
         a = b
     # every set's wave w together, each cut into chunks; keys of 16 bits or
@@ -466,7 +551,7 @@ def _sgd_epoch(table: np.ndarray, sets: list, lr: float, reg: float) -> list[boo
     del wave
     rows = rows[:, by_wave]
     r = r[by_wave]
-    mu = mu[by_wave]
+    owner = owner[by_wave]
     errs = np.empty(n)
     lo = 0
     for hi in ends:
@@ -476,7 +561,8 @@ def _sgd_epoch(table: np.ndarray, sets: list, lr: float, reg: float) -> list[boo
         # 1×k by k×1 products take the dot kernel of `pu @ qi`;
         # einsum or (pu * qi).sum(1) would add in another order
         dot = np.matmul(g[0, :, None, :k], g[1, :, :k, None])[:, 0, 0]
-        err = r[lo:hi] - (mu[lo:hi] + g[0, :, k] + g[1, :, k] + dot)
+        mu = means[owner[lo:hi]]
+        err = r[lo:hi] - (mu + g[0, :, k] + g[1, :, k] + dot)
         errs[lo:hi] = err
         # s + lr * (err * t - reg * s), where a row's partner t is the other
         # row of its step with 1.0 in the bias column (err * 1.0 is err),
@@ -488,7 +574,7 @@ def _sgd_epoch(table: np.ndarray, sets: list, lr: float, reg: float) -> list[boo
         step += g
         table[rows[:, lo:hi]] = step
         lo = hi
-    del rows, r, mu
+    del rows, r, owner
     # each set's squared errors summed in its permutation order, as step by step
     np.multiply(errs, errs, out=errs)
     sq = np.empty(n)

@@ -8,7 +8,13 @@ import math
 import numpy as np
 
 from diffrec.corpus import CorpusError, RatingDataset
-from diffrec.recommend import MFModel, MfDivergenceError, RecommendationList
+from diffrec.recommend import (
+    MFModel,
+    MfDivergenceError,
+    RecommendationList,
+    _predictions,
+    _row_edges,
+)
 from diffrec.simkit import LOG_BASE_POPULARITY, SimilarityError, SimilarityMatrix
 
 
@@ -293,6 +299,40 @@ def knn_rating(ds, sim_lookup, user, item, k, axis="users"):
         rated = user_items_map(ds).get(user) or item_users_map(ds).get(item)
         pred = sum(rated.values()) / len(rated) if rated else (ds.scale.min + ds.scale.max) / 2
     return min(max(pred, ds.scale.min), ds.scale.max)
+
+
+def knn_predict(sim, g, users, items, ks):
+    """recommend.knn_predict by a stable two-key sort and one bincount per
+    k: the neighbor order of `np.lexsort((-sims, pair))` (edges come in
+    ascending neighbor id within a pair, so ties go by id), each pair's
+    first k weighted ratings and similarities summed by `np.bincount`.
+    Its bytes are the arbiter of the prefix-sum kernel's."""
+    ks = np.asarray(ks, dtype=np.int64)
+    users = np.asarray(users, dtype=np.int64)
+    items = np.asarray(items, dtype=np.int64)
+    if sim.axis == "users":
+        anchors, rows, csr = users, items, g.weights_t
+    else:
+        anchors, rows, csr = items, users, g.weights
+    n_pairs = len(rows)
+    pair, edge = _row_edges(csr, rows)
+    nbr = csr.indices[edge]
+    anchor = anchors[pair]
+    sims = sim.values[anchor, nbr]
+    keep = sim.defined[anchor, nbr] & (sims > 0) & (nbr != anchor)
+    pair, sims = pair[keep], sims[keep]
+    weighted = sims * csr.data[edge[keep]]
+    srt = np.lexsort((-sims, pair))
+    pair, sims, weighted = pair[srt], sims[srt], weighted[srt]
+    per_pair = np.bincount(pair, minlength=n_pairs)
+    nth = np.arange(len(pair)) - (np.cumsum(per_pair) - per_pair)[pair]
+    num = np.empty((n_pairs, len(ks)))
+    den = np.empty((n_pairs, len(ks)))
+    for col, k in enumerate(ks):
+        take = nth < k
+        num[:, col] = np.bincount(pair[take], weights=weighted[take], minlength=n_pairs)
+        den[:, col] = np.bincount(pair[take], weights=sims[take], minlength=n_pairs)
+    return _predictions(num, den, g, users[:, None], items[:, None])
 
 
 def rank(scores, seen):

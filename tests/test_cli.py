@@ -80,6 +80,14 @@ def test_non_finite_scale_is_rejected(fix4_csv, capsys):
         (["sweep-knn", "--ks", "1.5"], "--ks: invalid literal for int() with base 10: '1.5'"),
         (["sweep-knn", "--measures", "pcc,,bogus"],
          "measures must be drawn from cosine, pcc, pim, got 'bogus'"),
+        (["sweep-knn", "--ks", ","], "no ks given"),
+        (["sweep-knn", "--ks", "5,5"], "ks repeat 5"),
+        (["sweep-knn", "--measures", ","], "no measures given"),
+        (["sweep-knn", "--measures", "pcc,pcc"], "measures repeat 'pcc'"),
+        (["sweep-theta", "--thetas", ","], "no thetas given"),
+        (["sweep-theta", "--thetas", "0.5,0.50"], "thetas repeat 0.5"),
+        (["sweep-length", "--lengths", ","], "no list lengths given"),
+        (["sweep-length", "--lengths", "5,5"], "list lengths repeat 5"),
     ],
 )
 def test_malformed_setting_names_its_key(fix4_csv, tmp_path, capsys, argv, message):

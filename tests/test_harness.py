@@ -556,6 +556,33 @@ class TestSweepKnn:
         with pytest.raises(HarnessError, match=expected):
             sweep_knn(ds, cfg, (3,), measures=("pcc",), modes=("IBCF", "bogus"))
 
+    @pytest.mark.parametrize(
+        "sweep,message",
+        [
+            (lambda ds, cfg: sweep_knn(ds, cfg, ()), "no ks given"),
+            (lambda ds, cfg: sweep_knn(ds, cfg, (5, 3, 5)), "ks repeat 5"),
+            (lambda ds, cfg: sweep_knn(ds, cfg, (3,), measures=()), "no measures given"),
+            (lambda ds, cfg: sweep_knn(ds, cfg, (3,), measures=("pim", "pim")),
+             "measures repeat 'pim'"),
+            (lambda ds, cfg: sweep_knn(ds, cfg, (3,), modes=()), "no modes given"),
+            (lambda ds, cfg: sweep_knn(ds, cfg, (3,), modes=("IBCF", "IBCF")),
+             "modes repeat 'IBCF'"),
+            (lambda ds, cfg: sweep_theta(ds, cfg, ()), "no thetas given"),
+            (lambda ds, cfg: sweep_theta(ds, cfg, (0.5, 0.2, 0.5)), "thetas repeat 0.5"),
+            (lambda ds, cfg: sweep_list_length(ds, cfg, (5, 5)), "list lengths repeat 5"),
+        ],
+    )
+    def test_rejects_empty_or_repeated_values_before_any_fold(
+        self, ds, cfg, monkeypatch, sweep, message
+    ):
+        # an empty sweep would write a bare header, a repeated value its rows twice
+        def no_split(*args):
+            raise AssertionError("a fold ran before the sweep values were checked")
+
+        monkeypatch.setattr(corpus, "kfold_split", no_split)
+        with pytest.raises(HarnessError, match=f"^{message}$"):
+            sweep(ds, cfg)
+
     def test_matches_pointwise_predictions(self, ds, cfg):
         k = 3
         rep = sweep_knn(ds, cfg, (k,), measures=("pcc",), modes=("UBCF",))

@@ -203,6 +203,93 @@ class TestKnnPrediction:
         with pytest.raises(RecommendError):
             knn_predict(sim, fix4_graph, [0], [1], [3, 0])
 
+    def test_rejects_no_ks(self, fix4_graph):
+        sim = simkit.similarity(fix4_graph, "pcc", "users")
+        with pytest.raises(RecommendError, match="no neighbor counts given"):
+            knn_predict(sim, fix4_graph, [0], [1], [])
+
+    @given(
+        seed=st.integers(0, 2**16),
+        n_users=st.integers(1, 9),
+        n_items=st.integers(1, 9),
+        density=st.floats(0.1, 0.9),
+        axis=st.sampled_from(["users", "items"]),
+        values=st.sampled_from(["cosine", "pcc", "near-tie", "runs", "none"]),
+        zero_based=st.booleans(),
+        ks=st.lists(st.sampled_from([1, 2, 3, 5, 10**9]), min_size=1, max_size=5),
+        n_pairs=st.integers(0, 60),
+    )
+    @example(
+        seed=3, n_users=9, n_items=9, density=0.9, axis="users", values="runs",
+        zero_based=False, ks=[2, 1], n_pairs=60,
+    )
+    @example(
+        seed=1, n_users=5, n_items=5, density=0.6, axis="users", values="none",
+        zero_based=False, ks=[2], n_pairs=20,
+    )
+    @example(
+        seed=1, n_users=5, n_items=5, density=0.6, axis="items", values="pcc",
+        zero_based=False, ks=[3, 1, 3], n_pairs=0,
+    )
+    @example(
+        seed=2, n_users=1, n_items=6, density=0.9, axis="users", values="runs",
+        zero_based=True, ks=[10**9, 1], n_pairs=10,
+    )
+    @settings(max_examples=60)
+    def test_bytes_match_lexsort_oracle(
+        self, seed, n_users, n_items, density, axis, values, zero_based, ks, n_pairs
+    ):
+        # k = 10**9 also checks that nothing k-sized is allocated
+        scale = RatingScale(0, 4, 1) if zero_based else SCALE15
+        ds = random_dataset(seed, n_users=n_users, n_items=n_items, density=density, scale=scale)
+        g = build_graph(ds)
+        # raw matrices: signed, 0 where undefined
+        sim = (simkit.cosine_matrix if values == "cosine" else simkit.pcc_matrix)(g, axis)
+        rng = np.random.default_rng(seed)
+        shape = sim.values.shape
+        if values == "near-tie":  # defined similarities 1 ulp apart
+            v = np.where(rng.random(shape) < 0.5, np.nextafter(0.5, 1.0), 0.5)
+        elif values == "runs":  # runs of equal similarities
+            v = rng.choice([0.25, 0.5, 0.75], size=shape)
+        elif values == "none":  # no positive similarity: no edge at all
+            v = np.zeros(shape)
+        if values in ("near-tie", "runs", "none"):
+            sim = SimilarityMatrix(axis, np.where(sim.defined, v, 0.0), sim.defined)
+        users = rng.integers(0, g.n_users, n_pairs)
+        items = rng.integers(0, g.n_items, n_pairs)
+        got = knn_predict(sim, g, users, items, ks)
+        expected = oracles.knn_predict(sim, g, users, items, ks)
+        # C order: sums over the pairs (nrmse) add in memory order
+        assert got.flags.c_contiguous
+        assert got.shape == expected.shape == (n_pairs, len(ks))
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("axis", ["users", "items"])
+    def test_key_runs_of_any_size_give_the_same_bytes(self, seed, axis):
+        # every power of two as the key limit: the pairs are ordered in runs
+        # from all of them at once down to one per run (the least limit that
+        # fits is under twice one pair's key span), and below that the keys
+        # do not fit
+        ds = random_dataset(seed, n_users=7, n_items=7, density=0.6)
+        g = build_graph(ds)
+        sim = simkit.pcc_matrix(g, axis)
+        users, items = np.divmod(np.arange(g.n_users * g.n_items), g.n_items)
+        ks = [2, 1, 10**9]
+        expected = oracles.knn_predict(sim, g, users, items, ks).tobytes()
+        fits = []
+        for shift in range(64):
+            with mock.patch.object(recommend, "_KEY_LIMIT", 2**shift):
+                try:
+                    got = knn_predict(sim, g, users, items, ks)
+                except RecommendError as exc:
+                    assert "do not fit an int64 sort key" in str(exc)
+                    fits.append(False)
+                    continue
+            assert got.tobytes() == expected
+            fits.append(True)
+        assert fits == sorted(fits) and 0 < fits.count(False) < 64
+
     @given(
         seed=st.integers(0, 2**16),
         n_users=st.integers(2, 7),

@@ -456,6 +456,35 @@ def test_tiles_agree_with_one_tile(seed, n_users, n_items, density, rows, measur
         assert np.array_equal(m.defined, m.defined.T)
 
 
+@given(
+    seed=st.integers(0, 10_000),
+    n_users=st.integers(2, 7),
+    n_items=st.integers(2, 7),
+    density=st.sampled_from([0.2, 0.5, 0.9]),
+    flat=st.sampled_from([1.0, 3.0, 5.0]),
+)
+@settings(max_examples=25, deadline=None)
+def test_undefined_pairs_hold_zero(seed, n_users, n_items, density, flat):
+    # knn_predict keeps neighbors by `values > 0` alone, which drops
+    # undefined pairs only if each holds 0: raw and normalized, every
+    # measure and axis, with a zero-variance rater and a user and an item
+    # that co-rate with no one
+    base = random_dataset(seed, n_users=n_users, n_items=n_items, density=density)
+    triples = [(base.user_labels[u], base.item_labels[i], r) for u, i, r in base.triples()]
+    triples += [("flat", base.item_labels[i], flat) for i in range(base.n_items)]
+    triples += [("alone", "unshared", 2.0)]
+    g = bigraph.build_graph(oracles.from_triples(triples, RatingScale(1, 5, 1)))
+    for measure in simkit.MEASURES:
+        for axis in ("users", "items"):
+            raw = _raw(g, measure, axis)
+            assert np.all(raw.values[~raw.defined] == 0.0)
+            try:
+                norm = simkit.similarity(g, measure, axis)
+            except SimilarityError:  # no defined pair to normalize
+                continue
+            assert np.all(norm.values[~norm.defined] == 0.0)
+
+
 class TestOneTileMatchesDenseOracle:
     """At bench shapes every axis is one tile, and the tiled core gives
     the dense matrix path's bits, signed zeros included."""
