@@ -8,6 +8,7 @@ import json
 import platform
 import resource
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence, get_args
 
@@ -110,6 +111,8 @@ class EvaluationReport:
     # per fold: evaluated test users, and those excluded for want of training ratings
     fold_users: list[dict[str, int]] = field(default_factory=list)
     mf_train_s: float = 0.0  # seconds of the run's one MF training, 0 if none ran
+    # seconds spent building each "measure/axis" similarity, summed over folds
+    similarity_s: dict[str, float] = field(default_factory=dict)
 
     def with_means(self) -> "EvaluationReport":
         """Append cross-fold mean rows (fold='mean')."""
@@ -124,7 +127,9 @@ class EvaluationReport:
                 groups.items(), key=lambda kv: (kv[0][0], str(kv[0][1]), str(kv[0][2]), kv[0][3])
             )
         ]
-        return EvaluationReport(self.rows + extra, self.config, self.fold_users, self.mf_train_s)
+        return EvaluationReport(
+            self.rows + extra, self.config, self.fold_users, self.mf_train_s, self.similarity_s
+        )
 
 
 def write_report_csv(report: EvaluationReport, path) -> None:
@@ -149,6 +154,7 @@ def write_manifest(report: EvaluationReport, path, input_path) -> None:
         "input_sha256": digest.hexdigest(),
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "mf_train_s": report.mf_train_s,
+        "similarity_s": report.similarity_s,
         # the process's peak so far; ru_maxrss is in KiB on Linux
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "versions": {
@@ -218,15 +224,18 @@ class FoldContext:
         # users with a liked test item but no training ratings
         self.excluded_users = len(self.likes) - len(self.test_users)
         self._sims: dict[tuple[str, str], SimilarityMatrix] = {}
+        self.similarity_s: dict[str, float] = {}  # build seconds per "measure/axis"
         self._pimra: recommend.PimraScorer | None = None
 
     def similarity(self, measure: str, axis: str) -> SimilarityMatrix:
         """Normalized similarity matrix, computed once per (measure, axis)."""
         key = (measure, axis)
         if key not in self._sims:
+            start = time.perf_counter()
             self._sims[key] = simkit.similarity(
                 self.graph, measure, axis, self.cfg.penalty_variant
             )
+            self.similarity_s[f"{measure}/{axis}"] = time.perf_counter() - start
         return self._sims[key]
 
     @property
@@ -266,10 +275,13 @@ class FoldContext:
             if method == "PIM+RA":
                 scorer, theta = self.pimra_scorer, self.cfg.run_theta(method, theta)
                 score_block = lambda block: scorer.scores(block, theta)
+            elif method == "UBCF":
+                sim = self.similarity(self.cfg.knn_measure, KNN_AXES[method])
+                score_block = lambda block: recommend.ubcf_scores(sim, g, block, self.cfg.knn_k)
             else:
                 if method == "MD":
                     score = lambda u: recommend.md_scores(g, u)
-                elif method in KNN_AXES:
+                elif method == "IBCF":
                     sim = self.similarity(self.cfg.knn_measure, KNN_AXES[method])
                     score = lambda u: recommend.knn_scores(sim, g, u, self.cfg.knn_k)
                 elif method == "SVD":
@@ -347,6 +359,7 @@ def _ranked_run(
     fold_users = []
     failures: list[HarnessError] = []
     ranked = False
+    similarity_s: Counter[str] = Counter()
     pairs = corpus.kfold_split(ds, cfg.k_folds, cfg.seed)
     models = _MfModels([pair.train for pair in pairs], cfg)
     for f, pair in enumerate(pairs):
@@ -368,13 +381,14 @@ def _ranked_run(
                 rows.extend(_metric_rows(ctx, str(f), method, lists, theta, length, reason, ars))
             if list_sink is not None:
                 list_sink(f, method, lists)
+        similarity_s.update(ctx.similarity_s)
     if not any(f["evaluated_users"] for f in fold_users):
         raise HarnessError(
             f"no evaluable test users in any fold (like_threshold {cfg.like_threshold})"
         )
     if failures and not ranked:
         raise failures[0]
-    return EvaluationReport(rows, cfg, fold_users, models.train_s).with_means()
+    return EvaluationReport(rows, cfg, fold_users, models.train_s, dict(similarity_s)).with_means()
 
 
 def run_experiment(

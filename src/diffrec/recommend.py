@@ -139,6 +139,12 @@ def _row_edges(csr, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # kNN collaborative filtering
 
 
+# neighbor edges one run of knn_predict's pairs gathers at most: the
+# time per edge grows with the run, and this was the fastest cap timed
+# on the bench corpora
+_KNN_EDGES = 20_000
+
+
 def knn_predict(
     sim: SimilarityMatrix,
     g: BipartiteGraph,
@@ -155,10 +161,9 @@ def knn_predict(
     user's mean rating, then the item's, then the scale midpoint; results
     are clipped to the rating scale.
 
-    The neighbors are ordered by one sort of distinct integer keys, and
-    one prefix sum down a table of each pair's j-th neighbor gives the
-    sums for every k. Each sum adds 0 + s_0 + s_1 + ... in neighbor order,
-    as a running total over the sorted neighbors would.
+    The pairs are taken in runs that gather at most _KNN_EDGES neighbor
+    edges, and at least one pair. A pair's prediction is its own, so the
+    bytes do not depend on the runs.
     """
     ks = np.asarray(ks, dtype=np.int64).tolist()
     if not ks:
@@ -171,6 +176,30 @@ def knn_predict(
         anchors, rows, csr = users, items, g.weights_t
     else:
         anchors, rows, csr = items, users, g.weights
+    # (pairs x ks) blocks in C order, as the sums over pairs read them
+    num = np.empty((len(rows), len(ks)))
+    den = np.empty_like(num)
+    # the offset of each pair's first edge in the gathered edges
+    first = np.concatenate(([0], np.cumsum(np.diff(csr.indptr)[rows])))
+    lo = 0
+    while lo < len(rows):
+        hi = int(np.searchsorted(first, first[lo] + _KNN_EDGES, side="right")) - 1
+        hi = max(hi, lo + 1)
+        num[lo:hi], den[lo:hi] = _neighbor_sums(sim, csr, anchors[lo:hi], rows[lo:hi], ks)
+        lo = hi
+    return _predictions(num, den, g, users[:, None], items[:, None])
+
+
+def _neighbor_sums(sim: SimilarityMatrix, csr, anchors, rows, ks: list[int]) -> np.ndarray:
+    """The weighted-rating and similarity sums of each pair's k nearest
+    neighbors, (2, pairs, ks): a pair's neighbors are the stored entries
+    of its CSR row, compared with its anchor node.
+
+    The neighbors are ordered by one sort of distinct integer keys, and
+    one prefix sum down a table of each pair's j-th neighbor gives the
+    sums for every k. Each sum adds 0 + s_0 + s_1 + ... in neighbor order,
+    as a running total over the sorted neighbors would.
+    """
     n_pairs = len(rows)
     # every pair's neighbor edges, gathered from the CSR rows in ascending
     # neighbor id; an undefined similarity is 0, so `sims > 0` drops it
@@ -213,9 +242,7 @@ def knn_predict(
     for k in sorted(set(at)):
         table[k] = np.add.reduce(table[lo : k + 1], axis=0)
         lo = k
-    # (pairs x ks) blocks in C order, as the sums over pairs read them
-    num, den = table[at].transpose(1, 2, 0).copy()
-    return _predictions(num, den, g, users[:, None], items[:, None])
+    return table[at].transpose(1, 2, 0)
 
 
 # the neighbor order's keys are int64: one run of pairs takes every key below this
@@ -303,8 +330,28 @@ def knn_scores(sim: SimilarityMatrix, g: BipartiteGraph, user: int, k: int) -> n
     """Predicted rating of every item for one user: user-based kNN on a
     users-axis similarity, item-based on an items-axis one."""
     if sim.axis == "users":
-        return knn_predict(sim, g, np.full(g.n_items, user), np.arange(g.n_items), [k])[:, 0]
+        return ubcf_scores(sim, g, [user], k)[0]
     return _ibcf_scores(sim, g, user, k)
+
+
+def ubcf_scores(
+    sim: SimilarityMatrix, g: BipartiteGraph, users: Sequence[int], k: int
+) -> np.ndarray:
+    """User-based kNN predictions of every item for a block of users, one
+    row per user: one knn_predict call per run of users whose pairs
+    gather at most _KNN_EDGES neighbor edges (users x training links),
+    and at least one user, so that a call's pair arrays stay small."""
+    if sim.axis != "users":
+        raise RecommendError(f"user-based kNN needs a users-axis similarity, got {sim.axis!r}")
+    users = np.asarray(users, dtype=np.int64)
+    per_call = max(1, _KNN_EDGES // g.n_links)
+    items = np.arange(g.n_items)
+    out = np.empty((len(users), g.n_items))
+    for lo in range(0, len(users), per_call):
+        run = users[lo : lo + per_call]
+        pairs = knn_predict(sim, g, np.repeat(run, g.n_items), np.tile(items, len(run)), [k])
+        out[lo : lo + len(run)] = pairs.reshape(len(run), g.n_items)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,8 @@ _TILE_BYTES = 24 << 20
 # dense tiles counted in a size estimate: four of the row tile and two of
 # the column tile are alive at once, plus room for a pair's products
 _TILES_ALIVE = 8
+# rows of the strips in which _put mirrors a diagonal tile's upper triangle
+_MIRROR_ROWS = 64
 # the largest degree whose co-rating counts, float32 sums of ones, are exact
 _FLOAT32_EXACT = 2**24
 
@@ -127,23 +129,37 @@ def _put(out: np.ndarray, b: slice, c: slice, tile: np.ndarray, mirror: bool = F
     (numpy's symmetric product) and of terms symmetric in the pair.
     Otherwise `mirror` keeps its upper triangle, mirrored below, so
     sim(a, b) == sim(b, a) bitwise (other BLAS products are symmetric
-    only up to rounding). Adding a zero makes a float -0.0 +0.0, as the
-    mirror's sum does."""
-    if b == c and mirror:
-        out[b, b] = np.triu(tile)
-        out[b, b] += np.triu(tile, 1).T
-        return
+    only up to rounding). Adding a zero makes a float -0.0 +0.0."""
     tile += tile.dtype.type(0)
     out[b, c] = tile
     if b != c:
         out[c, b] = tile.T
+    elif mirror:
+        _mirror_upper(out[b, b])
+
+
+def _mirror_upper(square: np.ndarray) -> None:
+    """Copy the upper triangle of `square` onto its lower one, a strip of
+    _MIRROR_ROWS rows at a time, so that no temporary is square-sized."""
+    h = square.shape[0]
+    for lo in range(0, h, _MIRROR_ROWS):
+        hi = min(lo + _MIRROR_ROWS, h)
+        block = square[lo:hi, lo:hi]
+        block[...] = np.triu(block) + np.triu(block, 1).T
+        square[hi:, lo:hi] = square[lo:hi, hi:].T
 
 
 def _quotient(num: np.ndarray, denom: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    """num / denom where ok, else 0, written over num."""
-    np.divide(num, denom, out=num, where=ok)
-    num[~ok] = 0.0
-    return num
+    """num / denom where ok, else a zero, written over num (denom is
+    overwritten too); ok is denom > 0, with denom >= 0 and num finite.
+
+    Three plain passes, since a masked ufunc or a boolean select is about
+    ten times slower over a random mask: a zero denom becomes 1, and the
+    quotient times its 0/1 flag is itself or a zero of num's sign, which
+    _put's added zero makes +0."""
+    np.add(denom, ~ok, out=denom)
+    np.divide(num, denom, out=num)
+    return np.multiply(num, ok, out=num)
 
 
 def _memory_limit() -> int:
@@ -201,8 +217,7 @@ def _centred_tiles(w, a, spans, deg):
     node's mean rating (0 where unrated), `mask` the adjacency `a`, 1
     where rated even where the centred rating is 0. Node means come from
     the dense row sums over all of each node's ratings."""
-    sums = _row_sums(w, spans)
-    means = np.divide(sums, deg, out=np.zeros_like(sums), where=deg > 0)
+    means = _quotient(_row_sums(w, spans), deg.copy(), deg > 0)
     centred = sp.csr_matrix(
         (w.data - np.repeat(means, np.diff(w.indptr)), w.indices, w.indptr), shape=w.shape
     )
@@ -273,7 +288,7 @@ def _cri_ratios(a, spans, deg, out: np.ndarray) -> float:
     for b, c, mb, mc in _tile_pairs(spans, lambda rows: _scatter(a, rows, np.float32)):
         inter = (mb @ mc.T).astype(np.float64)  # exact co-rating counts
         union = deg[b, None] + deg[None, c] - inter
-        _put(out, b, c, np.divide(inter, union, out=np.zeros_like(inter), where=union > 0))
+        _put(out, b, c, _quotient(inter, union, union > 0))
     total = (out.sum() - np.trace(out)) / 2.0
     return float(total / (n * (n - 1) / 2.0))
 
@@ -303,9 +318,8 @@ def pim_matrix(
     if ar <= 0:
         raise SimilarityError(f"no two {axis} co-rate, so the mean co-rating ratio is 0")
 
-    col_w = np.zeros_like(other_deg)
-    pos = other_deg > 0
-    col_w[pos] = np.log(LOG_BASE_POPULARITY) / np.log1p(other_deg[pos])
+    log_deg = np.log1p(other_deg)
+    col_w = _quotient(np.full_like(log_deg, np.log(LOG_BASE_POPULARITY)), log_deg, log_deg > 0)
     deg_max = None if penalty_variant == "pair-max" else deg.max()
     for b, c, num, denom in _pearson_tiles(w, a, spans, deg, col_w):
         ok = denom > 0
@@ -321,17 +335,22 @@ def pim_matrix(
 
 def _activity_penalty(deg_b: np.ndarray, deg_c: np.ndarray, deg_max=None) -> np.ndarray:
     """1 + e^x for every pair of a tile: x is the larger of the pair's
-    degrees (or deg_max, if given) over their sum, 0 where the sum is 0."""
-    deg_sum = deg_b[:, None] + deg_c[None, :]
+    degrees (or deg_max, if given) over their sum, 0 where the sum is 0.
+
+    A pair's penalty depends only on its two degrees, so it is computed
+    once per pair of distinct degrees, a table no larger than the tile,
+    and gathered: the same bits for a fraction of the passes."""
+    levels_b, at_b = np.unique(deg_b, return_inverse=True)
+    levels_c, at_c = np.unique(deg_c, return_inverse=True)
+    deg_sum = levels_b[:, None] + levels_c[None, :]
     if deg_max is None:
-        x = np.maximum(deg_b[:, None], deg_c[None, :])
+        x = np.maximum(levels_b[:, None], levels_c[None, :])
     else:
         x = np.full_like(deg_sum, deg_max)
     x = _quotient(x, deg_sum, deg_sum > 0)
-    del deg_sum
     x = np.exp(x, out=x)
     x += 1.0
-    return x
+    return x.take(at_b, axis=0).take(at_c, axis=1)
 
 
 def similarity(
@@ -356,25 +375,35 @@ def _normalize(m: SimilarityMatrix) -> SimilarityMatrix:
 
     Undefined entries map to 0, the diagonal to 1. If every defined
     off-diagonal value is equal, they all map to 0.5.
+
+    Every pass is plain in-place arithmetic. The first marks each
+    undefined or diagonal entry NaN (a value times its 0/1 flag, over
+    the flag, is itself or 0/0) and takes the bounds with NaN-ignoring
+    reductions. The second scales, and fmax(v, 0) maps NaN to +0; a
+    scaled value is never below +0, since v >= lo.
     """
     values, defined = m.values, m.defined
+    if np.count_nonzero(defined) == np.count_nonzero(np.diagonal(defined)):
+        raise SimilarityError("no defined off-diagonal values to normalize")
     blocks = _spans(m.n, m.n)
-
-    def selected(rows: slice) -> np.ndarray:
-        sel = defined[rows].copy()
-        sel[np.arange(rows.stop - rows.start), np.arange(rows.start, rows.stop)] = False
-        return sel
-
     lo, hi = np.inf, -np.inf
     for rows in blocks:
-        picked = values[rows][selected(rows)]
-        if picked.size:
-            lo, hi = min(lo, picked.min()), max(hi, picked.max())
-    if lo > hi:
-        raise SimilarityError("no defined off-diagonal values to normalize")
+        v, d = values[rows], defined[rows]
+        np.fill_diagonal(v[:, rows], np.nan)
+        with np.errstate(invalid="ignore"):
+            v *= d
+            v /= d
+        lo = np.fmin(lo, np.fmin.reduce(v, axis=None))
+        hi = np.fmax(hi, np.fmax.reduce(v, axis=None))
     for rows in blocks:
-        scaled = (values[rows] - lo) / (hi - lo) if hi > lo else 0.5
-        values[rows] = np.where(selected(rows), scaled, 0.0)
+        v = values[rows]
+        if hi > lo:
+            v -= lo
+            v /= hi - lo
+        else:
+            v *= 0.0
+            v += 0.5
+        np.fmax(v, 0.0, out=v)
     np.fill_diagonal(values, 1.0)
     np.fill_diagonal(defined, True)
     return SimilarityMatrix(axis=m.axis, values=values, defined=defined, normalized=True)

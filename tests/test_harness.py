@@ -1,11 +1,12 @@
 import json
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from diffrec import corpus, bigraph, recommend, simkit
+from diffrec import corpus, bigraph, harness, recommend, simkit
 from diffrec.harness import (
     ExperimentConfig,
     FoldContext,
@@ -288,6 +289,24 @@ class TestSerialization:
         assert doc["seed"] == report.config.seed
         assert doc["rows"] == len(report.rows)
         assert doc["config"]["k_folds"] == report.config.k_folds
+
+    def test_manifest_similarity_seconds_sum_over_folds(self, ds, cfg, tmp_path):
+        # a clock that ticks one second per reading: each build takes 1 s
+        ticks = iter(range(10**6))
+        cfg = replace(cfg, methods=("UBCF", "PIM+RA"), knn_measure="pcc", metric_sim="cosine")
+        with mock.patch.object(harness.time, "perf_counter", lambda: float(next(ticks))):
+            report = run_experiment(ds, cfg)
+        ranked_folds = sum(1 for f in report.fold_users if f["evaluated_users"])
+        assert ranked_folds > 1
+        built = {"pcc/users": ranked_folds, "pim/items": ranked_folds, "cosine/items": ranked_folds}
+        assert report.similarity_s == built
+        corpus.write_ratings(ds, tmp_path / "ratings.csv")
+        write_manifest(report, tmp_path / "manifest.json", tmp_path / "ratings.csv")
+        assert json.loads((tmp_path / "manifest.json").read_text())["similarity_s"] == built
+        # the report itself does not change
+        write_report_csv(report, tmp_path / "timed.csv")
+        write_report_csv(run_experiment(ds, cfg), tmp_path / "report.csv")
+        assert (tmp_path / "timed.csv").read_bytes() == (tmp_path / "report.csv").read_bytes()
 
 
     def test_manifest_user_counts_and_na_notes(self, tmp_path):

@@ -290,6 +290,25 @@ class TestKnnPrediction:
             fits.append(True)
         assert fits == sorted(fits) and 0 < fits.count(False) < 64
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("axis", ["users", "items"])
+    def test_edge_runs_of_any_size_give_the_same_bytes(self, seed, axis):
+        # from one pair per run (a cap below any pair's edges) to every
+        # pair in one run, with pairs repeated and in no particular order
+        ds = random_dataset(seed, n_users=7, n_items=7, density=0.6)
+        g = build_graph(ds)
+        sim = simkit.pcc_matrix(g, axis)
+        rng = np.random.default_rng(seed)
+        users = rng.integers(0, g.n_users, 80)
+        items = rng.integers(0, g.n_items, 80)
+        ks = [2, 1, 10**9]
+        expected = oracles.knn_predict(sim, g, users, items, ks).tobytes()
+        for cap in (0, 1, 3, 7, 20, 10**9):
+            with mock.patch.object(recommend, "_KNN_EDGES", cap):
+                got = knn_predict(sim, g, users, items, ks)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == expected
+
     @given(
         seed=st.integers(0, 2**16),
         n_users=st.integers(2, 7),
@@ -358,6 +377,45 @@ class TestKnnRecommend:
             for item, score in zip(rec.items.tolist(), rec.scores.tolist()):
                 expected = oracles.knn_rating(ds, sim.values, u, item, 3, axis)
                 assert score == pytest.approx(expected, abs=1e-9)
+
+    @given(
+        seed=st.integers(0, 2**16),
+        n_users=st.integers(1, 9),
+        n_items=st.integers(1, 9),
+        density=st.floats(0.1, 0.9),
+        values=st.sampled_from(["pcc", "near-tie"]),
+        k=st.sampled_from([1, 2, 3, 10**9]),
+        n_block=st.integers(0, 12),
+        # gathered-edge caps from one user per call up to the whole block
+        cap=st.sampled_from([1, 10, 40, 100, 10**9]),
+    )
+    @example(seed=5, n_users=6, n_items=6, density=0.8, values="near-tie", k=2, n_block=12, cap=1)
+    @settings(max_examples=60)
+    def test_ubcf_blocks_match_per_user_scores(
+        self, seed, n_users, n_items, density, values, k, n_block, cap
+    ):
+        ds = random_dataset(seed, n_users=n_users, n_items=n_items, density=density)
+        g = build_graph(ds)
+        sim = simkit.pcc_matrix(g, "users")
+        rng = np.random.default_rng(seed)
+        if values == "near-tie":  # defined similarities 1 ulp apart
+            up = rng.random(sim.values.shape) < 0.5
+            v = np.where(up, np.nextafter(0.5, 1.0), 0.5)
+            sim = SimilarityMatrix("users", np.where(sim.defined, v, 0.0), sim.defined)
+        block = rng.integers(0, g.n_users, n_block)  # repeats allowed
+        with mock.patch.object(recommend, "_KNN_EDGES", cap):
+            got = recommend.ubcf_scores(sim, g, block, k)
+        assert got.shape == (n_block, g.n_items)
+        items = np.arange(g.n_items)
+        for row, u in enumerate(block.tolist()):
+            alone = knn_predict(sim, g, np.full(g.n_items, u), items, [k])[:, 0]
+            assert got[row].tobytes() == alone.tobytes()
+            assert got[row].tobytes() == knn_scores(sim, g, u, k).tobytes()
+
+    def test_ubcf_scores_need_a_users_axis(self, fix4_graph):
+        sim = simkit.similarity(fix4_graph, "pcc", "items")
+        with pytest.raises(RecommendError, match="users-axis similarity"):
+            recommend.ubcf_scores(sim, fix4_graph, [0], 3)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from diffrec import bigraph, simkit
 from diffrec.corpus import RatingScale
@@ -615,3 +616,64 @@ class TestMemoryCeiling:
         for soft, expected in ((1000, 1000), (simkit.resource.RLIM_INFINITY, phys)):
             with mock.patch.object(simkit.resource, "getrlimit", return_value=(soft, soft)):
                 assert simkit._memory_limit() == expected
+
+
+# ---------------------------------------------------------------------------
+# Plain passes: the unmasked quotient and normalization give the bits of
+# the masked and boolean-indexed expressions they replace
+
+_FINITE = st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False)
+_DENOM = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-150, 1e150))
+
+
+@given(
+    data=st.data(),
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+)
+@settings(max_examples=200)
+def test_quotient_matches_masked_divide(data, shape):
+    num = data.draw(hnp.arrays(np.float64, shape, elements=_FINITE))
+    denom = data.draw(hnp.arrays(np.float64, shape, elements=_DENOM))
+    ok = denom > 0
+    expected = np.divide(num, denom, out=np.zeros_like(num), where=ok)
+    got = simkit._quotient(num.copy(), denom.copy(), ok)
+    # _put adds a zero to every tile it writes
+    assert (got + 0.0).tobytes() == (expected + 0.0).tobytes()
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 7),
+    rows=st.integers(1, 3),
+    density=st.sampled_from([0.1, 0.5, 0.9]),
+    kind=st.sampled_from(["signed", "few", "all-equal", "none-defined"]),
+)
+@example(seed=0, n=1, rows=1, density=0.9, kind="signed")
+@example(seed=1, n=5, rows=2, density=0.9, kind="all-equal")
+@example(seed=2, n=4, rows=3, density=0.9, kind="none-defined")
+@settings(max_examples=200)
+def test_normalize_matches_oracle_in_row_blocks(seed, n, rows, density, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "few":  # ties, zeros and negatives
+        values = rng.choice([-0.75, -0.5, 0.0, 0.25], size=(n, n))
+    else:
+        values = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-5, 5, size=(n, n))
+    defined = rng.random((n, n)) < density
+    if kind == "all-equal":  # the 0.5 path
+        values[defined] = 0.3
+    if kind == "none-defined":  # the diagonal alone, or nothing
+        defined = np.diag(np.diag(defined))
+    m = SimilarityMatrix(axis="users", values=values.copy(), defined=defined.copy())
+    with mock.patch.object(simkit, "_TILE_BYTES", 8 * n * rows):
+        assert len(simkit._spans(n, n)) == -(-n // rows)
+        try:
+            expected = oracles.normalize(SimilarityMatrix("users", values, defined))
+        except SimilarityError as exc:
+            with pytest.raises(SimilarityError, match=str(exc)):
+                simkit._normalize(m)
+            # the error comes before any write
+            assert m.values.tobytes() == values.tobytes()
+            assert m.defined.tobytes() == defined.tobytes()
+            return
+        got = simkit._normalize(m)
+    assert _bits(got) == _bits(expected)

@@ -1,7 +1,13 @@
-"""The package's public surface is what its own pipeline runs: every public
+"""Source guards, read from the package's syntax trees.
+
+The package's public surface is what its own pipeline runs: every public
 top-level function in src/diffrec is referenced by package code other than
 its own definition and `__init__`. A function that only tests call belongs
-under tests/."""
+under tests/.
+
+simkit's n x n passes are plain arithmetic: no call in simkit takes a
+`where=` argument, since a masked ufunc over a random mask is several
+times slower than the plain one."""
 
 import ast
 from pathlib import Path
@@ -78,3 +84,25 @@ def test_the_guard_finds_a_function_only_its_own_body_calls():
         "c": ast.parse("from diffrec import a\n\ndef helper():\n    return a.kept\n"),
     }
     assert unused_public_functions(modules) == ["a.dead", "b.main", "c.helper"]
+
+
+def masked_calls(tree: ast.Module) -> list[int]:
+    """Lines of the calls in tree that pass a `where=` keyword."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and any(kw.arg == "where" for kw in node.keywords)
+    )
+
+
+def test_simkit_makes_no_masked_call():
+    assert masked_calls(_modules()["simkit"]) == []
+
+
+def test_the_guard_finds_a_masked_call():
+    tree = ast.parse(
+        "np.divide(a, b, out=a)\n"
+        "np.divide(a, b, out=np.zeros_like(a), where=b > 0)\n"
+        "x = f(g(y, where=m))\n"
+    )
+    assert masked_calls(tree) == [2, 3]
