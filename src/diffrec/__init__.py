@@ -28,7 +28,6 @@ from diffrec.recommend import (
     MfConfig,
     PimraScorer,
     RecommendationList,
-    knn_scores,
     md_scores,
     rank,
     train_mf,
@@ -49,7 +48,6 @@ __all__ = [
     "dataset_stats",
     "filter_dataset",
     "kfold_split",
-    "knn_scores",
     "load_ratings",
     "md_scores",
     "pcc_matrix",

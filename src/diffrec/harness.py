@@ -10,7 +10,8 @@ import resource
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Sequence, get_args
+from functools import cached_property
+from typing import Callable, NamedTuple, Sequence, get_args
 
 import numpy as np
 import scipy
@@ -27,8 +28,6 @@ class HarnessError(RuntimeError):
     pass
 
 
-KNOWN_METHODS = ("UBCF", "IBCF", "SVD", "MD", "PIM+RA")
-KNN_AXES = {"UBCF": "users", "IBCF": "items"}
 # errors a method raises on its input; anything else is a bug and propagates
 _METHOD_ERRORS = (
     recommend.RecommendError,
@@ -40,6 +39,42 @@ _METHOD_ERRORS = (
 _BLOCK_BYTES = 8 << 20
 
 
+class _Method(NamedTuple):
+    score: Callable  # (fold context, users, theta or None) -> one item-score row per user
+    takes_theta: bool = False
+    knn_axis: str | None = None  # a kNN method's similarity axis
+
+
+def _knn(axis: str, scores: Callable) -> _Method:
+    """kNN on the knn measure's `axis` similarity: `scores(sim, g, users, k)`."""
+
+    def score(ctx: FoldContext, users: Sequence[int], _) -> np.ndarray:
+        sim = ctx.similarity(ctx.cfg.knn_measure, axis)
+        return scores(sim, ctx.graph, users, ctx.cfg.knn_k)
+
+    return _Method(score, knn_axis=axis)
+
+
+def _svd(ctx: FoldContext, users: Sequence[int], _) -> np.ndarray:
+    """One `predict_mf` call per user: a block's pairs at once would
+    gather users x items x factors floats."""
+    model, items = ctx.mf_model, np.arange(ctx.graph.n_items)
+    return np.array([recommend.predict_mf(model, np.full(len(items), u), items) for u in users])
+
+
+# Every method by name. The order is the default `methods`, and so the
+# report's row order. Scorers look up `recommend`'s functions when called,
+# so that wrappers installed later (a tracer, a test's patch) see the calls.
+METHODS = {
+    "UBCF": _knn("users", lambda *args: recommend.ubcf_scores(*args)),
+    "IBCF": _knn("items", lambda *args: recommend.ibcf_scores(*args)),
+    "SVD": _Method(_svd),
+    "MD": _Method(lambda ctx, users, _: recommend.md_scores(ctx.graph, users)),
+    "PIM+RA": _Method(lambda ctx, users, theta: ctx.pimra_scorer.scores(users, theta), True),
+}
+KNN_AXES = {name: m.knn_axis for name, m in METHODS.items() if m.knn_axis}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset_name: str = "dataset"
@@ -47,7 +82,7 @@ class ExperimentConfig:
     seed: int = 0  # splits the folds and trains MF
     list_length: int = 100
     like_threshold: float = 3.0
-    methods: tuple[str, ...] = KNOWN_METHODS
+    methods: tuple[str, ...] = tuple(METHODS)
     theta: float = 0.6
     knn_k: int = 20
     knn_measure: str = "pcc"
@@ -67,7 +102,7 @@ class ExperimentConfig:
             raise HarnessError(f"knn_k must be >= 1, got {self.knn_k}")
         if not self.methods:
             raise HarnessError("methods must name at least one method")
-        unknown = set(self.methods) - set(KNOWN_METHODS)
+        unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise HarnessError(f"unknown methods: {sorted(unknown)}")
         for name, allowed in (
@@ -81,9 +116,9 @@ class ExperimentConfig:
                 raise HarnessError(f"{name} must be one of {', '.join(allowed)}, got {value!r}")
 
     def run_theta(self, method: str, theta: float | None = None) -> float | None:
-        """The theta a run of `method` uses: only PIM+RA takes one, by
-        default the configured theta."""
-        if method != "PIM+RA":
+        """The theta a run of `method` uses: None unless the method takes
+        one, by default the configured theta."""
+        if not METHODS[method].takes_theta:
             return None
         return self.theta if theta is None else theta
 
@@ -205,7 +240,7 @@ class _MfModels:
 
 class FoldContext:
     """Shared per-fold state: graph, lazily computed similarity matrices,
-    the evaluated-user population, and the method dispatch.
+    the evaluated-user population, and the ranking of a method's users.
 
     The folds of one run pass the run's `_MfModels` and their index in it;
     a context built alone trains an MF model on its own training set."""
@@ -213,7 +248,6 @@ class FoldContext:
     def __init__(
         self, pair: FoldPair, cfg: ExperimentConfig, mf: tuple[_MfModels, int] | None = None
     ):
-        self.pair = pair
         self.cfg = cfg
         self._mf = mf or (_MfModels([pair.train], cfg), 0)
         self.graph = bigraph.build_graph(pair.train)
@@ -225,7 +259,6 @@ class FoldContext:
         self.excluded_users = len(self.likes) - len(self.test_users)
         self._sims: dict[tuple[str, str], SimilarityMatrix] = {}
         self.similarity_s: dict[str, float] = {}  # build seconds per "measure/axis"
-        self._pimra: recommend.PimraScorer | None = None
 
     def similarity(self, measure: str, axis: str) -> SimilarityMatrix:
         """Normalized similarity matrix, computed once per (measure, axis)."""
@@ -242,13 +275,11 @@ class FoldContext:
     def metric_sim(self) -> SimilarityMatrix:
         return self.similarity(self.cfg.metric_sim, "items")
 
-    @property
+    @cached_property
     def pimra_scorer(self) -> recommend.PimraScorer:
-        if self._pimra is None:
-            self._pimra = recommend.PimraScorer(
-                self.graph, self.similarity("pim", "items"), self.cfg.step3_weight
-            )
-        return self._pimra
+        return recommend.PimraScorer(
+            self.graph, self.similarity("pim", "items"), self.cfg.step3_weight
+        )
 
     @property
     def mf_model(self) -> recommend.MFModel:
@@ -270,31 +301,14 @@ class FoldContext:
     ) -> list[RecommendationList]:
         """One top-`length` list of unseen items per user, from the training
         graph; score rows are ranked in blocks of at most _BLOCK_BYTES."""
-        g = self.graph
+        score, theta = METHODS[method].score, self.cfg.run_theta(method, theta)
+        per_block = max(1, _BLOCK_BYTES // (8 * self.graph.n_items))
+        lists = []
         try:
-            if method == "PIM+RA":
-                scorer, theta = self.pimra_scorer, self.cfg.run_theta(method, theta)
-                score_block = lambda block: scorer.scores(block, theta)
-            elif method == "UBCF":
-                sim = self.similarity(self.cfg.knn_measure, KNN_AXES[method])
-                score_block = lambda block: recommend.ubcf_scores(sim, g, block, self.cfg.knn_k)
-            else:
-                if method == "MD":
-                    score = lambda u: recommend.md_scores(g, u)
-                elif method == "IBCF":
-                    sim = self.similarity(self.cfg.knn_measure, KNN_AXES[method])
-                    score = lambda u: recommend.knn_scores(sim, g, u, self.cfg.knn_k)
-                elif method == "SVD":
-                    model, items = self.mf_model, np.arange(g.n_items)
-                    score = lambda u: recommend.predict_mf(model, np.full(g.n_items, u), items)
-                else:
-                    raise HarnessError(f"unknown method {method!r}")
-                score_block = lambda block: np.array([score(u) for u in block])
-            per_block = max(1, _BLOCK_BYTES // (8 * g.n_items))
-            lists = []
             for lo in range(0, len(users), per_block):
                 block = users[lo : lo + per_block]
-                lists.extend(recommend.rank(g, block, score_block(block), length, self.likes))
+                scores = score(self, block, theta)
+                lists.extend(recommend.rank(self.graph, block, scores, length, self.likes))
             return lists
         except simkit.MemoryCeilingError:
             raise  # this machine's limit: an NA row would make the report depend on it

@@ -1,7 +1,7 @@
 """Recommenders: kNN rating prediction and CF scoring, mass diffusion,
 a matrix-factorization baseline, and the similarity-guided three-step
-resource walk. Each method scores every item; `rank` turns a block of
-users' score rows into their top-L lists."""
+resource walk. Each method scores every item for a block of users, one
+row per user; `rank` turns a block's score rows into their top-L lists."""
 
 from __future__ import annotations
 
@@ -245,10 +245,6 @@ def _neighbor_sums(sim: SimilarityMatrix, csr, anchors, rows, ks: list[int]) -> 
     return table[at].transpose(1, 2, 0)
 
 
-# the neighbor order's keys are int64: one run of pairs takes every key below this
-_KEY_LIMIT = 2**63
-
-
 def _neighbor_order(
     pair: np.ndarray, sims: np.ndarray, nth: np.ndarray, widest: int
 ) -> np.ndarray:
@@ -258,8 +254,7 @@ def _neighbor_order(
 
     Each edge's key (pair, dense rank of its similarity, place) is one
     int64, and the keys are distinct, so one unstable sort gives that
-    order. Consecutive runs of pairs are ordered one at a time, each with
-    as many pairs as keep their keys below _KEY_LIMIT."""
+    order. Pairs x ranks x `widest` must fit an int64."""
     n = len(sims)
     by_value = np.argsort(-sims)
     ordered = sims[by_value]
@@ -268,48 +263,29 @@ def _neighbor_order(
     np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
     del ordered
     n_ranks = int(np.count_nonzero(new)) + 1
-    # each edge's dense rank by descending similarity; a run's ranks turn
-    # into its keys and then into its order, in place
+    n_pairs = int(pair[-1]) + 1 if n else 0  # one past the last pair with an edge
+    span = n_ranks * widest  # the keys of one pair
+    if n_pairs * span >= 2**63:
+        raise RecommendError(
+            f"{n_pairs:,} pairs times {n_ranks:,} similarity ranks times {widest:,} "
+            f"neighbors of one pair do not fit an int64 sort key"
+        )
+    # each edge's dense rank by descending similarity turns into its key
+    # and then into its order, in place
     out = np.empty(n, dtype=np.int64)
     out[by_value] = np.cumsum(new)
     del by_value, new
-    span = n_ranks * widest  # the keys of one pair
-    per_run = _KEY_LIMIT // max(span, 1)
-    if per_run < 1:
-        raise RecommendError(
-            f"{n_ranks:,} similarity ranks times {widest:,} neighbors of one pair "
-            f"do not fit an int64 sort key"
-        )
-    end = int(pair[-1]) + 1 if n else 0  # one past the last pair with an edge
-    for lo in range(0, end, per_run):
-        a, b = np.searchsorted(pair, [lo, min(lo + per_run, end)]).tolist()
-        run = out[a:b]
-        run *= widest
-        run += nth[a:b]
-        run += (pair[a:b] - lo) * span
-        # sorting the keys themselves is several times faster than an
-        # argsort; a sorted key's last part is its edge's place in the
-        # pair, and the pair's first edge is at its position less its place
-        run.sort()
-        run %= widest
-        run -= nth[a:b]
-        run += np.arange(a, b)
+    out *= widest
+    out += nth
+    out += pair * span
+    # sorting the keys themselves is several times faster than an argsort;
+    # a sorted key's last part is its edge's place in the pair, and the
+    # pair's first edge is at its position less its place
+    out.sort()
+    out %= widest
+    out -= nth
+    out += np.arange(n)
     return out
-
-
-def _ibcf_scores(sim: SimilarityMatrix, g: BipartiteGraph, user: int, k: int) -> np.ndarray:
-    """Predicted ratings for every item at once under item-axis kNN."""
-    rated, ratings = g.user_items(user)
-    s = sim.values[:, rated].copy()
-    ok = sim.defined[:, rated] & (s > 0)
-    ok[rated, np.arange(len(rated))] = False  # item never neighbors itself
-    s[~ok] = 0.0
-    if len(rated) > k:
-        # keep only the k largest similarities per row (ties by item id)
-        keys = s - np.arange(len(rated))[None, :] * 1e-12
-        drop = np.argpartition(-keys, k, axis=1)[:, k:]
-        np.put_along_axis(s, drop, 0.0, axis=1)
-    return _predictions(s @ ratings, s.sum(axis=1), g, user, np.arange(g.n_items))
 
 
 def _predictions(num, den, g: BipartiteGraph, users, items) -> np.ndarray:
@@ -324,14 +300,6 @@ def _predictions(num, den, g: BipartiteGraph, users, items) -> np.ndarray:
         )
         pred = np.where(den > 0, num / den, fallback)
     return np.clip(pred, g.scale.min, g.scale.max)
-
-
-def knn_scores(sim: SimilarityMatrix, g: BipartiteGraph, user: int, k: int) -> np.ndarray:
-    """Predicted rating of every item for one user: user-based kNN on a
-    users-axis similarity, item-based on an items-axis one."""
-    if sim.axis == "users":
-        return ubcf_scores(sim, g, [user], k)[0]
-    return _ibcf_scores(sim, g, user, k)
 
 
 def ubcf_scores(
@@ -354,23 +322,52 @@ def ubcf_scores(
     return out
 
 
+def ibcf_scores(
+    sim: SimilarityMatrix, g: BipartiteGraph, users: Sequence[int], k: int
+) -> np.ndarray:
+    """Item-based kNN predictions of every item for a block of users, one
+    row per user, from the similarity columns of the user's rated items."""
+    if sim.axis != "items":
+        raise RecommendError(f"item-based kNN needs an items-axis similarity, got {sim.axis!r}")
+    items = np.arange(g.n_items)
+    out = np.empty((len(users), g.n_items))
+    for r, user in enumerate(users):
+        rated, ratings = g.user_items(user)
+        # an undefined similarity is +0, so `s > 0` drops it
+        s = sim.values[:, rated].copy()
+        ok = s > 0
+        ok[rated, np.arange(len(rated))] = False  # item never neighbors itself
+        s[~ok] = 0.0
+        if len(rated) > k:
+            # keep only the k largest similarities per row (ties by item id)
+            keys = s - np.arange(len(rated))[None, :] * 1e-12
+            drop = np.argpartition(-keys, k, axis=1)[:, k:]
+            np.put_along_axis(s, drop, 0.0, axis=1)
+        out[r] = _predictions(s @ ratings, s.sum(axis=1), g, user, items)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Mass diffusion
 
 
-def md_scores(g: BipartiteGraph, user: int) -> np.ndarray:
-    """Unweighted two-hop diffusion: the item resources after the diffusion
-    step, seen items included."""
-    seen, _ = g.user_items(user)
-    if len(seen) == 0:
-        raise RecommendError(f"user {user} has no training interactions")
-    init = np.zeros(g.n_items)
-    init[seen] = 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        per_item = np.where(g.item_degree > 0, init / g.item_degree, 0.0)
-        res_users = g.adjacency @ per_item
-        per_user = np.where(g.user_degree > 0, res_users / g.user_degree, 0.0)
-    return g.adjacency_t @ per_user
+def md_scores(g: BipartiteGraph, users: Sequence[int]) -> np.ndarray:
+    """Unweighted two-hop diffusion, one row per user: the item resources
+    after the diffusion step, seen items included. Each step is one sparse
+    product with the block's items x users resources (Zhou et al., 2007)."""
+    users = np.asarray(users, dtype=np.int64)
+    idle = users[g.user_degree[users] == 0]
+    if len(idle):
+        raise RecommendError(f"user {idle[0]} has no training interactions")
+    pair, edge = _row_edges(g.weights, users)
+    seen = g.weights.indices[edge]
+    per_item = np.zeros((g.n_items, len(users)))
+    per_item[seen, pair] = 1.0 / g.item_degree[seen]
+    per_user = g.adjacency @ per_item
+    # a user without ratings holds no resource and keeps its +0
+    active = g.user_degree > 0
+    per_user[active] /= g.user_degree[active, None]
+    return (g.adjacency_t @ per_user).T
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,12 @@ def random_dataset(seed, n_users=6, n_items=6, density=0.5, scale=None):
     return oracles.from_triples(triples, scale)
 
 
+def with_full_user(ds):
+    """`random_dataset`'s ds and one more user, who rated every item 3."""
+    rated = list(ds.triples()) + [(ds.n_users, i, 3.0) for i in range(ds.n_items)]
+    return oracles.from_triples([(f"u{u}", f"i{i}", r) for u, i, r in rated], ds.scale)
+
+
 def random_ranking(seed, n_users, n_items, density, full_user=False):
     """(graph, users x items scores, likes) for ranking properties.
 
@@ -93,10 +99,7 @@ def random_ranking(seed, n_users, n_items, density, full_user=False):
     """
     ds = random_dataset(seed, n_users=n_users, n_items=n_items, density=density)
     if full_user:
-        rated = list(ds.triples()) + [(n_users, i, 3.0) for i in range(ds.n_items)]
-        ds = oracles.from_triples(
-            [(f"u{u}", f"i{i}", r) for u, i, r in rated], corpus.RatingScale(1, 5, 1)
-        )
+        ds = with_full_user(ds)
     g = bigraph.build_graph(ds)
     rng = np.random.default_rng(seed)
     values = [-np.inf, -1.5, -0.0, 0.0, 0.25, 0.25 + 2**-50, 3.0]

@@ -13,7 +13,7 @@ import diffrec
 from diffrec import bigraph, corpus, recommend, simkit
 from diffrec.cli import SETTINGS, build_parser, main, resolve
 from diffrec.corpus import FilterSpec
-from diffrec.harness import KNOWN_METHODS, ExperimentConfig
+from diffrec.harness import ExperimentConfig
 
 import oracles
 from conftest import random_dataset
@@ -181,7 +181,7 @@ def test_method_precedence(tmp_path):
     def methods(config, flags=()):
         return resolved(tmp_path, "input = r.csv\n" + config, flags).experiment.methods
 
-    assert methods("") == KNOWN_METHODS
+    assert methods("") == ("UBCF", "IBCF", "SVD", "MD", "PIM+RA")
     assert methods("methods = MD,SVD\n") == ("MD", "SVD")
     assert methods("methods = MD,SVD\nmethod = IBCF\n") == ("IBCF",)
     assert methods("methods = MD,SVD\nmethod =\n") == ("MD", "SVD")
@@ -209,7 +209,7 @@ def test_recommend_honours_knn_measure(synth_csv, tmp_path, capsys):
     ds = corpus.load_ratings(synth_csv, "generic-csv", corpus.RatingScale(1, 5, 1))
     g = bigraph.build_graph(ds)
     sim = simkit.similarity(g, "cosine", "users")
-    rec = recommend.rank(g, [0], recommend.knn_scores(sim, g, 0, k=3)[None, :], 5)[0]
+    rec = recommend.rank(g, [0], recommend.ubcf_scores(sim, g, [0], k=3), 5)[0]
     expected = [
         f"u0,{rank},{ds.item_labels[item]},{score:.4f}"
         for rank, (item, score) in enumerate(zip(rec.items[:5], rec.scores[:5]), start=1)

@@ -11,7 +11,7 @@ from diffrec.harness import (
     ExperimentConfig,
     FoldContext,
     HarnessError,
-    KNOWN_METHODS,
+    METHODS,
     analyze_corpus,
     run_experiment,
     sweep_knn,
@@ -93,7 +93,7 @@ class TestConfig:
 class TestRunExperiment:
     def test_row_completeness(self, report, cfg):
         folds = {str(f) for f in range(cfg.k_folds)} | {"mean"}
-        for method in KNOWN_METHODS:
+        for method in METHODS:
             for fold in folds:
                 got = {
                     r.metric
@@ -212,7 +212,7 @@ class TestRankingErrors:
         [(recommend.RecommendError, HarnessError), (IndexError, IndexError)],
     )
     def test_only_domain_errors_are_wrapped(self, ds, cfg, monkeypatch, raised, expected):
-        def broken(g, user):
+        def broken(g, users):
             raise raised("boom")
 
         monkeypatch.setattr(recommend, "md_scores", broken)
@@ -220,6 +220,36 @@ class TestRankingErrors:
         with pytest.raises(expected, match="boom") as info:
             ctx.rank("MD", ctx.test_users, None, cfg.list_length)
         assert type(info.value) is expected
+
+
+class TestMethodTable:
+    @pytest.mark.parametrize("measure", ["pcc", "cosine"])
+    def test_each_method_reads_its_similarities(self, ds, monkeypatch, measure):
+        cfg = ExperimentConfig(
+            k_folds=3, list_length=5, knn_measure=measure,
+            mf=recommend.MfConfig(factors=3, epochs=2),
+        )
+        pair = corpus.kfold_split(ds, cfg.k_folds, cfg.seed)[0]
+        reads, real = [], FoldContext.similarity
+
+        def spy(self, measure, axis):
+            reads.append((measure, axis))
+            return real(self, measure, axis)
+
+        monkeypatch.setattr(FoldContext, "similarity", spy)
+        expected = {
+            "UBCF": [(measure, "users")],
+            "IBCF": [(measure, "items")],
+            "SVD": [],
+            "MD": [],
+            "PIM+RA": [("pim", "items")],
+        }
+        assert list(expected) == list(METHODS)
+        for method, keys in expected.items():
+            ctx = FoldContext(pair, cfg)
+            reads.clear()
+            ctx.rank(method, ctx.test_users, None, cfg.list_length)
+            assert sorted(set(reads)) == keys, method
 
 
 class TestMemoryCeiling:
@@ -423,7 +453,7 @@ class TestDegenerateInputs:
         # trained on everything, as `diffrec recommend` is: no candidates left
         ctx = FoldContext(corpus.FoldPair(train=ds, test=ds.subset(np.arange(0))), self.CFG)
         full = ds.user_labels.index("full")
-        for method in KNOWN_METHODS:
+        for method in METHODS:
             (rec,) = ctx.rank(method, [full], None, self.CFG.list_length)
             assert rec.n_candidates == 0
             assert rec.items.size == rec.scores.size == rec.liked_ranks.size == 0
@@ -463,7 +493,7 @@ class TestDegenerateInputs:
         note = "fold has no evaluable test users (like_threshold 3.0)"
         for fold in empty:
             rows = [r for r in report.rows if r.fold == fold]
-            assert len(rows) == 6 * len(KNOWN_METHODS)
+            assert len(rows) == 6 * len(METHODS)
             assert all(r.value is None and r.note == note for r in rows)
         assert any(r.value is not None for r in report.rows if r.fold not in empty)
 

@@ -15,17 +15,18 @@ from diffrec.recommend import (
     MfDivergenceError,
     PimraScorer,
     RecommendError,
+    ibcf_scores,
     knn_predict,
-    knn_scores,
     md_scores,
     predict_mf,
     rank,
     train_mf,
+    ubcf_scores,
 )
 from diffrec.simkit import SimilarityMatrix
 
 import oracles
-from conftest import FIX4_TRIPLES, random_dataset, random_ranking
+from conftest import FIX4_TRIPLES, random_dataset, random_ranking, with_full_user
 
 
 SCALE15 = RatingScale(1, 5, 1)
@@ -81,7 +82,7 @@ def walk_row(g, p, u, theta):
 
 class TestMassDiffusion:
     def test_fix4_u1(self, fix4_graph, fix4, uid, iid):
-        rec = ranked(fix4_graph, uid["u1"], md_scores(fix4_graph, uid["u1"]))
+        rec = ranked(fix4_graph, uid["u1"], md_scores(fix4_graph, [uid["u1"]])[0])
         assert rec.items.tolist() == [iid["i2"]]
         assert rec.scores[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
@@ -101,7 +102,7 @@ class TestMassDiffusion:
             res_users, _ = oracles.md_item_scores(ds, u)
             init = float(g.user_degree[u])
             assert sum(res_users.values()) == pytest.approx(init, abs=1e-9)
-            assert md_scores(g, u).sum() == pytest.approx(init, abs=1e-9)
+            assert md_scores(g, [u])[0].sum() == pytest.approx(init, abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_literal_oracle(self, seed):
@@ -109,7 +110,7 @@ class TestMassDiffusion:
         g = build_graph(ds)
         for u in range(ds.n_users):
             _, exp_items = oracles.md_item_scores(ds, u)
-            res_items = md_scores(g, u)
+            res_items = md_scores(g, [u])[0]
             for j, val in exp_items.items():
                 assert res_items[j] == pytest.approx(val, abs=1e-9)
 
@@ -118,14 +119,14 @@ class TestMassDiffusion:
         g = build_graph(ds)
         res_users, _ = oracles.md_item_scores(ds, 0)
         assert res_users == pytest.approx({0: 2.0})
-        assert md_scores(g, 0).tolist() == pytest.approx([1.0, 1.0])
+        assert md_scores(g, [0])[0].tolist() == pytest.approx([1.0, 1.0])
 
     def test_isolated_user(self, fix4):
         # user present in the label space but absent from this subset
         sub = fix4.subset(np.arange(3))  # only u1's ratings
         g = build_graph(sub)
         with pytest.raises(RecommendError):
-            md_scores(g, 1)
+            md_scores(g, [1])
 
     def test_fold_user_without_ratings_warns_nothing(self, fix4, uid):
         # a training fold that holds none of u2's ratings
@@ -133,15 +134,45 @@ class TestMassDiffusion:
         g = build_graph(sub)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res_items = md_scores(g, uid["u1"])
+            res_items = md_scores(g, [uid["u1"]])[0]
         _, exp_items = oracles.md_item_scores(sub, uid["u1"])
         for j, val in exp_items.items():
             assert res_items[j] == pytest.approx(val, abs=1e-12)
 
     def test_no_seen_items_in_output(self, fix4_graph, uid):
         for u in uid.values():
-            rec = ranked(fix4_graph, u, md_scores(fix4_graph, u))
+            rec = ranked(fix4_graph, u, md_scores(fix4_graph, [u])[0])
             assert not set(rec.items.tolist()) & seen(fix4_graph, u)
+
+    @given(
+        seed=st.integers(0, 2**16),
+        n_users=st.integers(1, 7),
+        n_items=st.integers(1, 7),
+        density=st.floats(0.1, 0.9),
+        full_user=st.booleans(),
+        n_block=st.integers(1, 12),
+    )
+    @example(seed=3, n_users=4, n_items=5, density=0.5, full_user=True, n_block=12)
+    @settings(max_examples=60)
+    def test_blocks_match_single_users_and_oracle(
+        self, seed, n_users, n_items, density, full_user, n_block
+    ):
+        ds = random_dataset(seed, n_users=n_users, n_items=n_items, density=density)
+        if full_user:
+            ds = with_full_user(ds)
+        g = build_graph(ds)
+        rng = np.random.default_rng(seed)
+        # repeats allowed; every user who rated every item is in the block
+        block = np.concatenate(
+            [rng.integers(0, g.n_users, n_block), np.flatnonzero(g.user_degree == g.n_items)]
+        )
+        got = md_scores(g, block)
+        assert got.shape == (len(block), g.n_items)
+        for row, u in zip(got, block.tolist()):
+            assert row.tobytes() == md_scores(g, [u])[0].tobytes()
+            _, expected = oracles.md_item_scores(ds, u)
+            for j in range(g.n_items):
+                assert row[j] == pytest.approx(expected.get(j, 0.0), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -266,29 +297,26 @@ class TestKnnPrediction:
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("axis", ["users", "items"])
-    def test_key_runs_of_any_size_give_the_same_bytes(self, seed, axis):
-        # every power of two as the key limit: the pairs are ordered in runs
-        # from all of them at once down to one per run (the least limit that
-        # fits is under twice one pair's key span), and below that the keys
-        # do not fit
+    def test_one_key_sort_gives_the_oracle_bytes(self, seed, axis):
+        # every pair of a 7 x 7 grid in one call, and one key sort per call
         ds = random_dataset(seed, n_users=7, n_items=7, density=0.6)
         g = build_graph(ds)
         sim = simkit.pcc_matrix(g, axis)
         users, items = np.divmod(np.arange(g.n_users * g.n_items), g.n_items)
         ks = [2, 1, 10**9]
-        expected = oracles.knn_predict(sim, g, users, items, ks).tobytes()
-        fits = []
-        for shift in range(64):
-            with mock.patch.object(recommend, "_KEY_LIMIT", 2**shift):
-                try:
-                    got = knn_predict(sim, g, users, items, ks)
-                except RecommendError as exc:
-                    assert "do not fit an int64 sort key" in str(exc)
-                    fits.append(False)
-                    continue
-            assert got.tobytes() == expected
-            fits.append(True)
-        assert fits == sorted(fits) and 0 < fits.count(False) < 64
+        got = knn_predict(sim, g, users, items, ks)
+        assert got.tobytes() == oracles.knn_predict(sim, g, users, items, ks).tobytes()
+
+    def test_neighbor_keys_must_fit_an_int64(self):
+        # two pairs, two similarity ranks: keys below 2 * 2 * widest
+        pair = np.array([0, 0, 1, 1])
+        sims = np.array([0.25, 0.5, 0.5, 0.25])
+        nth = np.array([0, 1, 0, 1])
+        for widest in (2, 2**61 - 1):
+            order = recommend._neighbor_order(pair, sims, nth, widest)
+            assert order.tolist() == [1, 0, 2, 3]
+        with pytest.raises(RecommendError, match="do not fit an int64 sort key"):
+            recommend._neighbor_order(pair, sims, nth, 2**61)
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("axis", ["users", "items"])
@@ -344,7 +372,7 @@ class TestKnnPrediction:
 class TestKnnRecommend:
     def test_fix4_u1_singleton(self, fix4_graph, uid, iid):
         sim = simkit.similarity(fix4_graph, "pcc", "users")
-        rec = ranked(fix4_graph, uid["u1"], knn_scores(sim, fix4_graph, uid["u1"], k=3))
+        rec = ranked(fix4_graph, uid["u1"], ubcf_scores(sim, fix4_graph, [uid["u1"]], k=3)[0])
         assert rec.items.tolist() == [iid["i2"]]
 
     def test_rated_everything_empty(self):
@@ -353,12 +381,12 @@ class TestKnnRecommend:
         )
         g = build_graph(ds)
         sim = simkit.similarity(g, "cosine", "users")
-        rec = ranked(g, 0, knn_scores(sim, g, 0, k=1))
+        rec = ranked(g, 0, ubcf_scores(sim, g, [0], k=1)[0])
         assert rec.items.size == rec.scores.size == 0
 
     def test_ibcf_identity_falls_back_to_user_mean(self, fix4_graph, uid):
         sim = identity_item_sim(fix4_graph.n_items)
-        rec = ranked(fix4_graph, uid["u1"], knn_scores(sim, fix4_graph, uid["u1"], k=2))
+        rec = ranked(fix4_graph, uid["u1"], ibcf_scores(sim, fix4_graph, [uid["u1"]], k=2)[0])
         items = rec.items.tolist()
         assert items == sorted(items)  # id-ordered under constant scores
         assert all(s == pytest.approx(10 / 3) for s in rec.scores)
@@ -366,14 +394,13 @@ class TestKnnRecommend:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("mode,axis", [("UBCF", "users"), ("IBCF", "items")])
     def test_batch_matches_pointwise(self, seed, mode, axis):
-        # the similarity's axis selects the mode
         ds = random_dataset(60 + seed, n_users=8, n_items=9, density=0.5)
         g = build_graph(ds)
         sim = simkit.similarity(g, "pcc", axis)
-        for u in range(g.n_users):
-            if g.user_degree[u] == 0:
-                continue
-            rec = ranked(g, u, knn_scores(sim, g, u, k=3))
+        users = np.flatnonzero(g.user_degree > 0)
+        block = {"UBCF": ubcf_scores, "IBCF": ibcf_scores}[mode](sim, g, users, 3)
+        for u, row in zip(users.tolist(), block):
+            rec = ranked(g, u, row)
             for item, score in zip(rec.items.tolist(), rec.scores.tolist()):
                 expected = oracles.knn_rating(ds, sim.values, u, item, 3, axis)
                 assert score == pytest.approx(expected, abs=1e-9)
@@ -410,12 +437,71 @@ class TestKnnRecommend:
         for row, u in enumerate(block.tolist()):
             alone = knn_predict(sim, g, np.full(g.n_items, u), items, [k])[:, 0]
             assert got[row].tobytes() == alone.tobytes()
-            assert got[row].tobytes() == knn_scores(sim, g, u, k).tobytes()
+            assert got[row].tobytes() == ubcf_scores(sim, g, [u], k)[0].tobytes()
 
     def test_ubcf_scores_need_a_users_axis(self, fix4_graph):
         sim = simkit.similarity(fix4_graph, "pcc", "items")
         with pytest.raises(RecommendError, match="users-axis similarity"):
             recommend.ubcf_scores(sim, fix4_graph, [0], 3)
+
+    def test_ibcf_scores_need_an_items_axis(self, fix4_graph):
+        sim = simkit.similarity(fix4_graph, "pcc", "users")
+        with pytest.raises(RecommendError, match="items-axis similarity"):
+            ibcf_scores(sim, fix4_graph, [0], 3)
+
+    @given(
+        seed=st.integers(0, 2**16),
+        n_users=st.integers(1, 7),
+        n_items=st.integers(1, 7),
+        density=st.floats(0.1, 0.9),
+        values=st.sampled_from(["pcc", "near-tie"]),
+        k=st.sampled_from([1, 2, 3, 10**9]),
+        full_user=st.booleans(),
+        n_block=st.integers(0, 12),
+    )
+    @example(
+        seed=5, n_users=6, n_items=6, density=0.8, values="near-tie", k=2, full_user=True,
+        n_block=12,
+    )
+    @settings(max_examples=60)
+    def test_ibcf_blocks_match_per_user_scores(
+        self, seed, n_users, n_items, density, values, k, full_user, n_block
+    ):
+        ds = random_dataset(seed, n_users=n_users, n_items=n_items, density=density)
+        if full_user:
+            ds = with_full_user(ds)
+        g = build_graph(ds)
+        sim = simkit.pcc_matrix(g, "items")
+        rng = np.random.default_rng(seed)
+        if values == "near-tie":  # defined similarities 1 ulp apart
+            up = rng.random(sim.values.shape) < 0.5
+            v = np.where(up, np.nextafter(0.5, 1.0), 0.5)
+            sim = SimilarityMatrix("items", np.where(sim.defined, v, 0.0), sim.defined)
+        # repeats allowed; every user who rated every item is in the block
+        block = np.concatenate(
+            [rng.integers(0, g.n_users, n_block), np.flatnonzero(g.user_degree == g.n_items)]
+        )
+        got = ibcf_scores(sim, g, block, k)
+        assert got.shape == (len(block), g.n_items)
+        for row, u in zip(got, block.tolist()):
+            assert row.tobytes() == ibcf_scores(sim, g, [u], k)[0].tobytes()
+
+    @pytest.mark.xfail(
+        strict=True, reason="IBCF orders 1-ulp near-ties by item id (ROADMAP item 2)"
+    )
+    def test_ibcf_takes_the_nearest_of_near_ties(self):
+        # user a rated x, y and z; t's similarity to z is 1 ulp above its
+        # 0.5 to x and y, so at k = 1 z alone predicts a's rating of t
+        ds = oracles.from_triples(
+            [("a", "x", 1), ("a", "y", 3), ("a", "z", 5), ("b", "t", 4)], SCALE15
+        )
+        g = build_graph(ds)
+        values = np.zeros((4, 4))
+        values[3, :3] = values[:3, 3] = [0.5, 0.5, np.nextafter(0.5, 1.0)]
+        sim = SimilarityMatrix("items", values, values > 0, normalized=True)
+        got = ibcf_scores(sim, g, [0], 1)[0]
+        expected = [oracles.knn_rating(ds, values, 0, j, 1, "items") for j in range(4)]
+        assert got.tolist() == pytest.approx(expected, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +859,7 @@ class TestRankingContracts:
         triples = [("a", "x", 3), ("b", "x", 3), ("b", "y", 3), ("b", "z", 3)]
         ds = oracles.from_triples(triples, SCALE15)
         g = build_graph(ds)
-        rec = ranked(g, 0, md_scores(g, 0))
+        rec = ranked(g, 0, md_scores(g, [0])[0])
         assert rec.scores[0] == rec.scores[1]
         assert rec.items.tolist() == sorted(rec.items.tolist())
 

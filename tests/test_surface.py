@@ -7,12 +7,16 @@ under tests/.
 
 simkit's n x n passes are plain arithmetic: no call in simkit takes a
 `where=` argument, since a masked ufunc over a random mask is several
-times slower than the plain one."""
+times slower than the plain one.
+
+What sets a method apart lives in `harness.METHODS` alone: no module
+compares a value with a method's name."""
 
 import ast
 from pathlib import Path
 
 import diffrec
+from diffrec import harness
 
 PACKAGE = Path(diffrec.__file__).resolve().parent
 # called from outside the package: the console script
@@ -106,3 +110,42 @@ def test_the_guard_finds_a_masked_call():
         "x = f(g(y, where=m))\n"
     )
     assert masked_calls(tree) == [2, 3]
+
+
+def method_comparisons(tree: ast.Module, names: set[str]) -> list[int]:
+    """Lines of the comparisons and match cases in tree with one of the
+    method `names` as a string literal, alone or in a tuple, list or set."""
+
+    def named(node) -> bool:
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(named(e) for e in node.elts)
+        return isinstance(node, ast.Constant) and node.value in names
+
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Compare) and any(map(named, [node.left, *node.comparators])))
+        or (isinstance(node, ast.MatchValue) and named(node.value))
+    )
+
+
+def test_no_module_compares_with_a_method_name():
+    names = set(harness.METHODS)
+    found = {name: method_comparisons(tree, names) for name, tree in _modules().items()}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_the_guard_finds_a_method_comparison():
+    tree = ast.parse(
+        'if method == "PIM+RA":\n'
+        '    pass\n'
+        'x = m in ("MD", "SVD")\n'
+        'y = {"UBCF": 1, "IBCF": 2}\n'
+        'z = axis != "users"\n'
+        'match method:\n'
+        '    case "IBCF":\n'
+        '        pass\n'
+        'if "UBCF" != name:\n'
+        '    pass\n'
+    )
+    assert method_comparisons(tree, {"UBCF", "IBCF", "SVD", "MD", "PIM+RA"}) == [1, 3, 7, 9]
