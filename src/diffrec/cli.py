@@ -219,7 +219,8 @@ def _run(args: argparse.Namespace) -> int:
             raise CliError(f"unknown user {args.user!r}")
         # the whole dataset is the training side; nothing is held out
         ctx = harness.FoldContext(FoldPair(train=ds, test=ds.subset(np.arange(0))), cfg)
-        lists = ctx.rank(cfg.methods[0], [ds.user_labels.index(args.user)], None, cfg.list_length)
+        user = ds.user_labels.index(args.user)
+        (lists,) = ctx.rank(cfg.methods[0], [user], [None], cfg.list_length)
         _write_lists(sys.stdout, lists, ds.item_labels, ds.user_labels)
         return 0
 

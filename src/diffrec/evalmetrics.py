@@ -59,14 +59,15 @@ def gini(counts: np.ndarray) -> float:
     return 1.0 - g
 
 
-def _tops(lists: Sequence[RecommendationList], length: int) -> np.ndarray:
-    """Every list's top-length items, concatenated."""
+def tops(lists: Sequence[RecommendationList], length: int) -> np.ndarray:
+    """Every list's top-length items, concatenated: the input of the
+    count-based metrics."""
     return np.concatenate([np.empty(0, dtype=np.int64)] + [rec.top(length) for rec in lists])
 
 
-def rec_counts(lists: Sequence[RecommendationList], n_items: int, length: int) -> np.ndarray:
-    """Per-item appearance counts across truncated top-length lists."""
-    return np.bincount(_tops(lists, length), minlength=n_items)
+def rec_counts(tops: np.ndarray, n_items: int) -> np.ndarray:
+    """Per-item appearance counts across the lists' concatenated tops."""
+    return np.bincount(tops, minlength=n_items)
 
 
 def _block_gather(sim: SimilarityMatrix):
@@ -101,16 +102,16 @@ def internal_diversity(
     return float(np.mean(vals))
 
 
-def inter_user_diversity(lists: Sequence[RecommendationList], length: int) -> float:
-    """Mean Hamming distance 1 - |overlap|/length over all user pairs.
+def inter_user_diversity(tops: np.ndarray, n: int, length: int) -> float:
+    """Mean Hamming distance 1 - |overlap|/length over all pairs of the n
+    users whose top-length lists concatenate to `tops`.
 
     An item in c of the lists is shared by c(c-1)/2 pairs, so the overlaps
     sum to an exact integer without visiting the pairs.
     """
-    n = len(lists)
     if n < 2:
         raise MetricError("need at least 2 users")
-    shared = np.bincount(_tops(lists, length))
+    shared = np.bincount(tops)
     overlap = int((shared * (shared - 1)).sum()) // 2
     return 1.0 - overlap / (length * (n * (n - 1) / 2.0))
 
@@ -122,15 +123,19 @@ def novelty(
     length: int,
 ) -> float:
     """Mean over users of 1 - average similarity between recommended items
-    and the user's training history."""
+    and the user's training history.
+
+    A block's average is its sum over its size: `ndarray.mean` of float64
+    values computes the same sum and the same division."""
     gather = _block_gather(sim)
     vals = []
     for rec in lists:
         top = rec.top(length)
-        hist = np.asarray(histories.get(rec.user, ()), dtype=np.int64)
+        hist = histories.get(rec.user, ())
         if len(top) == 0 or len(hist) == 0:
             continue
-        vals.append(1.0 - float(gather(top, hist).mean()))
+        block = gather(top, hist)
+        vals.append(1.0 - float(block.sum() / block.size))
     if not vals:
         raise MetricError("no user has both a list and a history")
     return float(np.mean(vals))
@@ -152,9 +157,9 @@ def nrmse(preds: np.ndarray, actual: np.ndarray, scale: RatingScale) -> np.ndarr
     return np.sqrt((diff**2).sum(axis=0) / len(actual)) / scale.range
 
 
-def avg_popularity(lists: Sequence[RecommendationList], g: BipartiteGraph, length: int) -> float:
-    """Mean training degree over every recommended slot."""
-    tops = _tops(lists, length)
+def avg_popularity(tops: np.ndarray, g: BipartiteGraph) -> float:
+    """Mean training degree over every recommended slot, the lists'
+    concatenated tops."""
     if len(tops) == 0:
         raise MetricError("no recommendations made")
     return float(np.mean(g.item_degree[tops]))

@@ -4,14 +4,15 @@ analyses, aggregated into CSV-ready reports."""
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import platform
 import resource
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence, get_args
+from typing import Callable, Iterator, NamedTuple, Sequence, get_args
 
 import numpy as np
 import scipy
@@ -40,26 +41,43 @@ _BLOCK_BYTES = 8 << 20
 
 
 class _Method(NamedTuple):
-    score: Callable  # (fold context, users, theta or None) -> one item-score row per user
+    # (fold context, users, thetas) -> one block of item-score rows per
+    # theta, one row per user
+    score: Callable
     takes_theta: bool = False
     knn_axis: str | None = None  # a kNN method's similarity axis
+
+
+def _each_theta(score: Callable) -> Callable:
+    """A method without theta, `score(ctx, users)`, as a block scorer: its
+    one block of rows serves each of its thetas, which are all None."""
+    return lambda ctx, users, thetas: [score(ctx, users)] * len(thetas)
 
 
 def _knn(axis: str, scores: Callable) -> _Method:
     """kNN on the knn measure's `axis` similarity: `scores(sim, g, users, k)`."""
 
-    def score(ctx: FoldContext, users: Sequence[int], _) -> np.ndarray:
+    def score(ctx: FoldContext, users: Sequence[int]) -> np.ndarray:
         sim = ctx.similarity(ctx.cfg.knn_measure, axis)
         return scores(sim, ctx.graph, users, ctx.cfg.knn_k)
 
-    return _Method(score, knn_axis=axis)
+    return _Method(_each_theta(score), knn_axis=axis)
 
 
-def _svd(ctx: FoldContext, users: Sequence[int], _) -> np.ndarray:
+def _svd(ctx: FoldContext, users: Sequence[int]) -> np.ndarray:
     """One `predict_mf` call per user: a block's pairs at once would
     gather users x items x factors floats."""
     model, items = ctx.mf_model, np.arange(ctx.graph.n_items)
     return np.array([recommend.predict_mf(model, np.full(len(items), u), items) for u in users])
+
+
+def _pimra(ctx: FoldContext, users: Sequence[int], thetas: Sequence[float]) -> Iterator:
+    """The block's walk once, then its rows under each theta's penalty,
+    made as they are read: the walk and one theta's rows are alive at a
+    time."""
+    scorer = ctx.pimra_scorer
+    walk = scorer.walk(users)
+    return (walk / scorer.penalty(theta) for theta in thetas)
 
 
 # Every method by name. The order is the default `methods`, and so the
@@ -68,9 +86,9 @@ def _svd(ctx: FoldContext, users: Sequence[int], _) -> np.ndarray:
 METHODS = {
     "UBCF": _knn("users", lambda *args: recommend.ubcf_scores(*args)),
     "IBCF": _knn("items", lambda *args: recommend.ibcf_scores(*args)),
-    "SVD": _Method(_svd),
-    "MD": _Method(lambda ctx, users, _: recommend.md_scores(ctx.graph, users)),
-    "PIM+RA": _Method(lambda ctx, users, theta: ctx.pimra_scorer.scores(users, theta), True),
+    "SVD": _Method(_each_theta(_svd)),
+    "MD": _Method(_each_theta(lambda ctx, users: recommend.md_scores(ctx.graph, users))),
+    "PIM+RA": _Method(_pimra, takes_theta=True),
 }
 KNN_AXES = {name: m.knn_axis for name, m in METHODS.items() if m.knn_axis}
 
@@ -105,6 +123,7 @@ class ExperimentConfig:
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise HarnessError(f"unknown methods: {sorted(unknown)}")
+        _check_sweep("methods", self.methods)
         for name, allowed in (
             ("knn_measure", simkit.MEASURES),
             ("metric_sim", simkit.MEASURES),
@@ -148,6 +167,8 @@ class EvaluationReport:
     mf_train_s: float = 0.0  # seconds of the run's one MF training, 0 if none ran
     # seconds spent building each "measure/axis" similarity, summed over folds
     similarity_s: dict[str, float] = field(default_factory=dict)
+    # seconds spent scoring and ranking with each method, summed over folds
+    rank_s: dict[str, float] = field(default_factory=dict)
 
     def with_means(self) -> "EvaluationReport":
         """Append cross-fold mean rows (fold='mean')."""
@@ -162,9 +183,7 @@ class EvaluationReport:
                 groups.items(), key=lambda kv: (kv[0][0], str(kv[0][1]), str(kv[0][2]), kv[0][3])
             )
         ]
-        return EvaluationReport(
-            self.rows + extra, self.config, self.fold_users, self.mf_train_s, self.similarity_s
-        )
+        return replace(self, rows=self.rows + extra)
 
 
 def write_report_csv(report: EvaluationReport, path) -> None:
@@ -190,6 +209,7 @@ def write_manifest(report: EvaluationReport, path, input_path) -> None:
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "mf_train_s": report.mf_train_s,
         "similarity_s": report.similarity_s,
+        "rank_s": report.rank_s,
         # the process's peak so far; ru_maxrss is in KiB on Linux
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "versions": {
@@ -259,6 +279,7 @@ class FoldContext:
         self.excluded_users = len(self.likes) - len(self.test_users)
         self._sims: dict[tuple[str, str], SimilarityMatrix] = {}
         self.similarity_s: dict[str, float] = {}  # build seconds per "measure/axis"
+        self.rank_s: dict[str, float] = {}  # scoring and ranking seconds per method
 
     def similarity(self, measure: str, axis: str) -> SimilarityMatrix:
         """Normalized similarity matrix, computed once per (measure, axis)."""
@@ -293,27 +314,45 @@ class FoldContext:
             "excluded_users": self.excluded_users,
         }
 
+    @cached_property
     def histories(self) -> dict[int, np.ndarray]:
+        """Each test user's training items."""
         return {u: self.graph.user_items(u)[0] for u in self.test_users}
 
     def rank(
-        self, method: str, users: Sequence[int], theta: float | None, length: int
-    ) -> list[RecommendationList]:
+        self, method: str, users: Sequence[int], thetas: Sequence[float | None], length: int
+    ) -> list[list[RecommendationList]]:
         """One top-`length` list of unseen items per user, from the training
-        graph; score rows are ranked in blocks of at most _BLOCK_BYTES."""
-        score, theta = METHODS[method].score, self.cfg.run_theta(method, theta)
+        graph, for each theta of `thetas` (None is the configured theta).
+
+        Score rows are ranked in blocks of at most _BLOCK_BYTES; a block is
+        scored and its ranking inputs built once for every theta. The
+        seconds this takes, less any similarity build or MF training it
+        starts, add to `rank_s[method]`."""
+        score = METHODS[method].score
+        thetas = [self.cfg.run_theta(method, theta) for theta in thetas]
         per_block = max(1, _BLOCK_BYTES // (8 * self.graph.n_items))
-        lists = []
+        per_theta: list[list[RecommendationList]] = [[] for _ in thetas]
+        start, set_up = time.perf_counter(), self._set_up_s()
         try:
             for lo in range(0, len(users), per_block):
                 block = users[lo : lo + per_block]
-                scores = score(self, block, theta)
-                lists.extend(recommend.rank(self.graph, block, scores, length, self.likes))
-            return lists
+                blocks = score(self, block, thetas)
+                ranked = recommend.rank(self.graph, block, blocks, length, self.likes)
+                for lists, part in zip(per_theta, ranked):
+                    lists.extend(part)
         except simkit.MemoryCeilingError:
             raise  # this machine's limit: an NA row would make the report depend on it
         except _METHOD_ERRORS as exc:
             raise HarnessError(f"method {method} failed: {exc}") from exc
+        elapsed = time.perf_counter() - start - (self._set_up_s() - set_up)
+        self.rank_s[method] = self.rank_s.get(method, 0.0) + elapsed
+        return per_theta
+
+    def _set_up_s(self) -> float:
+        """Seconds spent so far building this fold's similarities and
+        training the run's MF models."""
+        return sum(self.similarity_s.values()) + self._mf[0].train_s
 
 
 def _metric_rows(
@@ -339,16 +378,16 @@ def _metric_rows(
                 note = str(exc)
         return MetricRow(ctx.cfg.dataset_name, fold, method, theta, at, metric, value, note)
 
-    counts = evalmetrics.rec_counts(lists, ctx.graph.n_items, length)
+    tops = evalmetrics.tops(lists, length)
+    counts = evalmetrics.rec_counts(tops, ctx.graph.n_items)
     rows = [row("ars", None, lambda: evalmetrics.ars(lists))] if ars else []
     return rows + [
         row("gini", length, lambda: evalmetrics.gini(counts)),
         row("id", length, lambda: evalmetrics.internal_diversity(lists, ctx.metric_sim, length)),
-        row("iud", length, lambda: evalmetrics.inter_user_diversity(lists, length)),
+        row("iud", length, lambda: evalmetrics.inter_user_diversity(tops, len(lists), length)),
         row("novelty", length,
-            lambda: evalmetrics.novelty(lists, ctx.histories(), ctx.metric_sim, length)),
-        row("avg_popularity", length,
-            lambda: evalmetrics.avg_popularity(lists, ctx.graph, length)),
+            lambda: evalmetrics.novelty(lists, ctx.histories, ctx.metric_sim, length)),
+        row("avg_popularity", length, lambda: evalmetrics.avg_popularity(tops, ctx.graph)),
     ]
 
 
@@ -364,7 +403,9 @@ def _ranked_run(
     ars: bool = True,
 ) -> EvaluationReport:
     """Rank each (method, theta) run once per fold, at the largest length,
-    and report its metrics at every length, with cross-fold means.
+    and report its metrics at every length, with cross-fold means. A
+    method's runs, adjacent in `runs`, are ranked together, so that each
+    block of users is scored once for all of the method's thetas.
 
     A fold without evaluable test users ranks nothing, and neither does a
     method that fails on a fold; their rows are NA with the reason and
@@ -374,35 +415,45 @@ def _ranked_run(
     failures: list[HarnessError] = []
     ranked = False
     similarity_s: Counter[str] = Counter()
+    rank_s: Counter[str] = Counter()
+    groups = [
+        (method, [cfg.run_theta(method, theta) for _, theta in group])
+        for method, group in itertools.groupby(runs, key=lambda run: run[0])
+    ]
     pairs = corpus.kfold_split(ds, cfg.k_folds, cfg.seed)
     models = _MfModels([pair.train for pair in pairs], cfg)
     for f, pair in enumerate(pairs):
         ctx = FoldContext(pair, cfg, (models, f))
         fold_users.append(ctx.user_counts(f))
-        for method, theta in runs:
-            theta = cfg.run_theta(method, theta)
-            lists, reason = [], ""
+        for method, thetas in groups:
+            per_theta, reason = [[] for _ in thetas], ""
             if not ctx.test_users:
                 reason = f"fold has no evaluable test users (like_threshold {cfg.like_threshold})"
             else:
                 try:
-                    lists = ctx.rank(method, ctx.test_users, theta, max(lengths))
+                    per_theta = ctx.rank(method, ctx.test_users, thetas, max(lengths))
                     ranked = True
                 except HarnessError as exc:  # a method's domain error
                     reason = str(exc)
                     failures.append(exc)
-            for length in lengths:
-                rows.extend(_metric_rows(ctx, str(f), method, lists, theta, length, reason, ars))
-            if list_sink is not None:
-                list_sink(f, method, lists)
+            for theta, lists in zip(thetas, per_theta):
+                for length in lengths:
+                    rows.extend(
+                        _metric_rows(ctx, str(f), method, lists, theta, length, reason, ars)
+                    )
+                if list_sink is not None:
+                    list_sink(f, method, lists)
         similarity_s.update(ctx.similarity_s)
+        rank_s.update(ctx.rank_s)
     if not any(f["evaluated_users"] for f in fold_users):
         raise HarnessError(
             f"no evaluable test users in any fold (like_threshold {cfg.like_threshold})"
         )
     if failures and not ranked:
         raise failures[0]
-    return EvaluationReport(rows, cfg, fold_users, models.train_s, dict(similarity_s)).with_means()
+    return EvaluationReport(
+        rows, cfg, fold_users, models.train_s, dict(similarity_s), dict(rank_s)
+    ).with_means()
 
 
 def run_experiment(

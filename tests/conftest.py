@@ -112,6 +112,11 @@ def random_ranking(seed, n_users, n_items, density, full_user=False):
     return g, scores, likes
 
 
+def pimra_scores(scorer, users, theta):
+    """PIM+RA score rows of `users` under theta: the walk over the penalty."""
+    return scorer.walk(users) / scorer.penalty(theta)
+
+
 def report_mean(report, method, metric, theta=None):
     """Mean of a report's defined values for (method, metric), over every
     row (per-fold and mean rows alike), at `theta` if given."""

@@ -13,7 +13,9 @@ from diffrec.corpus import FilterSpec, RatingScale
 from diffrec.harness import ExperimentConfig
 
 import oracles
-from conftest import average_cri_ratio, ml100k_path, random_dataset, report_mean, requires_ml100k
+from conftest import (
+    average_cri_ratio, ml100k_path, pimra_scores, random_dataset, report_mean, requires_ml100k
+)
 
 
 @pytest.fixture(scope="module")
@@ -305,7 +307,7 @@ class TestCriterion7Properties:
         scorer = recommend.PimraScorer(fix4_graph, sim)
         for u in range(fix4.n_users):
             expected = oracles.pimra_item_scores(fix4, u, sim.values, 0.6)
-            scores = scorer.scores([u], 0.6)[0]
+            scores = pimra_scores(scorer, [u], 0.6)[0]
             for j in range(fix4.n_items):
                 assert scores[j] == pytest.approx(expected.get(j, 0.0), abs=1e-9)
 

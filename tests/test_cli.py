@@ -88,6 +88,7 @@ def test_non_finite_scale_is_rejected(fix4_csv, capsys):
         (["sweep-theta", "--thetas", "0.5,0.50"], "thetas repeat 0.5"),
         (["sweep-length", "--lengths", ","], "no list lengths given"),
         (["sweep-length", "--lengths", "5,5"], "list lengths repeat 5"),
+        (["eval", "--method", "MD,MD"], "methods repeat 'MD'"),
     ],
 )
 def test_malformed_setting_names_its_key(fix4_csv, tmp_path, capsys, argv, message):
@@ -209,7 +210,7 @@ def test_recommend_honours_knn_measure(synth_csv, tmp_path, capsys):
     ds = corpus.load_ratings(synth_csv, "generic-csv", corpus.RatingScale(1, 5, 1))
     g = bigraph.build_graph(ds)
     sim = simkit.similarity(g, "cosine", "users")
-    rec = recommend.rank(g, [0], recommend.ubcf_scores(sim, g, [0], k=3), 5)[0]
+    rec = recommend.rank(g, [0], [recommend.ubcf_scores(sim, g, [0], k=3)], 5)[0][0]
     expected = [
         f"u0,{rank},{ds.item_labels[item]},{score:.4f}"
         for rank, (item, score) in enumerate(zip(rec.items[:5], rec.scores[:5]), start=1)

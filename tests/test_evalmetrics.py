@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from diffrec import simkit
 from diffrec.bigraph import build_graph
@@ -19,6 +20,7 @@ from diffrec.evalmetrics import (
     novelty,
     nrmse,
     rec_counts,
+    tops,
 )
 from diffrec.recommend import RecommendationList, rank
 from diffrec.simkit import SimilarityMatrix
@@ -175,11 +177,11 @@ class TestInternalDiversity:
 class TestInterUserDiversity:
     def test_identical_lists(self):
         lists = [rl(0, [1, 2, 3]), rl(1, [1, 2, 3])]
-        assert inter_user_diversity(lists, 3) == pytest.approx(0.0)
+        assert inter_user_diversity(tops(lists, 3), 2, 3) == pytest.approx(0.0)
 
     def test_disjoint_lists(self):
         lists = [rl(0, [0, 1]), rl(1, [2, 3])]
-        assert inter_user_diversity(lists, 2) == pytest.approx(1.0)
+        assert inter_user_diversity(tops(lists, 2), 2, 2) == pytest.approx(1.0)
 
     def test_three_users_mixed(self):
         # pairwise overlaps: (a,b)=0, (a,c)=1 of 2, (b,c)=2 of 2
@@ -187,11 +189,11 @@ class TestInterUserDiversity:
         b = rl(1, [2, 3])
         c = rl(2, [2, 1])
         # overlaps: a&b=0 -> 1, a&c={1} -> 0.5, b&c={2} -> 0.5
-        assert inter_user_diversity([a, b, c], 2) == pytest.approx((1 + 0.5 + 0.5) / 3)
+        assert inter_user_diversity(tops([a, b, c], 2), 3, 2) == pytest.approx((1 + 0.5 + 0.5) / 3)
 
     def test_single_user_errors(self):
         with pytest.raises(MetricError):
-            inter_user_diversity([rl(0, [1])], 1)
+            inter_user_diversity(tops([rl(0, [1])], 1), 1, 1)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_bruteforce(self, seed):
@@ -200,10 +202,24 @@ class TestInterUserDiversity:
             rl(u, list(map(int, rng.choice(12, size=4, replace=False))))
             for u in range(8)
         ]
-        tops = [set(l.top(4)) for l in lists]
+        heads = [set(l.top(4)) for l in lists]
         pairs = list(itertools.combinations(range(8), 2))
-        expected = sum(1 - len(tops[a] & tops[b]) / 4 for a, b in pairs) / len(pairs)
-        assert inter_user_diversity(lists, 4) == pytest.approx(expected, abs=1e-12)
+        expected = sum(1 - len(heads[a] & heads[b]) / 4 for a, b in pairs) / len(pairs)
+        assert inter_user_diversity(tops(lists, 4), 8, 4) == pytest.approx(expected, abs=1e-12)
+
+
+@given(
+    block=hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40),
+        elements=st.floats(-1e6, 1e6),
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_novelty_block_average_is_the_mean(block):
+    # novelty averages a block as its sum over its size: ndarray.mean adds
+    # the same values in the same order and divides by the same count
+    assert (block.sum() / block.size).tobytes() == block.mean().tobytes()
 
 
 class TestNovelty:
@@ -277,7 +293,7 @@ class TestCounts:
         counts = {item: count for item, _, count in table}
         assert counts == {0: 3, 1: 0, 2: 3, 3: 0}
         assert len(table) == fix4_graph.n_items
-        assert [c for _, _, c in table] == rec_counts(lists, fix4_graph.n_items, 2).tolist()
+        assert [c for _, _, c in table] == rec_counts(tops(lists, 2), fix4_graph.n_items).tolist()
 
     def test_counting_identity(self):
         rng = np.random.default_rng(4)
@@ -285,25 +301,25 @@ class TestCounts:
             rl(u, list(map(int, rng.choice(6, size=rng.integers(0, 4), replace=False))))
             for u in range(5)
         ]
-        counts = rec_counts(lists, 6, 3)
+        counts = rec_counts(tops(lists, 3), 6)
         assert counts.sum() == sum(len(l.top(3)) for l in lists)
 
     def test_empty_lists(self):
-        counts = rec_counts([rl(0, [])], 4, 3)
+        counts = rec_counts(tops([rl(0, [])], 3), 4)
         assert (counts == 0).all()
 
     def test_avg_popularity_single(self, fix4_graph, iid):
         # i3 has training degree 3
-        assert avg_popularity([rl(0, [iid["i3"]])], fix4_graph, 1) == pytest.approx(3.0)
+        assert avg_popularity(tops([rl(0, [iid["i3"]])], 1), fix4_graph) == pytest.approx(3.0)
 
     def test_avg_popularity_two_slots(self, fix4_graph, iid):
         # degrees: i1 -> 2, i4 -> 3
         lists = [rl(0, [iid["i1"], iid["i4"]])]
-        assert avg_popularity(lists, fix4_graph, 2) == pytest.approx(2.5)
+        assert avg_popularity(tops(lists, 2), fix4_graph) == pytest.approx(2.5)
 
     def test_avg_popularity_empty(self, fix4_graph):
         with pytest.raises(MetricError):
-            avg_popularity([rl(0, [])], fix4_graph, 3)
+            avg_popularity(tops([rl(0, [])], 3), fix4_graph)
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +337,9 @@ def test_bounds_on_generated_lists():
     ]
     histories = {u: list(g.user_items(u)[0]) for u in range(8)}
     assert 0.0 <= internal_diversity(lists, sim, 4) <= 1.0
-    assert 0.0 <= inter_user_diversity(lists, 4) <= 1.0
+    assert 0.0 <= inter_user_diversity(tops(lists, 4), 8, 4) <= 1.0
     assert 0.0 <= novelty(lists, histories, sim, 4) <= 1.0
-    assert 0.0 <= gini(rec_counts(lists, 10, 4)) <= 1.0 + 1e-12
+    assert 0.0 <= gini(rec_counts(tops(lists, 4), 10)) <= 1.0 + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -346,21 +362,22 @@ def test_array_metrics_match_oracles(seed, n_items, length, data):
     ]
     g = build_graph(random_dataset(seed, n_users=4, n_items=n_items))
 
-    counts = rec_counts(lists, n_items, length)
+    top = tops(lists, length)
+    counts = rec_counts(top, n_items)
     assert counts.tolist() == oracles.rec_counts(lists, n_items, length)
 
     expected = oracles.avg_popularity(lists, g, length)
     if expected is None:
         with pytest.raises(MetricError):
-            avg_popularity(lists, g, length)
+            avg_popularity(top, g)
     else:
-        assert avg_popularity(lists, g, length) == pytest.approx(expected, abs=1e-12)
+        assert avg_popularity(top, g) == pytest.approx(expected, abs=1e-12)
 
     if n_users < 2:
         with pytest.raises(MetricError):
-            inter_user_diversity(lists, length)
+            inter_user_diversity(top, n_users, length)
     else:
-        assert inter_user_diversity(lists, length) == pytest.approx(
+        assert inter_user_diversity(top, n_users, length) == pytest.approx(
             oracles.inter_user_diversity(lists, length), abs=1e-12
         )
 
@@ -382,7 +399,7 @@ def test_list_metrics_match_full_list_oracles(
     # take-gathered diversity and novelty blocks, all bit for bit
     g, scores, likes = random_ranking(seed, n_users, n_items, density, full_user)
     users = np.arange(g.n_users)
-    lists = rank(g, users, scores, max(list_length, length), likes)
+    (lists,) = rank(g, users, [scores], max(list_length, length), likes)
     full = oracles.full_lists(g, users, scores, likes)
     rng = np.random.default_rng(seed)
     # not symmetric, so a transposed (F-ordered) gather sums in another order

@@ -4,9 +4,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from diffrec import corpus, bigraph, harness, recommend, simkit
+from diffrec.simkit import SimilarityMatrix
 from diffrec.harness import (
     ExperimentConfig,
     FoldContext,
@@ -66,6 +69,11 @@ class TestConfig:
         for theta in (-0.1, 1.5):
             with pytest.raises(HarnessError, match=r"theta must be in \[0, 1\]"):
                 ExperimentConfig(theta=theta)
+
+    def test_rejects_a_repeated_method(self):
+        # each fold would rank it twice and write its rows twice
+        with pytest.raises(HarnessError, match="^methods repeat 'MD'$"):
+            ExperimentConfig(methods=("MD", "PIM+RA", "MD"))
 
     @pytest.mark.parametrize(
         "name,allowed",
@@ -218,7 +226,7 @@ class TestRankingErrors:
         monkeypatch.setattr(recommend, "md_scores", broken)
         ctx = FoldContext(corpus.kfold_split(ds, cfg.k_folds, cfg.seed)[0], cfg)
         with pytest.raises(expected, match="boom") as info:
-            ctx.rank("MD", ctx.test_users, None, cfg.list_length)
+            ctx.rank("MD", ctx.test_users, [None], cfg.list_length)
         assert type(info.value) is expected
 
 
@@ -248,7 +256,7 @@ class TestMethodTable:
         for method, keys in expected.items():
             ctx = FoldContext(pair, cfg)
             reads.clear()
-            ctx.rank(method, ctx.test_users, None, cfg.list_length)
+            ctx.rank(method, ctx.test_users, [None], cfg.list_length)
             assert sorted(set(reads)) == keys, method
 
 
@@ -268,7 +276,7 @@ class TestMemoryCeiling:
         ctx = FoldContext(corpus.kfold_split(ds, cfg.k_folds, cfg.seed)[0], cfg)
         self.items_fit_users_do_not(ds, monkeypatch)
         with pytest.raises(simkit.MemoryCeilingError, match="^pcc similarity over 20 users needs"):
-            ctx.rank("UBCF", ctx.test_users, None, cfg.list_length)
+            ctx.rank("UBCF", ctx.test_users, [None], cfg.list_length)
 
     def test_run_fails_rather_than_writing_na_rows(self, ds, cfg, monkeypatch):
         self.items_fit_users_do_not(ds, monkeypatch)
@@ -285,13 +293,13 @@ class TestPimraRowsOnDemand:
         g = ctx.graph
         u = int(np.argmin(g.user_degree))
         assert 0 < g.user_degree[u] < g.n_items
-        got = ctx.rank("PIM+RA", [u], None, cfg.list_length)[0]
+        got = ctx.rank("PIM+RA", [u], [None], cfg.list_length)[0][0]
         assert ctx.pimra_scorer._built.sum() == g.user_degree[u]
         # a scorer with every row built ranks the same list
         full = FoldContext(pair, cfg)
-        full.pimra_scorer.scores(np.arange(g.n_users), cfg.theta)
+        full.pimra_scorer.walk(np.arange(g.n_users))
         assert full.pimra_scorer._built.all()
-        want = full.rank("PIM+RA", [u], None, cfg.list_length)[0]
+        want = full.rank("PIM+RA", [u], [None], cfg.list_length)[0][0]
         assert got.items.tobytes() == want.items.tobytes()
         assert got.scores.tobytes() == want.scores.tobytes()
 
@@ -334,6 +342,27 @@ class TestSerialization:
         write_manifest(report, tmp_path / "manifest.json", tmp_path / "ratings.csv")
         assert json.loads((tmp_path / "manifest.json").read_text())["similarity_s"] == built
         # the report itself does not change
+        write_report_csv(report, tmp_path / "timed.csv")
+        write_report_csv(run_experiment(ds, cfg), tmp_path / "report.csv")
+        assert (tmp_path / "timed.csv").read_bytes() == (tmp_path / "report.csv").read_bytes()
+
+    def test_manifest_rank_seconds_sum_over_folds(self, ds, cfg, tmp_path):
+        # a clock that ticks one second per reading: a ranking reads it at
+        # its start and end, and a similarity build or MF training that it
+        # starts reads it twice more and takes 1 s, which is not counted
+        ticks = iter(range(10**6))
+        cfg = replace(cfg, methods=("SVD", "MD", "PIM+RA"))
+        with mock.patch.object(harness.time, "perf_counter", lambda: float(next(ticks))):
+            report = run_experiment(ds, cfg)
+        folds = sum(1 for f in report.fold_users if f["evaluated_users"])
+        assert folds > 1
+        # SVD trains every fold's model on its first ranking
+        ranked = {"SVD": folds + 1, "MD": folds, "PIM+RA": 2 * folds}
+        assert report.rank_s == ranked
+        assert report.mf_train_s == 1
+        corpus.write_ratings(ds, tmp_path / "ratings.csv")
+        write_manifest(report, tmp_path / "manifest.json", tmp_path / "ratings.csv")
+        assert json.loads((tmp_path / "manifest.json").read_text())["rank_s"] == ranked
         write_report_csv(report, tmp_path / "timed.csv")
         write_report_csv(run_experiment(ds, cfg), tmp_path / "report.csv")
         assert (tmp_path / "timed.csv").read_bytes() == (tmp_path / "report.csv").read_bytes()
@@ -454,7 +483,7 @@ class TestDegenerateInputs:
         ctx = FoldContext(corpus.FoldPair(train=ds, test=ds.subset(np.arange(0))), self.CFG)
         full = ds.user_labels.index("full")
         for method in METHODS:
-            (rec,) = ctx.rank(method, [full], None, self.CFG.list_length)
+            ((rec,),) = ctx.rank(method, [full], [None], self.CFG.list_length)
             assert rec.n_candidates == 0
             assert rec.items.size == rec.scores.size == rec.liked_ranks.size == 0
 
@@ -525,6 +554,103 @@ class TestSweepTheta:
         with pytest.raises(HarnessError):
             sweep_theta(ds, cfg, [0.0, 1.5])
 
+    def test_rows_are_those_of_single_theta_sweeps(self, ds, cfg, monkeypatch):
+        # blocks of two users, so that every fold ranks several blocks
+        monkeypatch.setattr(harness, "_BLOCK_BYTES", 8 * ds.n_items * 2)
+        thetas = (0.0, 0.2, 1 / 3, 0.6, 0.8, 1.0)
+        swept = sweep_theta(ds, cfg, thetas)
+        for theta in thetas:
+            single = sweep_theta(ds, cfg, (theta,))
+            assert [r for r in swept.rows if r.theta == theta] == single.rows
+
+    def test_walk_runs_once_per_fold_and_block(self, ds, cfg, monkeypatch):
+        walked, real = [], recommend.PimraScorer.walk
+
+        def counted(self, users):
+            walked.append(len(users))
+            return real(self, users)
+
+        monkeypatch.setattr(recommend.PimraScorer, "walk", counted)
+        monkeypatch.setattr(harness, "_BLOCK_BYTES", 8 * ds.n_items * 3)
+        report = sweep_theta(ds, cfg, (0.0, 0.2, 0.4, 0.6, 0.8, 1.0))
+        blocks = [
+            min(3, f["evaluated_users"] - lo)
+            for f in report.fold_users
+            for lo in range(0, f["evaluated_users"], 3)
+        ]
+        assert len(blocks) > cfg.k_folds
+        assert walked == blocks
+
+
+def theta_fold(seed, n_users, n_items, density):
+    """A fold of `random_dataset`'s ratings, each user liking up to two
+    unrated items in its test set, plus one more user who rated every item
+    but one in training and likes that one."""
+    ds = random_dataset(seed, n_users=n_users, n_items=n_items, density=density)
+    rng = np.random.default_rng(seed)
+    train = [(f"u{u}", f"i{i}", r) for u, i, r in ds.triples()]
+    test = []
+    for u in range(n_users):
+        unrated = np.setdiff1d(np.arange(n_items), ds.items[ds.users == u])
+        for i in rng.permutation(unrated)[: rng.integers(0, 3)].tolist():
+            test.append((f"u{u}", f"i{i}", float(rng.choice([2.0, 4.0, 5.0]))))
+    train += [("near-full", f"i{i}", float(1 + i % 5)) for i in range(1, n_items)]
+    test.append(("near-full", "i0", 5.0))
+    both = oracles.from_triples(train + test, ds.scale)
+    return corpus.FoldPair(
+        train=both.subset(np.arange(len(train))),
+        test=both.subset(np.arange(len(train), len(train) + len(test))),
+    )
+
+
+class TestThetaBlocks:
+    """A method's thetas are ranked together, each block of users scored
+    and its ranking inputs built once for all of them."""
+
+    @given(
+        seed=st.integers(0, 2**16),
+        n_users=st.integers(2, 7),
+        n_items=st.integers(3, 9),
+        density=st.floats(0.2, 0.9),
+        thetas=st.lists(st.sampled_from([0.0, 1.0, 0.25, 0.6, 1 / 3]), min_size=1, max_size=4,
+                        unique=True),
+        rows=st.integers(1, 3),
+        length=st.integers(1, 10),
+    )
+    @example(seed=1, n_users=5, n_items=6, density=0.4, thetas=[0.0, 1.0], rows=2, length=3)
+    @example(seed=2, n_users=3, n_items=4, density=0.5, thetas=[1.0, 0.6, 0.0, 0.25], rows=1,
+             length=10)
+    @settings(max_examples=40, deadline=None)
+    def test_thetas_ranked_together_equal_single_theta_runs(
+        self, seed, n_users, n_items, density, thetas, rows, length
+    ):
+        pair = theta_fold(seed, n_users, n_items, density)
+        cfg = ExperimentConfig(k_folds=2, list_length=length)
+        # any normalized item similarity: a small fold's pim may be undefined
+        vals = np.random.default_rng(seed).random((pair.train.n_items,) * 2)
+        sim = SimilarityMatrix("items", vals, np.ones_like(vals, dtype=bool), normalized=True)
+        with mock.patch.object(harness, "_BLOCK_BYTES", 8 * pair.train.n_items * rows), \
+                mock.patch.object(simkit, "similarity", lambda *args: sim):
+            ctx = FoldContext(pair, cfg)
+            users = ctx.test_users
+            together = ctx.rank("PIM+RA", users, thetas, length)
+            alone = [FoldContext(pair, cfg).rank("PIM+RA", users, [t], length)[0] for t in thetas]
+        g, scorer = ctx.graph, ctx.pimra_scorer
+        near_full = pair.train.user_labels.index("near-full")
+        assert near_full in users and g.n_items - g.user_degree[near_full] == 1
+        # each user's rows walked alone, then ranked in full by the oracle
+        walks = np.array([scorer.walk([u])[0] for u in users])
+        assert len(together) == len(alone) == len(thetas)
+        for theta, got, single in zip(thetas, together, alone):
+            full = oracles.full_lists(g, users, walks / scorer.penalty(theta), ctx.likes)
+            for rec, one, want in zip(got, single, full, strict=True):
+                for other in (one, want):
+                    assert rec.user == other.user
+                    assert rec.items.tobytes() == other.items[:length].tobytes()
+                    assert rec.scores.tobytes() == other.scores[:length].tobytes()
+                    assert rec.liked_ranks.tobytes() == other.liked_ranks.tobytes()
+                    assert rec.n_candidates == other.n_candidates
+
 
 class TestSweepListLength:
     def test_structure(self, ds, cfg):
@@ -563,7 +689,9 @@ class TestSweepListLength:
         got = sweep_list_length(ds, cfg, lengths)
         monkeypatch.setattr(
             recommend, "rank",
-            lambda g, users, scores, length, likes=None: oracles.full_lists(g, users, scores, likes),
+            lambda g, users, blocks, length, likes=None: [
+                oracles.full_lists(g, users, scores, likes) for scores in blocks
+            ],
         )
         expected = sweep_list_length(ds, cfg, lengths)
         assert got.rows == expected.rows

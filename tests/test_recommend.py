@@ -26,7 +26,7 @@ from diffrec.recommend import (
 from diffrec.simkit import SimilarityMatrix
 
 import oracles
-from conftest import FIX4_TRIPLES, random_dataset, random_ranking, with_full_user
+from conftest import FIX4_TRIPLES, pimra_scores, random_dataset, random_ranking, with_full_user
 
 
 SCALE15 = RatingScale(1, 5, 1)
@@ -47,7 +47,7 @@ def pim_item_sim(g):
 
 def ranked(g, user, scores):
     """The full ranking of `scores` over the items `user` has not rated in g."""
-    return rank(g, [user], scores[None, :], g.n_items)[0]
+    return rank(g, [user], [scores[None, :]], g.n_items)[0][0]
 
 
 def seen(g, user):
@@ -512,12 +512,12 @@ class TestPimra:
     def test_single_user_single_item(self):
         ds = oracles.from_triples([("a", "x", 4)], SCALE15)
         g = build_graph(ds)
-        scores = PimraScorer(g, identity_item_sim(1)).scores([0], theta=0.0)[0]
+        scores = pimra_scores(PimraScorer(g, identity_item_sim(1)), [0], 0.0)[0]
         assert scores[0] == pytest.approx(1.0)  # R1 = 1, all mass returns
         assert ranked(g, 0, scores).items.size == 0
 
     def test_fix4_identity_theta0_table(self, fix4, fix4_graph, uid, iid):
-        scores = PimraScorer(fix4_graph, identity_item_sim(4)).scores([uid["u1"]], theta=0.0)[0]
+        scores = pimra_scores(PimraScorer(fix4_graph, identity_item_sim(4)), [uid["u1"]], 0.0)[0]
         expected = {
             "i1": 0.3928531395,
             "i2": 0.0,
@@ -536,7 +536,7 @@ class TestPimra:
             expected = oracles.pimra_item_scores(
                 fix4, u, sim.values, theta, alt_weight=(mode == "alt-w_vj")
             )
-            scores = scorer.scores([u], theta)[0]
+            scores = pimra_scores(scorer, [u], theta)[0]
             for j in range(fix4.n_items):
                 assert scores[j] == pytest.approx(expected.get(j, 0.0), abs=1e-9)
 
@@ -548,16 +548,16 @@ class TestPimra:
         scorer = PimraScorer(g, sim)
         for u in range(ds.n_users):
             expected = oracles.pimra_item_scores(ds, u, sim.values, 0.4)
-            scores = scorer.scores([u], 0.4)[0]
+            scores = pimra_scores(scorer, [u], 0.4)[0]
             for j in range(ds.n_items):
                 assert scores[j] == pytest.approx(expected.get(j, 0.0), abs=1e-9)
 
     def test_theta_scaling_identity(self, fix4_graph, uid):
         scorer = PimraScorer(fix4_graph, pim_item_sim(fix4_graph))
-        base = scorer.scores([uid["u2"]], theta=0.0)[0]
+        base = pimra_scores(scorer, [uid["u2"]], 0.0)[0]
         deg = np.where(fix4_graph.item_degree > 0, fix4_graph.item_degree, 1).astype(float)
         for theta in (0.25, 0.5, 1.0):
-            scaled = scorer.scores([uid["u2"]], theta=theta)[0]
+            scaled = pimra_scores(scorer, [uid["u2"]], theta)[0]
             assert np.allclose(scaled, base / deg**theta, atol=1e-12)
 
     def test_penalty_once_per_theta_is_bitwise_the_per_user_expression(self):
@@ -568,21 +568,21 @@ class TestPimra:
         sim = pim_item_sim(g)
         scorer = PimraScorer(g, sim)
         users = np.flatnonzero(g.user_degree > 0)
-        scorer.scores(users, 0.6)
+        scorer.walk(users)
         # every rated item's row is built, and no unrated item's
         p = unblocked_p(g, sim, "literal-w_vi")
         assert np.array_equal(scorer._built, g.item_degree > 0)
         assert scorer._p[scorer._built].tobytes() == p[scorer._built].tobytes()
         for theta in (0.6, 0.0, 1.0, 0.6, 0.25, 0.25, 1 / 3):
             for u in users.tolist():
-                assert np.array_equal(scorer.scores([u], theta)[0], walk_row(g, p, u, theta))
+                assert np.array_equal(pimra_scores(scorer, [u], theta)[0], walk_row(g, p, u, theta))
 
     def test_theta_demotes_popular_relative_to_rare(self, fix4_graph, uid, iid):
         # u2's candidates: i1 (degree 2) and i4 (degree 3)
         scorer = PimraScorer(fix4_graph, pim_item_sim(fix4_graph))
         prev = None
         for theta in np.linspace(0.0, 1.0, 11):
-            scores = scorer.scores([uid["u2"]], theta=theta)[0]
+            scores = pimra_scores(scorer, [uid["u2"]], theta)[0]
             hi, lo = scores[iid["i4"]], scores[iid["i1"]]
             if lo > 0 and hi > 0:
                 ratio = hi / lo
@@ -635,7 +635,7 @@ class TestPimra:
         if rows is not None:
             monkeypatch.setattr(simkit, "_TILE_BYTES", 8 * g.n_items * rows)
         scorer = PimraScorer(g, sim, step3_weight=mode)
-        scorer.scores(np.arange(g.n_users), 0.6)  # every item is rated, so every row is built
+        scorer.walk(np.arange(g.n_users))  # every item is rated, so every row is built
         assert scorer._built.all()
         assert scorer._p.tobytes() == unblocked_p(g, sim, mode).tobytes()
 
@@ -665,7 +665,7 @@ class TestPimra:
             scorer = PimraScorer(g, sim, step3_weight=mode)
         read = np.zeros(n_items, dtype=bool)
         for block in data.draw(st.permutations(blocks)):
-            got = scorer.scores(block, theta)
+            got = pimra_scores(scorer, block, theta)
             for r, u in enumerate(block):
                 assert got[r].tobytes() == walk_row(g, p, u, theta).tobytes()
                 read[g.user_items(u)[0]] = True
@@ -683,13 +683,13 @@ class TestPimra:
         )):
             PimraScorer(fix4_graph, sim)
         monkeypatch.setattr(simkit, "_memory_limit", lambda: need)
-        PimraScorer(fix4_graph, sim).scores([0], 0.6)
+        PimraScorer(fix4_graph, sim).walk([0])
 
     def test_invalid_theta(self, fix4_graph):
         scorer = PimraScorer(fix4_graph, identity_item_sim(4))
         for theta in (-0.1, 1.5):
             with pytest.raises(RecommendError, match=r"theta must be in \[0, 1\]"):
-                scorer.scores([0], theta)
+                scorer.penalty(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -875,7 +875,7 @@ class TestRankingContracts:
         assert rec.top(2).tolist() == [1, 4]
         assert rec.n_candidates == 5
         # the list holds the head of that ranking; ties at the boundary by id
-        short = rank(g, [1], scores[None, :], 3, likes={1: {2, 3, 5}})[0]
+        short = rank(g, [1], [scores[None, :]], 3, likes={1: {2, 3, 5}})[0][0]
         assert short.items.tolist() == [1, 4, 0]
         assert short.scores.tolist() == [2.0, 2.0, 0.5]
         assert short.liked_ranks.tolist() == [4, 5]  # item 3 is seen
@@ -900,24 +900,28 @@ class TestRankingContracts:
         self, seed, n_users, n_items, density, full_user, length, block
     ):
         # lists shorter than `length`, lengths above the item count, blocks
-        # of one and of several users in no particular order
+        # of one and of several users in no particular order, each ranked
+        # under two scorings at once
         g, scores, likes = random_ranking(seed, n_users, n_items, density, full_user)
         users = np.random.default_rng(seed).permutation(g.n_users)
         for lo in range(0, len(users), block):
             chunk = users[lo : lo + block]
-            got = rank(g, chunk, scores[chunk], length, likes)
-            expected = oracles.full_lists(g, chunk, scores[chunk], likes)
-            assert len(got) == len(chunk)
-            for rec, full in zip(got, expected):
-                assert rec.user == full.user
-                assert np.array_equal(rec.items, full.items[:length])
-                assert np.array_equal(rec.scores, full.scores[:length])
-                assert np.array_equal(rec.liked_ranks, full.liked_ranks)
-                assert rec.n_candidates == full.n_candidates
+            scorings = [scores[chunk], scores[chunk][:, ::-1]]
+            ranked = rank(g, chunk, iter(scorings), length, likes)
+            assert len(ranked) == len(scorings)
+            for got, rows in zip(ranked, scorings):
+                expected = oracles.full_lists(g, chunk, rows, likes)
+                assert len(got) == len(chunk)
+                for rec, full in zip(got, expected):
+                    assert rec.user == full.user
+                    assert np.array_equal(rec.items, full.items[:length])
+                    assert np.array_equal(rec.scores, full.scores[:length])
+                    assert np.array_equal(rec.liked_ranks, full.liked_ranks)
+                    assert rec.n_candidates == full.n_candidates
 
     def test_user_who_has_seen_every_item(self):
         g, scores, _ = random_ranking(2, 3, 5, 0.5, full_user=True)
-        rec = rank(g, [g.n_users - 1], scores[-1:], 3, {g.n_users - 1: {0, 4}})[0]
+        rec = rank(g, [g.n_users - 1], [scores[-1:]], 3, {g.n_users - 1: {0, 4}})[0][0]
         assert rec.n_candidates == 0
         assert rec.items.size == rec.scores.size == rec.liked_ranks.size == 0
 
@@ -928,17 +932,17 @@ class TestRankingContracts:
         g = build_graph(oracles.from_triples(triples, SCALE15))
         scores = np.array([[0.1, 0.2, np.nan, 0.3]])
         with pytest.raises(RecommendError, match="user 1 has a NaN score"):
-            rank(g, [1], scores, length)
+            rank(g, [1], [scores], length)
 
     def test_rejects_length_below_one(self, fix4_graph):
         with pytest.raises(RecommendError, match="list length"):
-            rank(fix4_graph, [0], np.zeros((1, fix4_graph.n_items)), 0)
+            rank(fix4_graph, [0], [np.zeros((1, fix4_graph.n_items))], 0)
 
     def test_repeat_runs_identical(self, fix4_graph, uid):
         u = uid["u2"]
-        runs = [
-            ranked(fix4_graph, u, PimraScorer(fix4_graph, pim_item_sim(fix4_graph)).scores([u], 0.6)[0])
-            for _ in range(2)
-        ]
+        runs = []
+        for _ in range(2):
+            scorer = PimraScorer(fix4_graph, pim_item_sim(fix4_graph))
+            runs.append(ranked(fix4_graph, u, pimra_scores(scorer, [u], 0.6)[0]))
         assert np.array_equal(runs[0].items, runs[1].items)
         assert np.array_equal(runs[0].scores, runs[1].scores)
