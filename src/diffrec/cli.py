@@ -283,7 +283,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return _run(args)
-    except (CliError, corpus.CorpusError, harness.HarnessError, ValueError, OSError) as exc:
+    except (harness.HarnessError, ValueError, OSError) as exc:
+        if type(exc) is ValueError:
+            raise  # a programming error, not a user error
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

