@@ -43,14 +43,17 @@ def _parsed(name: str, parse, text: str):
         raise CliError(f"{name}: {exc}") from exc
 
 
-def _parsed_list(flag: str, parse, text: str) -> list:
+def _parsed_list(flag: str, parse, text: str | None, default) -> list:
+    """`default` if the flag is absent, else its items (maybe none) parsed."""
+    if text is None:
+        return default
     return _parsed(flag, lambda t: [parse(m) for m in _parse_list(t)], text)
 
 
 # config key -> (parser of its text, the flag that sets it or None). An unset
 # key takes the default of the ExperimentConfig or FilterSpec field of its
-# name ("folds" sets k_folds; "method", else "methods", sets methods), or
-# for the input file and the output directory, the default in `resolve`.
+# name ("folds" sets k_folds), or for the input file and the output
+# directory, the default in `resolve`.
 SETTINGS = {
     "input": (str, "--input"),
     "format": (str, "--format"),
@@ -59,8 +62,7 @@ SETTINGS = {
     "folds": (int, None),
     "list_length": (int, "-L"),
     "theta": (float, "--theta"),
-    "methods": (_parse_list, None),
-    "method": (_parse_list, "--method"),
+    "methods": (_parse_list, "--method"),
     "knn_k": (int, "--k"),
     "knn_measure": (str, None),
     "like_threshold": (float, "--like-threshold"),
@@ -73,7 +75,6 @@ SETTINGS = {
     "min_item_ratings": (int, None),
     "min_user_ratings": (int, None),
 }
-CONFIG_KEYS = set(SETTINGS)
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -87,17 +88,35 @@ def _read_config_file(path: str) -> dict[str, str]:
                 raise CliError(f"{path}:{line_no}: expected 'key = value'")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in CONFIG_KEYS:
+            if key not in SETTINGS:
                 raise CliError(f"{path}:{line_no}: unknown config key {key!r}")
             values[key] = value.strip()
     return values
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key = value config file")
-    for key, (_, flag) in SETTINGS.items():
-        if flag:
-            parser.add_argument(flag, dest=key, help=f"sets config key {key}")
+# the settings every command takes from a flag, besides --config
+EVERY_COMMAND = ("input", "format", "scale", "out_dir")
+# command -> (help, the other settings it reads from a flag, its own flags
+# and their help). A config file may set any key for any command.
+COMMANDS = {
+    "stats": ("print users,items,links,sparsity for a dataset", (), {}),
+    "prepare": ("filter a dataset and write fold manifests", ("seed",), {}),
+    "eval": ("run the k-fold experiment over all configured methods",
+             ("seed", "list_length", "theta", "methods", "knn_k", "like_threshold"), {}),
+    "sweep-theta": ("PIM+RA metrics across theta values",
+                    ("seed", "list_length", "like_threshold"),
+                    {"--thetas": "comma-separated thetas (default 0..1 by 0.1)"}),
+    "sweep-length": ("metrics across recommendation list lengths",
+                     ("seed", "theta", "methods", "knn_k", "like_threshold"),
+                     {"--lengths": "comma-separated lengths (default 10..100)"}),
+    "sweep-knn": ("NRMSE across similarity measures, modes, and k", ("seed",),
+                  {"--ks": "comma-separated neighbor counts (default 5,10,20,40,80)",
+                   "--measures": f"comma-separated: {','.join(simkit.MEASURES)}"}),
+    "analyze": ("dataset structure analyses as CSV tables", ("seed",), {}),
+    "recommend": ("print one user's recommendation list",
+                  ("seed", "list_length", "theta", "methods", "knn_k"),
+                  {"--user": "external user id"}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,27 +125,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bipartite-network recommendation experiments",
     )
     sub = parser.add_subparsers(dest="command")
-    for name, help_text in [
-        ("stats", "print users,items,links,sparsity for a dataset"),
-        ("prepare", "filter a dataset and write fold manifests"),
-        ("eval", "run the k-fold experiment over all configured methods"),
-        ("sweep-theta", "PIM+RA metrics across theta values"),
-        ("sweep-length", "metrics across recommendation list lengths"),
-        ("sweep-knn", "NRMSE across similarity measures, modes, and k"),
-        ("analyze", "dataset structure analyses as CSV tables"),
-        ("recommend", "print one user's recommendation list"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        if name == "sweep-theta":
-            p.add_argument("--thetas", help="comma-separated thetas (default 0..1 by 0.1)")
-        if name == "sweep-length":
-            p.add_argument("--lengths", help="comma-separated lengths (default 10..100)")
-        if name == "sweep-knn":
-            p.add_argument("--ks", help="comma-separated neighbor counts")
-            p.add_argument("--measures", help=f"comma-separated: {','.join(simkit.MEASURES)}")
-        if name == "recommend":
-            p.add_argument("--user", help="external user id", required=False)
+    for name, (help_text, keys, own) in COMMANDS.items():
+        # no abbreviations: `--k` must not pass for `--ks`, nor `--theta` for `--thetas`
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p.add_argument("--config", help="flat key = value config file")
+        for key, (_, flag) in SETTINGS.items():
+            if key in EVERY_COMMAND or key in keys:
+                p.add_argument(flag, dest=key, help=f"sets config key {key}")
+        for flag, flag_help in own.items():
+            p.add_argument(flag, help=flag_help)
     return parser
 
 
@@ -149,9 +156,6 @@ def resolve(args: argparse.Namespace) -> Settings:
     values = {k: _parsed(k, SETTINGS[k][0], text) for k, text in texts.items()}
     if "input" not in values:
         raise CliError("no input dataset given (--input or config 'input')")
-    methods = values.pop("method", ()) or values.get("methods")
-    if methods is not None:
-        values["methods"] = methods
     if "folds" in values:
         values["k_folds"] = values.pop("folds")
 
@@ -225,7 +229,7 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if cmd == "analyze":
-        a = harness.analyze_corpus(ds, seed=cfg.seed)
+        a = harness.analyze_corpus(ds, cfg)
         for name, header, lines in (
             ("cri_ratios", "ratio", (f"{r:.4f}" for r in a.cri_ratios)),
             ("activity_popularity", "activity,mean_item_popularity",
@@ -256,16 +260,14 @@ def _run(args: argparse.Namespace) -> int:
         report = harness.run_experiment(ds, cfg, list_sink=sink)
         harness.write_manifest(report, out / "manifest.json", settings.input)
     elif cmd == "sweep-theta":
-        default = [round(0.1 * t, 1) for t in range(11)]
-        thetas = _parsed_list("--thetas", float, args.thetas) if args.thetas else default
+        thetas = _parsed_list("--thetas", float, args.thetas, [t / 10 for t in range(11)])
         report = harness.sweep_theta(ds, cfg, thetas)
     elif cmd == "sweep-length":
-        default = list(range(10, 101, 10))
-        lengths = _parsed_list("--lengths", int, args.lengths) if args.lengths else default
+        lengths = _parsed_list("--lengths", int, args.lengths, list(range(10, 101, 10)))
         report = harness.sweep_list_length(ds, cfg, lengths)
     elif cmd == "sweep-knn":
-        ks = _parsed_list("--ks", int, args.ks) if args.ks else [5, 10, 20, 40, 80]
-        measures = list(_parse_list(args.measures)) if args.measures else simkit.MEASURES
+        ks = _parsed_list("--ks", int, args.ks, [5, 10, 20, 40, 80])
+        measures = _parsed_list("--measures", str, args.measures, simkit.MEASURES)
         report = harness.sweep_knn(ds, cfg, ks, measures)
     else:
         raise CliError(f"unknown command {cmd!r}")

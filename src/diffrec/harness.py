@@ -4,7 +4,6 @@ analyses, aggregated into CSV-ready reports."""
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import platform
 import resource
@@ -362,15 +361,17 @@ def _metric_rows(
     ars: bool,
 ) -> list[MetricRow]:
     """One row per metric, ARS only if `ars`. A metric undefined on these
-    lists is NA, and so is every metric when `reason` says why nothing was
-    ranked; the row's note gives the reason."""
+    lists or on the fold's metric similarity is NA, and so is every metric
+    when `reason` says why nothing was ranked; the note gives the reason."""
 
     def row(metric: str, at: int | None, compute: Callable[[], float]) -> MetricRow:
         value, note = None, reason
         if not reason:
             try:
                 value = compute()
-            except evalmetrics.MetricError as exc:
+            except simkit.MemoryCeilingError:
+                raise  # this machine's limit, as in FoldContext.rank
+            except (evalmetrics.MetricError, simkit.SimilarityError) as exc:
                 note = str(exc)
         return MetricRow(ctx.cfg.dataset_name, fold, method, theta, at, metric, value, note)
 
@@ -393,15 +394,15 @@ ListSink = Callable[[int, str, list[RecommendationList]], None]
 def _ranked_run(
     ds: RatingDataset,
     cfg: ExperimentConfig,
-    runs: Sequence[tuple[str, float | None]],
+    plan: Sequence[tuple[str, Sequence[float | None]]],
     lengths: Sequence[int],
     list_sink: ListSink | None = None,
     ars: bool = True,
 ) -> EvaluationReport:
-    """Rank each (method, theta) run once per fold, at the largest length,
-    and report its metrics at every length, with cross-fold means. A
-    method's runs, adjacent in `runs`, are ranked together, so that each
-    block of users is scored once for all of the method's thetas.
+    """Rank each (method, thetas) entry of `plan` once per fold, at the
+    largest length, and report each theta's metrics at every length, with
+    cross-fold means. A method's thetas are ranked together, so that each
+    block of users is scored once for all of them.
 
     A fold without evaluable test users ranks nothing, and neither does a
     method that fails on a fold; their rows are NA with the reason and
@@ -412,16 +413,13 @@ def _ranked_run(
     ranked = False
     similarity_s: Counter[str] = Counter()
     rank_s: Counter[str] = Counter()
-    groups = [
-        (method, [cfg.run_theta(method, theta) for _, theta in group])
-        for method, group in itertools.groupby(runs, key=lambda run: run[0])
-    ]
+    plan = [(method, [cfg.run_theta(method, t) for t in thetas]) for method, thetas in plan]
     pairs = corpus.kfold_split(ds, cfg.k_folds, cfg.seed)
     models = _MfModels([pair.train for pair in pairs], cfg)
     for f, pair in enumerate(pairs):
         ctx = FoldContext(pair, cfg, (models, f))
         fold_users.append(ctx.user_counts(f))
-        for method, thetas in groups:
+        for method, thetas in plan:
             per_theta, reason = [[] for _ in thetas], ""
             if not ctx.test_users:
                 reason = f"fold has no evaluable test users (like_threshold {cfg.like_threshold})"
@@ -458,8 +456,8 @@ def run_experiment(
     list_sink: ListSink | None = None,
 ) -> EvaluationReport:
     """Evaluate every configured method over a k-fold split."""
-    runs = [(method, None) for method in cfg.methods]
-    return _ranked_run(ds, cfg, runs, [cfg.list_length], list_sink)
+    plan = [(method, [None]) for method in cfg.methods]
+    return _ranked_run(ds, cfg, plan, [cfg.list_length], list_sink)
 
 
 def sweep_theta(
@@ -471,7 +469,7 @@ def sweep_theta(
     for t in thetas:
         if not 0.0 <= t <= 1.0:
             raise HarnessError(f"theta {t} outside [0, 1]")
-    return _ranked_run(ds, cfg, [("PIM+RA", t) for t in thetas], [cfg.list_length])
+    return _ranked_run(ds, cfg, [("PIM+RA", thetas)], [cfg.list_length])
 
 
 def sweep_list_length(
@@ -483,8 +481,8 @@ def sweep_list_length(
     for length in lengths:
         if length < 1:
             raise HarnessError(f"list length {length} must be >= 1")
-    runs = [(method, None) for method in cfg.methods]
-    return _ranked_run(ds, cfg, runs, lengths, ars=False)
+    plan = [(method, [None]) for method in cfg.methods]
+    return _ranked_run(ds, cfg, plan, lengths, ars=False)
 
 
 def sweep_knn(
@@ -558,12 +556,13 @@ _SAMPLE_USERS = 50
 _SIM_SAMPLE = 20_000
 
 
-def analyze_corpus(ds: RatingDataset, seed: int = 0) -> CorpusAnalysis:
+def analyze_corpus(ds: RatingDataset, cfg: ExperimentConfig) -> CorpusAnalysis:
     """Dataset structure analyses: co-rating ratio skew, activity vs item
     popularity, popularity vs mean rating, and normalized similarity
-    distributions for the Pearson and corrected-Pearson measures."""
+    distributions for the Pearson and corrected-Pearson measures (the
+    latter with `cfg.penalty_variant`). `cfg.seed` draws the samples."""
     g = bigraph.build_graph(ds)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
 
     active = np.flatnonzero(g.user_degree > 0)
     chosen = (
@@ -571,15 +570,13 @@ def analyze_corpus(ds: RatingDataset, seed: int = 0) -> CorpusAnalysis:
         if len(active) > _SAMPLE_USERS
         else active
     )
-    sets = [set(g.user_items(int(u))[0].tolist()) for u in chosen]
-    ratios = []
-    for a in range(len(sets)):
-        for b in range(a + 1, len(sets)):
-            union = len(sets[a] | sets[b])
-            ratios.append(len(sets[a] & sets[b]) / union if union else 0.0)
-    ratios = np.asarray(ratios)
-    if len(ratios) < 3:
+    m = len(chosen)
+    if m < 3:  # fewer than 3 pairs
         raise HarnessError("need at least 3 user pairs for the skewness analysis")
+    # the pair ratios pim's correction uses, in row-major upper-triangle order
+    a, out = g.adjacency[chosen], np.empty((m, m))
+    simkit._cri_ratios(a, simkit._spans(m, a.shape[1]), g.user_degree[chosen].astype(float), out)
+    ratios = out[np.triu_indices(m, 1)]
     skewness = float(stats.skew(ratios))
 
     act_pop = _grouped_mean(
@@ -597,7 +594,7 @@ def analyze_corpus(ds: RatingDataset, seed: int = 0) -> CorpusAnalysis:
 
     samples = {}
     for measure in ("pcc", "pim"):
-        vals = _upper_defined(simkit.similarity(g, measure, "users"))
+        vals = _upper_defined(simkit.similarity(g, measure, "users", cfg.penalty_variant))
         if len(vals) > _SIM_SAMPLE:
             vals = rng.choice(vals, size=_SIM_SAMPLE, replace=False)
         samples[measure] = vals

@@ -767,19 +767,23 @@ def _scores(method, train, g, users, cfg):
 
 def _list_metrics(lists, likes, g, by_user, cfg):
     """(metric, L, value) of one fold's lists, in report order: None
-    throughout without lists, else where a metric is undefined."""
+    throughout without lists, else where a metric is undefined (ID and
+    novelty where the fold has no metric similarity)."""
     length = cfg.list_length
     names = ("gini", "id", "iud", "novelty", "avg_popularity")
     if lists is None:
         return [("ars", None, None)] + [(name, length, None) for name in names]
-    sim = simkit.similarity(g, cfg.metric_sim, "items", cfg.penalty_variant).values
+    try:
+        sim = simkit.similarity(g, cfg.metric_sim, "items", cfg.penalty_variant).values
+    except SimilarityError:
+        sim = None
     counts = rec_counts(lists, g.n_items, length)
     histories = {u: sorted(by_user[u]) for u in by_user}
     values = (
         gini_complement_mad(counts) if len(counts) > 1 and sum(counts) else None,
-        internal_diversity(lists, sim, length),
+        None if sim is None else internal_diversity(lists, sim, length),
         inter_user_diversity(lists, length) if len(lists) > 1 else None,
-        novelty(lists, histories, sim, length),
+        None if sim is None else novelty(lists, histories, sim, length),
         avg_popularity(lists, g, length),
     )
     return [("ars", None, ars(lists, likes))] + [

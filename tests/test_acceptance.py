@@ -319,11 +319,11 @@ class TestCriterion7Properties:
 class TestCriterion8CorpusAnalyses:
     @requires_ml100k
     def test_cri_ratio_right_skew(self, ml100k):
-        analysis = harness.analyze_corpus(ml100k, seed=0)
+        analysis = harness.analyze_corpus(ml100k, ExperimentConfig())
         assert analysis.cri_skewness > 0
 
     @requires_ml100k
     def test_popularity_rating_slope(self, ml100k):
-        analysis = harness.analyze_corpus(ml100k, seed=0)
+        analysis = harness.analyze_corpus(ml100k, ExperimentConfig())
         assert analysis.popularity_regression.slope > 0
         assert analysis.popularity_regression.p_value < 0.05

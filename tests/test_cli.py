@@ -11,9 +11,9 @@ import pytest
 
 import diffrec
 from diffrec import bigraph, corpus, recommend, simkit
-from diffrec.cli import SETTINGS, build_parser, main, resolve
+from diffrec.cli import COMMANDS, EVERY_COMMAND, SETTINGS, build_parser, main, resolve
 from diffrec.corpus import FilterSpec
-from diffrec.harness import ExperimentConfig
+from diffrec.harness import ExperimentConfig, HarnessError
 
 import oracles
 from conftest import random_dataset
@@ -72,7 +72,7 @@ def test_non_finite_scale_is_rejected(fix4_csv, capsys):
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["stats", "-L", "abc"], "list_length: invalid literal for int() with base 10: 'abc'"),
+        (["eval", "-L", "abc"], "list_length: invalid literal for int() with base 10: 'abc'"),
         (["stats", "--scale", "a:5:1"], "scale: could not convert string to float: 'a'"),
         (["sweep-theta", "--thetas", "0.1,x"], "--thetas: could not convert string to float: 'x'"),
         (["sweep-length", "--lengths", "5,ten"],
@@ -90,12 +90,18 @@ def test_non_finite_scale_is_rejected(fix4_csv, capsys):
         (["sweep-length", "--lengths", "5,5"], "list lengths repeat 5"),
         (["eval", "--method", "MD,MD"], "methods repeat 'MD'"),
         (["eval", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["sweep-knn", "--ks", ""], "no ks given"),
+        (["sweep-knn", "--measures", ""], "no measures given"),
+        (["sweep-theta", "--thetas", ""], "no thetas given"),
+        (["sweep-length", "--lengths", ""], "no list lengths given"),
+        (["eval", "--method", ""], "methods must name at least one method"),
     ],
 )
 def test_malformed_setting_names_its_key(fix4_csv, tmp_path, capsys, argv, message):
     argv += ["--input", str(fix4_csv), "--out-dir", str(tmp_path / "out")]
     assert main(argv) == 1
     assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+    assert not list((tmp_path / "out").glob("*"))  # nothing written: no fold ran
 
 
 def test_bare_value_error_is_a_programming_error(fix4_csv, monkeypatch, capsys):
@@ -159,7 +165,6 @@ NON_DEFAULT = {
     "list_length": ("9", "experiment", "list_length", 9),
     "like_threshold": ("4.5", "experiment", "like_threshold", 4.5),
     "methods": ("MD, SVD", "experiment", "methods", ("MD", "SVD")),
-    "method": ("PIM+RA", "experiment", "methods", ("PIM+RA",)),
     "theta": ("0.25", "experiment", "theta", 0.25),
     "knn_k": ("4", "experiment", "knn_k", 4),
     "knn_measure": ("cosine", "experiment", "knn_measure", "cosine"),
@@ -196,9 +201,45 @@ def test_method_precedence(tmp_path):
 
     assert methods("") == ("UBCF", "IBCF", "SVD", "MD", "PIM+RA")
     assert methods("methods = MD,SVD\n") == ("MD", "SVD")
-    assert methods("methods = MD,SVD\nmethod = IBCF\n") == ("IBCF",)
-    assert methods("methods = MD,SVD\nmethod =\n") == ("MD", "SVD")
-    assert methods("methods = MD,SVD\nmethod = IBCF\n", ["--method", "UBCF"]) == ("UBCF",)
+    assert methods("methods = MD,SVD\n", ["--method", "UBCF"]) == ("UBCF",)
+    with pytest.raises(HarnessError, match="^methods must name at least one method$"):
+        methods("methods = MD,SVD\n", ["--method", ""])
+
+
+# each setting flag -> the config key it sets
+SETTING_FLAGS = {flag: key for key, (_, flag) in SETTINGS.items() if flag}
+
+
+@pytest.mark.parametrize("flag", sorted(SETTING_FLAGS))
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_command_takes_only_the_setting_flags_it_reads(command, flag, tmp_path, capsys):
+    key = SETTING_FLAGS[flag]
+    text, owner, name, value = NON_DEFAULT[key]
+    argv = [command, flag, text] + (["--input", "r.csv"] if key != "input" else [])
+    if key not in EVERY_COMMAND and key not in COMMANDS[command][1]:
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(argv)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} {text}" in capsys.readouterr().err
+        return
+    settings = resolve(build_parser().parse_args(argv))
+    assert getattr(getattr(settings, owner) if owner else settings, name) == value
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval"],
+        ["sweep-theta", "--thetas", "0,0.2,0.4,0.6,0.8,1"],
+        ["sweep-knn"],
+        ["recommend", "--method", "PIM+RA", "-L", "100", "--user", "u1"],
+    ],
+)
+def test_benchmark_command_lines_parse(argv):
+    # the argv shapes bench/run.py passes, with its --input and --out-dir
+    args = build_parser().parse_args([*argv, "--input", "c.csv", "--out-dir", "out"])
+    settings = resolve(args)
+    assert (args.command, settings.input, settings.out_dir) == (argv[0], "c.csv", Path("out"))
 
 
 def test_flag_overrides_config_value(tmp_path):
@@ -384,6 +425,27 @@ def test_eval_one_user_fold_writes_na_rows(tmp_path, capsys):
         assert f"dataset,{fold},MD,,100,iud,NA" in report
         assert {"fold": str(fold), "method": "MD", "theta": None, "L": 100,
                 "metric": "iud", "note": "need at least 2 users"} in manifest["na"]
+
+
+def test_eval_fold_without_metric_similarity_writes_na_rows(tmp_path, capsys):
+    # fold 2 trains on (a, x) and (b, x) alone: one rated item has no
+    # defined item similarity, so ID and novelty are undefined there
+    data = tmp_path / "one_item.csv"
+    data.write_text("user,item,rating\na,x,4\na,y,4\nb,x,2\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("folds = 3\n")
+    out = tmp_path / "out"
+    code = main(["eval", "--input", str(data), "--config", str(cfg), "--method", "MD",
+                 "--out-dir", str(out)])
+    assert code == 0, capsys.readouterr().err
+    report = (out / "report.csv").read_text().splitlines()
+    assert "dataset,2,MD,,100,id,NA" in report and "dataset,2,MD,,100,novelty,NA" in report
+    assert "dataset,2,MD,,100,avg_popularity,0.0000" in report
+    na = json.loads((out / "manifest.json").read_text())["na"]
+    note = "no defined off-diagonal values to normalize"
+    for metric in ("id", "novelty"):
+        assert {"fold": "2", "method": "MD", "theta": None, "L": 100, "metric": metric,
+                "note": note} in na
 
 
 def test_eval_fold_without_evaluable_users_writes_na_rows(tmp_path, capsys):

@@ -1,6 +1,5 @@
 import csv
 import json
-import re
 from dataclasses import replace
 from unittest import mock
 
@@ -270,16 +269,13 @@ class TestOracleRun:
         rated([(0, 0), (0, 1), (1, 1), (1, 2), (2, 0), (2, 2)], [5.0, 3.0, 4.0, 2.0, 1.0, 5.0]),
         oracle_config(k_folds=6, knn_k=1),
     ))
+    @example(case=(  # a fold trained on one item has no metric similarity
+        rated([(0, 0), (0, 1), (1, 0)], [4.0, 4.0, 2.0]), oracle_config(k_folds=3),
+    ))
     @settings(max_examples=60, deadline=None)
     def test_rows_match_the_oracle_run(self, case):
         ds, cfg = case
-        try:
-            want = oracles.run_experiment(ds, cfg)
-        except simkit.SimilarityError as exc:
-            # a fold trained on one item has no metric similarity: the run stops
-            with pytest.raises(simkit.SimilarityError, match=f"^{re.escape(str(exc))}$"):
-                run_experiment(ds, cfg)
-            return
+        want = oracles.run_experiment(ds, cfg)
         if want is None:
             with pytest.raises(HarnessError):
                 run_experiment(ds, cfg)
@@ -358,6 +354,12 @@ class TestMemoryCeiling:
         self.items_fit_users_do_not(ds, monkeypatch)
         with pytest.raises(simkit.MemoryCeilingError):
             run_experiment(ds, replace(cfg, methods=("MD", "UBCF")))
+
+    def test_metric_similarity_raises_it_unwrapped(self, ds, cfg, monkeypatch):
+        # MD needs no similarity, so only the metrics' cosine over items can fail
+        monkeypatch.setattr(simkit, "_memory_limit", lambda: 0)
+        with pytest.raises(simkit.MemoryCeilingError, match="^cosine similarity over 15 items"):
+            run_experiment(ds, replace(cfg, methods=("MD",)))
 
 
 class TestPimraRowsOnDemand:
@@ -856,7 +858,7 @@ class TestAnalyzeCorpus:
     def test_ratio_sample_matches_bruteforce(self):
         small = random_dataset(99, n_users=6, n_items=8, density=0.5)
         # _SAMPLE_USERS >= n_users, so every user pair is included
-        analysis = analyze_corpus(small)
+        analysis = analyze_corpus(small, ExperimentConfig())
         sets = {u: set() for u in range(small.n_users)}
         for u, i, _ in small.triples():
             sets[u].add(i)
@@ -865,7 +867,9 @@ class TestAnalyzeCorpus:
             for b in range(a + 1, small.n_users):
                 union = sets[a] | sets[b]
                 expected.append(len(sets[a] & sets[b]) / len(union) if union else 0.0)
-        assert np.allclose(sorted(analysis.cri_ratios), sorted(expected))
+        # every user rates something, so the pairs are all pairs, in row-major order
+        assert all(sets.values())
+        assert analysis.cri_ratios.tolist() == expected
         assert analysis.cri_skewness == pytest.approx(
             float(stats.skew(analysis.cri_ratios))
         )
@@ -880,7 +884,7 @@ class TestAnalyzeCorpus:
         monkeypatch.setattr(harness, "_SAMPLE_USERS", 4)
         # a sample larger than the pair count keeps every defined pair in order
         monkeypatch.setattr(harness, "_SIM_SAMPLE", 10**6)
-        analysis = analyze_corpus(ds, seed=seed)
+        analysis = analyze_corpus(ds, ExperimentConfig(seed=seed))
         for measure in ("pcc", "pim"):
             norm = simkit.similarity(g, measure, "users")
             # the whole-matrix gather
@@ -890,9 +894,29 @@ class TestAnalyzeCorpus:
             expected = norm.values[iu[keep], ju[keep]]
             assert analysis.similarity_samples[measure].tobytes() == expected.tobytes()
 
+    def test_pim_samples_follow_the_penalty_variant(self, ds, monkeypatch):
+        monkeypatch.setattr(harness, "_SIM_SAMPLE", 10**6)  # every defined pair, in order
+        g = bigraph.build_graph(ds)
+        samples = {}
+        for variant in ("pair-max", "global-max"):
+            analysis = analyze_corpus(ds, ExperimentConfig(penalty_variant=variant))
+            samples[variant] = analysis.similarity_samples["pim"]
+            norm = simkit.similarity(g, "pim", "users", variant)
+            iu, ju = np.triu_indices(norm.n, k=1)
+            keep = norm.defined[iu, ju]
+            assert samples[variant].tobytes() == norm.values[iu[keep], ju[keep]].tobytes()
+        assert samples["pair-max"].tobytes() != samples["global-max"].tobytes()
+
+    def test_too_few_user_pairs_is_an_error(self):
+        two = oracles.from_triples(
+            [("a", "x", 4), ("b", "x", 2), ("b", "y", 3)], corpus.RatingScale(1, 5, 1)
+        )
+        with pytest.raises(HarnessError, match="^need at least 3 user pairs"):
+            analyze_corpus(two, ExperimentConfig())
+
     def test_shapes_and_bounds(self, ds, monkeypatch):
         monkeypatch.setattr(harness, "_SAMPLE_USERS", 15)
-        analysis = analyze_corpus(ds, seed=1)
+        analysis = analyze_corpus(ds, ExperimentConfig(seed=1))
         assert np.all((analysis.cri_ratios >= 0) & (analysis.cri_ratios <= 1))
         assert np.isfinite(analysis.activity_regression.slope)
         assert np.isfinite(analysis.popularity_regression.p_value)

@@ -1,11 +1,11 @@
 """The README's API quick start runs against the current package, and its
-config key table is the CLI's."""
+per-command flag table and config key table are the CLI's."""
 
 import re
 from pathlib import Path
 
 from diffrec import corpus
-from diffrec.cli import SETTINGS
+from diffrec.cli import COMMANDS, SETTINGS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -13,6 +13,12 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 def api_quick_start() -> str:
     section = README.read_text(encoding="utf-8").split("## Quick start (API)", 1)[1]
     return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def table(header: str) -> list[tuple[str, str]]:
+    """The (first, second) cells of the README table under `header`."""
+    text = README.read_text(encoding="utf-8").split(header, 1)[1]
+    return re.findall(r"^\| `([\w-]+)` \| ([^|]+) \|$", text.split("\n\n", 1)[0], re.M)
 
 
 def test_api_quick_start_runs(fix4, tmp_path, monkeypatch, capsys):
@@ -24,8 +30,17 @@ def test_api_quick_start_runs(fix4, tmp_path, monkeypatch, capsys):
     assert printed == "[3]"
 
 
+def test_command_flag_table_matches_the_cli():
+    def flags(keys, own):
+        return f"`{' '.join([SETTINGS[key][1] for key in keys] + list(own))}`"
+
+    assert table("| command | flags |") == [
+        (name, flags(keys, own) if keys or own else "none")
+        for name, (_, keys, own) in COMMANDS.items()
+    ]
+
+
 def test_config_key_table_matches_the_cli():
-    text = README.read_text(encoding="utf-8").split("| key | flag |", 1)[1]
-    rows = re.findall(r"^\| `(\w+)` \| (`[^`]+`|none) \|$", text.split("\n\n", 1)[0], re.M)
-    listed = [(key, None if flag == "none" else flag.strip("`")) for key, flag in rows]
+    listed = [(key, None if flag == "none" else flag.strip("`"))
+              for key, flag in table("| key | flag |")]
     assert listed == [(key, flag) for key, (_, flag) in SETTINGS.items()]
