@@ -4,7 +4,6 @@ sweeps, analyses, and ad-hoc recommendation."""
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -43,10 +42,8 @@ def _parsed(name: str, parse, text: str):
         raise CliError(f"{name}: {exc}") from exc
 
 
-def _parsed_list(flag: str, parse, text: str | None, default) -> list:
-    """`default` if the flag is absent, else its items (maybe none) parsed."""
-    if text is None:
-        return default
+def _parsed_list(flag: str, parse, text: str) -> list:
+    """The items (maybe none) of a list flag's text, each parsed."""
     return _parsed(flag, lambda t: [parse(m) for m in _parse_list(t)], text)
 
 
@@ -97,25 +94,35 @@ def _read_config_file(path: str) -> dict[str, str]:
 # the settings every command takes from a flag, besides --config
 EVERY_COMMAND = ("input", "format", "scale", "out_dir")
 # command -> (help, the other settings it reads from a flag, its own flags
-# and their help). A config file may set any key for any command.
+# and their help, besides a sweep's list flags). A config file may set any
+# key for any command.
 COMMANDS = {
     "stats": ("print users,items,links,sparsity for a dataset", (), {}),
     "prepare": ("filter a dataset and write fold manifests", ("seed",), {}),
     "eval": ("run the k-fold experiment over all configured methods",
              ("seed", "list_length", "theta", "methods", "knn_k", "like_threshold"), {}),
     "sweep-theta": ("PIM+RA metrics across theta values",
-                    ("seed", "list_length", "like_threshold"),
-                    {"--thetas": "comma-separated thetas (default 0..1 by 0.1)"}),
+                    ("seed", "list_length", "like_threshold"), {}),
     "sweep-length": ("metrics across recommendation list lengths",
-                     ("seed", "theta", "methods", "knn_k", "like_threshold"),
-                     {"--lengths": "comma-separated lengths (default 10..100)"}),
-    "sweep-knn": ("NRMSE across similarity measures, modes, and k", ("seed",),
-                  {"--ks": "comma-separated neighbor counts (default 5,10,20,40,80)",
-                   "--measures": f"comma-separated: {','.join(simkit.MEASURES)}"}),
+                     ("seed", "theta", "methods", "knn_k", "like_threshold"), {}),
+    "sweep-knn": ("NRMSE across similarity measures, modes, and k", ("seed",), {}),
     "analyze": ("dataset structure analyses as CSV tables", ("seed",), {}),
     "recommend": ("print one user's recommendation list",
                   ("seed", "list_length", "theta", "methods", "knn_k"),
                   {"--user": "external user id"}),
+}
+# sweep command -> (its harness run `(dataset, config, *lists)`, the report
+# CSV it writes, its list flags -> (parser of an item, default)). The runs
+# look up `harness`'s functions when called, so that wrappers installed
+# later (a tracer, a test's patch) see the calls.
+SWEEPS = {
+    "sweep-theta": (lambda *args: harness.sweep_theta(*args), "sweep_theta.csv",
+                    {"--thetas": (float, "0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1")}),
+    "sweep-length": (lambda *args: harness.sweep_list_length(*args), "sweep_length.csv",
+                     {"--lengths": (int, "10,20,30,40,50,60,70,80,90,100")}),
+    "sweep-knn": (lambda *args: harness.sweep_knn(*args), "sweep_knn.csv",
+                  {"--ks": (int, "5,10,20,40,80"),
+                   "--measures": (str, ",".join(simkit.MEASURES))}),
 }
 
 
@@ -134,6 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument(flag, dest=key, help=f"sets config key {key}")
         for flag, flag_help in own.items():
             p.add_argument(flag, help=flag_help)
+        for flag, (_, default) in SWEEPS[name][2].items() if name in SWEEPS else ():
+            p.add_argument(flag, default=default,
+                           help=f"comma-separated {flag[2:]} (default {default})")
     return parser
 
 
@@ -166,7 +176,7 @@ def resolve(args: argparse.Namespace) -> Settings:
         input=values["input"],
         format=values.get("format", "generic-csv"),
         scale=values.get("scale", RatingScale(1.0, 5.0, 1.0)),
-        out_dir=values.get("out_dir", Path(os.environ.get("DIFFREC_OUT_DIR", "."))),
+        out_dir=values.get("out_dir", Path(".")),
         experiment=ExperimentConfig(**given(ExperimentConfig)),
         filters=FilterSpec(**given(FilterSpec)),
     )
@@ -186,33 +196,14 @@ def _write_lists(fh, lists, item_labels, user_labels):
     fh.write("".join(lines))
 
 
-# the report CSV each ranked or prediction-error run writes and prints
-REPORTS = {
-    "eval": "report.csv",
-    "sweep-theta": "sweep_theta.csv",
-    "sweep-length": "sweep_length.csv",
-    "sweep-knn": "sweep_knn.csv",
-}
-
-
 def _run(args: argparse.Namespace) -> int:
     settings = resolve(args)
     print(f"resolved config: {settings}", file=sys.stderr)
     cmd, cfg, out = args.command, settings.experiment, settings.out_dir
     ds = corpus.load_ratings(settings.input, settings.format, settings.scale)
-    out.mkdir(parents=True, exist_ok=True)
 
     if cmd == "stats":
         st = corpus.dataset_stats(ds)
-        print(f"{st.users},{st.items},{st.links},{st.sparsity:.4f}")
-        return 0
-
-    if cmd == "prepare":
-        filtered = corpus.filter_dataset(ds, settings.filters)
-        corpus.write_ratings(filtered, out / "filtered.csv")
-        folds = corpus.kfold_split(filtered, cfg.k_folds, cfg.seed)
-        corpus.write_fold_manifest(folds, out / "folds.csv")
-        st = corpus.dataset_stats(filtered)
         print(f"{st.users},{st.items},{st.links},{st.sparsity:.4f}")
         return 0
 
@@ -226,6 +217,16 @@ def _run(args: argparse.Namespace) -> int:
         user = ds.user_labels.index(args.user)
         (lists,) = ctx.rank(cfg.methods[0], [user], [None], cfg.list_length)
         _write_lists(sys.stdout, lists, ds.item_labels, ds.user_labels)
+        return 0
+
+    out.mkdir(parents=True, exist_ok=True)  # every command below writes its files there
+    if cmd == "prepare":
+        filtered = corpus.filter_dataset(ds, settings.filters)
+        corpus.write_ratings(filtered, out / "filtered.csv")
+        folds = corpus.kfold_split(filtered, cfg.k_folds, cfg.seed)
+        corpus.write_fold_manifest(folds, out / "folds.csv")
+        st = corpus.dataset_stats(filtered)
+        print(f"{st.users},{st.items},{st.links},{st.sparsity:.4f}")
         return 0
 
     if cmd == "analyze":
@@ -259,19 +260,12 @@ def _run(args: argparse.Namespace) -> int:
 
         report = harness.run_experiment(ds, cfg, list_sink=sink)
         harness.write_manifest(report, out / "manifest.json", settings.input)
-    elif cmd == "sweep-theta":
-        thetas = _parsed_list("--thetas", float, args.thetas, [t / 10 for t in range(11)])
-        report = harness.sweep_theta(ds, cfg, thetas)
-    elif cmd == "sweep-length":
-        lengths = _parsed_list("--lengths", int, args.lengths, list(range(10, 101, 10)))
-        report = harness.sweep_list_length(ds, cfg, lengths)
-    elif cmd == "sweep-knn":
-        ks = _parsed_list("--ks", int, args.ks, [5, 10, 20, 40, 80])
-        measures = _parsed_list("--measures", str, args.measures, simkit.MEASURES)
-        report = harness.sweep_knn(ds, cfg, ks, measures)
+        path = out / "report.csv"
     else:
-        raise CliError(f"unknown command {cmd!r}")
-    path = out / REPORTS[cmd]
+        run, name, lists = SWEEPS[cmd]
+        report = run(ds, cfg, *(_parsed_list(flag, parse, getattr(args, flag[2:]))
+                                for flag, (parse, _) in lists.items()))
+        path = out / name
     harness.write_report_csv(report, path)
     print(path.read_text(), end="")
     return 0

@@ -364,29 +364,16 @@ def _first_repeat(keys: np.ndarray) -> int:
 
 
 def write_ratings(ds: RatingDataset, path) -> None:
-    """Write a dataset as generic-csv using the original labels."""
-    header, columns = ["user", "item", "rating"], _text_fields(ds)
+    """Write a dataset as generic-csv using the original labels, with
+    csv.writer's quoting and line ends."""
+    header, end, stamps = "user,item,rating\r\n", "\r\n", ()
     if ds.timestamps is not None:
-        header.append("timestamp")
-        columns.append(ds.timestamps.tolist())
+        header, end = "user,item,rating,timestamp\r\n", ","
+        stamps = (np.array([f"{t}\r\n" for t in ds.timestamps.tolist()], dtype=object),)
+    users, items = _leading_fields(ds.user_labels), _leading_fields(ds.item_labels)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
-
-
-def _text_fields(ds: RatingDataset) -> list:
-    """User label, item label and rating text columns, each rating
-    formatted once per distinct value."""
-    ratings = ds.ratings.tolist()
-    texts = dict.fromkeys(ratings)
-    for r in texts:
-        texts[r] = _fmt_rating(r)
-    return [
-        map(ds.user_labels.__getitem__, ds.users.tolist()),
-        map(ds.item_labels.__getitem__, ds.items.tolist()),
-        map(texts.__getitem__, ratings),
-    ]
+        fh.write(header)
+        fh.write(_csv_lines(ds, users, items, end, *stamps))
 
 
 def _fmt_rating(r: float) -> str:
@@ -467,11 +454,7 @@ def kfold_split(ds: RatingDataset, k: int, seed: int) -> list[FoldPair]:
 def write_fold_manifest(folds: list[FoldPair], path) -> None:
     """Write fold membership as CSV: fold,user,item,rating,split, with
     csv.writer's quoting and line ends. The folds must share one label
-    space, as kfold_split's do; a part with other labels is a CorpusError.
-
-    Each label is quoted once and each distinct rating formatted once
-    per part; a part's lines are one join of those texts.
-    """
+    space, as kfold_split's do; a part with other labels is a CorpusError."""
     space = folds[0].train if folds else None
     for f, pair in enumerate(folds):
         for part, name in ((pair.train, "train"), (pair.test, "test")):
@@ -482,20 +465,27 @@ def write_fold_manifest(folds: list[FoldPair], path) -> None:
         fh.write("fold,user,item,rating,split\r\n")
         if not folds:
             return
-        users = [_csv_field(u) + "," for u in space.user_labels]
-        items = np.array([_csv_field(i) + "," for i in space.item_labels], dtype=object)
+        users = _leading_fields(space.user_labels)
+        items = _leading_fields(space.item_labels)
         for f, pair in enumerate(folds):
-            fold_users = np.array([f"{f},{u}" for u in users], dtype=object)
+            fold_users = f"{f}," + users
             for part, name in ((pair.train, "train"), (pair.test, "test")):
-                values, codes = np.unique(part.ratings, return_inverse=True)
-                ratings = np.array(
-                    [f"{_fmt_rating(r)},{name}\r\n" for r in values.tolist()], dtype=object
-                )
-                line = np.empty((part.n_links, 3), dtype=object)
-                line[:, 0] = fold_users[part.users]
-                line[:, 1] = items[part.items]
-                line[:, 2] = ratings[codes]
-                fh.write("".join(line.ravel().tolist()))
+                fh.write(_csv_lines(part, fold_users, items, f",{name}\r\n"))
+
+
+def _leading_fields(labels: tuple[str, ...]) -> np.ndarray:
+    """Each label as a CSV field followed by a comma, quoted once."""
+    return np.array([_csv_field(label) + "," for label in labels], dtype=object)
+
+
+def _csv_lines(part: RatingDataset, users: np.ndarray, items: np.ndarray, end: str, *more) -> str:
+    """part's rows as one join of object-array pieces: `users[u]`,
+    `items[i]`, the rating, formatted once per distinct value, with `end`
+    after it, and then each piece array of `more`."""
+    values, codes = np.unique(part.ratings, return_inverse=True)
+    ratings = np.array([_fmt_rating(r) + end for r in values.tolist()], dtype=object)
+    pieces = [users[part.users], items[part.items], ratings[codes], *more]
+    return "".join(np.stack(pieces, axis=1).ravel().tolist())
 
 
 def _csv_field(text: str) -> str:

@@ -267,19 +267,27 @@ class FoldContext:
         )
         # users with a liked test item but no training ratings
         self.excluded_users = len(self.likes) - len(self.test_users)
-        self._sims: dict[tuple[str, str], SimilarityMatrix] = {}
+        # each (measure, axis) similarity, or the error its build raised
+        self._sims: dict[tuple[str, str], SimilarityMatrix | simkit.SimilarityError] = {}
         self.similarity_s: dict[str, float] = {}  # build seconds per "measure/axis"
         self.rank_s: dict[str, float] = {}  # scoring and ranking seconds per method
 
     def similarity(self, measure: str, axis: str) -> SimilarityMatrix:
-        """Normalized similarity matrix, computed once per (measure, axis)."""
+        """Normalized similarity matrix, built once per (measure, axis); a
+        failed build's error is raised again on every later request."""
         key = (measure, axis)
         if key not in self._sims:
             start = time.perf_counter()
-            self._sims[key] = simkit.similarity(
-                self.graph, measure, axis, self.cfg.penalty_variant
-            )
-            self.similarity_s[f"{measure}/{axis}"] = time.perf_counter() - start
+            try:
+                self._sims[key] = simkit.similarity(
+                    self.graph, measure, axis, self.cfg.penalty_variant
+                )
+            except simkit.SimilarityError as exc:
+                self._sims[key] = exc
+            else:
+                self.similarity_s[f"{measure}/{axis}"] = time.perf_counter() - start
+        if isinstance(self._sims[key], simkit.SimilarityError):
+            raise self._sims[key]
         return self._sims[key]
 
     @property

@@ -10,10 +10,10 @@ from pathlib import Path
 import pytest
 
 import diffrec
-from diffrec import bigraph, corpus, recommend, simkit
-from diffrec.cli import COMMANDS, EVERY_COMMAND, SETTINGS, build_parser, main, resolve
+from diffrec import bigraph, corpus, harness, recommend, simkit
+from diffrec.cli import COMMANDS, EVERY_COMMAND, SETTINGS, SWEEPS, build_parser, main, resolve
 from diffrec.corpus import FilterSpec
-from diffrec.harness import ExperimentConfig, HarnessError
+from diffrec.harness import EvaluationReport, ExperimentConfig, HarnessError
 
 import oracles
 from conftest import random_dataset
@@ -523,6 +523,69 @@ def test_sweep_knn_cli(synth_csv, tmp_path, capsys):
     text = (out / "sweep_knn.csv").read_text()
     assert "UBCF-pcc" in text and "IBCF-pcc" in text
     capsys.readouterr()
+
+
+# each command's flags on the 20-user synthetic corpus, and whether it writes files
+RUNS = {
+    "stats": ([], False),
+    "prepare": ([], True),
+    "eval": (["--method", "MD", "-L", "5"], True),
+    "sweep-theta": (["--thetas", "0.5", "-L", "5"], True),
+    "sweep-length": (["--method", "MD", "--lengths", "5"], True),
+    "sweep-knn": (["--ks", "3", "--measures", "pcc"], True),
+    "analyze": ([], True),
+    "recommend": (["--user", "u0", "--method", "MD"], False),
+}
+
+
+def test_every_command_is_run():
+    assert set(RUNS) == set(COMMANDS)
+
+
+@pytest.mark.parametrize("command", list(RUNS))
+def test_only_commands_that_write_files_make_the_out_dir(command, synth_csv, tmp_path, capsys):
+    flags, writes = RUNS[command]
+    out = tmp_path / "out"
+    assert main([command, *flags, "--input", str(synth_csv), "--out-dir", str(out)]) == 0
+    assert out.is_dir() is writes
+    capsys.readouterr()
+
+
+# each sweep's harness function and the lists it runs when no list flag is given
+SWEEP_DEFAULTS = {
+    "sweep-theta": ("sweep_theta", [[t / 10 for t in range(11)]]),
+    "sweep-length": ("sweep_list_length", [list(range(10, 101, 10))]),
+    "sweep-knn": ("sweep_knn", [[5, 10, 20, 40, 80], list(simkit.MEASURES)]),
+}
+
+
+@pytest.mark.parametrize("command", list(SWEEPS))
+def test_sweep_calls_the_harness_function_of_call_time(
+    command, synth_csv, tmp_path, monkeypatch, capsys
+):
+    # a function patched after import is the one that runs, with the defaults
+    name, defaults = SWEEP_DEFAULTS[command]
+    calls = []
+
+    def patched(ds, cfg, *lists):
+        calls.append(list(lists))
+        return EvaluationReport(rows=[], config=cfg)
+
+    monkeypatch.setattr(harness, name, patched)
+    assert main([command, "--input", str(synth_csv), "--out-dir", str(tmp_path)]) == 0
+    assert calls == [defaults]
+    assert capsys.readouterr().out == "dataset,fold,method,theta,L,metric,value\n"
+
+
+@pytest.mark.parametrize("command", list(SWEEPS))
+def test_sweep_help_names_each_default_from_the_table(command, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for flag, (_, default) in SWEEPS[command][2].items():
+        name = flag[2:]
+        assert f"{flag} {name.upper()} comma-separated {name} (default {default})" in text
 
 
 def test_analyze_cli(synth_csv, tmp_path, capsys):

@@ -376,6 +376,13 @@ class TestLoaderMatchesRowOracle:
             )
 
 
+# labels csv.writer quotes, or might be thought to, and a rating of every pair
+QUOTING_LABELS = ["a,b", 'say "x"', "cr\rx", "lf\nx", "", " lead", "plain", '"', ","]
+QUOTING_TRIPLES = [(u, i, 1.0 + (n % 9) / 2, n) for n, (u, i) in enumerate(
+    (u, i) for u in QUOTING_LABELS for i in reversed(QUOTING_LABELS)
+)]
+
+
 class TestWriters:
     """The column writers give the row-by-row writers' bytes."""
 
@@ -390,12 +397,14 @@ class TestWriters:
 
     @pytest.mark.parametrize("stamped", [True, False])
     def test_ratings_bytes_and_round_trip(self, tmp_path, stamped):
-        ds = oracles.from_triples([t if stamped else t[:3] for t in self.TRIPLES], self.SCALE)
+        triples = self.TRIPLES + QUOTING_TRIPLES
+        ds = oracles.from_triples([t if stamped else t[:3] for t in triples], self.SCALE)
         ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
         corpus.write_ratings(ds, ours)
         oracles.write_ratings(ds, theirs)
         assert ours.read_bytes() == theirs.read_bytes()
         assert b"\r\n" in ours.read_bytes() and b'"comma, user"' in ours.read_bytes()
+        assert b'"a,b"' in ours.read_bytes() and b'"say ""x"""' in ours.read_bytes()
         back = load_ratings(ours, "generic-csv", self.SCALE)
         assert (back.user_labels, back.item_labels) == (ds.user_labels, ds.item_labels)
         assert list(back.triples()) == list(ds.triples())
@@ -412,11 +421,7 @@ class TestWriters:
         assert ours.read_bytes() == theirs.read_bytes()
 
     def test_fold_manifest_bytes_with_labels_that_need_quoting(self, tmp_path):
-        labels = ["a,b", 'say "x"', "cr\rx", "lf\nx", "", " lead", "plain", '"', ","]
-        triples = [(u, i, 1.0 + (n % 9) / 2, n) for n, (u, i) in enumerate(
-            (u, i) for u in labels for i in reversed(labels)
-        )]
-        folds = kfold_split(oracles.from_triples(triples, self.SCALE), 3, seed=1)
+        folds = kfold_split(oracles.from_triples(QUOTING_TRIPLES, self.SCALE), 3, seed=1)
         ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
         corpus.write_fold_manifest(folds, ours)
         oracles.write_fold_manifest(folds, theirs)

@@ -789,6 +789,34 @@ class TestSweepListLength:
         ]
 
 
+    def test_a_failed_similarity_build_is_not_retried(self, monkeypatch):
+        # fold 2 trains on (a, x) and (b, x) alone, where the metric
+        # similarity fails; fold 1's test rating is not liked
+        ds = oracles.from_triples(
+            [("a", "x", 4), ("a", "y", 4), ("b", "x", 2)], corpus.RatingScale(1, 5, 1)
+        )
+        cfg = ExperimentConfig(k_folds=3, methods=("MD", "SVD"),
+                               mf=recommend.MfConfig(factors=2, epochs=2))
+        lengths = list(range(10, 101, 10))
+        build = simkit.similarity
+        with monkeypatch.context() as m:  # every request builds anew
+            m.setattr(FoldContext, "similarity",
+                      lambda ctx, measure, axis: build(ctx.graph, measure, axis))
+            expected = sweep_list_length(ds, cfg, lengths)
+        calls = []
+
+        def spy(*args):
+            calls.append(args[1:3])
+            return build(*args)
+
+        monkeypatch.setattr(simkit, "similarity", spy)
+        got = sweep_list_length(ds, cfg, lengths)
+        assert calls == [("cosine", "items")] * 2
+        assert got.rows == expected.rows
+        assert [r.note for r in got.rows if r.metric in ("id", "novelty") and r.fold == "2"] == [
+            "no defined off-diagonal values to normalize"] * 2 * 2 * len(lengths)
+
+
 class TestSweepKnn:
     def test_table_shape_and_bounds(self, ds, cfg):
         ks = (1, 3, 5)

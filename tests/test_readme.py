@@ -5,7 +5,7 @@ import re
 from pathlib import Path
 
 from diffrec import corpus
-from diffrec.cli import COMMANDS, SETTINGS
+from diffrec.cli import COMMANDS, SETTINGS, SWEEPS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -31,12 +31,13 @@ def test_api_quick_start_runs(fix4, tmp_path, monkeypatch, capsys):
 
 
 def test_command_flag_table_matches_the_cli():
-    def flags(keys, own):
-        return f"`{' '.join([SETTINGS[key][1] for key in keys] + list(own))}`"
+    def flags(name, keys, own):
+        lists = SWEEPS[name][2] if name in SWEEPS else {}
+        names = [SETTINGS[key][1] for key in keys] + list(own) + list(lists)
+        return f"`{' '.join(names)}`" if names else "none"
 
     assert table("| command | flags |") == [
-        (name, flags(keys, own) if keys or own else "none")
-        for name, (_, keys, own) in COMMANDS.items()
+        (name, flags(name, keys, own)) for name, (_, keys, own) in COMMANDS.items()
     ]
 
 

@@ -10,7 +10,11 @@ simkit's n x n passes are plain arithmetic: no call in simkit takes a
 times slower than the plain one.
 
 What sets a method apart lives in `harness.METHODS` alone: no module
-compares a value with a method's name."""
+compares a value with a method's name.
+
+The modules are the only import path: `diffrec/__init__.py` binds
+`__version__` and nothing else, so no alias of a module's function
+escapes a wrapper or a patch installed on the module."""
 
 import ast
 from pathlib import Path
@@ -75,6 +79,39 @@ def unused_public_functions(modules: dict[str, ast.Module]) -> list[str]:
             if not used:
                 unused.append(f"{module}.{node.name}")
     return unused
+
+
+def bound_names(tree: ast.Module) -> set[str]:
+    """Names a module's top-level statements bind."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        else:
+            stores = (n for n in ast.walk(node) if isinstance(n, ast.Name))
+            names.update(n.id for n in stores if isinstance(n.ctx, ast.Store))
+    return names
+
+
+def test_package_init_binds_only_the_version():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert bound_names(tree) == {"__version__"}
+
+
+def test_the_guard_finds_every_kind_of_binding():
+    tree = ast.parse(
+        '"""doc"""\n'
+        "from diffrec.corpus import load_ratings as load\n"
+        "import diffrec.simkit\n"
+        "__all__ = ['load']\n"
+        "rank: object = None\n"
+        "def f():\n    inner = 1\n"
+        "class C:\n    pass\n"
+        "for k in ():\n    pass\n"
+    )
+    assert bound_names(tree) == {"load", "diffrec", "__all__", "rank", "f", "C", "k"}
 
 
 def test_every_public_function_is_used_by_the_package():
