@@ -1,16 +1,28 @@
-"""Rating dataset loading, validation, filtering, splitting, and statistics."""
+"""Rating dataset loading, validation, filtering, splitting, and statistics.
+
+A rating file is loaded from its bytes. Line ends and separators are found
+with numpy, and each field is kept as byte offsets into the file, 4 bytes a
+field while the file is under 2 GiB. The fields of each column are then
+numbered in order of first appearance, _BLOCK_ROWS rows at a time: a
+block's fields are packed into uint64 keys (see _keys) and sorted, a
+column at a time or, in a small block, its columns together, and only the
+first field of each distinct key is kept; the fields kept by all blocks
+are grouped once more at the end. Only one block's keys are alive at
+once, so the load's peak stays near the file's bytes, its offsets and the
+dataset it returns. Each distinct label is decoded, and each distinct
+rating and timestamp parsed, once. Quoted fields and lone \r line ends go
+through the csv module, whose fields then take the same path from their
+encoded bytes.
+"""
 
 from __future__ import annotations
 
 import csv
 import io
 import math
-import re
-from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, count, islice
 from operator import itemgetter
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -133,72 +145,115 @@ class FilterSpec:
             raise CorpusError("filter thresholds must be >= 0")
 
 
-# characters of a text file split into fields at a time: the strings of
-# one chunk's fields, not of the whole file's, are alive at once
-_CHUNK_CHARS = 1 << 18
+# rows of a file interned at a time, and about the most keys sorted at
+# once: the keys of one block's fields, not of the whole file's, are alive
+_BLOCK_ROWS = 1 << 17
+# bytes of a file searched for line ends and separators at a time
+_SCAN_BYTES = 1 << 20
 _INT64 = np.iinfo(np.int64)
+# A field's key word j, by the field's bytes from word j on (clipped to
+# -1..8, plus 1): the mask of the bytes it keeps, and the end mark of the
+# first word that is not full (see _keys).
+_WORD_MASKS = np.array([0] + [(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+_WORD_MARKS = np.array([0] + [1 << 8 * k for k in range(8)] + [0], dtype=np.uint64)
 
 
 @dataclass(frozen=True)
 class _Columns:
-    """Rating rows, unparsed: `chunks` yields `rows` rows in all, as flat
-    lists of `width` fields per row, and is read once.
+    """Rating rows, unparsed, as byte offsets into `data`, which holds the
+    fields' UTF-8 bytes and 8 spare zero bytes after them. Row r's fields
+    lie between cuts: field k spans data[cut[i + k] + 1:cut[i + k + 1]],
+    where i = first[r].
 
     `where(row)` names a row in a parse error: its line in a file.
     `error` belongs to the input after the last row; it stands unless one
     of the rows fails to parse first.
     """
 
-    chunks: Iterable[list]
-    rows: int
+    data: np.ndarray
+    cut: np.ndarray
+    first: np.ndarray
     width: int
     where: Callable[[int], str]
     error: CorpusError | None = None
+
+    def cuts(self, lo: int, hi: int) -> np.ndarray:
+        """The cuts of rows lo..hi-1: row k of the result holds each
+        row's cut k."""
+        return self.cut[self.first[lo:hi] + np.arange(self.width + 1)[:, None]]
 
 
 def load_ratings(path, format: str, scale: RatingScale) -> RatingDataset:
     """Load a rating file in 'ml100k-tsv' or 'generic-csv' format.
 
     Errors name the first offending input: `line N` (physical lines,
-    blank ones counted) for a wrong field count or an unparsable value,
-    `row N` (data rows) for an off-grid rating, a repeated pair or a
-    timestamp beyond int64.
+    blank ones counted) for a byte that is not UTF-8, a wrong field count
+    or an unparsable value, `row N` (data rows) for an off-grid rating, a
+    repeated pair or a timestamp beyond int64.
     """
-    if format == "ml100k-tsv":
-        with open(path, encoding="utf-8") as fh:  # \r\n and lone \r read as \n
-            cols = _text_columns(fh.read(), "\t", 4, 1, "tab-separated ")
-    elif format == "generic-csv":
-        cols = _read_generic_csv(path)
-    else:
+    # the file's bytes and offsets are freed once _parse has returned
+    return _dataset(scale, *_parse(_read_columns(path, format)))
+
+
+def _read_columns(path, format: str) -> _Columns:
+    if format not in ("ml100k-tsv", "generic-csv"):
         raise CorpusError(f"unknown format {format!r}")
-    return _dataset(cols, scale)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    _check_utf8(data)
+    if format == "ml100k-tsv":
+        if b"\r" in data:  # \r\n and lone \r end a line, as text mode reads them
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        start, sep, width, first_line, what = 0, b"\t", 4, 1, "tab-separated "
+    else:
+        if b'"' in data or b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
+            # quoted fields or lone \r line ends: the csv module's rules
+            return _csv_columns(data.decode())
+        if b"\r" in data:
+            data = data.replace(b"\r\n", b"\n")
+        end = data.find(b"\n")
+        end = len(data) if end < 0 else end
+        head = data[:end].decode()
+        width = _header_width(head.split(",") if head else []) if data else 3
+        start, sep, width, first_line, what = end + 1, b",", width, 2, ""
+    # the lines between two line ends, and 8 spare bytes (see _keys)
+    buf = np.frombuffer(b"".join((b"\n", memoryview(data)[start:], b"\n", bytes(8))), np.uint8)
+    del data
+    return _text_columns(buf, sep, width, first_line, what)
 
 
-def _read_generic_csv(path) -> _Columns:
-    with open(path, encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    if not text:
-        return _text_columns(text, ",", 3, 2, "")  # no header and no rows
-    if '"' in text or ("\r" in text and text.count("\r") != text.count("\r\n")):
-        # quoted fields or lone \r line ends: the csv module's rules
-        reader = csv.reader(io.StringIO(text, newline=""))
-        records, ends = [], []
-        for record in reader:  # a plain loop: zip(*generator) is about 3x slower here
-            records.append(record)
-            ends.append(reader.line_num)
-        body = records[1:]
-        widths = np.fromiter(map(len, body), np.intp, len(body))
-        # a record starts on the physical line after the one its predecessor ends on
-        starts = np.asarray(ends[:-1]) + 1
-        return _columns(
-            widths,
-            _header_width(records[0]),
-            starts.__getitem__,
-            "",
-            lambda n: [list(chain.from_iterable(body[:n]))],
-        )
-    head, _, text = text.replace("\r\n", "\n").partition("\n")
-    return _text_columns(text, ",", _header_width(head.split(",") if head else []), 2, "")
+def _check_utf8(data: bytes) -> None:
+    """Raise a CorpusError naming the line of the first byte that is not
+    UTF-8; \\n, \\r\\n and a lone \\r each end a line."""
+    if data.isascii():
+        return
+    try:
+        data.decode()
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise CorpusError(f"line {line}: byte 0x{data[exc.start]:02x} is not UTF-8") from None
+
+
+def _csv_columns(text: str) -> _Columns:
+    reader = csv.reader(io.StringIO(text, newline=""))
+    records, ends = [], []
+    for record in reader:  # a plain loop: zip(*generator) is about 3x slower here
+        records.append(record)
+        ends.append(reader.line_num)
+    width = _header_width(records[0])
+    body = records[1:]
+    # a record starts on the physical line after the one its predecessor ends on
+    starts = np.asarray(ends[:-1]) + 1
+    widths = np.fromiter(map(len, body), np.intp, len(body))
+    n, error = _rows(widths, width, starts.__getitem__, "")
+    lines = (widths[:n] != 0).nonzero()[0]
+    fields = [field.encode() for k in lines.tolist() for field in body[k]]
+    # field i spans data[cut[i] + 1:cut[i + 1]], with a spare byte after each
+    cut = np.cumsum([-1] + [len(field) + 1 for field in fields])
+    data = np.frombuffer(b"\n".join(fields) + bytes(8), np.uint8)
+    first = np.arange(len(lines)) * width
+    return _Columns(data, cut, first, width, lambda row: f"line {starts[lines[row]]}", error)
 
 
 def _header_width(header: list[str]) -> int:
@@ -211,135 +266,321 @@ def _header_width(header: list[str]) -> int:
     return 4 if len(header) == 4 and header[3] == "timestamp" else 3
 
 
-def _text_columns(body: str, sep: str, width: int, first_line: int, what: str) -> _Columns:
-    """Columns of unquoted `sep`-separated lines, split on "\\n" only."""
-    widths = _line_widths(body, sep)
+def _text_columns(
+    buf: np.ndarray, sep: bytes, width: int, first_line: int, what: str
+) -> _Columns:
+    """Columns of the unquoted `sep`-separated lines in buf, split on
+    "\\n" only. buf holds a "\\n", the lines, a "\\n" and 8 spare bytes;
+    line 0 is line `first_line` of the file. Line ends and separators are
+    found on the bytes: both are single bytes in UTF-8, and no multi-byte
+    character contains them. Offsets are int32 where they fit."""
+    text = buf[:-8]
+    index = np.int32 if len(buf) < 2**31 else np.int64
+    # the line ends and separators, and which of them are line ends: line
+    # k spans the cuts line_cut[k]..line_cut[k + 1]
+    cut, line_cut, count = [], [], 0
+    for lo in range(0, len(text), _SCAN_BYTES):
+        part = text[lo : lo + _SCAN_BYTES]
+        found = part == 10
+        found |= part == ord(sep)
+        at = found.nonzero()[0]
+        line_cut.append((part[at] == 10).nonzero()[0].astype(index) + count)
+        cut.append((at + lo).astype(index))
+        count += len(at)
+    cut, line_cut = np.concatenate(cut), np.concatenate(line_cut)
+    widths = line_cut[1:] - line_cut[:-1]
+    line_end = cut[line_cut]
+    widths[line_end[1:] - line_end[:-1] == 1] = 0  # a blank line holds no fields
+    del line_end
+    n, error = _rows(widths, width, lambda k: k + first_line, what)
+    first = line_cut[:n][widths[:n] != 0]
 
-    def chunks(n: int):
-        # whole lines, about _CHUNK_CHARS at a time
-        text = body if n == len(widths) else "\n".join(body.split("\n", n)[:n])
-        start = 0
-        while start < len(text):
-            end = text.find("\n", start + _CHUNK_CHARS)
-            end = len(text) if end < 0 else end
-            part = text[start:end].strip("\n")
-            if "\n\n" in part:
-                part = re.sub("\n\n+", "\n", part)  # blank lines hold no fields
-            if part:
-                yield part.replace("\n", sep).split(sep)
-            start = end + 1
+    def where(row):
+        start = cut[first[row]] + 1
+        return f"line {np.count_nonzero(text[:start] == 10) - 1 + first_line}"
 
-    return _columns(widths, width, lambda k: k + first_line, what, chunks)
+    return _Columns(buf, cut, first, width, where, error)
 
 
-def _line_widths(body: str, sep: str) -> np.ndarray:
-    """Fields on each "\\n"-separated line of body, 0 on a blank line.
-
-    Counted on the UTF-8 bytes: sep and "\\n" are single bytes there, and
-    no multi-byte character contains them.
-    """
-    b = np.frombuffer(body.encode(), np.uint8)
-    ends = np.append(np.flatnonzero(b == 10), len(b))
-    seps = np.searchsorted(np.flatnonzero(b == ord(sep)), ends)
-    return np.where(np.diff(ends, prepend=-1) > 1, np.diff(seps, prepend=0) + 1, 0)
-
-
-def _columns(widths, width: int, line_of, what: str, chunks) -> _Columns:
-    """The rows before the first line whose field count is not `width`,
-    with that line's error; blank lines (width 0) hold no row. `line_of(k)`
-    is the physical line number of line k, and `chunks(n)` gives the first
-    n lines' fields, row after row, in flat lists."""
-    bad = np.flatnonzero((widths != width) & (widths != 0))
+def _rows(widths: np.ndarray, width: int, line_of, what: str) -> tuple[int, CorpusError | None]:
+    """The lines that can hold rows, those before the first line whose
+    field count is not `width`, with that line's error; of these, the
+    blank lines (width 0) hold none. `line_of(k)` is the physical line
+    number of line k."""
+    bad = ((widths != width) & (widths != 0)).nonzero()[0]
     n = int(bad[0]) if len(bad) else len(widths)
-    error = None
-    if len(bad):
-        error = CorpusError(f"line {line_of(n)}: expected {width} {what}fields")
-    filled = widths[:n] != 0
-    return _Columns(
-        chunks(n),
-        np.count_nonzero(filled),
-        width,
-        lambda row: f"line {line_of(np.flatnonzero(filled)[row])}",
-        error,
-    )
+    error = CorpusError(f"line {line_of(n)}: expected {width} {what}fields") if len(bad) else None
+    return n, error
 
 
-def _dataset(cols: _Columns, scale: RatingScale) -> RatingDataset:
-    """Parse, check and number the columns; an error names the first row
-    at fault. Parse and field-count errors come before grid and duplicate
-    errors; within a row the rating comes before the timestamp, and the
-    grid check before the duplicate check, and a timestamp beyond int64
-    comes last. float() and on_grid run once per distinct rating; ids
-    follow first appearance."""
-    n, w = cols.rows, cols.width
-    codes, user_ids, item_ids = (defaultdict(count().__next__) for _ in range(3))
-    users, items, rating_code = np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n, np.intp)
-    stamps = np.empty(n, np.int64) if w == 4 and n else None
-    errors, overflow, lo = [], None, 0
-    for fields in cols.chunks:
-        hi = lo + len(fields) // w
-        for out, ids, k in ((users, user_ids, 0), (items, item_ids, 1), (rating_code, codes, 2)):
-            column = islice(fields, k, None, w)
-            out[lo:hi] = np.fromiter(map(ids.__getitem__, column), out.dtype, hi - lo)
-        if stamps is not None and not errors:
-            texts = fields[3::w]
-            try:
-                stamps[lo:hi] = np.fromiter(map(int, texts), np.int64, hi - lo)
-                joined = "".join(texts)
-                if "_" in joined or not joined.isascii():
-                    raise ValueError  # what _number refuses and int() takes
-            except (ValueError, OverflowError):
-                # an unparsable stamp, or one beyond int64
-                for row, text in enumerate(texts, lo):
-                    try:
-                        stamp = _number(int, text)
-                    except ValueError as bad:
-                        errors.append((row, 1, bad))
-                        break
-                    if overflow is None and not _INT64.min <= stamp <= _INT64.max:
-                        overflow = CorpusError(f"row {row + 1}: timestamp {stamp} is beyond int64")
-        lo = hi
-    values, failed = [], {}
-    for code, text in enumerate(codes):
-        try:
-            values.append(_number(float, text))
-        except ValueError as exc:
-            values.append(math.nan)
-            failed[code] = exc
-    if failed:
-        row = int(np.flatnonzero(np.isin(rating_code, list(failed)))[0])
-        errors.append((row, 0, failed[rating_code[row]]))
+def _parse(cols: _Columns) -> tuple:
+    """The columns as the user and item ids and labels, and the rating and
+    timestamp ids and values; the rows where each id first appears; and
+    the first timestamp beyond int64, if any, with its id. Ids follow
+    first appearance; each distinct field is decoded, and each distinct
+    rating and timestamp parsed, once. A parse error names the first row
+    at fault, the rating before the timestamp within a row, and comes
+    before `cols.error`.
+
+    A block's fields are grouped by column and key (see _keys), and each
+    field's code points at its group's first field, which is kept. The
+    columns whose keys have as many words are sorted together, as long as
+    they hold at most about _BLOCK_ROWS fields: a small file's columns
+    take one sort, and a large block's one each. The fields kept by all
+    blocks are grouped once more at the end."""
+    n, w = len(cols.first), cols.width
+    codes = np.empty((w, n), np.int32 if n < 2**31 else np.int64)
+    kept, total = [], np.zeros((w, 1), np.int64)  # each block's kept fields; each column's count
+    for lo in range(0, n, _BLOCK_ROWS):
+        cut = cols.cuts(lo, min(n, lo + _BLOCK_ROWS))  # one row a column
+        m = cut.shape[1]
+        lengths = cut[1:] - cut[:-1]
+        lengths -= 1
+        words = lengths.max(axis=1) // 8
+        same = [(words == v).nonzero()[0] for v in sorted(set(words.tolist()))]
+        size = max(1, _BLOCK_ROWS // m)  # columns sorted together
+        for batch in (part[i : i + size] for part in same for i in range(0, len(part), size)):
+            keys = _keys(cols.data, (cut[batch] + 1).ravel(), lengths[batch].ravel())
+            group, first, count = _groups(keys, len(batch))
+            at = count.cumsum() - count  # each column's first group
+            codes[batch, lo : lo + m] = group.reshape(-1, m) + (total[batch] - at[:, None])
+            total[batch] += count[:, None]
+            # the column, key, length and row of each kept field, and each column's count
+            kept.append((
+                batch.repeat(count),
+                [word[first] for word in keys],
+                lengths[batch].ravel()[first],
+                first % m + lo,
+                count,
+            ))
+    keys, lengths, rows, bounds = _distinct(codes, kept, n > _BLOCK_ROWS)
+
+    b = bounds[3]  # the labels and ratings come first
+    texts = _texts([word[:b] for word in keys], lengths[:b])
+    values, failure = _numbers(float, texts[bounds[2] :])
+    ratings = (codes[2], values, rows[bounds[2] : b])
+    errors = [] if failure is None else [(int(ratings[2][failure[0]]), 0, failure[1])]
+    stamps = None
+    if w == 4:
+        values, failure, beyond = _integers([word[b:] for word in keys], lengths[b:])
+        stamps = (codes[3], values, rows[b:], beyond)
+        if failure is not None:
+            errors.append((int(stamps[2][failure[0]]), 1, failure[1]))
     if errors:
         row, _, exc = min(errors, key=itemgetter(0, 1))
         raise CorpusError(f"{cols.where(row)}: {exc}") from exc
     if cols.error is not None:
         raise cols.error
+    users, items = (codes[0], texts[: bounds[1]]), (codes[1], texts[bounds[1] : bounds[2]])
+    return users, items, ratings, stamps
 
-    user_labels, item_labels = tuple(user_ids), tuple(item_ids)
-    on_grid = np.array([scale.on_grid(v) for v in values], dtype=bool)
-    off = int(np.argmin(on_grid[rating_code])) if not on_grid.all() else n
+
+def _distinct(codes: np.ndarray, kept: list, regroup: bool) -> tuple:
+    """The keys, lengths and first rows of each column's distinct fields,
+    by column and then first appearance, and the bounds of each column
+    among them, from the fields the blocks kept. The fields kept by
+    several blocks are grouped once more, a column at a time, and the
+    codes become ids."""
+    w = len(codes)
+    if not kept:  # no rows
+        empty = np.zeros(0, np.int64)
+        return [empty.astype(np.uint64)], empty, empty, np.zeros(w + 1, np.int64)
+    if len(kept) == 1:  # one block, whose columns' keys have as many words
+        _, keys, lengths, rows, count = kept[0]
+        return keys, lengths, rows, np.concatenate(([0], np.cumsum(count)))
+    column, lengths, rows = (np.concatenate([part[i] for part in kept]) for i in (0, 2, 3))
+    width = max(len(part[1]) for part in kept)
+    keys = [  # a key's words past its mark are 0, so a shorter one gains zeros
+        np.concatenate([words[j] if j < len(words) else 0 * words[0] for _, words, *_ in kept])
+        for j in range(width)
+    ]
+    if regroup:
+        chosen = []
+        for k in range(w):
+            field = np.flatnonzero(column == k)  # in row order
+            group, first, _ = _groups([word[field] for word in keys], 1)
+            codes[k] = group.astype(codes.dtype)[codes[k]]
+            chosen.append(field[first])
+        order = np.concatenate(chosen)
+    else:
+        order = np.argsort(column, kind="stable")
+    bounds = np.searchsorted(column[order], np.arange(w + 1))
+    return [word[order] for word in keys], lengths[order], rows[order], bounds
+
+
+def _dataset(scale: RatingScale, users, items, ratings, stamps) -> RatingDataset:
+    """The dataset of _parse's columns, once the rows pass the checks; an
+    error names the first row at fault. The grid check comes before the
+    duplicate check within a row, and a timestamp beyond int64 last."""
+    (users, user_labels), (items, item_labels) = users, items
+    users, items = users.astype(np.int64), items.astype(np.int64)
+    rating_ids, values, rating_first = ratings
+    n = len(rating_ids)
+    off = [code for code, v in enumerate(values) if not scale.on_grid(v)]
+    off = int(rating_first[off[0]]) if off else n
     pairs = users * len(item_labels)
     pairs += items
     dup = _first_repeat(pairs)
     if off < n and off <= dup:
         raise CorpusError(
-            f"row {off + 1}: rating {values[rating_code[off]]} is off the scale grid "
+            f"row {off + 1}: rating {values[rating_ids[off]]} is off the scale grid "
             f"[{scale.min}, {scale.max}] step {scale.step}"
         )
     if dup < n:
         u, i = user_labels[users[dup]], item_labels[items[dup]]
         raise CorpusError(f"row {dup + 1}: duplicate (user, item) pair ({u}, {i})")
-    if overflow is not None:
-        raise overflow  # ranks after every row check
+    if stamps is not None:
+        stamp_ids, stamp_values, stamp_first, beyond = stamps
+        if beyond is not None:  # ranks after every row check
+            code, stamp = beyond
+            raise CorpusError(f"row {stamp_first[code] + 1}: timestamp {stamp} is beyond int64")
+        stamps = stamp_values[stamp_ids] if n else None
     return RatingDataset(
         users=users,
         items=items,
-        ratings=np.array(values, dtype=np.float64)[rating_code],
+        ratings=np.array(values, dtype=np.float64)[rating_ids],
         scale=scale,
-        user_labels=user_labels,
-        item_labels=item_labels,
+        user_labels=tuple(user_labels),
+        item_labels=tuple(item_labels),
         timestamps=stamps,
     )
+
+
+def _keys(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
+    """Keys of the fields of the given starts and lengths in data, as
+    columns of uint64 words, equal exactly where the fields are. A field's
+    bytes fill little-endian words, 8 a word; its last word is the first
+    that is not full, and holds a mark, a byte 1, after the field's last
+    byte. The words after it are 0. So "a" and "a\\x00" differ, a field of
+    8 bytes or more takes more than one word, and a short field's key is a
+    small number. data has 8 spare bytes after the last field, so the word
+    at every field's start can be read."""
+    words = np.ndarray((len(data) - 7,), np.dtype("<u8"), data, 0, (1,))
+    keys = []
+    for j in range(int(lengths.max(initial=0)) // 8 + 1):
+        # a word past the field's end keeps none of its bytes: read any word
+        at = starts if j == 0 else np.minimum(starts + 8 * j, len(words) - 1)
+        left = lengths - (8 * j - 1)  # bytes from word j on, plus 1
+        if j:
+            np.maximum(left, 0, out=left)
+        np.minimum(left, 9, out=left)
+        word = words[at]
+        word &= _WORD_MASKS[left]
+        word |= _WORD_MARKS[left]
+        keys.append(word)
+    return keys
+
+
+def _groups(keys: list[np.ndarray], columns: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each field's group of the fields equal to it in key, among the
+    fields of its column, given `columns` columns of fields one after
+    another: the groups numbered in order of column and then of first
+    appearance. Also the first field of each group, and each column's
+    number of groups."""
+    m = len(keys[0]) // columns
+    group, span = None, columns
+    for word in keys:
+        if int(word.max(initial=0)) >= _INT64.max // span:  # the sum below would overflow
+            word, _ = _ranks(word)
+        step = int(word.max(initial=0)) + 1
+        word = word.astype(np.int64)
+        if group is None:  # fields of different columns never group
+            by_column = word.reshape(columns, m)
+            by_column += (np.arange(columns) * step)[:, None]
+        else:
+            word += group * step
+        group, first = _ranks(word)
+        span = len(first)
+    order = first.argsort()  # by column, then first appearance
+    renumber = np.empty_like(order)
+    renumber[order] = np.arange(len(order))
+    first = first[order]
+    return renumber[group], first, np.bincount(first // m, minlength=columns)
+
+
+def _key_bytes(keys: list[np.ndarray]) -> np.ndarray:
+    """The bytes of the keys' words, one row of bytes per key: the field's
+    bytes, then its mark and zeros."""
+    raw = np.empty((len(keys[0]), 8 * len(keys)), np.uint8)
+    words = raw.view("<u8")
+    for j, word in enumerate(keys):
+        words[:, j] = word
+    return raw
+
+
+def _texts(keys: list[np.ndarray], lengths: np.ndarray) -> list[str]:
+    """The fields of the given keys and lengths, decoded at once: each
+    field's bytes and a byte 0xff, which UTF-8 never holds, in place of its
+    mark, split at the 0xff that surrogateescape decodes to "\\udcff"."""
+    raw = _key_bytes(keys)
+    raw[np.arange(len(lengths)), lengths] = 0xFF
+    joined = raw[np.arange(raw.shape[1]) <= lengths[:, None]].tobytes()
+    return joined.decode("utf-8", "surrogateescape").split("\udcff")[:-1]
+
+
+def _ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's rank among the distinct values, and the first index
+    of each distinct value, in rank order."""
+    order = values.argsort()
+    ordered = values[order]
+    new = np.empty(len(values), bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    del ordered
+    ranks = new.cumsum()
+    ranks -= 1
+    rank = np.empty(len(values), np.int64)
+    rank[order] = ranks
+    return rank, np.minimum.reduceat(order, new.nonzero()[0])
+
+
+def _numbers(parse, texts: list[str]) -> tuple[list, tuple[int, ValueError] | None]:
+    """_number(parse, text) of each text, or the index and error of the
+    first text that fails."""
+    joined = "".join(texts)
+    if "_" not in joined and joined.isascii():
+        try:
+            return list(map(parse, texts)), None
+        except ValueError:
+            pass  # the loop finds the text at fault
+    values = []
+    for k, text in enumerate(texts):
+        try:
+            values.append(_number(parse, text))
+        except ValueError as exc:
+            return values, (k, exc)
+    return values, None
+
+
+def _integers(
+    keys: list[np.ndarray], lengths: np.ndarray
+) -> tuple[np.ndarray, tuple | None, tuple | None]:
+    """_numbers(int, texts) of the fields of the given keys and lengths,
+    as an int64 array, with the index and value of the first beyond
+    int64. A field of an optional "-" and 1 to 18 ASCII digits is parsed
+    from its bytes, all such fields at once; int() takes the others."""
+    raw = _key_bytes(keys)
+    minus = raw[:, 0] == ord("-")
+    raw[minus, 0] = ord("0")  # adds nothing to the digits after it
+    plain = (lengths - minus >= 1) & (lengths - minus <= 18)
+    values = np.zeros(len(lengths), np.int64)
+    for j in range(min(int(lengths.max(initial=0)), 19)):
+        inside = lengths > j
+        digit = raw[:, j] - np.uint8(48)  # a byte that is not a digit wraps past 9
+        plain &= (digit <= 9) | ~inside
+        values = np.where(inside, values * 10 + digit, values)
+    values[minus] *= -1
+    rest = np.flatnonzero(~plain)
+    more, failure = _numbers(int, _texts([word[rest] for word in keys], lengths[rest]))
+    if failure is not None:
+        return values, (int(rest[failure[0]]), failure[1]), None
+    beyond = None
+    for k, value in zip(rest.tolist(), more):
+        if _INT64.min <= value <= _INT64.max:
+            values[k] = value
+        elif beyond is None:
+            beyond = (k, value)
+    return values, None, beyond
 
 
 def _number(parse, text: str):

@@ -251,6 +251,8 @@ class _MfModels:
 class FoldContext:
     """Shared per-fold state: graph, lazily computed similarity matrices,
     the evaluated-user population, and the ranking of a method's users.
+    The liked test items and the evaluated users are found on first use,
+    as kNN prediction reads neither.
 
     The folds of one run pass the run's `_MfModels` and their index in it;
     a context built alone trains an MF model on its own training set."""
@@ -260,13 +262,8 @@ class FoldContext:
     ):
         self.cfg = cfg
         self._mf = mf or (_MfModels([pair.train], cfg), 0)
+        self._test = pair.test
         self.graph = bigraph.build_graph(pair.train)
-        self.likes = evalmetrics.liked_test_set(pair.test, cfg.like_threshold)
-        self.test_users = sorted(
-            u for u, liked in self.likes.items() if liked and self.graph.user_degree[u] > 0
-        )
-        # users with a liked test item but no training ratings
-        self.excluded_users = len(self.likes) - len(self.test_users)
         # each (measure, axis) similarity, or the error its build raised
         self._sims: dict[tuple[str, str], SimilarityMatrix | simkit.SimilarityError] = {}
         self.similarity_s: dict[str, float] = {}  # build seconds per "measure/axis"
@@ -289,6 +286,22 @@ class FoldContext:
         if isinstance(self._sims[key], simkit.SimilarityError):
             raise self._sims[key]
         return self._sims[key]
+
+    @cached_property
+    def likes(self) -> dict[int, set[int]]:
+        """Each test user's liked test items."""
+        return evalmetrics.liked_test_set(self._test, self.cfg.like_threshold)
+
+    @cached_property
+    def test_users(self) -> list[int]:
+        """The users with a liked test item and training ratings, ascending."""
+        degree = self.graph.user_degree
+        return sorted(u for u, liked in self.likes.items() if liked and degree[u] > 0)
+
+    @property
+    def excluded_users(self) -> int:
+        """Users with a liked test item but no training ratings."""
+        return len(self.likes) - len(self.test_users)
 
     @property
     def metric_sim(self) -> SimilarityMatrix:

@@ -497,12 +497,27 @@ def load_ratings(path, format, scale):
     """Row-by-row loader: read every row into a tuple, then build the
     dataset one rating at a time."""
     if format == "ml100k-tsv":
+        _check_utf8(path)
         rows = _read_ml100k(path)
     elif format == "generic-csv":
+        _check_utf8(path)
         rows = _read_generic_csv(path)
     else:
         raise CorpusError(f"unknown format {format!r}")
     return from_triples(rows, scale)
+
+
+def _check_utf8(path):
+    """Decode the file one physical line at a time (\n, \r\n and a lone
+    \r end one); the first line that is not UTF-8 is an error."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            byte = line[exc.start]
+            raise CorpusError(f"line {line_no}: byte 0x{byte:02x} is not UTF-8") from None
 
 
 def _read_ml100k(path):

@@ -63,6 +63,14 @@ def test_nan_rating_is_a_row_error(tmp_path, capsys):
     assert err == "error: row 1: rating nan is off the scale grid [1.0, 5.0] step 1.0"
 
 
+def test_bytes_that_are_not_utf8_name_their_line(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"user,item,rating\na,b,3\n\xff,c,4\n")
+    assert main(["stats", "--input", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err == "error: line 3: byte 0xff is not UTF-8"
+
+
 def test_non_finite_scale_is_rejected(fix4_csv, capsys):
     assert main(["stats", "--input", str(fix4_csv), "--scale", "1:5:nan"]) == 1
     err = capsys.readouterr().err.splitlines()[-1]

@@ -265,9 +265,31 @@ class TestLoadErrors:
             with pytest.raises(CorpusError, match=f"^{message}$"):
                 load(path, fmt, RatingScale(1, 10, 1))
 
+    @pytest.mark.parametrize(
+        "data,fmt,message",
+        [
+            (b"user,item,rating\na,b,3\n\xff,c,4\n", "generic-csv", "line 3: byte 0xff"),
+            (b"user,item,rating\r\n\r\na,b,\x80\r\n", "generic-csv", "line 3: byte 0x80"),
+            (b'user,item,rating\n"a\nb",c,3\rd,\xc3,4\n', "generic-csv", "line 4: byte 0xc3"),
+            (b"a\tb\t3\t7\r\xe2\x82", "ml100k-tsv", "line 2: byte 0xe2"),
+            # before a field-count error on an earlier line
+            (b"a\tb\t3\n\nc\td\t3\t\xff\n", "ml100k-tsv", "line 3: byte 0xff"),
+        ],
+        ids=["csv", "crlf", "quoted-and-lone-cr", "ml100k-truncated", "ml100k-first"],
+    )
+    def test_bytes_that_are_not_utf8(self, tmp_path, data, fmt, message):
+        # \n, \r\n and a lone \r each end a line
+        path = tmp_path / "r.txt"
+        path.write_bytes(data)
+        for load in (load_ratings, oracles.load_ratings):
+            with pytest.raises(CorpusError, match=f"^{message} is not UTF-8$"):
+                load(path, fmt, SCALE15)
+
     def test_quoted_and_lone_cr_files_read_through_csv(self, tmp_path):
         ds = load_text(tmp_path, 'user,item,rating\r"a,1",b,3\r"say ""hi""",b,4\r')
         assert ds.user_labels == ("a,1", 'say "hi"')
+        ds = load_text(tmp_path, 'user,item,rating\r\n"a\r\nb",c,3\r\n')
+        assert ds.user_labels == ("a\r\nb",)
         with pytest.raises(CorpusError, match="^line 3: expected 3 fields$"):
             load_text(tmp_path, 'user,item,rating\r"a,1",b,3\rc,d\r')
 
@@ -276,8 +298,17 @@ class TestLoadErrors:
 # and repeated pairs make duplicates. A file's noise level sets what else
 # can go wrong in it:
 # 0 only duplicates, 1 also off-grid ratings, 2 also bad headers, short,
-# long and blank lines, and unparsable values.
-LABELS = ["a", "b", "c", "u1", "i1", "é", " a", "\x0c", "\x00", "", "x,y", 'q"t']
+# long and blank lines, unparsable values, and bytes that are not UTF-8.
+LABELS = [
+    "a", "b", "c", "u1", "i1", "é", " a", "\x0c", "\x00",
+    "user007", "user0008", "user00009", "user0000000000017",  # 7, 8, 9 and 17 bytes
+    "prefix08-one", "prefix08-two",  # equal in their first 8 bytes
+    "aaaaaaaé",  # é across the boundary of the first 8 bytes
+    "",  # unquoted, only in ml100k-tsv
+    "x,y", 'q"t', "r\r\nn",  # only quoted
+]
+EMPTY_LABEL = LABELS.index("")
+NOT_UTF8 = [b"\xff", b"\x80", b"\xc3", b"\xe2\x82"]
 GOOD_RATINGS = ["1", "2", "3", "4", "5", "4.0", " 2", "1e0"]
 OFF_GRID = ["3.5", "0", "6", "nan", "inf", "-1"]
 BAD = {
@@ -285,24 +316,29 @@ BAD = {
     "stamp": ["x", "1.5", "", "\uff11\uff12"],
     "line": ["short", "long", "blank"],
 }
-STAMPS = ["880", "0", "-3", " 7", "1_0"]
+STAMPS = [
+    "880", "0", "-3", " 7", "1_0", "+5", "-007",
+    "123456789012345678", "1234567890123456789",  # 18 and 19 digits
+    "-9223372036854775808", "9223372036854775808",  # int64's least, and one beyond its most
+]
 HEADERS = ["user,item,rating", "user,item,rating,timestamp", " User , ITEM,rating"]
 BAD_HEADERS = ["user,item,rating,when", "usr,item,rating", ""]
 
 
 def _csv_field(text, quote):
-    return '"' + text.replace('"', '""') + '"' if quote or "," in text or '"' in text else text
+    quote = quote or any(c in text for c in ',"\r\n')
+    return '"' + text.replace('"', '""') + '"' if quote else text
 
 
 @st.composite
 def rating_files(draw):
-    """(text, format): a generic-csv or ml100k-tsv file, well formed or not."""
+    """(bytes, format): a generic-csv or ml100k-tsv file, well formed or not."""
     fmt = draw(st.sampled_from(["generic-csv", "ml100k-tsv"]))
     noise = draw(st.integers(0, 2))
     rare = lambda: draw(st.integers(0, 7)) == 0  # noqa: E731
     ends = draw(st.sampled_from([["\n"], ["\r\n"], ["\n", "\r\n"], ["\n", "\r"]]))
     quoting = fmt == "generic-csv" and draw(st.booleans())
-    labels = st.sampled_from(LABELS[: 10 if fmt == "ml100k-tsv" or quoting else 9])
+    labels = st.sampled_from(LABELS[: EMPTY_LABEL + (fmt == "ml100k-tsv" or quoting)])
     lines = []
     width, sep = 4, "\t"
     if fmt == "generic-csv":
@@ -324,7 +360,7 @@ def rating_files(draw):
         if noise == 2 and width == 4 and rare():
             fields[3] = draw(st.sampled_from(BAD["stamp"]))
         if quoting and rare():  # a label only the csv module reads
-            fields[0] = draw(st.sampled_from(LABELS[10:]))
+            fields[0] = draw(st.sampled_from(LABELS[EMPTY_LABEL + 1 :]))
         if fmt == "generic-csv":
             fields = [_csv_field(f, quoting and rare()) for f in fields]
         line = sep.join(fields)
@@ -335,7 +371,11 @@ def rating_files(draw):
     text = "".join(line + draw(st.sampled_from(ends)) for line in lines)
     if text and draw(st.booleans()):
         text = text[: -1 - text.endswith("\r\n")]  # no line end after the last line
-    return text, fmt
+    data = text.encode("utf-8")
+    if noise == 2 and rare():
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(NOT_UTF8)) + data[at:]
+    return data, fmt
 
 
 def outcome(load, path, fmt):
@@ -354,15 +394,15 @@ def outcome(load, path, fmt):
 
 class TestLoaderMatchesRowOracle:
     @settings(max_examples=600)
-    @given(rating_files(), st.sampled_from([1, 2, 5, 16, corpus._CHUNK_CHARS]))
-    def test_load_matches_oracle(self, case, chunk_chars):
-        # small chunks put chunk boundaries among the lines of small files
-        text, fmt = case
+    @given(rating_files(), st.sampled_from([1, 2, 5, 16, corpus._BLOCK_ROWS]))
+    def test_load_matches_oracle(self, case, block_rows):
+        # small blocks put block boundaries among the lines of small files
+        data, fmt = case
         with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
-            corpus, "_CHUNK_CHARS", chunk_chars
+            corpus, "_BLOCK_ROWS", block_rows
         ):
             path = Path(tmp) / "ratings"
-            path.write_bytes(text.encode("utf-8"))
+            path.write_bytes(data)
             assert outcome(load_ratings, path, fmt) == outcome(oracles.load_ratings, path, fmt)
 
     def test_timestamp_beyond_int64_fails_after_the_checks(self, tmp_path):

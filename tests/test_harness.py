@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from diffrec import corpus, bigraph, harness, recommend, simkit
+from diffrec import corpus, bigraph, evalmetrics, harness, recommend, simkit
 from diffrec.simkit import SimilarityMatrix
 from diffrec.harness import (
     ExperimentConfig,
@@ -829,6 +829,15 @@ class TestSweepKnn:
         for r in rep.rows:
             assert r.metric == "nrmse"
             assert 0.0 <= r.value <= 1.0
+
+    def test_never_finds_the_liked_test_items(self, ds, cfg, monkeypatch):
+        # kNN prediction reads neither the liked test items nor the evaluated users
+        def no_likes(*args):
+            raise AssertionError("sweep_knn found the liked test items")
+
+        expected = sweep_knn(ds, cfg, (1, 3))
+        monkeypatch.setattr(evalmetrics, "liked_test_set", no_likes)
+        assert sweep_knn(ds, cfg, (1, 3)).rows == expected.rows
 
     def test_rejects_unknown_measure_before_any_fold(self, ds, cfg, monkeypatch):
         def no_graph(train):
