@@ -2,17 +2,18 @@
 
 A rating file is loaded from its bytes. Line ends and separators are found
 with numpy, and each field is kept as byte offsets into the file, 4 bytes a
-field while the file is under 2 GiB. The fields of each column are then
-numbered in order of first appearance, _BLOCK_ROWS rows at a time: a
+field while the file is under 2 GiB. The user, item and rating fields are
+then numbered in order of first appearance, _BLOCK_ROWS rows at a time: a
 block's fields are packed into uint64 keys (see _keys) and sorted, a
 column at a time or, in a small block, its columns together, and only the
 first field of each distinct key is kept; the fields kept by all blocks
-are grouped once more at the end. Only one block's keys are alive at
-once, so the load's peak stays near the file's bytes, its offsets and the
-dataset it returns. Each distinct label is decoded, and each distinct
-rating and timestamp parsed, once. Quoted fields and lone \r line ends go
-through the csv module, whose fields then take the same path from their
-encoded bytes.
+are grouped once more at the end. Each distinct label is decoded, and each
+distinct rating parsed, once. A timestamp is parsed in its row, from its
+bytes, a block at a time, into one int64 array. Only one block's keys are
+alive at once, so the load's peak stays near the file's bytes, its offsets
+and the dataset it returns, timestamps or not. Quoted fields and lone \r
+line ends go through the csv module, whose fields then take the same path
+from their encoded bytes.
 """
 
 from __future__ import annotations
@@ -314,29 +315,36 @@ def _rows(widths: np.ndarray, width: int, line_of, what: str) -> tuple[int, Corp
 
 
 def _parse(cols: _Columns) -> tuple:
-    """The columns as the user and item ids and labels, and the rating and
-    timestamp ids and values; the rows where each id first appears; and
-    the first timestamp beyond int64, if any, with its id. Ids follow
-    first appearance; each distinct field is decoded, and each distinct
-    rating and timestamp parsed, once. A parse error names the first row
-    at fault, the rating before the timestamp within a row, and comes
-    before `cols.error`.
+    """The user and item ids and labels; the rating ids and values, and the
+    rows where each rating id first appears; the timestamps, parsed in
+    their rows (None without the column or rows); and the (row, value) of
+    the first timestamp beyond int64 in each block that has one. Ids follow
+    first appearance; each distinct label is decoded, and each distinct
+    rating parsed, once. A parse error names the first row at fault, the
+    rating before the timestamp within a row, and comes before `cols.error`.
 
-    A block's fields are grouped by column and key (see _keys), and each
-    field's code points at its group's first field, which is kept. The
-    columns whose keys have as many words are sorted together, as long as
-    they hold at most about _BLOCK_ROWS fields: a small file's columns
-    take one sort, and a large block's one each. The fields kept by all
-    blocks are grouped once more at the end."""
-    n, w = len(cols.first), cols.width
-    codes = np.empty((w, n), np.int32 if n < 2**31 else np.int64)
-    kept, total = [], np.zeros((w, 1), np.int64)  # each block's kept fields; each column's count
+    A block's user, item and rating fields are grouped by column and key
+    (see _keys), and each field's code points at its group's first field,
+    which is kept. The columns whose keys have as many words are sorted
+    together, as long as they hold at most about _BLOCK_ROWS fields: a
+    small file's columns take one sort, and a large block's one each. The
+    fields kept by all blocks are grouped once more at the end."""
+    n = len(cols.first)
+    codes = np.empty((3, n), np.int32 if n < 2**31 else np.int64)
+    kept, total = [], np.zeros((3, 1), np.int64)  # each block's kept fields; each column's count
+    stamps = np.empty(n, np.int64) if cols.width == 4 and n else None
+    errors, beyond = [], []  # (row, column, error) of parse errors; (row, value) beyond int64
     for lo in range(0, n, _BLOCK_ROWS):
         cut = cols.cuts(lo, min(n, lo + _BLOCK_ROWS))  # one row a column
         m = cut.shape[1]
         lengths = cut[1:] - cut[:-1]
         lengths -= 1
-        words = lengths.max(axis=1) // 8
+        if stamps is not None:
+            keys = _keys(cols.data, cut[3] + 1, lengths[3])
+            stamps[lo : lo + m], failure, big = _integers(keys, lengths[3])
+            errors += [(lo + failure[0], 1, failure[1])] if failure else []
+            beyond += [(lo + big[0], big[1])] if big else []
+        words = lengths[:3].max(axis=1) // 8
         same = [(words == v).nonzero()[0] for v in sorted(set(words.tolist()))]
         size = max(1, _BLOCK_ROWS // m)  # columns sorted together
         for batch in (part[i : i + size] for part in same for i in range(0, len(part), size)):
@@ -355,24 +363,17 @@ def _parse(cols: _Columns) -> tuple:
             ))
     keys, lengths, rows, bounds = _distinct(codes, kept, n > _BLOCK_ROWS)
 
-    b = bounds[3]  # the labels and ratings come first
-    texts = _texts([word[:b] for word in keys], lengths[:b])
+    texts = _texts(keys, lengths)
     values, failure = _numbers(float, texts[bounds[2] :])
-    ratings = (codes[2], values, rows[bounds[2] : b])
-    errors = [] if failure is None else [(int(ratings[2][failure[0]]), 0, failure[1])]
-    stamps = None
-    if w == 4:
-        values, failure, beyond = _integers([word[b:] for word in keys], lengths[b:])
-        stamps = (codes[3], values, rows[b:], beyond)
-        if failure is not None:
-            errors.append((int(stamps[2][failure[0]]), 1, failure[1]))
+    ratings = (codes[2], values, rows[bounds[2] :])
+    errors += [(int(ratings[2][failure[0]]), 0, failure[1])] if failure else []
     if errors:
         row, _, exc = min(errors, key=itemgetter(0, 1))
         raise CorpusError(f"{cols.where(row)}: {exc}") from exc
     if cols.error is not None:
         raise cols.error
     users, items = (codes[0], texts[: bounds[1]]), (codes[1], texts[bounds[1] : bounds[2]])
-    return users, items, ratings, stamps
+    return users, items, ratings, stamps, beyond
 
 
 def _distinct(codes: np.ndarray, kept: list, regroup: bool) -> tuple:
@@ -408,7 +409,7 @@ def _distinct(codes: np.ndarray, kept: list, regroup: bool) -> tuple:
     return [word[order] for word in keys], lengths[order], rows[order], bounds
 
 
-def _dataset(scale: RatingScale, users, items, ratings, stamps) -> RatingDataset:
+def _dataset(scale: RatingScale, users, items, ratings, stamps, beyond) -> RatingDataset:
     """The dataset of _parse's columns, once the rows pass the checks; an
     error names the first row at fault. The grid check comes before the
     duplicate check within a row, and a timestamp beyond int64 last."""
@@ -429,12 +430,9 @@ def _dataset(scale: RatingScale, users, items, ratings, stamps) -> RatingDataset
     if dup < n:
         u, i = user_labels[users[dup]], item_labels[items[dup]]
         raise CorpusError(f"row {dup + 1}: duplicate (user, item) pair ({u}, {i})")
-    if stamps is not None:
-        stamp_ids, stamp_values, stamp_first, beyond = stamps
-        if beyond is not None:  # ranks after every row check
-            code, stamp = beyond
-            raise CorpusError(f"row {stamp_first[code] + 1}: timestamp {stamp} is beyond int64")
-        stamps = stamp_values[stamp_ids] if n else None
+    if beyond:  # ranks after every row check
+        row, stamp = beyond[0]
+        raise CorpusError(f"row {row + 1}: timestamp {stamp} is beyond int64")
     return RatingDataset(
         users=users,
         items=items,
@@ -537,12 +535,6 @@ def _ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _numbers(parse, texts: list[str]) -> tuple[list, tuple[int, ValueError] | None]:
     """_number(parse, text) of each text, or the index and error of the
     first text that fails."""
-    joined = "".join(texts)
-    if "_" not in joined and joined.isascii():
-        try:
-            return list(map(parse, texts)), None
-        except ValueError:
-            pass  # the loop finds the text at fault
     values = []
     for k, text in enumerate(texts):
         try:

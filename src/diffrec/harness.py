@@ -529,7 +529,12 @@ def sweep_knn(
         test = pair.test
         for measure in measures:
             for mode, axis in KNN_AXES.items():
-                sim = ctx.similarity(measure, axis)
+                try:
+                    sim = ctx.similarity(measure, axis)
+                except simkit.MemoryCeilingError:
+                    raise  # this machine's limit, as in FoldContext.rank
+                except simkit.SimilarityError as exc:
+                    raise HarnessError(f"fold {f} similarity {measure}/{axis}: {exc}") from exc
                 preds = recommend.knn_predict(sim, ctx.graph, test.users, test.items, ks)
                 errors = evalmetrics.nrmse(preds, test.ratings, ctx.graph.scale)
                 name = f"{mode}-{measure}"
@@ -604,14 +609,14 @@ def analyze_corpus(ds: RatingDataset, cfg: ExperimentConfig) -> CorpusAnalysis:
         g.user_degree[active],
         np.array([g.item_degree[g.user_items(int(u))[0]].mean() for u in active]),
     )
-    act_reg = _ols(act_pop)
+    act_reg = _ols(act_pop, "activity-popularity")
 
     items_rated = np.flatnonzero(g.item_degree > 0)
     pop_rating = _grouped_mean(
         g.item_degree[items_rated],
         np.array([g.item_users(int(i))[1].mean() for i in items_rated]),
     )
-    pop_reg = _ols(pop_rating)
+    pop_reg = _ols(pop_rating, "popularity-rating")
 
     samples = {}
     for measure in ("pcc", "pim"):
@@ -646,9 +651,9 @@ def _grouped_mean(levels: np.ndarray, values: np.ndarray) -> list[tuple[int, flo
     return [(lvl, float(np.mean(vs))) for lvl, vs in sorted(table.items())]
 
 
-def _ols(points: list[tuple[int, float]]) -> RegressionResult:
+def _ols(points: list[tuple[int, float]], name: str) -> RegressionResult:
     if len(points) < 3:
-        raise HarnessError("need at least 3 points for a regression")
+        raise HarnessError(f"need at least 3 points for the {name} regression, got {len(points)}")
     xs = np.array([p[0] for p in points], dtype=np.float64)
     ys = np.array([p[1] for p in points])
     res = stats.linregress(xs, ys)

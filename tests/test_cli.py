@@ -131,6 +131,28 @@ def test_timestamp_beyond_int64_is_an_error(tmp_path, capsys):
     assert err == "error: row 2: timestamp 99999999999999999999 is beyond int64"
 
 
+# every user rates 2 items, and no fold's pcc over items defines a pair
+TINY = "user,item,rating\na,x,3\na,y,4\nb,x,5\nb,z,2\nc,y,4\nc,z,5\nd,x,1\nd,w,5\n"
+
+
+def test_failed_sweep_knn_similarity_names_its_fold_and_build(tmp_path, capsys):
+    path = tmp_path / "tiny.csv"
+    path.write_text(TINY)
+    argv = ["sweep-knn", "--input", str(path), "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err == "error: fold 0 similarity pcc/items: no defined off-diagonal values to normalize"
+    assert main(argv + ["--measures", "cosine"]) == 0
+
+
+def test_failed_analyze_regression_names_it(tmp_path, capsys):
+    path = tmp_path / "tiny.csv"
+    path.write_text(TINY)
+    assert main(["analyze", "--input", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err == "error: need at least 3 points for the activity-popularity regression, got 1"
+
+
 def test_unknown_config_key_rejected(fix4_csv, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"input = {fix4_csv}\nbogus_key = 1\n")

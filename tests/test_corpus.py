@@ -416,6 +416,39 @@ class TestLoaderMatchesRowOracle:
             )
 
 
+class TestTimestampsParsedInTheirRows:
+    def test_only_labels_and_ratings_are_grouped(self, tmp_path):
+        stamps = [880 + k % 3 for k in range(40)]
+        rows = [f"u{k % 7},i{k},{k % 5 + 1},{t}" for k, t in enumerate(stamps)]
+        path = tmp_path / "r.csv"
+        path.write_text("user,item,rating,timestamp\n" + "\n".join(rows) + "\n")
+        with mock.patch.object(corpus, "_groups", wraps=corpus._groups) as groups:
+            ds = load_ratings(path, "generic-csv", SCALE15)
+        assert sum(len(call.args[0][0]) for call in groups.call_args_list) == 3 * len(rows)
+        assert ds.timestamps.tolist() == stamps
+
+    @pytest.mark.parametrize(
+        "text,fmt,message",
+        [
+            # blocks of 2 rows: (a, b), (c, d), (e); a blank line 4 holds no row
+            ("user,item,rating,timestamp\na,x,3,7\nb,x,4,8\n\nc,x,5,9\nd,x,1,1_0\ne,x,2,2_0\n",
+             "generic-csv", "line 6: digit separator '_' in number '1_0'"),
+            ("a\tx\t3\t7\nb\tx\t4\t8\n\nc\tx\t5\t9\nd\tx\t1\t1_0\n", "ml100k-tsv",
+             "line 5: digit separator '_' in number '1_0'"),
+            (f"user,item,rating,timestamp\na,x,3,7\nb,x,4,8\n\nc,x,5,9\nd,x,1,{2**63}\n"
+             f"e,x,2,{2**64}\n", "generic-csv", f"row 4: timestamp {2**63} is beyond int64"),
+        ],
+        ids=["unparsable", "unparsable-tsv", "beyond"],
+    )
+    def test_a_later_block_names_its_row(self, tmp_path, text, fmt, message):
+        path = tmp_path / "r.txt"
+        path.write_text(text)
+        with mock.patch.object(corpus, "_BLOCK_ROWS", 2):
+            for load in (load_ratings, oracles.load_ratings):
+                with pytest.raises(CorpusError, match=f"^{message}$"):
+                    load(path, fmt, SCALE15)
+
+
 # labels csv.writer quotes, or might be thought to, and a rating of every pair
 QUOTING_LABELS = ["a,b", 'say "x"', "cr\rx", "lf\nx", "", " lead", "plain", '"', ","]
 QUOTING_TRIPLES = [(u, i, 1.0 + (n % 9) / 2, n) for n, (u, i) in enumerate(

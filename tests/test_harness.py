@@ -361,6 +361,11 @@ class TestMemoryCeiling:
         with pytest.raises(simkit.MemoryCeilingError, match="^cosine similarity over 15 items"):
             run_experiment(ds, replace(cfg, methods=("MD",)))
 
+    def test_sweep_knn_raises_it_unwrapped(self, ds, cfg, monkeypatch):
+        monkeypatch.setattr(simkit, "_memory_limit", lambda: 0)
+        with pytest.raises(simkit.MemoryCeilingError, match="^pcc similarity over 20 users"):
+            sweep_knn(ds, cfg, [5], ["pcc"])
+
 
 class TestPimraRowsOnDemand:
     def test_one_user_builds_only_its_rows(self, cfg):
@@ -848,6 +853,15 @@ class TestSweepKnn:
         with pytest.raises(HarnessError, match=expected):
             sweep_knn(ds, cfg, (3,), measures=("pcc", "bogus"))
 
+    def test_failed_similarity_names_its_fold_and_build(self, cfg):
+        # every user rates 2 items, and no fold's pcc over items defines a pair
+        triples = [("a", "x", 3), ("a", "y", 4), ("b", "x", 5), ("b", "z", 2)]
+        triples += [("c", "y", 4), ("c", "z", 5), ("d", "x", 1), ("d", "w", 5)]
+        ds = oracles.from_triples(triples, corpus.RatingScale(1, 5, 1))
+        with pytest.raises(HarnessError, match="^fold 0 similarity pcc/items: no defined") as info:
+            sweep_knn(ds, cfg, (3,), measures=("pcc",))
+        assert type(info.value.__cause__) is simkit.SimilarityError
+
     @pytest.mark.parametrize(
         "sweep,message",
         [
@@ -950,6 +964,17 @@ class TestAnalyzeCorpus:
         )
         with pytest.raises(HarnessError, match="^need at least 3 user pairs"):
             analyze_corpus(two, ExperimentConfig())
+
+    def test_too_few_popularity_levels_is_an_error(self):
+        # users rate 1, 2 and 3 items, and every item has 2 raters
+        triples = [("a", "x", 4), ("b", "y", 2), ("b", "z", 3)]
+        triples += [("c", i, 5) for i in "xyz"]
+        ds = oracles.from_triples(triples, corpus.RatingScale(1, 5, 1))
+        with pytest.raises(
+            HarnessError,
+            match="^need at least 3 points for the popularity-rating regression, got 1$",
+        ):
+            analyze_corpus(ds, ExperimentConfig())
 
     def test_shapes_and_bounds(self, ds, monkeypatch):
         monkeypatch.setattr(harness, "_SAMPLE_USERS", 15)
