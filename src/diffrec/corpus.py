@@ -3,17 +3,18 @@
 A rating file is loaded from its bytes. Line ends and separators are found
 with numpy, and each field is kept as byte offsets into the file, 4 bytes a
 field while the file is under 2 GiB. The user, item and rating fields are
-then numbered in order of first appearance, _BLOCK_ROWS rows at a time: a
-block's fields are packed into uint64 keys (see _keys) and sorted, a
-column at a time or, in a small block, its columns together, and only the
-first field of each distinct key is kept; the fields kept by all blocks
-are grouped once more at the end. Each distinct label is decoded, and each
-distinct rating parsed, once. A timestamp is parsed in its row, from its
-bytes, a block at a time, into one int64 array. Only one block's keys are
-alive at once, so the load's peak stays near the file's bytes, its offsets
-and the dataset it returns, timestamps or not. Quoted fields and lone \r
-line ends go through the csv module, whose fields then take the same path
-from their encoded bytes.
+then numbered in order of first appearance, _BLOCK_ROWS rows at a time:
+each field of a block is packed into a uint64 key as wide as the field
+itself, a word for every 8 bytes (see _keys), each column's keys are
+sorted, and the block keeps the column, row and byte offsets of the first
+field of each distinct key, not its key. The fields kept by several blocks
+are keyed again from their bytes and grouped once more at the end. Each
+distinct label is decoded, and each distinct rating parsed, once, from the
+file's bytes. A timestamp is parsed in its row, from its bytes, a block at
+a time, into one int64 array. Only one block's keys are alive at once, and
+a key is as wide as its own field, so a long label costs its own key words
+and no other field's. Quoted fields and lone \r line ends go through the
+csv module, whose fields then take the same path from their encoded bytes.
 """
 
 from __future__ import annotations
@@ -146,9 +147,9 @@ class FilterSpec:
             raise CorpusError("filter thresholds must be >= 0")
 
 
-# rows of a file interned at a time, and about the most keys sorted at
-# once: the keys of one block's fields, not of the whole file's, are alive
-_BLOCK_ROWS = 1 << 17
+# rows of a file grouped at a time, and the most keys sorted at once: the
+# keys of one block's three columns, not of the whole file's, are alive
+_BLOCK_ROWS = 1 << 16
 # bytes of a file searched for line ends and separators at a time
 _SCAN_BYTES = 1 << 20
 _INT64 = np.iinfo(np.int64)
@@ -177,11 +178,6 @@ class _Columns:
     width: int
     where: Callable[[int], str]
     error: CorpusError | None = None
-
-    def cuts(self, lo: int, hi: int) -> np.ndarray:
-        """The cuts of rows lo..hi-1: row k of the result holds each
-        row's cut k."""
-        return self.cut[self.first[lo:hi] + np.arange(self.width + 1)[:, None]]
 
 
 def load_ratings(path, format: str, scale: RatingScale) -> RatingDataset:
@@ -323,47 +319,43 @@ def _parse(cols: _Columns) -> tuple:
     rating parsed, once. A parse error names the first row at fault, the
     rating before the timestamp within a row, and comes before `cols.error`.
 
-    A block's user, item and rating fields are grouped by column and key
-    (see _keys), and each field's code points at its group's first field,
-    which is kept. The columns whose keys have as many words are sorted
-    together, as long as they hold at most about _BLOCK_ROWS fields: a
-    small file's columns take one sort, and a large block's one each. The
-    fields kept by all blocks are grouped once more at the end."""
+    A block's user, item and rating fields are grouped together, by column
+    and bytes (see _groups), and each field's code points at its group's
+    first field, whose column, row, start and length the block keeps. The
+    fields kept by several blocks are grouped once more, from their bytes."""
     n = len(cols.first)
     codes = np.empty((3, n), np.int32 if n < 2**31 else np.int64)
-    kept, total = [], np.zeros((3, 1), np.int64)  # each block's kept fields; each column's count
+    kept, total = [], np.zeros(3, np.int64)  # each block's kept fields; each column's count
     stamps = np.empty(n, np.int64) if cols.width == 4 and n else None
     errors, beyond = [], []  # (row, column, error) of parse errors; (row, value) beyond int64
     for lo in range(0, n, _BLOCK_ROWS):
-        cut = cols.cuts(lo, min(n, lo + _BLOCK_ROWS))  # one row a column
-        m = cut.shape[1]
-        lengths = cut[1:] - cut[:-1]
-        lengths -= 1
+        m = min(n - lo, _BLOCK_ROWS)
+        cut = cols.cut[cols.first[lo : lo + m] + np.arange(cols.width + 1)[:, None]]
+        starts = cut[:-1] + 1  # one row a column
+        lengths = cut[1:] - starts
         if stamps is not None:
-            keys = _keys(cols.data, cut[3] + 1, lengths[3])
-            stamps[lo : lo + m], failure, big = _integers(keys, lengths[3])
+            stamps[lo : lo + m], failure, big = _integers(cols.data, starts[3], lengths[3])
             errors += [(lo + failure[0], 1, failure[1])] if failure else []
             beyond += [(lo + big[0], big[1])] if big else []
-        words = lengths[:3].max(axis=1) // 8
-        same = [(words == v).nonzero()[0] for v in sorted(set(words.tolist()))]
-        size = max(1, _BLOCK_ROWS // m)  # columns sorted together
-        for batch in (part[i : i + size] for part in same for i in range(0, len(part), size)):
-            keys = _keys(cols.data, (cut[batch] + 1).ravel(), lengths[batch].ravel())
-            group, first, count = _groups(keys, len(batch))
-            at = count.cumsum() - count  # each column's first group
-            codes[batch, lo : lo + m] = group.reshape(-1, m) + (total[batch] - at[:, None])
-            total[batch] += count[:, None]
-            # the column, key, length and row of each kept field, and each column's count
-            kept.append((
-                batch.repeat(count),
-                [word[first] for word in keys],
-                lengths[batch].ravel()[first],
-                first % m + lo,
-                count,
-            ))
-    keys, lengths, rows, bounds = _distinct(codes, kept, n > _BLOCK_ROWS)
+        starts, lengths, bounds = starts[:3].ravel(), lengths[:3].ravel(), np.arange(4) * m
+        group, first = _groups(cols.data, starts, lengths, bounds)
+        at = np.searchsorted(first, bounds)  # each column's first group
+        codes[:, lo : lo + m] = group.reshape(3, m) + (total - at[:-1])[:, None]
+        total += np.diff(at)
+        # the column, row, start and length of each kept field
+        kept.append(np.stack((first // m, first % m + lo, starts[first], lengths[first])))
+    kept = np.concatenate(kept or [np.zeros((4, 0), np.int64)], axis=1).astype(cols.cut.dtype)
+    bounds = np.concatenate(([0], total.cumsum()))  # each column's kept fields
+    if n > _BLOCK_ROWS:  # each column's fields kept by all blocks, in row order
+        kept = kept[:, np.argsort(kept[0], kind="stable")]
+        group, first = _groups(cols.data, kept[2], kept[3], bounds)
+        at = np.searchsorted(first, bounds)
+        for k in range(3):
+            codes[k] = (group[bounds[k] : bounds[k + 1]] - at[k]).astype(codes.dtype)[codes[k]]
+        kept, bounds = kept[:, first], at
+    _, rows, starts, lengths = kept
 
-    texts = _texts(keys, lengths)
+    texts = _texts(cols.data, starts, lengths)
     values, failure = _numbers(float, texts[bounds[2] :])
     ratings = (codes[2], values, rows[bounds[2] :])
     errors += [(int(ratings[2][failure[0]]), 0, failure[1])] if failure else []
@@ -376,52 +368,20 @@ def _parse(cols: _Columns) -> tuple:
     return users, items, ratings, stamps, beyond
 
 
-def _distinct(codes: np.ndarray, kept: list, regroup: bool) -> tuple:
-    """The keys, lengths and first rows of each column's distinct fields,
-    by column and then first appearance, and the bounds of each column
-    among them, from the fields the blocks kept. The fields kept by
-    several blocks are grouped once more, a column at a time, and the
-    codes become ids."""
-    w = len(codes)
-    if not kept:  # no rows
-        empty = np.zeros(0, np.int64)
-        return [empty.astype(np.uint64)], empty, empty, np.zeros(w + 1, np.int64)
-    if len(kept) == 1:  # one block, whose columns' keys have as many words
-        _, keys, lengths, rows, count = kept[0]
-        return keys, lengths, rows, np.concatenate(([0], np.cumsum(count)))
-    column, lengths, rows = (np.concatenate([part[i] for part in kept]) for i in (0, 2, 3))
-    width = max(len(part[1]) for part in kept)
-    keys = [  # a key's words past its mark are 0, so a shorter one gains zeros
-        np.concatenate([words[j] if j < len(words) else 0 * words[0] for _, words, *_ in kept])
-        for j in range(width)
-    ]
-    if regroup:
-        chosen = []
-        for k in range(w):
-            field = np.flatnonzero(column == k)  # in row order
-            group, first, _ = _groups([word[field] for word in keys], 1)
-            codes[k] = group.astype(codes.dtype)[codes[k]]
-            chosen.append(field[first])
-        order = np.concatenate(chosen)
-    else:
-        order = np.argsort(column, kind="stable")
-    bounds = np.searchsorted(column[order], np.arange(w + 1))
-    return [word[order] for word in keys], lengths[order], rows[order], bounds
-
-
 def _dataset(scale: RatingScale, users, items, ratings, stamps, beyond) -> RatingDataset:
     """The dataset of _parse's columns, once the rows pass the checks; an
     error names the first row at fault. The grid check comes before the
     duplicate check within a row, and a timestamp beyond int64 last."""
     (users, user_labels), (items, item_labels) = users, items
-    users, items = users.astype(np.int64), items.astype(np.int64)
     rating_ids, values, rating_first = ratings
     n = len(rating_ids)
     off = [code for code, v in enumerate(values) if not scale.on_grid(v)]
     off = int(rating_first[off[0]]) if off else n
-    pairs = users * len(item_labels)
+    # the pairs, and their sorted copy, are gone before the int64 ids are made
+    pairs = users.astype(np.int64) * len(item_labels)
     pairs += items
     dup = _first_repeat(pairs)
+    del pairs
     if off < n and off <= dup:
         raise CorpusError(
             f"row {off + 1}: rating {values[rating_ids[off]]} is off the scale grid "
@@ -434,8 +394,8 @@ def _dataset(scale: RatingScale, users, items, ratings, stamps, beyond) -> Ratin
         row, stamp = beyond[0]
         raise CorpusError(f"row {row + 1}: timestamp {stamp} is beyond int64")
     return RatingDataset(
-        users=users,
-        items=items,
+        users=users.astype(np.int64),
+        items=items.astype(np.int64),
         ratings=np.array(values, dtype=np.float64)[rating_ids],
         scale=scale,
         user_labels=tuple(user_labels),
@@ -463,73 +423,83 @@ def _keys(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> list[np.
             np.maximum(left, 0, out=left)
         np.minimum(left, 9, out=left)
         word = words[at]
-        word &= _WORD_MASKS[left]
-        word |= _WORD_MARKS[left]
+        word &= _WORD_MASKS.take(left)
+        word |= _WORD_MARKS.take(left)
         keys.append(word)
     return keys
 
 
-def _groups(keys: list[np.ndarray], columns: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each field's group of the fields equal to it in key, among the
-    fields of its column, given `columns` columns of fields one after
-    another: the groups numbered in order of column and then of first
-    appearance. Also the first field of each group, and each column's
-    number of groups."""
-    m = len(keys[0]) // columns
-    group, span = None, columns
+def _groups(
+    data: np.ndarray, starts: np.ndarray, lengths: np.ndarray, bounds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each field's group of the fields of its column equal to it in bytes,
+    given the fields' starts and lengths in data, column after column,
+    column k's from bounds[k] to bounds[k + 1]: the groups numbered by
+    column and then first appearance. Also the first field of each group,
+    in that order.
+
+    Fields of different width classes (lengths // 8) are never equal, so
+    the fields of each class are keyed (see _keys) and grouped apart, and
+    a field's key is as wide as the field; the groups of all classes are
+    then numbered together."""
+    if lengths.min(initial=0) // 8 == lengths.max(initial=0) // 8:  # one class
+        return _key_groups(_keys(data, starts, lengths), bounds)
+    classes = lengths // 8
+    group, count = np.empty(len(starts), np.int64), 0
+    for c in np.flatnonzero(np.bincount(classes)):
+        field = np.flatnonzero(classes == c)
+        keys = _keys(data, starts[field], lengths[field])
+        part, first = _key_groups(keys, np.searchsorted(field, bounds))
+        group[field] = part + count
+        count += len(first)
+    return _key_groups([group], bounds)
+
+
+def _key_groups(keys: list[np.ndarray], bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each field's group of the fields equal to it in key, given the keys
+    as columns of words, and the first field of each group. The fields lie
+    in runs, run k from bounds[k] to bounds[k + 1], and fields of different
+    runs never group: the groups are numbered by run and then first
+    appearance. Each run is sorted apart, which keeps a block's sorts as
+    small as its columns."""
+    n = len(keys[0])
+    group = None
     for word in keys:
-        if int(word.max(initial=0)) >= _INT64.max // span:  # the sum below would overflow
-            word, _ = _ranks(word)
-        step = int(word.max(initial=0)) + 1
-        word = word.astype(np.int64)
-        if group is None:  # fields of different columns never group
-            by_column = word.reshape(columns, m)
-            by_column += (np.arange(columns) * step)[:, None]
-        else:
+        if group is not None:  # group by the words before, then by this one
+            if int(word.max()) >= _INT64.max // len(first):  # the sum below would overflow
+                word, _ = _key_groups([word], np.array([0, n]))
+            step = int(word.max()) + 1
+            word = word.astype(np.int64)
             word += group * step
-        group, first = _ranks(word)
-        span = len(first)
-    order = first.argsort()  # by column, then first appearance
-    renumber = np.empty_like(order)
-    renumber[order] = np.arange(len(order))
-    first = first[order]
-    return renumber[group], first, np.bincount(first // m, minlength=columns)
+        runs = zip(bounds[:-1].tolist(), bounds[1:].tolist())
+        order = np.concatenate([word[lo:hi].argsort() + lo for lo, hi in runs])
+        ordered = word[order]
+        new = np.empty(n + 1, bool)  # and a spare for empty runs at the end
+        np.not_equal(ordered[1:], ordered[:-1], out=new[1:n])
+        del ordered
+        new[bounds[:-1]] = True
+        first = np.minimum.reduceat(order, new[:n].nonzero()[0])  # in key order
+        by = first.argsort()
+        number = np.empty(len(first) + 1, np.int64)  # of the k-th distinct key, at k + 1
+        number[by + 1] = np.arange(len(first))
+        group = np.empty(n, np.int64)
+        group[order] = number[new[:n].cumsum()]
+        first = first[by]
+    return group, first
 
 
-def _key_bytes(keys: list[np.ndarray]) -> np.ndarray:
-    """The bytes of the keys' words, one row of bytes per key: the field's
-    bytes, then its mark and zeros."""
-    raw = np.empty((len(keys[0]), 8 * len(keys)), np.uint8)
-    words = raw.view("<u8")
-    for j, word in enumerate(keys):
-        words[:, j] = word
-    return raw
-
-
-def _texts(keys: list[np.ndarray], lengths: np.ndarray) -> list[str]:
-    """The fields of the given keys and lengths, decoded at once: each
-    field's bytes and a byte 0xff, which UTF-8 never holds, in place of its
-    mark, split at the 0xff that surrogateescape decodes to "\\udcff"."""
-    raw = _key_bytes(keys)
-    raw[np.arange(len(lengths)), lengths] = 0xFF
-    joined = raw[np.arange(raw.shape[1]) <= lengths[:, None]].tobytes()
-    return joined.decode("utf-8", "surrogateescape").split("\udcff")[:-1]
-
-
-def _ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each value's rank among the distinct values, and the first index
-    of each distinct value, in rank order."""
-    order = values.argsort()
-    ordered = values[order]
-    new = np.empty(len(values), bool)
-    new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    del ordered
-    ranks = new.cumsum()
-    ranks -= 1
-    rank = np.empty(len(values), np.int64)
-    rank[order] = ranks
-    return rank, np.minimum.reduceat(order, new.nonzero()[0])
+def _texts(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> list[str]:
+    """The fields of the given starts and lengths in data, decoded at once:
+    each field's bytes and a byte 0xff, which UTF-8 never holds, in place
+    of the byte after the field (a separator, a line end or a spare byte),
+    split at the 0xff that surrogateescape decodes to "\\udcff"."""
+    span = lengths + 1
+    end = span.cumsum()
+    at = np.repeat(starts - (end - span), span)
+    at += np.arange(len(at))
+    raw = data[at]
+    raw[end - 1] = 0xFF
+    return raw.tobytes().decode("utf-8", "surrogateescape").split("\udcff")[:-1]
 
 
 def _numbers(parse, texts: list[str]) -> tuple[list, tuple[int, ValueError] | None]:
@@ -545,25 +515,25 @@ def _numbers(parse, texts: list[str]) -> tuple[list, tuple[int, ValueError] | No
 
 
 def _integers(
-    keys: list[np.ndarray], lengths: np.ndarray
+    data: np.ndarray, starts: np.ndarray, lengths: np.ndarray
 ) -> tuple[np.ndarray, tuple | None, tuple | None]:
-    """_numbers(int, texts) of the fields of the given keys and lengths,
-    as an int64 array, with the index and value of the first beyond
-    int64. A field of an optional "-" and 1 to 18 ASCII digits is parsed
-    from its bytes, all such fields at once; int() takes the others."""
-    raw = _key_bytes(keys)
-    minus = raw[:, 0] == ord("-")
-    raw[minus, 0] = ord("0")  # adds nothing to the digits after it
-    plain = (lengths - minus >= 1) & (lengths - minus <= 18)
+    """_numbers(int, texts) of the fields of the given starts and lengths
+    in data, as an int64 array, with the index and value of the first
+    beyond int64. A field of an optional "-" and 1 to 18 ASCII digits is
+    parsed from its bytes, all such fields at once; int() takes the others."""
+    minus = data[starts] == ord("-")
+    digits, count = starts + minus, lengths - minus
+    plain = (count >= 1) & (count <= 18)
     values = np.zeros(len(lengths), np.int64)
-    for j in range(min(int(lengths.max(initial=0)), 19)):
-        inside = lengths > j
-        digit = raw[:, j] - np.uint8(48)  # a byte that is not a digit wraps past 9
+    for j in range(min(int(count.max(initial=0)), 18)):
+        inside = count > j
+        # a byte that is not a digit wraps past 9; a read past the data is clipped
+        digit = data.take(digits + j, mode="clip") - np.uint8(48)
         plain &= (digit <= 9) | ~inside
         values = np.where(inside, values * 10 + digit, values)
     values[minus] *= -1
     rest = np.flatnonzero(~plain)
-    more, failure = _numbers(int, _texts([word[rest] for word in keys], lengths[rest]))
+    more, failure = _numbers(int, _texts(data, starts[rest], lengths[rest]))
     if failure is not None:
         return values, (int(rest[failure[0]]), failure[1]), None
     beyond = None

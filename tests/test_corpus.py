@@ -304,6 +304,7 @@ LABELS = [
     "user007", "user0008", "user00009", "user0000000000017",  # 7, 8, 9 and 17 bytes
     "prefix08-one", "prefix08-two",  # equal in their first 8 bytes
     "aaaaaaaé",  # é across the boundary of the first 8 bytes
+    "l" * 103 + "é",  # 105 bytes, é across the boundary of the first 104
     "",  # unquoted, only in ml100k-tsv
     "x,y", 'q"t', "r\r\nn",  # only quoted
 ]
@@ -424,7 +425,8 @@ class TestTimestampsParsedInTheirRows:
         path.write_text("user,item,rating,timestamp\n" + "\n".join(rows) + "\n")
         with mock.patch.object(corpus, "_groups", wraps=corpus._groups) as groups:
             ds = load_ratings(path, "generic-csv", SCALE15)
-        assert sum(len(call.args[0][0]) for call in groups.call_args_list) == 3 * len(rows)
+        # _groups(data, starts, lengths, bounds): the fields' starts
+        assert sum(len(call.args[1]) for call in groups.call_args_list) == 3 * len(rows)
         assert ds.timestamps.tolist() == stamps
 
     @pytest.mark.parametrize(
@@ -447,6 +449,28 @@ class TestTimestampsParsedInTheirRows:
             for load in (load_ratings, oracles.load_ratings):
                 with pytest.raises(CorpusError, match=f"^{message}$"):
                     load(path, fmt, SCALE15)
+
+
+class TestKeysAsWideAsTheirFields:
+    def test_one_long_label_widens_only_its_own_key(self, tmp_path):
+        long = "L" * 800 + "x"  # 801 bytes: a key of 101 words
+        rows = [f"{long if k == 100 else f'u{k % 7}'},i{k},{k % 5 + 1}" for k in range(200)]
+        path = tmp_path / "r.csv"
+        path.write_text("user,item,rating\n" + "\n".join(rows) + "\n")
+        built, keys = [], corpus._keys
+
+        def counted(*args):
+            words = keys(*args)
+            built.append(len(words) * len(words[0]))
+            return words
+
+        with mock.patch.object(corpus, "_keys", counted):
+            ds = load_ratings(path, "generic-csv", SCALE15)
+        assert sum(built) < 2 * 3 * len(rows) + 101
+        assert ds.user_labels[ds.users[100]] == long
+        assert outcome(load_ratings, path, "generic-csv") == outcome(
+            oracles.load_ratings, path, "generic-csv"
+        )
 
 
 # labels csv.writer quotes, or might be thought to, and a rating of every pair
