@@ -13,8 +13,10 @@ distinct label is decoded, and each distinct rating parsed, once, from the
 file's bytes. A timestamp is parsed in its row, from its bytes, a block at
 a time, into one int64 array. Only one block's keys are alive at once, and
 a key is as wide as its own field, so a long label costs its own key words
-and no other field's. Quoted fields and lone \r line ends go through the
-csv module, whose fields then take the same path from their encoded bytes.
+and no other field's. A key's words are built only until they set apart
+every field of its width, so a label unlike every other costs one or two.
+Quoted fields and lone \r line ends go through the csv module, whose
+fields then take the same path from their encoded bytes.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import io
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -404,17 +406,17 @@ def _dataset(scale: RatingScale, users, items, ratings, stamps, beyond) -> Ratin
     )
 
 
-def _keys(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
+def _keys(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> Iterator[np.ndarray]:
     """Keys of the fields of the given starts and lengths in data, as
-    columns of uint64 words, equal exactly where the fields are. A field's
-    bytes fill little-endian words, 8 a word; its last word is the first
-    that is not full, and holds a mark, a byte 1, after the field's last
-    byte. The words after it are 0. So "a" and "a\\x00" differ, a field of
-    8 bytes or more takes more than one word, and a short field's key is a
-    small number. data has 8 spare bytes after the last field, so the word
-    at every field's start can be read."""
+    columns of uint64 words, equal exactly where the fields are, each
+    column built when it is asked for. A field's bytes fill little-endian
+    words, 8 a word; its last word is the first that is not full, and
+    holds a mark, a byte 1, after the field's last byte. The words after
+    it are 0. So "a" and "a\\x00" differ, a field of 8 bytes or more takes
+    more than one word, and a short field's key is a small number. data
+    has 8 spare bytes after the last field, so the word at every field's
+    start can be read."""
     words = np.ndarray((len(data) - 7,), np.dtype("<u8"), data, 0, (1,))
-    keys = []
     for j in range(int(lengths.max(initial=0)) // 8 + 1):
         # a word past the field's end keeps none of its bytes: read any word
         at = starts if j == 0 else np.minimum(starts + 8 * j, len(words) - 1)
@@ -425,8 +427,7 @@ def _keys(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> list[np.
         word = words[at]
         word &= _WORD_MASKS.take(left)
         word |= _WORD_MARKS.take(left)
-        keys.append(word)
-    return keys
+        yield word
 
 
 def _groups(
@@ -455,16 +456,19 @@ def _groups(
     return _key_groups([group], bounds)
 
 
-def _key_groups(keys: list[np.ndarray], bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _key_groups(
+    keys: Iterable[np.ndarray], bounds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Each field's group of the fields equal to it in key, given the keys
     as columns of words, and the first field of each group. The fields lie
     in runs, run k from bounds[k] to bounds[k + 1], and fields of different
     runs never group: the groups are numbered by run and then first
     appearance. Each run is sorted apart, which keeps a block's sorts as
-    small as its columns."""
-    n = len(keys[0])
+    small as its columns. Once every field is in a group of its own, no
+    later word can split a group, and the words left are not read."""
     group = None
     for word in keys:
+        n = len(word)
         if group is not None:  # group by the words before, then by this one
             if int(word.max()) >= _INT64.max // len(first):  # the sum below would overflow
                 word, _ = _key_groups([word], np.array([0, n]))
@@ -485,6 +489,8 @@ def _key_groups(keys: list[np.ndarray], bounds: np.ndarray) -> tuple[np.ndarray,
         group = np.empty(n, np.int64)
         group[order] = number[new[:n].cumsum()]
         first = first[by]
+        if len(first) == n:
+            break
     return group, first
 
 

@@ -45,6 +45,8 @@ class _Method(NamedTuple):
     # (fold context, theta) -> each item's score divisor, if the method takes theta
     penalty: Callable | None = None
     knn_axis: str | None = None  # a kNN method's similarity axis
+    # config -> the (measure, axis) similarities the scorer requests
+    reads: Callable[[ExperimentConfig], tuple[tuple[str, str], ...]] = lambda cfg: ()
 
 
 def _knn(axis: str, scores: Callable) -> _Method:
@@ -54,7 +56,7 @@ def _knn(axis: str, scores: Callable) -> _Method:
         sim = ctx.similarity(ctx.cfg.knn_measure, axis)
         return scores(sim, ctx.graph, users, ctx.cfg.knn_k)
 
-    return _Method(score, knn_axis=axis)
+    return _Method(score, knn_axis=axis, reads=lambda cfg: ((cfg.knn_measure, axis),))
 
 
 def _svd(ctx: FoldContext, users: Sequence[int]) -> np.ndarray:
@@ -63,6 +65,8 @@ def _svd(ctx: FoldContext, users: Sequence[int]) -> np.ndarray:
     model, items = ctx.mf_model, np.arange(ctx.graph.n_items)
     return np.array([recommend.predict_mf(model, np.full(len(items), u), items) for u in users])
 
+
+_PIM_KEY = ("pim", "items")  # PIM+RA's similarity, which its scorer holds
 
 # Every method by name. The order is the default `methods`, and so the
 # report's row order. Scorers look up `recommend`'s functions when called,
@@ -75,6 +79,7 @@ METHODS = {
     "PIM+RA": _Method(
         lambda ctx, users: ctx.pimra_scorer.walk(users),
         penalty=lambda ctx, theta: ctx.pimra_scorer.penalty(theta),
+        reads=lambda cfg: (_PIM_KEY,),
     ),
 }
 KNN_AXES = {name: m.knn_axis for name, m in METHODS.items() if m.knn_axis}
@@ -151,8 +156,9 @@ class MetricRow:
 class EvaluationReport:
     rows: list[MetricRow]
     config: ExperimentConfig
-    # per fold: evaluated test users, and those excluded for want of training ratings
-    fold_users: list[dict[str, int]] = field(default_factory=list)
+    # per fold: evaluated test users, those excluded for want of training
+    # ratings, and the process's peak RSS in MB at the fold's end
+    fold_users: list[dict[str, float]] = field(default_factory=list)
     mf_train_s: float = 0.0  # seconds of the run's one MF training, 0 if none ran
     # seconds spent building each "measure/axis" similarity, summed over folds
     similarity_s: dict[str, float] = field(default_factory=dict)
@@ -186,6 +192,11 @@ def write_report_csv(report: EvaluationReport, path) -> None:
             fh.write(f"{dataset},{r.fold},{r.method},{theta},{length},{r.metric},{value}\n")
 
 
+def _peak_rss_mb() -> float:
+    """The process's peak resident memory so far; ru_maxrss is in KiB on Linux."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def write_manifest(report: EvaluationReport, path, input_path) -> None:
     digest = hashlib.sha256()
     with open(input_path, "rb") as fh:
@@ -200,8 +211,7 @@ def write_manifest(report: EvaluationReport, path, input_path) -> None:
         "mf_train_s": report.mf_train_s,
         "similarity_s": report.similarity_s,
         "rank_s": report.rank_s,
-        # the process's peak so far; ru_maxrss is in KiB on Linux
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "peak_rss_mb": _peak_rss_mb(),
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -252,7 +262,8 @@ class FoldContext:
     """Shared per-fold state: graph, lazily computed similarity matrices,
     the evaluated-user population, and the ranking of a method's users.
     The liked test items and the evaluated users are found on first use,
-    as kNN prediction reads neither.
+    as kNN prediction reads neither. A fold's runs keep each similarity
+    only until its last reader, and then `release` it.
 
     The folds of one run pass the run's `_MfModels` and their index in it;
     a context built alone trains an MF model on its own training set."""
@@ -287,6 +298,14 @@ class FoldContext:
             raise self._sims[key]
         return self._sims[key]
 
+    def release(self, key: tuple[str, str]) -> None:
+        """Drop the (measure, axis) similarity, or the error its build
+        raised, and for PIM+RA's the scorer that holds it; a later request
+        builds it again."""
+        self._sims.pop(key, None)
+        if key == _PIM_KEY:
+            self.__dict__.pop("pimra_scorer", None)
+
     @cached_property
     def likes(self) -> dict[int, set[int]]:
         """Each test user's liked test items."""
@@ -310,7 +329,7 @@ class FoldContext:
     @cached_property
     def pimra_scorer(self) -> recommend.PimraScorer:
         return recommend.PimraScorer(
-            self.graph, self.similarity("pim", "items"), self.cfg.step3_weight
+            self.graph, self.similarity(*_PIM_KEY), self.cfg.step3_weight
         )
 
     @property
@@ -435,12 +454,16 @@ def _ranked_run(
     similarity_s: Counter[str] = Counter()
     rank_s: Counter[str] = Counter()
     plan = [(method, [cfg.run_theta(method, t) for t in thetas]) for method, thetas in plan]
+    # the entry of the plan that reads each similarity last; the metrics
+    # read the metric similarity to the end of every fold
+    last = {key: i for i, (method, _) in enumerate(plan) for key in METHODS[method].reads(cfg)}
+    last.pop((cfg.metric_sim, "items"), None)
     pairs = corpus.kfold_split(ds, cfg.k_folds, cfg.seed)
     models = _MfModels([pair.train for pair in pairs], cfg)
     for f, pair in enumerate(pairs):
         ctx = FoldContext(pair, cfg, (models, f))
         fold_users.append(ctx.user_counts(f))
-        for method, thetas in plan:
+        for i, (method, thetas) in enumerate(plan):
             per_theta, reason = [[] for _ in thetas], ""
             if not ctx.test_users:
                 reason = f"fold has no evaluable test users (like_threshold {cfg.like_threshold})"
@@ -458,6 +481,10 @@ def _ranked_run(
                     )
                 if list_sink is not None:
                     list_sink(f, method, lists)
+            for key, at in last.items():
+                if at == i:
+                    ctx.release(key)
+        fold_users[-1]["peak_rss_mb"] = _peak_rss_mb()
         similarity_s.update(ctx.similarity_s)
         rank_s.update(ctx.rank_s)
     if not any(f["evaluated_users"] for f in fold_users):
@@ -536,6 +563,8 @@ def sweep_knn(
                 except simkit.SimilarityError as exc:
                     raise HarnessError(f"fold {f} similarity {measure}/{axis}: {exc}") from exc
                 preds = recommend.knn_predict(sim, ctx.graph, test.users, test.items, ks)
+                del sim  # its one reader is done: the release frees it before the next build
+                ctx.release((measure, axis))
                 errors = evalmetrics.nrmse(preds, test.ratings, ctx.graph.scale)
                 name = f"{mode}-{measure}"
                 for k, err in zip(ks, errors):

@@ -452,21 +452,45 @@ class TestTimestampsParsedInTheirRows:
 
 
 class TestKeysAsWideAsTheirFields:
-    def test_one_long_label_widens_only_its_own_key(self, tmp_path):
-        long = "L" * 800 + "x"  # 801 bytes: a key of 101 words
-        rows = [f"{long if k == 100 else f'u{k % 7}'},i{k},{k % 5 + 1}" for k in range(200)]
-        path = tmp_path / "r.csv"
-        path.write_text("user,item,rating\n" + "\n".join(rows) + "\n")
+    @staticmethod
+    def load_counting_words(path) -> tuple[corpus.RatingDataset, list[int]]:
+        """The loaded file, and the fields of each key word _keys built."""
         built, keys = [], corpus._keys
 
         def counted(*args):
-            words = keys(*args)
-            built.append(len(words) * len(words[0]))
-            return words
+            for word in keys(*args):
+                built.append(len(word))
+                yield word
 
         with mock.patch.object(corpus, "_keys", counted):
-            ds = load_ratings(path, "generic-csv", SCALE15)
-        assert sum(built) < 2 * 3 * len(rows) + 101
+            return load_ratings(path, "generic-csv", SCALE15), built
+
+    @staticmethod
+    def long_label_file(path, length: int) -> str:
+        """A 200-row file whose user label at row 100 is `length` bytes."""
+        long = "L" * (length - 1) + "x"
+        rows = [f"{long if k == 100 else f'u{k % 7}'},i{k},{k % 5 + 1}" for k in range(200)]
+        path.write_text("user,item,rating\n" + "\n".join(rows) + "\n")
+        return long
+
+    def test_one_long_label_widens_only_its_own_key(self, tmp_path):
+        path = tmp_path / "r.csv"
+        long = self.long_label_file(path, 801)  # a key of up to 101 words
+        ds, built = self.load_counting_words(path)
+        assert sum(built) < 2 * 3 * 200 + 101
+        assert ds.user_labels[ds.users[100]] == long
+        assert outcome(load_ratings, path, "generic-csv") == outcome(
+            oracles.load_ratings, path, "generic-csv"
+        )
+
+    @pytest.mark.parametrize("length", [9, 801, 100_000])
+    def test_a_label_set_apart_builds_no_more_words(self, tmp_path, length):
+        path = tmp_path / "r.csv"
+        long = self.long_label_file(path, length)
+        ds, built = self.load_counting_words(path)
+        # the short fields' one word, and the long label's first, which
+        # already sets it apart: its other words are never built
+        assert built == [3 * 200 - 1, 1]
         assert ds.user_labels[ds.users[100]] == long
         assert outcome(load_ratings, path, "generic-csv") == outcome(
             oracles.load_ratings, path, "generic-csv"

@@ -1,5 +1,8 @@
 import csv
+import gc
 import json
+import weakref
+from collections import Counter
 from dataclasses import replace
 from unittest import mock
 
@@ -330,6 +333,103 @@ class TestMethodTable:
             reads.clear()
             ctx.rank(method, ctx.test_users, [None], cfg.list_length)
             assert sorted(set(reads)) == keys, method
+            assert list(METHODS[method].reads(cfg)) == keys, method
+
+
+class TestSimilarityLifetimes:
+    """A fold keeps each similarity only until its last reader, and builds
+    each (measure, axis) once."""
+
+    @staticmethod
+    def spy_builds(monkeypatch) -> list:
+        """Record each `simkit.similarity` call's key and a weakref to the
+        values it built."""
+        builds, real = [], simkit.similarity
+
+        def spy(g, measure, axis, *args):
+            sim = real(g, measure, axis, *args)
+            builds.append(((measure, axis), weakref.ref(sim.values)))
+            return sim
+
+        monkeypatch.setattr(simkit, "similarity", spy)
+        return builds
+
+    def test_sweep_knn_holds_one_matrix_at_a_time(self, ds, cfg, monkeypatch):
+        builds, real = [], simkit.similarity
+
+        def spy(*args):
+            gc.collect()
+            assert all(ref() is None for ref in builds)
+            sim = real(*args)
+            builds.append(weakref.ref(sim.values))
+            return sim
+
+        monkeypatch.setattr(simkit, "similarity", spy)
+        sweep_knn(ds, cfg, (1, 3))
+        assert len(builds) == cfg.k_folds * len(simkit.MEASURES) * 2
+
+    def test_ranked_run_releases_a_key_after_its_last_reader(self, ds, cfg, monkeypatch):
+        events, real_rank, real_release = [], FoldContext.rank, FoldContext.release
+
+        def rank(self, method, *args):
+            events.append(("rank", method))
+            return real_rank(self, method, *args)
+
+        def release(self, key):
+            real_release(self, key)
+            gc.collect()
+            dead = all(ref() is None for k, ref in builds if k == key)
+            events.append(("release", key, dead))
+
+        builds = self.spy_builds(monkeypatch)
+        monkeypatch.setattr(FoldContext, "rank", rank)
+        monkeypatch.setattr(FoldContext, "release", release)
+        run_experiment(ds, cfg, list_sink=lambda f, method, lists: events.append(("sink", method)))
+        measure = cfg.knn_measure
+        one_fold = [
+            ("rank", "UBCF"), ("sink", "UBCF"), ("release", (measure, "users"), True),
+            ("rank", "IBCF"), ("sink", "IBCF"), ("release", (measure, "items"), True),
+            ("rank", "SVD"), ("sink", "SVD"), ("rank", "MD"), ("sink", "MD"),
+            ("rank", "PIM+RA"), ("sink", "PIM+RA"), ("release", ("pim", "items"), True),
+        ]
+        assert events == one_fold * cfg.k_folds
+
+    @pytest.mark.parametrize(
+        "metric_sim, knn_measure", [("pcc", "pcc"), ("pim", "pcc"), ("cosine", "pcc")]
+    )
+    def test_metric_similarity_lives_to_the_fold_end(
+        self, ds, cfg, monkeypatch, metric_sim, knn_measure
+    ):
+        builds = self.spy_builds(monkeypatch)
+        released, real = [], FoldContext.release
+        monkeypatch.setattr(
+            FoldContext, "release", lambda self, key: (released.append(key), real(self, key))
+        )
+        cfg = replace(cfg, metric_sim=metric_sim, knn_measure=knn_measure)
+        run_experiment(ds, cfg)
+        metric_key = (metric_sim, "items")
+        assert metric_key not in released
+        # each distinct key once a fold: nothing is built again after a release
+        keys = {(knn_measure, "users"), (knn_measure, "items"), ("pim", "items"), metric_key}
+        assert Counter(key for key, _ in builds) == {key: cfg.k_folds for key in keys}
+        assert sorted(set(released)) == sorted(keys - {metric_key})
+
+    def test_release_drops_the_matrix_its_error_and_the_scorer(self, ds, cfg, monkeypatch):
+        ctx = FoldContext(corpus.kfold_split(ds, cfg.k_folds, cfg.seed)[0], cfg)
+        builds = self.spy_builds(monkeypatch)
+        scorer = ctx.pimra_scorer
+        ctx.release(("pim", "items"))
+        assert ctx.pimra_scorer is not scorer and len(builds) == 2
+
+        def fail(*args):
+            raise simkit.SimilarityError("no pair")
+
+        monkeypatch.setattr(simkit, "similarity", fail)
+        with pytest.raises(simkit.SimilarityError):
+            ctx.similarity("pcc", "users")
+        ctx.release(("pcc", "users"))
+        monkeypatch.undo()
+        assert ctx.similarity("pcc", "users").axis == "users"
 
 
 class TestMemoryCeiling:
@@ -468,7 +568,7 @@ class TestSerialization:
         write_manifest(report, tmp_path / "manifest.json", tmp_path / "ratings.csv")
         doc = json.loads((tmp_path / "manifest.json").read_text())
         contexts = [FoldContext(pair, cfg) for pair in corpus.kfold_split(ds, 8, cfg.seed)]
-        assert doc["folds"] == [
+        assert [{k: v for k, v in f.items() if k != "peak_rss_mb"} for f in doc["folds"]] == [
             {"fold": f, "evaluated_users": len(ctx.test_users), "excluded_users": ctx.excluded_users}
             for f, ctx in enumerate(contexts)
         ]
@@ -482,6 +582,16 @@ class TestSerialization:
         # the notes stay out of the report itself
         write_report_csv(report, tmp_path / "report.csv")
         assert "need at least" not in (tmp_path / "report.csv").read_text()
+
+    def test_manifest_peak_rss_per_fold(self, ds, cfg, tmp_path):
+        report = run_experiment(ds, cfg)
+        corpus.write_ratings(ds, tmp_path / "ratings.csv")
+        write_manifest(report, tmp_path / "manifest.json", tmp_path / "ratings.csv")
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        # the process's peak at each fold's end, which only climbs, up to the run's
+        peaks = [f["peak_rss_mb"] for f in doc["folds"]]
+        assert len(peaks) == cfg.k_folds and peaks[0] > 0
+        assert peaks == sorted(peaks) and peaks[-1] <= doc["peak_rss_mb"]
 
 
 def one_user_fold_corpus():
