@@ -6,9 +6,10 @@ All three measures run on one tiled core. The axis's rating rows are
 scattered from the CSR rows into dense tiles of about _TILE_BYTES, and
 every pair of tiles on or above the diagonal fills its block of the
 n x n output and the mirrored block below it. Memory is the output plus
-a few tiles, never a dense copy of the rating matrix (the row-block
-scheme of Bayardo, Ma and Srikant, "Scaling up all pairs similarity
-search", WWW 2007).
+at most four dense tiles (in the Pearson column loop, three of the row
+tile and one of the column tile), never a dense copy of the rating
+matrix (the row-block scheme of Bayardo, Ma and Srikant, "Scaling up all
+pairs similarity search", WWW 2007); `defined` is written after them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Literal, get_args
 
 import numpy as np
-import scipy.sparse as sp
 
 if TYPE_CHECKING:
     from diffrec.bigraph import BipartiteGraph
@@ -31,8 +31,8 @@ MEASURES = ("cosine", "pcc", "pim")
 LOG_BASE_POPULARITY = 10.0
 # bytes of one dense tile of float64 rows: rating rows, or output rows in _normalize
 _TILE_BYTES = 24 << 20
-# dense tiles counted in a size estimate: four of the row tile and two of
-# the column tile are alive at once, plus room for a pair's products
+# dense tiles counted in a size estimate, a loose upper bound on the four
+# alive at once (module docstring), a scatter's temporaries and a pair's products
 _TILES_ALIVE = 8
 # rows of the strips in which _put mirrors a diagonal tile's upper triangle
 _MIRROR_ROWS = 64
@@ -54,7 +54,8 @@ class SimilarityMatrix:
     """Symmetric node-pair similarity over one axis.
 
     `defined` flags pairs with a computable value; undefined entries
-    (empty co-rating set, zero variance) hold 0 and never NaN.
+    (empty co-rating set, zero variance) hold +0 and never NaN. A raw
+    builder derives it after its tiles, from their NaN marks.
     """
 
     axis: Axis
@@ -90,13 +91,15 @@ def _spans(n: int, m: int) -> list[slice]:
     return [slice(lo, min(lo + h, n)) for lo in range(0, n, h)]
 
 
-def _scatter(w, rows: slice, dtype=np.float64) -> np.ndarray:
-    """Dense rows `rows` of CSR `w`, 0 where nothing is stored."""
+def _scatter(w, rows: slice, dtype=np.float64, means=None) -> np.ndarray:
+    """Dense rows `rows` of CSR `w` less each row's `means` if given, 0
+    where nothing is stored."""
     lo, hi = w.indptr[rows.start], w.indptr[rows.stop]
     height = rows.stop - rows.start
     local = np.repeat(np.arange(height), np.diff(w.indptr[rows.start : rows.stop + 1]))
     out = np.zeros((height, w.shape[1]), dtype)
-    out[local, w.indices[lo:hi]] = w.data[lo:hi]
+    data = w.data[lo:hi]
+    out[local, w.indices[lo:hi]] = data if means is None else data - means[rows][local]
     return out
 
 
@@ -129,8 +132,8 @@ def _put(out: np.ndarray, b: slice, c: slice, tile: np.ndarray, mirror: bool = F
     (numpy's symmetric product) and of terms symmetric in the pair.
     Otherwise `mirror` keeps its upper triangle, mirrored below, so
     sim(a, b) == sim(b, a) bitwise (other BLAS products are symmetric
-    only up to rounding). Adding a zero makes a float -0.0 +0.0."""
-    tile += tile.dtype.type(0)
+    only up to rounding). Adding a zero makes -0.0 +0.0."""
+    tile += 0.0
     out[b, c] = tile
     if b != c:
         out[c, b] = tile.T
@@ -149,17 +152,22 @@ def _mirror_upper(square: np.ndarray) -> None:
         square[hi:, lo:hi] = square[lo:hi, hi:].T
 
 
-def _quotient(num: np.ndarray, denom: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    """num / denom where ok, else a zero, written over num (denom is
-    overwritten too); ok is denom > 0, with denom >= 0 and num finite.
+def _marked(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """num / denom over num, NaN where denom (>= 0, overwritten) is 0. Plain
+    passes, as a masked ufunc is about ten times slower over a random mask:
+    denom over its denom > 0 flag is itself or 0/0, NaN whatever num is."""
+    with np.errstate(invalid="ignore"):
+        np.divide(denom, denom > 0, out=denom)
+    return np.divide(num, denom, out=num)
 
-    Three plain passes, since a masked ufunc or a boolean select is about
-    ten times slower over a random mask: a zero denom becomes 1, and the
-    quotient times its 0/1 flag is itself or a zero of num's sign, which
-    _put's added zero makes +0."""
-    np.add(denom, ~ok, out=denom)
-    np.divide(num, denom, out=num)
-    return np.multiply(num, ok, out=num)
+
+def _unmarked(v: np.ndarray) -> np.ndarray:
+    """v with each NaN mark made +0, in place, in plain passes with no
+    temporary but a flag per entry: fmin(v, the largest float) puts it in
+    place of a mark, +0 times its False flag; other values times True stay."""
+    ok = v == v
+    np.fmin(v, np.finfo(v.dtype).max, out=v)
+    return np.multiply(v, ok, out=v)
 
 
 def _memory_limit() -> int:
@@ -181,16 +189,16 @@ def _check_fits(what: str, need: int) -> None:
         )
 
 
-def _output(measure: str, axis: Axis, w) -> tuple[np.ndarray, np.ndarray, list[slice]]:
-    """The n x n values and defined arrays and the tile spans, after
-    checking that they and the tiles fit in memory."""
+def _output(measure: str, axis: Axis, w) -> tuple[np.ndarray, list[slice]]:
+    """The n x n values array and the tile spans, after checking that
+    it, the defined flags written last and the tiles fit in memory."""
     n, m = w.shape
     spans = _spans(n, m)
     _check_fits(
         f"{measure} similarity over {n} {axis}",
         9 * n * n + _TILES_ALIVE * 8 * (spans[0].stop if spans else 0) * m,
     )
-    return np.empty((n, n)), np.empty((n, n), dtype=bool), spans
+    return np.empty((n, n)), spans
 
 
 # ---------------------------------------------------------------------------
@@ -200,44 +208,35 @@ def _output(measure: str, axis: Axis, w) -> tuple[np.ndarray, np.ndarray, list[s
 def cosine_matrix(g: "BipartiteGraph", axis: Axis) -> SimilarityMatrix:
     """Cosine similarity over full rating vectors, missing entries as 0."""
     w, _, _, _ = _axis_rows(g, axis)
-    values, defined, spans = _output("cosine", axis, w)
+    values, spans = _output("cosine", axis, w)
     norms = np.sqrt(_row_sums(w, spans, square=True))
     for b, c, xb, xc in _tile_pairs(spans, lambda rows: _scatter(w, rows)):
-        denom = np.outer(norms[b], norms[c])
-        ok = denom > 0
-        tile = _quotient(xb @ xc.T, denom, ok)
+        tile = _marked(xb @ xc.T, np.outer(norms[b], norms[c]))
         _put(values, b, c, np.clip(tile, -1.0, 1.0, out=tile))
-        _put(defined, b, c, ok)
+    defined = values == values
+    _unmarked(values)
     np.fill_diagonal(values, np.where(norms > 0, 1.0, 0.0))
     return SimilarityMatrix(axis=axis, values=values, defined=defined)
-
-
-def _centred_tiles(w, a, spans, deg):
-    """A builder of (xc, mask) tiles of rows: `xc` each rating minus its
-    node's mean rating (0 where unrated), `mask` the adjacency `a`, 1
-    where rated even where the centred rating is 0. Node means come from
-    the dense row sums over all of each node's ratings."""
-    means = _quotient(_row_sums(w, spans), deg.copy(), deg > 0)
-    centred = sp.csr_matrix(
-        (w.data - np.repeat(means, np.diff(w.indptr)), w.indices, w.indptr), shape=w.shape
-    )
-    return lambda rows: (_scatter(centred, rows), _scatter(a, rows))
 
 
 def _pearson_tiles(w, a, spans, deg, col_w=None):
     """For every tile pair (b, c, num, denom): `num` the co-rating sums
     of centred products (each column weighted by `col_w` if given) and
-    `denom` the per-pair variance product over the co-rating set.
+    `denom` the per-pair variance product over the co-rating set. A
+    centred tile holds each rating minus its node's mean over all its
+    ratings (0 where unrated); a mask tile holds the adjacency `a`, 1
+    where rated even where the centred rating is 0.
 
     A pair has a value where denom > 0. That needs a co-rated column,
     since a centred rating is nonzero only where its node rated, so
     no co-rating count is needed to tell which pairs are defined.
 
     Each row tile's diagonal pair is computed first and given last, so
-    that no dense tile is alive while the caller works on it."""
-    build = _centred_tiles(w, a, spans, deg)
+    that no dense tile is alive while the caller works on it. A column
+    span's centred tile is freed before its mask tile is scattered."""
+    means = _unmarked(_marked(_row_sums(w, spans), deg.copy()))
     for k, b in enumerate(spans):
-        xb, mb = build(b)
+        xb, mb = _scatter(w, b, means=means), _scatter(a, b)
         left = xb if col_w is None else xb * col_w[None, :]
         sq_b = xb * xb
         d = sq_b @ mb.T
@@ -247,12 +246,12 @@ def _pearson_tiles(w, a, spans, deg, col_w=None):
         diagonal = left @ xb.T, np.sqrt(denom, out=denom)
         del xb, denom
         for c in spans[k + 1 :]:
-            xc, mc = build(c)
+            xc = _scatter(w, c, means=means)
             num = left @ xc.T
-            d_bc = sq_b @ mc.T
             # this column tile is not used again, so it is squared in place
-            denom = d_bc * (np.multiply(xc, xc, out=xc) @ mb.T).T
-            del d_bc, xc, mc  # so the next column tile is built without this one alive
+            sq_c = np.multiply(xc, xc, out=xc) @ mb.T
+            del xc
+            denom = (sq_b @ _scatter(a, c).T) * sq_c.T
             yield b, c, num, np.sqrt(denom, out=denom)
         del left, sq_b, mb
         yield (b, b, *diagonal)
@@ -262,11 +261,11 @@ def pcc_matrix(g: "BipartiteGraph", axis: Axis) -> SimilarityMatrix:
     """Pearson similarity: sums over the co-rating set, means over all
     of each node's own ratings."""
     w, a, deg, _ = _axis_rows(g, axis)
-    values, defined, spans = _output("pcc", axis, w)
+    values, spans = _output("pcc", axis, w)
     for b, c, num, denom in _pearson_tiles(w, a, spans, deg):
-        ok = denom > 0
-        _put(values, b, c, np.clip(_quotient(num, denom, ok), -1.0, 1.0, out=num))
-        _put(defined, b, c, ok)
+        _put(values, b, c, np.clip(_marked(num, denom), -1.0, 1.0, out=num))
+    defined = values == values
+    _unmarked(values)
     np.fill_diagonal(values, np.where(np.diag(defined), 1.0, 0.0))
     return SimilarityMatrix(axis=axis, values=values, defined=defined)
 
@@ -288,7 +287,7 @@ def _cri_ratios(a, spans, deg, out: np.ndarray) -> float:
     for b, c, mb, mc in _tile_pairs(spans, lambda rows: _scatter(a, rows, np.float32)):
         inter = (mb @ mc.T).astype(np.float64)  # exact co-rating counts
         union = deg[b, None] + deg[None, c] - inter
-        _put(out, b, c, _quotient(inter, union, union > 0))
+        _put(out, b, c, _unmarked(_marked(inter, union)))
     total = (out.sum() - np.trace(out)) / 2.0
     return float(total / (n * (n - 1) / 2.0))
 
@@ -313,23 +312,24 @@ def pim_matrix(
     if penalty_variant not in get_args(PenaltyVariant):
         raise SimilarityError(f"unknown penalty variant {penalty_variant!r}")
     w, a, deg, other_deg = _axis_rows(g, axis)
-    values, defined, spans = _output("pim", axis, w)
+    values, spans = _output("pim", axis, w)
     ar = _cri_ratios(a, spans, deg, values)
     if ar <= 0:
         raise SimilarityError(f"no two {axis} co-rate, so the mean co-rating ratio is 0")
 
     log_deg = np.log1p(other_deg)
-    col_w = _quotient(np.full_like(log_deg, np.log(LOG_BASE_POPULARITY)), log_deg, log_deg > 0)
+    col_w = _unmarked(_marked(np.full_like(log_deg, np.log(LOG_BASE_POPULARITY)), log_deg))
     deg_max = None if penalty_variant == "pair-max" else deg.max()
     for b, c, num, denom in _pearson_tiles(w, a, spans, deg, col_w):
-        ok = denom > 0
         reward = values[b, c] / ar
         num *= np.log1p(reward, out=reward)
         del reward
+        # a positive penalty keeps denom > 0 where it was
         denom *= _activity_penalty(deg[b], deg[c], deg_max)
         # a diagonal num is the column-weighted tile times the plain one
-        _put(values, b, c, _quotient(num, denom, ok), mirror=True)
-        _put(defined, b, c, ok)
+        _put(values, b, c, _marked(num, denom), mirror=True)
+    defined = values == values
+    _unmarked(values)
     return SimilarityMatrix(axis=axis, values=values, defined=defined)
 
 
@@ -347,7 +347,7 @@ def _activity_penalty(deg_b: np.ndarray, deg_c: np.ndarray, deg_max=None) -> np.
         x = np.maximum(levels_b[:, None], levels_c[None, :])
     else:
         x = np.full_like(deg_sum, deg_max)
-    x = _quotient(x, deg_sum, deg_sum > 0)
+    x = _unmarked(_marked(x, deg_sum))
     x = np.exp(x, out=x)
     x += 1.0
     return x.take(at_b, axis=0).take(at_c, axis=1)

@@ -37,7 +37,7 @@ def cri_ratios(g, axis):
     """(pair ratio matrix, AR) over one axis, from the ratio pass that
     pim_matrix runs (simkit._cri_ratios), at the tile size in force."""
     w, a, deg, _ = simkit._axis_rows(g, axis)
-    ratios, _, spans = simkit._output("pim", axis, w)
+    ratios, spans = simkit._output("pim", axis, w)
     return ratios, simkit._cri_ratios(a, spans, deg, ratios)
 
 

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -424,6 +425,31 @@ def _bits(m):
     return m.values.tobytes(), m.defined.tobytes()
 
 
+def _assert_marks_cleared(g, axis, measure, variant, rows):
+    """The raw build at `rows`-row tiles (None: one tile) holds no NaN
+    and +0.0 at every undefined pair, and has the dense oracle's defined
+    flags and values: bitwise at one tile, within 1e-12 at several
+    (diagonal tiles take the symmetric product, the others gemm).
+    Returns the build, or None where both raise the same error."""
+    tile = mock.patch.object(simkit, "_TILE_BYTES", 8 * _other_side(g, axis) * (rows or 10**6))
+    try:
+        expected = _raw(g, measure, axis, variant, module=oracles)
+    except SimilarityError as exc:
+        with tile, pytest.raises(SimilarityError, match=str(exc)):
+            _raw(g, measure, axis, variant)
+        return None
+    with tile:
+        got = _raw(g, measure, axis, variant)
+    assert not np.isnan(got.values).any()
+    assert got.values[~got.defined].tobytes() == bytes(8 * np.count_nonzero(~got.defined))
+    assert got.defined.tobytes() == expected.defined.tobytes()
+    if rows is None:
+        assert got.values.tobytes() == expected.values.tobytes()
+    else:
+        np.testing.assert_allclose(got.values, expected.values, rtol=0, atol=1e-12)
+    return got
+
+
 @given(
     seed=st.integers(0, 10_000),
     n_users=st.integers(2, 9),
@@ -463,24 +489,26 @@ def test_tiles_agree_with_one_tile(seed, n_users, n_items, density, rows, measur
     n_items=st.integers(2, 7),
     density=st.sampled_from([0.2, 0.5, 0.9]),
     flat=st.sampled_from([1.0, 3.0, 5.0]),
+    rows=st.sampled_from([None, 1, 2, 3]),
 )
-@settings(max_examples=25, deadline=None)
-def test_undefined_pairs_hold_zero(seed, n_users, n_items, density, flat):
+@settings(max_examples=40, deadline=None)
+def test_undefined_pairs_hold_zero(seed, n_users, n_items, density, flat, rows):
     # knn_predict keeps neighbors by `values > 0` alone, which drops
     # undefined pairs only if each holds 0: raw and normalized, every
-    # measure and axis, with a zero-variance rater and a user and an item
-    # that co-rate with no one
+    # measure, variant and axis, with a zero-variance rater and a user and
+    # an item that co-rate with no one. The builders mark undefined pairs
+    # NaN tile by tile and clear the marks at the end.
     base = random_dataset(seed, n_users=n_users, n_items=n_items, density=density)
     triples = [(base.user_labels[u], base.item_labels[i], r) for u, i, r in base.triples()]
     triples += [("flat", base.item_labels[i], flat) for i in range(base.n_items)]
     triples += [("alone", "unshared", 2.0)]
     g = bigraph.build_graph(oracles.from_triples(triples, RatingScale(1, 5, 1)))
-    for measure in simkit.MEASURES:
+    for measure, variant in MEASURE_CASES:
         for axis in ("users", "items"):
-            raw = _raw(g, measure, axis)
-            assert np.all(raw.values[~raw.defined] == 0.0)
+            if _assert_marks_cleared(g, axis, measure, variant, rows) is None:
+                continue
             try:
-                norm = simkit.similarity(g, measure, axis)
+                norm = simkit.similarity(g, measure, axis, variant)
             except SimilarityError:  # no defined pair to normalize
                 continue
             assert np.all(norm.values[~norm.defined] == 0.0)
@@ -561,16 +589,35 @@ class TestRatingsAtTheMean:
         tile = mock.patch.object(simkit, "_TILE_BYTES", 8 * _other_side(g, axis) * (rows or 10**6))
         with tile:
             ratios, ar = cri_ratios(g, axis)
-            got = {name: _raw(g, name, axis) for name in ("pcc", "pim")}
         expected_ratios, expected_ar = oracles._cri_ratio(mask @ mask.T, deg)
         assert np.array_equal(ratios, expected_ratios) and ar == expected_ar
-        for name, m in got.items():
-            expected = _raw(g, name, axis, module=oracles)
-            assert np.array_equal(m.defined, expected.defined), name
-            if rows is None:
-                assert _bits(m) == _bits(expected), name
-            else:
-                np.testing.assert_allclose(m.values, expected.values, rtol=0, atol=1e-12)
+        for name, variant in MEASURE_CASES:
+            assert _assert_marks_cleared(g, axis, name, variant, rows) is not None, name
+
+
+class TestTileMemory:
+    """A multi-tile Pearson build holds, beside its values, three row
+    tiles and one column tile, a scatter's temporaries and a pair's
+    products: no centred copy of the ratings, no second column tile, and
+    no `defined` flags while the tiles are alive."""
+
+    @pytest.mark.parametrize("build", [pcc_matrix, pim_matrix], ids=["pcc", "pim"])
+    def test_traced_peak_beyond_values(self, build):
+        g = bigraph.build_graph(random_dataset(0, n_users=2000, n_items=300, density=0.1))
+        row_tile = 8 * g.n_users * 10
+        with mock.patch.object(simkit, "_TILE_BYTES", row_tile):
+            assert len(simkit._spans(g.n_items, g.n_users)) == 30
+            build(g, "items")  # so that no first-call set-up is traced
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                m = build(g, "items")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # 4.5 (pcc) and 4.7 (pim) row tiles when written; a second column
+        # tile adds 0.9, `defined` 0.56 and the centred copy of the ratings 3
+        assert (peak - base - m.values.nbytes) / row_tile < 5.0
 
 
 class TestMemoryCeiling:
@@ -632,13 +679,16 @@ _DENOM = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-150, 1e150))
 )
 @settings(max_examples=200)
 def test_quotient_matches_masked_divide(data, shape):
+    # the marked quotient is NaN exactly where denom > 0 fails, whatever
+    # num is, and the masked divide's bits elsewhere; unmarked, +0 there
     num = data.draw(hnp.arrays(np.float64, shape, elements=_FINITE))
     denom = data.draw(hnp.arrays(np.float64, shape, elements=_DENOM))
     ok = denom > 0
     expected = np.divide(num, denom, out=np.zeros_like(num), where=ok)
-    got = simkit._quotient(num.copy(), denom.copy(), ok)
-    # _put adds a zero to every tile it writes
-    assert (got + 0.0).tobytes() == (expected + 0.0).tobytes()
+    marked = simkit._marked(num.copy(), denom.copy())
+    assert np.array_equal(np.isnan(marked), ~ok)
+    assert marked[ok].tobytes() == expected[ok].tobytes()
+    assert simkit._unmarked(marked).tobytes() == expected.tobytes()
 
 
 @given(
