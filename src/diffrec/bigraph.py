@@ -20,6 +20,11 @@ class BipartiteGraph:
 
     `weights` is users x items CSR; `weights_t` the items x users CSC view
     re-packed as CSR so both orientations iterate in sorted id order.
+    `adjacency` and `adjacency_t` are their 0/1 patterns: each shares its
+    orientation's `indices` and `indptr`, and both take their values from
+    one stored 1.0 (a zero-stride view). Those arrays are read-only, so an
+    in-place edit raises instead of changing the weights' structure; edit
+    a copy.
     """
 
     n_users: int
@@ -67,10 +72,13 @@ def build_graph(train: RatingDataset) -> BipartiteGraph:
     w.sort_indices()
     wt = w.T.tocsr()
     wt.sort_indices()
-    a = w.copy()
-    a.data = np.ones_like(a.data)
-    at = wt.copy()
-    at.data = np.ones_like(at.data)
+    # scipy copies the zero-stride ones into a contiguous array for each
+    # sparse product that reads them, and frees the copy after it
+    ones = np.broadcast_to(np.ones(1, w.dtype), w.data.shape)
+    for arr in (w.indices, w.indptr, wt.indices, wt.indptr):
+        arr.flags.writeable = False
+    a = sp.csr_matrix((ones, w.indices, w.indptr), shape=shape, copy=False)
+    at = sp.csr_matrix((ones, wt.indices, wt.indptr), shape=shape[::-1], copy=False)
     return BipartiteGraph(
         n_users=train.n_users,
         n_items=train.n_items,

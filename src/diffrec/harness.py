@@ -3,8 +3,11 @@ analyses, aggregated into CSV-ready reports."""
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import hashlib
 import json
+import os
 import platform
 import resource
 import time
@@ -197,6 +200,70 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
+# the ufuncs whose float64 loops pim and PIM+RA run: their bits follow
+# numpy's SIMD dispatch
+_DISPATCHED_UFUNCS = "^(exp|log|log1p|power)$"
+_THP_ENABLED = "/sys/kernel/mm/transparent_hugepage/enabled"
+
+
+def _environment() -> dict:
+    """What output bits and peak memory depend on beyond the input and the
+    settings: numpy's CPU dispatch, the BLAS build and the kernel it runs,
+    and the huge-page settings. A part this numpy or system does not
+    expose is a note instead."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    cpu = {
+        "baseline": list(umath.__cpu_baseline__),
+        "dispatched": [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)],
+    }
+    try:
+        from numpy.lib import introspect
+    except ImportError:
+        cpu["ufuncs"] = "numpy.lib.introspect needs numpy 2.0"
+    else:
+        found = introspect.opt_func_info(func_name=_DISPATCHED_UFUNCS, signature="^d")
+        cpu["ufuncs"] = {
+            name: {sig: t["current"] for sig, t in loops.items()} for name, loops in found.items()
+        }
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = "numpy.show_config(mode='dicts') needs numpy 1.26"
+    thp = None
+    if os.path.exists(_THP_ENABLED):
+        with open(_THP_ENABLED, encoding="ascii") as fh:
+            text = fh.read()
+        thp = text[text.find("[") + 1 : text.find("]")]
+    return {
+        "numpy_cpu": cpu,
+        "blas_build": blas,
+        "openblas": _openblas_runtime(),
+        "transparent_hugepage": thp,
+        "NUMPY_MADVISE_HUGEPAGE": os.environ.get("NUMPY_MADVISE_HUGEPAGE"),
+    }
+
+
+def _openblas_runtime() -> dict | str:
+    """The kernel and thread count of the OpenBLAS that numpy's wheel
+    ships in `numpy.libs`, or a note when there is none."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    found = sorted(glob.glob(os.path.join(libs, "libscipy_openblas*")))
+    if not found:
+        return f"no scipy-openblas library in {libs}"
+    lib = ctypes.CDLL(found[0])  # already loaded by numpy: the same handle
+    try:
+        corename = lib.scipy_openblas_get_corename64_
+        threads = lib.scipy_openblas_get_num_threads64_
+    except AttributeError:
+        return f"{os.path.basename(found[0])} exports no scipy_openblas_get_corename64_"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    threads.argtypes, threads.restype = [], ctypes.c_int
+    return {"corename": corename().decode("ascii"), "threads": threads()}
+
+
 def write_manifest(report: EvaluationReport, path, input_path) -> None:
     digest = hashlib.sha256()
     with open(input_path, "rb") as fh:
@@ -218,6 +285,7 @@ def write_manifest(report: EvaluationReport, path, input_path) -> None:
             "scipy": scipy.__version__,
             "diffrec": diffrec.__version__,
         },
+        "environment": _environment(),
         "rows": len(report.rows),
         "folds": report.fold_users,
         "na": [

@@ -402,8 +402,10 @@ class PimraScorer:
     `walk` computes it once for a block of users, and each theta's scores
     are those rows divided by `penalty(theta)`. A row i of P = sim * M is
     built on first use, when a block of users that rated item i is
-    walked, and is then shared across blocks; M is never held whole, and
-    P is resident only for the rows that were read.
+    walked, and is then shared across blocks; M is never held whole. P is
+    reserved n x n but packed: built rows take its first rows in build
+    order, and `_slot[i]` is row i's position (-1 while unbuilt), so its
+    touched pages follow the rows built, whatever the page size.
     """
 
     def __init__(
@@ -438,35 +440,44 @@ class PimraScorer:
             raise RecommendError(f"unknown step3 weight mode {step3_weight!r}")
         self._b = b
         # P's rows are built a chunk of similarity's tile size at a time,
-        # with two chunk-sized temporaries alive (the product and the
-        # gathered similarity rows)
+        # straight into P. Beside P, the sparse product is alive (at most
+        # chunk x n entries of 8-byte values and 4-byte indices) with the
+        # contiguous copy that scipy takes of the adjacency's zero-stride
+        # ones (8 bytes a link); then the gathered similarity rows (8 bytes
+        # each)
         n = g.n_items
         self._per_chunk = max(1, simkit._TILE_BYTES // (8 * n))
         simkit._check_fits(
-            f"PIM+RA product over {n} items", 8 * n * n + 2 * 8 * min(self._per_chunk, n) * n
+            f"PIM+RA product over {n} items",
+            8 * n * n + 12 * min(self._per_chunk, n) * n + 8 * g.n_links,
         )
-        # pages of P are touched, and so held, only as its rows are built
         self._p = np.empty((n, n))
-        self._built = np.zeros(n, dtype=bool)
+        self._slot = np.full(n, -1, dtype=np.int64)
+        self._n_built = 0
         # popularity penalty base |U_j| (1 for unrated items)
         deg = g.item_degree.astype(np.float64)
         self._deg = np.where(deg > 0, deg, 1.0)
 
     def _build(self, users: np.ndarray) -> None:
         """Build the rows of P that the users' rated items need and that
-        are not built yet. A sparse product row depends only on its own
-        row of b, so P's bytes do not depend on which rows are built
-        together."""
+        are not built yet, packed after the rows built before. A sparse
+        product row depends only on its own row of b, so a row's bytes do
+        not depend on which rows are built together or where it is
+        packed."""
         _, edge = _row_edges(self.g.weights, users)
-        need = np.zeros(len(self._built), dtype=bool)
+        need = np.zeros(len(self._slot), dtype=bool)
         need[self.g.weights.indices[edge]] = True
-        rows = np.flatnonzero(need & ~self._built)
+        rows = np.flatnonzero(need & (self._slot < 0))
         for lo in range(0, len(rows), self._per_chunk):
             chunk = rows[lo : lo + self._per_chunk]
-            prod = (self._b[chunk] @ self._right).toarray()
-            np.multiply(self._sim[chunk], prod, out=prod)
-            self._p[chunk] = prod
-        self._built[rows] = True
+            first = self._n_built
+            block = self._p[first : first + len(chunk)]
+            # toarray adds into `out`, as into the zeros of its own array
+            block.fill(0.0)
+            (self._b[chunk] @ self._right).toarray(out=block)
+            np.multiply(block, self._sim[chunk], out=block)
+            self._slot[chunk] = np.arange(first, first + len(chunk))
+            self._n_built += len(chunk)
 
     def walk(self, users: Sequence[int]) -> np.ndarray:
         """The walk's resources on all items, seen ones included, before
@@ -485,7 +496,7 @@ class PimraScorer:
             n_u = float(len(seen))
             r1 = 1.0 / n_u + np.log(n_u / g.item_degree[seen])
             coef = r1 / g.item_weight_sum[seen]
-            out[r] = coef @ self._p[seen]
+            out[r] = coef @ self._p[self._slot[seen]]
         return out
 
     def penalty(self, theta: float) -> np.ndarray:

@@ -63,3 +63,25 @@ def test_dump_csv(fix4_graph, tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "user,item,weight"
     assert len(lines) == 1 + fix4_graph.n_links
+
+
+def test_adjacency_is_the_weights_pattern_shared_read_only():
+    g = build_graph(random_dataset(11, n_users=9, n_items=7))
+    for a, w in ((g.adjacency, g.weights), (g.adjacency_t, g.weights_t)):
+        # what a copy of the weights with every value set to 1 holds
+        old = w.copy()
+        old.data = np.ones_like(old.data)
+        assert a.shape == old.shape
+        for field in ("data", "indices", "indptr"):
+            got, want = getattr(a, field), getattr(old, field)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+        assert np.shares_memory(a.indices, w.indices)
+        assert np.shares_memory(a.indptr, w.indptr)
+        assert not w.indices.flags.writeable and not w.indptr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a.indices[0] = 0
+    # both orientations' ones are one stored value
+    assert np.shares_memory(g.adjacency.data, g.adjacency_t.data)
+    assert g.adjacency.data.strides == g.adjacency_t.data.strides == (0,)

@@ -477,14 +477,40 @@ class TestPimraRowsOnDemand:
         u = int(np.argmin(g.user_degree))
         assert 0 < g.user_degree[u] < g.n_items
         got = ctx.rank("PIM+RA", [u], [None], cfg.list_length)[0][0]
-        assert ctx.pimra_scorer._built.sum() == g.user_degree[u]
+        assert (ctx.pimra_scorer._slot >= 0).sum() == g.user_degree[u]
         # a scorer with every row built ranks the same list
         full = FoldContext(pair, cfg)
         full.pimra_scorer.walk(np.arange(g.n_users))
-        assert full.pimra_scorer._built.all()
+        assert (full.pimra_scorer._slot >= 0).all()
         want = full.rank("PIM+RA", [u], [None], cfg.list_length)[0][0]
         assert got.items.tobytes() == want.items.tobytes()
         assert got.scores.tobytes() == want.scores.tobytes()
+
+
+class TestGraphsStayUnchanged:
+    def test_runs_leave_every_graph_array_as_built(self, ds, cfg, monkeypatch):
+        # the graph's adjacency shares the weights' arrays, so no reader may
+        # edit either in place
+        built = []
+
+        def arrays(g):
+            out = [g.user_degree, g.item_degree, g.user_weight_sum, g.item_weight_sum]
+            for m in (g.weights, g.weights_t, g.adjacency, g.adjacency_t):
+                out += [m.data, m.indices, m.indptr]
+            return out
+
+        def recording(train):
+            g = build(train)
+            built.append((g, [x.tobytes() for x in arrays(g)]))
+            return g
+
+        build = bigraph.build_graph
+        monkeypatch.setattr(bigraph, "build_graph", recording)
+        run_experiment(ds, cfg)
+        sweep_knn(ds, cfg, [2, 5], ["cosine", "pcc", "pim"])
+        assert len(built) == 2 * cfg.k_folds
+        for g, before in built:
+            assert [x.tobytes() for x in arrays(g)] == before
 
 
 class TestSerialization:
@@ -519,6 +545,36 @@ class TestSerialization:
         assert doc["seed"] == report.config.seed
         assert doc["rows"] == len(report.rows)
         assert doc["config"]["k_folds"] == report.config.k_folds
+
+    def test_manifest_names_its_environment(self, ds, report, tmp_path, monkeypatch):
+        corpus.write_ratings(ds, tmp_path / "ratings.csv")
+        for madvise in ("0", None):
+            if madvise is None:
+                monkeypatch.delenv("NUMPY_MADVISE_HUGEPAGE", raising=False)
+            else:
+                monkeypatch.setenv("NUMPY_MADVISE_HUGEPAGE", madvise)
+            write_manifest(report, tmp_path / "manifest.json", tmp_path / "ratings.csv")
+            env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+            assert set(env) == {
+                "numpy_cpu", "blas_build", "openblas", "transparent_hugepage",
+                "NUMPY_MADVISE_HUGEPAGE",
+            }
+            assert env["NUMPY_MADVISE_HUGEPAGE"] == madvise
+        cpu = env["numpy_cpu"]
+        assert set(cpu) == {"baseline", "dispatched", "ufuncs"}
+        assert all(isinstance(f, str) for f in cpu["baseline"] + cpu["dispatched"])
+        if isinstance(cpu["ufuncs"], dict):
+            assert set(cpu["ufuncs"]) == {"exp", "log", "log1p", "power"}
+            assert all(cpu["ufuncs"][name] for name in cpu["ufuncs"])
+        # each part is its value or a note saying why it is missing
+        assert isinstance(env["blas_build"], (dict, str))
+        if isinstance(env["openblas"], dict):
+            assert set(env["openblas"]) == {"corename", "threads"}
+            assert env["openblas"]["corename"] and env["openblas"]["threads"] >= 1
+        else:
+            assert isinstance(env["openblas"], str)
+        thp = env["transparent_hugepage"]
+        assert thp is None or thp in {"always", "madvise", "never"}
 
     def test_manifest_similarity_seconds_sum_over_folds(self, ds, cfg, tmp_path):
         # a clock that ticks one second per reading: each build takes 1 s

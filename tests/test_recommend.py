@@ -1,4 +1,5 @@
 import math
+import os
 import warnings
 from unittest import mock
 
@@ -65,6 +66,13 @@ def unblocked_p(g, sim, mode):
         return sim.values * (b @ g.adjacency).toarray()
     b.data = b.data * inv_wv[b.indices]
     return sim.values * (b @ g.weights).toarray()
+
+
+def built_p(scorer):
+    """(which items' rows of P are built, those rows in item-id order),
+    read through the scorer's packing slots."""
+    built = scorer._slot >= 0
+    return built, scorer._p[scorer._slot[built]]
 
 
 def walk_row(g, p, u, theta):
@@ -571,8 +579,9 @@ class TestPimra:
         scorer.walk(users)
         # every rated item's row is built, and no unrated item's
         p = unblocked_p(g, sim, "literal-w_vi")
-        assert np.array_equal(scorer._built, g.item_degree > 0)
-        assert scorer._p[scorer._built].tobytes() == p[scorer._built].tobytes()
+        built, rows = built_p(scorer)
+        assert np.array_equal(built, g.item_degree > 0)
+        assert rows.tobytes() == p[built].tobytes()
         for theta in (0.6, 0.0, 1.0, 0.6, 0.25, 0.25, 1 / 3):
             for u in users.tolist():
                 assert np.array_equal(pimra_scores(scorer, [u], theta)[0], walk_row(g, p, u, theta))
@@ -636,8 +645,9 @@ class TestPimra:
             monkeypatch.setattr(simkit, "_TILE_BYTES", 8 * g.n_items * rows)
         scorer = PimraScorer(g, sim, step3_weight=mode)
         scorer.walk(np.arange(g.n_users))  # every item is rated, so every row is built
-        assert scorer._built.all()
-        assert scorer._p.tobytes() == unblocked_p(g, sim, mode).tobytes()
+        built, rows = built_p(scorer)
+        assert built.all()
+        assert rows.tobytes() == unblocked_p(g, sim, mode).tobytes()
 
     @given(
         seed=st.integers(0, 2**16),
@@ -669,13 +679,69 @@ class TestPimra:
             for r, u in enumerate(block):
                 assert got[r].tobytes() == walk_row(g, p, u, theta).tobytes()
                 read[g.user_items(u)[0]] = True
-            assert np.array_equal(scorer._built, read)
+            assert np.array_equal(scorer._slot >= 0, read)
+
+    @given(
+        seed=st.integers(0, 2**16),
+        n_users=st.integers(1, 8),
+        n_items=st.integers(1, 8),
+        density=st.floats(0.1, 0.9),
+        rows=st.integers(1, 3),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rows_are_packed_in_build_order(self, seed, n_users, n_items, density, rows, data):
+        g = build_graph(random_dataset(seed, n_users, n_items, density))
+        vals = np.random.default_rng(seed).random((n_items, n_items))
+        sim = SimilarityMatrix("items", vals, np.ones_like(vals, dtype=bool), normalized=True)
+        with mock.patch.object(simkit, "_TILE_BYTES", 8 * n_items * rows):
+            scorer = PimraScorer(g, sim)
+        users = data.draw(st.permutations(range(n_users)))
+        cuts = sorted(data.draw(st.sets(st.integers(1, max(1, n_users - 1)))))
+        for lo, hi in zip([0] + cuts, cuts + [n_users]):
+            before = scorer._slot.copy()
+            scorer.walk(users[lo:hi])
+            # a block's new rows follow the rows built before, in item-id order
+            new = np.flatnonzero((before < 0) & (scorer._slot >= 0))
+            k = int((before >= 0).sum())
+            assert np.array_equal(scorer._slot[new], np.arange(k, k + len(new)))
+            # the built rows hold slots 0 ... k-1 exactly
+            slots = np.sort(scorer._slot[scorer._slot >= 0])
+            assert np.array_equal(slots, np.arange(len(slots)))
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/statm"), reason="reads resident pages from /proc/self/statm"
+    )
+    def test_one_user_holds_its_rows_not_the_pages_between_them(self):
+        # 3,000 items, every 30th rated by one user: P reserves 72 MB, of
+        # which the user's 100 rows are 2.4 MB; rows written at their item
+        # ids would touch most of P's huge pages where those are in use
+        n_items, raters = 3000, 50
+        triples = [(f"v{i % raters}", f"i{i}", 1 + i % 5) for i in range(n_items)]
+        triples += [(f"v{(7 * i + 3) % raters}", f"i{i}", 1 + i % 4) for i in range(0, n_items, 3)]
+        triples += [("u", f"i{i}", 4) for i in range(0, n_items, 30)]
+        g = build_graph(oracles.from_triples(triples, SCALE15))
+        u = g.n_users - 1
+        assert g.user_degree[u] == 100
+        vals = np.random.default_rng(0).random((n_items, n_items))
+        sim = SimilarityMatrix("items", vals, np.ones_like(vals, dtype=bool), normalized=True)
+        scorer = PimraScorer(g, sim)
+
+        def resident() -> int:
+            with open("/proc/self/statm") as fh:
+                return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+        before = resident()
+        scorer.walk([u])
+        assert resident() - before < 16 << 20
 
     def test_p_that_does_not_fit_is_a_memory_ceiling_error(self, fix4_graph, monkeypatch):
         n = fix4_graph.n_items
         sim = pim_item_sim(fix4_graph)
-        # P's n x n floats and two one-chunk temporaries of 4 rows of 4 floats
-        need = 8 * n * n + 2 * 8 * n * n
+        # P's n x n floats, a one-chunk sparse product of up to 4 rows of 4
+        # entries, 12 bytes each, and a float per link for scipy's copy of
+        # the adjacency's ones
+        need = 8 * n * n + 12 * n * n + 8 * fix4_graph.n_links
         monkeypatch.setattr(simkit, "_memory_limit", lambda: need - 1)
         with pytest.raises(simkit.MemoryCeilingError, match=(
             rf"^PIM\+RA product over {n} items needs {need:,} bytes \(0 MiB\), "
