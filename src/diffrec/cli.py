@@ -213,10 +213,15 @@ def _run(args: argparse.Namespace) -> int:
         if args.user not in ds.user_labels:
             raise CliError(f"unknown user {args.user!r}")
         # the whole dataset is the training side; nothing is held out
-        ctx = harness.FoldContext(FoldPair(train=ds, test=ds.subset(np.arange(0))), cfg)
         user = ds.user_labels.index(args.user)
+        labels = ds.item_labels, ds.user_labels
+        pair = FoldPair(train=ds, test=ds.subset(np.arange(0)))
+        ctx = harness.FoldContext(pair, cfg, users=[user])
+        # past the graph, the ratings are read only by a method that trains
+        # on them, whose context keeps its own reference
+        del ds, pair
         (lists,) = ctx.rank(cfg.methods[0], [user], [None], cfg.list_length)
-        _write_lists(sys.stdout, lists, ds.item_labels, ds.user_labels)
+        _write_lists(sys.stdout, lists, *labels)
         return 0
 
     out.mkdir(parents=True, exist_ok=True)  # every command below writes its files there

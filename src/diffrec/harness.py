@@ -50,6 +50,7 @@ class _Method(NamedTuple):
     knn_axis: str | None = None  # a kNN method's similarity axis
     # config -> the (measure, axis) similarities the scorer requests
     reads: Callable[[ExperimentConfig], tuple[tuple[str, str], ...]] = lambda cfg: ()
+    trains: bool = False  # whether the method trains on the fold's ratings
 
 
 def _knn(axis: str, scores: Callable) -> _Method:
@@ -77,7 +78,7 @@ _PIM_KEY = ("pim", "items")  # PIM+RA's similarity, which its scorer holds
 METHODS = {
     "UBCF": _knn("users", lambda *args: recommend.ubcf_scores(*args)),
     "IBCF": _knn("items", lambda *args: recommend.ibcf_scores(*args)),
-    "SVD": _Method(_svd),
+    "SVD": _Method(_svd, trains=True),
     "MD": _Method(lambda ctx, users: recommend.md_scores(ctx.graph, users)),
     "PIM+RA": _Method(
         lambda ctx, users: ctx.pimra_scorer.walk(users),
@@ -316,6 +317,8 @@ class _MfModels:
     def model(self, index: int) -> recommend.MFModel:
         """Set `index`'s model; raises the error that ended its training."""
         if self._results is None:
+            if index >= len(self._trains):
+                raise HarnessError("no training set kept: no configured method trains")
             start = time.perf_counter()
             self._results = recommend.train_mf(self._trains, self._cfg.mf, self._cfg.seed)
             self.train_s = time.perf_counter() - start
@@ -334,29 +337,43 @@ class FoldContext:
     only until its last reader, and then `release` it.
 
     The folds of one run pass the run's `_MfModels` and their index in it;
-    a context built alone trains an MF model on its own training set."""
+    a context built alone trains an MF model on its own training set, and
+    holds that set only if a configured method trains: no other method
+    reads the ratings once the graph is built.
+
+    A context given `users` ranks only those users, so PIM+RA's item
+    similarity holds only the rows of the items they rated."""
 
     def __init__(
-        self, pair: FoldPair, cfg: ExperimentConfig, mf: tuple[_MfModels, int] | None = None
+        self,
+        pair: FoldPair,
+        cfg: ExperimentConfig,
+        mf: tuple[_MfModels, int] | None = None,
+        users: Sequence[int] | None = None,
     ):
         self.cfg = cfg
-        self._mf = mf or (_MfModels([pair.train], cfg), 0)
+        if mf is None:
+            trains = any(METHODS[m].trains for m in cfg.methods)
+            mf = _MfModels([pair.train] if trains else [], cfg), 0
+        self._mf = mf
         self._test = pair.test
+        self._users = users
         self.graph = bigraph.build_graph(pair.train)
-        # each (measure, axis) similarity, or the error its build raised
-        self._sims: dict[tuple[str, str], SimilarityMatrix | simkit.SimilarityError] = {}
+        # each (measure, axis, whole?) similarity, or the error its build raised
+        self._sims: dict[tuple[str, str, bool], SimilarityMatrix | simkit.SimilarityError] = {}
         self.similarity_s: dict[str, float] = {}  # build seconds per "measure/axis"
         self.rank_s: dict[str, float] = {}  # scoring and ranking seconds per method
 
-    def similarity(self, measure: str, axis: str) -> SimilarityMatrix:
-        """Normalized similarity matrix, built once per (measure, axis); a
-        failed build's error is raised again on every later request."""
-        key = (measure, axis)
+    def similarity(self, measure: str, axis: str, rows=None) -> SimilarityMatrix:
+        """Normalized similarity matrix, built once per (measure, axis),
+        whole or, apart from it, of the given rows only; a failed build's
+        error is raised again on every later request."""
+        key = (measure, axis, rows is None)
         if key not in self._sims:
             start = time.perf_counter()
             try:
                 self._sims[key] = simkit.similarity(
-                    self.graph, measure, axis, self.cfg.penalty_variant
+                    self.graph, measure, axis, self.cfg.penalty_variant, rows
                 )
             except simkit.SimilarityError as exc:
                 self._sims[key] = exc
@@ -370,7 +387,8 @@ class FoldContext:
         """Drop the (measure, axis) similarity, or the error its build
         raised, and for PIM+RA's the scorer that holds it; a later request
         builds it again."""
-        self._sims.pop(key, None)
+        for whole in (True, False):
+            self._sims.pop((*key, whole), None)
         if key == _PIM_KEY:
             self.__dict__.pop("pimra_scorer", None)
 
@@ -396,8 +414,12 @@ class FoldContext:
 
     @cached_property
     def pimra_scorer(self) -> recommend.PimraScorer:
+        rows = None
+        if self._users is not None:  # the items the context's users rated
+            rated = [self.graph.user_items(u)[0] for u in self._users]
+            rows = np.unique(np.concatenate([np.empty(0, np.int64)] + rated))
         return recommend.PimraScorer(
-            self.graph, self.similarity(*_PIM_KEY), self.cfg.step3_weight
+            self.graph, self.similarity(*_PIM_KEY, rows), self.cfg.step3_weight
         )
 
     @property
@@ -697,9 +719,9 @@ def analyze_corpus(ds: RatingDataset, cfg: ExperimentConfig) -> CorpusAnalysis:
     if m < 3:  # fewer than 3 pairs
         raise HarnessError("need at least 3 user pairs for the skewness analysis")
     # the pair ratios pim's correction uses, in row-major upper-triangle order
-    a, out = g.adjacency[chosen], np.empty((m, m))
-    simkit._cri_ratios(a, simkit._spans(m, a.shape[1]), g.user_degree[chosen].astype(float), out)
-    ratios = out[np.triu_indices(m, 1)]
+    a, deg, whole = g.adjacency[chosen], g.user_degree[chosen].astype(float), slice(0, m)
+    counts = simkit._co_counts(a, simkit._spans(m, a.shape[1]), deg)
+    ratios = simkit._ratios(counts, deg, whole, whole)[np.triu_indices(m, 1)]
     skewness = float(stats.skew(ratios))
 
     act_pop = _grouped_mean(

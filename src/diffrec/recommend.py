@@ -402,10 +402,15 @@ class PimraScorer:
     `walk` computes it once for a block of users, and each theta's scores
     are those rows divided by `penalty(theta)`. A row i of P = sim * M is
     built on first use, when a block of users that rated item i is
-    walked, and is then shared across blocks; M is never held whole. P is
-    reserved n x n but packed: built rows take its first rows in build
-    order, and `_slot[i]` is row i's position (-1 while unbuilt), so its
-    touched pages follow the rows built, whatever the page size.
+    walked, and is then shared across blocks; M is never held whole.
+
+    `item_sim` is the whole normalized item similarity or only some of its
+    rows (`SimilarityMatrix.rows`), read through a map from item id to
+    row; a walked user's rated items must all have one. P is reserved
+    one row per similarity row, k x n, but packed: built rows take its
+    first rows in build order, and `_slot[i]` is item i's row of P (-1
+    while unbuilt), so its touched pages follow the rows built, whatever
+    the page size.
     """
 
     def __init__(
@@ -416,15 +421,19 @@ class PimraScorer:
     ):
         if item_sim.axis != "items":
             raise RecommendError(f"expected items-axis similarity, got {item_sim.axis}")
-        if item_sim.values.shape != (g.n_items, g.n_items):
+        n = g.n_items
+        rows = np.arange(n) if item_sim.rows is None else item_sim.rows
+        if item_sim.values.shape != (len(rows), n):
             raise RecommendError(
                 f"similarity dimension {item_sim.values.shape} "
-                f"does not match items count {g.n_items}"
+                f"does not match items count {n}"
             )
         if not item_sim.normalized:
             raise RecommendError("item similarity must be normalized to [0, 1]")
         self.g = g
         self._sim = item_sim.values
+        self._sim_row = np.full(n, -1, dtype=np.int64)  # each item's similarity row
+        self._sim_row[rows] = np.arange(len(rows))
         inv_wv = np.zeros(g.n_users)
         pos = g.user_weight_sum > 0
         inv_wv[pos] = 1.0 / g.user_weight_sum[pos]
@@ -440,18 +449,18 @@ class PimraScorer:
             raise RecommendError(f"unknown step3 weight mode {step3_weight!r}")
         self._b = b
         # P's rows are built a chunk of similarity's tile size at a time,
-        # straight into P. Beside P, the sparse product is alive (at most
-        # chunk x n entries of 8-byte values and 4-byte indices) with the
-        # contiguous copy that scipy takes of the adjacency's zero-stride
-        # ones (8 bytes a link); then the gathered similarity rows (8 bytes
-        # each)
-        n = g.n_items
+        # straight into P. Beside P's k rows, the sparse product is alive
+        # (at most chunk x n entries of 8-byte values and 4-byte indices)
+        # with the contiguous copy that scipy takes of the adjacency's
+        # zero-stride ones (8 bytes a link); then the gathered similarity
+        # rows (8 bytes each)
+        k = len(rows)
         self._per_chunk = max(1, simkit._TILE_BYTES // (8 * n))
         simkit._check_fits(
             f"PIM+RA product over {n} items",
-            8 * n * n + 12 * min(self._per_chunk, n) * n + 8 * g.n_links,
+            8 * k * n + 12 * min(self._per_chunk, k) * n + 8 * g.n_links,
         )
-        self._p = np.empty((n, n))
+        self._p = np.empty((k, n))
         self._slot = np.full(n, -1, dtype=np.int64)
         self._n_built = 0
         # popularity penalty base |U_j| (1 for unrated items)
@@ -468,6 +477,9 @@ class PimraScorer:
         need = np.zeros(len(self._slot), dtype=bool)
         need[self.g.weights.indices[edge]] = True
         rows = np.flatnonzero(need & (self._slot < 0))
+        missing = rows[self._sim_row[rows] < 0]
+        if len(missing):
+            raise RecommendError(f"the item similarity holds no row for item {missing[0]}")
         for lo in range(0, len(rows), self._per_chunk):
             chunk = rows[lo : lo + self._per_chunk]
             first = self._n_built
@@ -475,7 +487,7 @@ class PimraScorer:
             # toarray adds into `out`, as into the zeros of its own array
             block.fill(0.0)
             (self._b[chunk] @ self._right).toarray(out=block)
-            np.multiply(block, self._sim[chunk], out=block)
+            np.multiply(block, self._sim[self._sim_row[chunk]], out=block)
             self._slot[chunk] = np.arange(first, first + len(chunk))
             self._n_built += len(chunk)
 

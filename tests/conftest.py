@@ -34,11 +34,14 @@ FIX4_TRIPLES = (
 
 
 def cri_ratios(g, axis):
-    """(pair ratio matrix, AR) over one axis, from the ratio pass that
-    pim_matrix runs (simkit._cri_ratios), at the tile size in force."""
+    """(pair ratio matrix, AR) over one axis, from the co-rating counts
+    that pim_matrix keeps (simkit._co_counts), at the tile size in force,
+    after pim's memory check."""
     w, a, deg, _ = simkit._axis_rows(g, axis)
-    ratios, spans = simkit._output("pim", axis, w)
-    return ratios, simkit._cri_ratios(a, spans, deg, ratios)
+    _, spans = simkit._sink("pim", axis, w, None, simkit._count_type(deg).itemsize)
+    counts = simkit._co_counts(a, spans, deg)
+    whole = slice(0, len(deg))
+    return simkit._ratios(counts, deg, whole, whole), simkit._mean_ratio(counts, deg)
 
 
 def average_cri_ratio(g, axis):

@@ -1,16 +1,19 @@
 import csv
+import gc
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import diffrec
-from diffrec import bigraph, corpus, harness, recommend, simkit
+from diffrec import bigraph, cli, corpus, harness, recommend, simkit
 from diffrec.cli import COMMANDS, EVERY_COMMAND, SETTINGS, SWEEPS, build_parser, main, resolve
 from diffrec.corpus import FilterSpec
 from diffrec.harness import EvaluationReport, ExperimentConfig, HarnessError
@@ -306,6 +309,58 @@ def test_recommend_honours_knn_measure(synth_csv, tmp_path, capsys):
     )
     assert code == 0
     assert capsys.readouterr().out.splitlines()[1:] == expected
+
+
+@pytest.mark.parametrize("corpus_seed", [None, 0, 1, 2])
+def test_recommend_pimra_reads_its_rows_and_prints_the_whole_matrix_lists(
+    fix4, tmp_path, capsys, monkeypatch, corpus_seed
+):
+    ds = fix4 if corpus_seed is None else random_dataset(corpus_seed, 10, 14, 0.35)
+    path = tmp_path / "ratings.csv"
+    corpus.write_ratings(ds, path)
+    cfg = ExperimentConfig(methods=("PIM+RA",), list_length=6)
+    pair = corpus.FoldPair(train=ds, test=ds.subset(np.arange(0)))
+    whole = harness.FoldContext(pair, cfg)
+    builds, real = [], simkit.similarity
+
+    def spy(*args):
+        builds.append(args[4:])
+        return real(*args)
+
+    monkeypatch.setattr(simkit, "similarity", spy)
+    for user, label in enumerate(ds.user_labels):
+        (lists,) = whole.rank("PIM+RA", [user], [None], cfg.list_length)
+        want = io.StringIO()
+        cli._write_lists(want, lists, ds.item_labels, ds.user_labels)
+        builds.clear()
+        assert main(["recommend", "--input", str(path), "--user", label,
+                     "--method", "PIM+RA", "-L", "6"]) == 0
+        assert capsys.readouterr().out == want.getvalue()
+        # one build, of the rows of the user's rated items
+        ((rows,),) = builds
+        assert rows.tolist() == sorted(whole.graph.user_items(user)[0].tolist())
+
+
+@pytest.mark.parametrize("method, kept", [("PIM+RA", False), ("MD", False), ("SVD", True)])
+def test_recommend_holds_the_ratings_only_for_a_method_that_trains(
+    synth_csv, monkeypatch, capsys, method, kept
+):
+    loaded, real_load, real_rank = [], corpus.load_ratings, harness.FoldContext.rank
+
+    def load(*args, **kwargs):
+        ds = real_load(*args, **kwargs)
+        loaded.extend(weakref.ref(a) for a in (ds.users, ds.items, ds.ratings))
+        return ds
+
+    def rank(self, *args):
+        gc.collect()
+        assert [ref() is not None for ref in loaded] == [kept] * 3
+        return real_rank(self, *args)
+
+    monkeypatch.setattr(corpus, "load_ratings", load)
+    monkeypatch.setattr(harness.FoldContext, "rank", rank)
+    assert main(["recommend", "--input", str(synth_csv), "--user", "u0", "--method", method]) == 0
+    assert capsys.readouterr().out.startswith("user,rank,item,score\n")
 
 
 def test_list_csvs_quote_labels(tmp_path, capsys):

@@ -315,9 +315,9 @@ class TestMethodTable:
         pair = corpus.kfold_split(ds, cfg.k_folds, cfg.seed)[0]
         reads, real = [], FoldContext.similarity
 
-        def spy(self, measure, axis):
+        def spy(self, measure, axis, *rows):
             reads.append((measure, axis))
-            return real(self, measure, axis)
+            return real(self, measure, axis, *rows)
 
         monkeypatch.setattr(FoldContext, "similarity", spy)
         expected = {
@@ -485,6 +485,77 @@ class TestPimraRowsOnDemand:
         want = full.rank("PIM+RA", [u], [None], cfg.list_length)[0][0]
         assert got.items.tobytes() == want.items.tobytes()
         assert got.scores.tobytes() == want.scores.tobytes()
+
+
+class TestContextForSomeUsers:
+    """A context given the users it ranks (the recommend command's) builds
+    only their rated items' rows of PIM+RA's similarity."""
+
+    @staticmethod
+    def record_builds(monkeypatch) -> list:
+        """Each `simkit.similarity` call's (measure, axis, rows)."""
+        calls, real = [], simkit.similarity
+
+        def spy(g, measure, axis, variant="pair-max", rows=None):
+            calls.append((measure, axis, None if rows is None else rows.tolist()))
+            return real(g, measure, axis, variant, rows)
+
+        monkeypatch.setattr(simkit, "similarity", spy)
+        return calls
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pimra_reads_its_users_rows_and_ranks_as_the_whole_matrix(
+        self, cfg, monkeypatch, seed
+    ):
+        ds = random_dataset(seed, n_users=12, n_items=15, density=0.4)
+        pair = corpus.FoldPair(train=ds, test=ds.subset(np.arange(0)))
+        users = [3, 7] if seed % 2 else [5]
+        full = FoldContext(pair, cfg).rank("PIM+RA", users, [0.0, None], cfg.list_length)
+        calls = self.record_builds(monkeypatch)
+        ctx = FoldContext(pair, cfg, users=users)
+        got = ctx.rank("PIM+RA", users, [0.0, None], cfg.list_length)
+        rated = np.unique(np.concatenate([ctx.graph.user_items(u)[0] for u in users]))
+        assert calls == [("pim", "items", rated.tolist())]
+        assert ctx.pimra_scorer._p.shape == (len(rated), ctx.graph.n_items)
+        for want_lists, got_lists in zip(full, got):
+            for want, rec in zip(want_lists, got_lists):
+                assert rec.items.tobytes() == want.items.tobytes()
+                assert rec.scores.tobytes() == want.scores.tobytes()
+
+    def test_ibcf_with_pim_reads_the_whole_matrix(self, ds, cfg, monkeypatch):
+        cfg = replace(cfg, knn_measure="pim", methods=("IBCF", "PIM+RA"))
+        pair = corpus.FoldPair(train=ds, test=ds.subset(np.arange(0)))
+        want = FoldContext(pair, cfg).rank("IBCF", [4], [None], cfg.list_length)[0][0]
+        calls = self.record_builds(monkeypatch)
+        ctx = FoldContext(pair, cfg, users=[4])
+        got = ctx.rank("IBCF", [4], [None], cfg.list_length)[0][0]
+        ctx.rank("PIM+RA", [4], [None], cfg.list_length)
+        rated = ctx.graph.user_items(4)[0].tolist()
+        assert calls == [("pim", "items", None), ("pim", "items", rated)]
+        assert got.items.tobytes() == want.items.tobytes()
+        assert got.scores.tobytes() == want.scores.tobytes()
+        # a release drops both builds
+        ctx.release(("pim", "items"))
+        assert not ctx._sims
+
+    def test_pimra_for_a_user_outside_the_rows_is_an_error(self, ds, cfg):
+        pair = corpus.FoldPair(train=ds, test=ds.subset(np.arange(0)))
+        ctx = FoldContext(pair, cfg, users=[0])
+        g = ctx.graph
+        other = next(u for u in range(g.n_users)
+                     if not np.isin(g.user_items(u)[0], g.user_items(0)[0]).all())
+        no_row = r"^method PIM\+RA failed: the item similarity holds no row for item"
+        with pytest.raises(HarnessError, match=no_row):
+            ctx.rank("PIM+RA", [other], [None], cfg.list_length)
+
+    @pytest.mark.parametrize("methods, kept", [(("PIM+RA",), False), (("MD", "SVD"), True)])
+    def test_ratings_are_kept_only_for_a_method_that_trains(self, ds, cfg, methods, kept):
+        pair = corpus.FoldPair(train=ds, test=ds.subset(np.arange(0)))
+        models, _ = FoldContext(pair, replace(cfg, methods=methods))._mf
+        assert models._trains == ([pair.train] if kept else [])
+        if not kept:
+            with pytest.raises(HarnessError, match="^no training set kept"):
+                FoldContext(pair, replace(cfg, methods=methods)).mf_model
 
 
 class TestGraphsStayUnchanged:

@@ -735,21 +735,32 @@ class TestPimra:
         scorer.walk([u])
         assert resident() - before < 16 << 20
 
+    @staticmethod
+    def assert_p_needs(monkeypatch, g, sim, need, user):
+        monkeypatch.setattr(simkit, "_memory_limit", lambda: need - 1)
+        with pytest.raises(simkit.MemoryCeilingError, match=(
+            rf"^PIM\+RA product over {g.n_items} items needs {need:,} bytes \(0 MiB\), "
+            rf"more than the {need - 1:,} this process may hold$"
+        )):
+            PimraScorer(g, sim)
+        monkeypatch.setattr(simkit, "_memory_limit", lambda: need)
+        PimraScorer(g, sim).walk([user])
+
     def test_p_that_does_not_fit_is_a_memory_ceiling_error(self, fix4_graph, monkeypatch):
         n = fix4_graph.n_items
-        sim = pim_item_sim(fix4_graph)
         # P's n x n floats, a one-chunk sparse product of up to 4 rows of 4
         # entries, 12 bytes each, and a float per link for scipy's copy of
         # the adjacency's ones
         need = 8 * n * n + 12 * n * n + 8 * fix4_graph.n_links
-        monkeypatch.setattr(simkit, "_memory_limit", lambda: need - 1)
-        with pytest.raises(simkit.MemoryCeilingError, match=(
-            rf"^PIM\+RA product over {n} items needs {need:,} bytes \(0 MiB\), "
-            rf"more than the {need - 1:,} this process may hold$"
-        )):
-            PimraScorer(fix4_graph, sim)
-        monkeypatch.setattr(simkit, "_memory_limit", lambda: need)
-        PimraScorer(fix4_graph, sim).walk([0])
+        self.assert_p_needs(monkeypatch, fix4_graph, pim_item_sim(fix4_graph), need, 0)
+
+    def test_p_over_some_similarity_rows_counts_those_rows(self, fix4_graph, monkeypatch):
+        n = fix4_graph.n_items
+        sim = simkit.similarity(fix4_graph, "pim", "items", rows=[1, 3])
+        # two rows of P and of the one-chunk product; u2 (user 1) rated
+        # i3 and i2, items 1 and 3
+        need = 8 * 2 * n + 12 * 2 * n + 8 * fix4_graph.n_links
+        self.assert_p_needs(monkeypatch, fix4_graph, sim, need, 1)
 
     def test_invalid_theta(self, fix4_graph):
         scorer = PimraScorer(fix4_graph, identity_item_sim(4))

@@ -1,4 +1,5 @@
 import math
+import re
 import os
 import tracemalloc
 from unittest import mock
@@ -556,8 +557,8 @@ class TestOneTileMatchesDenseOracle:
         made = []
         real = simkit.pcc_matrix
 
-        def spy(g, axis):
-            made.append(real(g, axis))
+        def spy(*args):
+            made.append(real(*args))
             return made[-1]
 
         with mock.patch.object(simkit, "pcc_matrix", spy):
@@ -615,22 +616,29 @@ class TestTileMemory:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+        # pim also holds its co-rating counts, one byte a pair here
+        held = m.values.nbytes + (g.n_items**2 if build is pim_matrix else 0)
+        assert g.item_degree.max() < 256
         # 4.5 (pcc) and 4.7 (pim) row tiles when written; a second column
         # tile adds 0.9, `defined` 0.56 and the centred copy of the ratings 3
-        assert (peak - base - m.values.nbytes) / row_tile < 5.0
+        assert (peak - base - held) / row_tile < 5.0
 
 
 class TestMemoryCeiling:
-    @pytest.mark.parametrize("call", [
-        lambda g: cosine_matrix(g, "items"),
-        lambda g: pcc_matrix(g, "items"),
-        lambda g: pim_matrix(g, "items"),
-        lambda g: average_cri_ratio(g, "items"),
-        lambda g: simkit.similarity(g, "pim", "items"),
-    ], ids=["cosine", "pcc", "pim", "ar", "similarity"])
-    def test_too_big_fails_before_any_tile(self, fix4_graph, call):
+    # (build, rows it keeps, bytes a pair of the whole matrix): pim's
+    # co-rating counts take one byte a pair, as no degree reaches 256
+    @pytest.mark.parametrize("call, kept, pair_bytes", [
+        (lambda g: cosine_matrix(g, "items"), 4, 0),
+        (lambda g: pcc_matrix(g, "items"), 4, 0),
+        (lambda g: pim_matrix(g, "items"), 4, 1),
+        (lambda g: average_cri_ratio(g, "items"), 4, 1),
+        (lambda g: simkit.similarity(g, "pim", "items"), 4, 1),
+        (lambda g: simkit.similarity(g, "pcc", "items", rows=[1, 3]), 2, 0),
+        (lambda g: simkit.similarity(g, "pim", "items", rows=[2]), 1, 1),
+    ], ids=["cosine", "pcc", "pim", "ar", "similarity", "pcc-rows", "pim-rows"])
+    def test_too_big_fails_before_any_tile(self, fix4_graph, call, kept, pair_bytes):
         n, m = fix4_graph.n_items, fix4_graph.n_users
-        need = 9 * n * n + simkit._TILES_ALIVE * 8 * n * m
+        need = (9 * kept + pair_bytes * n) * n + simkit._TILES_ALIVE * 8 * n * m
         with mock.patch.object(simkit, "_memory_limit", return_value=need - 1), \
                 mock.patch.object(simkit, "_scatter", side_effect=AssertionError("tile built")):
             with pytest.raises(simkit.MemoryCeilingError) as info:
@@ -641,7 +649,7 @@ class TestMemoryCeiling:
 
     def test_fitting_size_runs(self, fix4_graph):
         n, m = fix4_graph.n_items, fix4_graph.n_users
-        need = 9 * n * n + simkit._TILES_ALIVE * 8 * n * m
+        need = (9 + 1) * n * n + simkit._TILES_ALIVE * 8 * n * m
         with mock.patch.object(simkit, "_memory_limit", return_value=need):
             pim_matrix(fix4_graph, "items")
 
@@ -727,3 +735,131 @@ def test_normalize_matches_oracle_in_row_blocks(seed, n, rows, density, kind):
             return
         got = simkit._normalize(m)
     assert _bits(got) == _bits(expected)
+
+
+# ---------------------------------------------------------------------------
+# Rows mode: some rows of the normalized matrix, never the whole of it
+
+
+def _edge_graph(kind, seed=0, n_users=2, n_items=2, density=0.5):
+    """A random graph; with a zero-variance rater and a user and an item
+    that co-rate with no one; a graph whose one defined pair of either
+    axis maps to 0.5; or one in which no two nodes co-rate."""
+    scale = RatingScale(1, 5, 1)
+    if kind == "all equal":
+        triples = [("a", "x", 1), ("a", "y", 5), ("b", "x", 2), ("b", "y", 4), ("c", "z", 3)]
+    elif kind == "no pair":
+        triples = [("a", "x", 3), ("b", "y", 4)]
+    else:
+        base = random_dataset(seed, n_users=n_users, n_items=n_items, density=density)
+        triples = [(base.user_labels[u], base.item_labels[i], r) for u, i, r in base.triples()]
+        if kind == "flat and alone":
+            triples += [("flat", base.item_labels[i], 3) for i in range(base.n_items)]
+            triples += [("alone", "unshared", 2)]
+    return bigraph.build_graph(oracles.from_triples(triples, scale))
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    n_users=st.integers(2, 8),
+    n_items=st.integers(2, 8),
+    density=st.sampled_from([0.2, 0.5, 0.9]),
+    kind=st.sampled_from(["random", "flat and alone", "all equal", "no pair"]),
+    tile=st.sampled_from([1, 2, 3, None]),
+    chosen=st.sampled_from(["one row", "all rows", "one tile", "across tiles"]),
+    measure=st.sampled_from(MEASURE_CASES),
+    axis=st.sampled_from(["users", "items"]),
+    data=st.data(),
+)
+@settings(max_examples=400, deadline=None)
+def test_rows_are_bitwise_the_rows_of_the_whole_matrix(
+    seed, n_users, n_items, density, kind, tile, chosen, measure, axis, data
+):
+    g = _edge_graph(kind, seed, n_users, n_items, density)
+    name, variant = measure
+    n = g.n_users if axis == "users" else g.n_items
+    h = tile or n  # rows of a tile
+    if chosen == "one row":
+        rows = [data.draw(st.integers(0, n - 1))]
+    elif chosen == "all rows":
+        rows = list(range(n))
+    elif chosen == "one tile":
+        lo = h * data.draw(st.integers(0, (n - 1) // h))
+        rows = sorted(data.draw(st.sets(st.integers(lo, min(lo + h, n) - 1), min_size=1)))
+    else:  # the first and last rows, so more than one tile when there is
+        rows = sorted(data.draw(st.sets(st.integers(0, n - 1))) | {0, n - 1})
+    tiles = mock.patch.object(simkit, "_TILE_BYTES", 8 * _other_side(g, axis) * (tile or 10**6))
+    with tiles:
+        assert len(simkit._spans(n, _other_side(g, axis))) == -(-n // h)
+        try:
+            whole = simkit.similarity(g, name, axis, variant)
+        except SimilarityError as exc:
+            with pytest.raises(SimilarityError, match=f"^{re.escape(str(exc))}$"):
+                simkit.similarity(g, name, axis, variant, rows=rows)
+            return
+        got = simkit.similarity(g, name, axis, variant, rows=np.array(rows))
+    assert got.normalized and got.axis == axis and got.n == n
+    assert got.rows.tolist() == rows
+    assert got.values.tobytes() == whole.values[rows].tobytes()
+    assert got.defined.tobytes() == whole.defined[rows].tobytes()
+
+
+class TestRowsMode:
+    @pytest.mark.parametrize("measure", ["pcc", "pim"])
+    @pytest.mark.parametrize("axis", ["users", "items"])
+    def test_one_defined_pair_maps_to_one_half(self, measure, axis):
+        g = _edge_graph("all equal")
+        got = simkit.similarity(g, measure, axis, rows=[0, 2])
+        # a-b (x-y) is the axis's one defined pair; c (z) co-rates with no one
+        assert got.values.tolist() == [[1.0, 0.5, 0.0], [0.0, 0.0, 1.0]]
+        assert got.defined.tolist() == [[True, True, False], [False, False, True]]
+
+    @pytest.mark.parametrize("rows", [[1, 0], [1, 1], [4], [-1], [[0, 1]]])
+    def test_rows_must_be_sorted_unique_ids(self, fix4_graph, rows):
+        message = "^rows must be sorted, unique ids of the 4 users$"
+        with pytest.raises(SimilarityError, match=message):
+            simkit.similarity(fix4_graph, "pcc", "users", rows=rows)
+
+    def test_no_rows_still_checks_for_a_defined_pair(self, fix4_graph):
+        got = simkit.similarity(fix4_graph, "pim", "items", rows=[])
+        assert got.values.shape == got.defined.shape == (0, 4)
+        with pytest.raises(SimilarityError, match="^no defined off-diagonal values"):
+            simkit.similarity(_edge_graph("no pair"), "pcc", "users", rows=[])
+
+    def test_pim_rows_allocate_no_square_float64_array(self):
+        g = bigraph.build_graph(random_dataset(3, n_users=40, n_items=600, density=0.2))
+        n = g.n_items
+        rows = np.arange(0, n, 97)
+
+        def traced_peak(rows):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                simkit.similarity(g, "pim", "items", rows=rows)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        # 50-row tiles: a tile pair's float64 arrays are 50 x 50
+        with mock.patch.object(simkit, "_TILE_BYTES", 8 * g.n_users * 50):
+            simkit.similarity(g, "pim", "items", rows=rows)  # first-call set-up untraced
+            # the whole matrix's build does allocate one, so the peak tells
+            assert traced_peak(None) > 8 * n * n
+            assert traced_peak(rows) < 8 * n * n // 2
+
+
+@pytest.mark.parametrize("tile_bytes", [8, 8 * 130, 8 * 1000])
+@pytest.mark.parametrize("axis", ["users", "items"])
+@pytest.mark.parametrize("seed", range(3))
+def test_mean_ratio_replays_numpy_pairwise_sum(seed, axis, tile_bytes):
+    # runs of at most 128 values (numpy's own unrolled run) and 130, below
+    # one row of the 140 or 150 ratios, and 1000, a few rows, so the
+    # halving recurses below a tile in every case
+    g = bigraph.build_graph(random_dataset(seed, n_users=150, n_items=140, density=0.05))
+    n = g.n_users if axis == "users" else g.n_items
+    with mock.patch.object(simkit, "_TILE_BYTES", tile_bytes), \
+            mock.patch.object(simkit, "_ratios", wraps=simkit._ratios) as ratios:
+        got = average_cri_ratio(g, axis)
+    # one call per run summed, and one for the whole ratio matrix
+    assert ratios.call_count - 1 >= n * n // max(tile_bytes // 8, 128)
+    assert got == oracles.dense_average_cri_ratio(g, axis)
