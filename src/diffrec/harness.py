@@ -720,7 +720,7 @@ def analyze_corpus(ds: RatingDataset, cfg: ExperimentConfig) -> CorpusAnalysis:
         raise HarnessError("need at least 3 user pairs for the skewness analysis")
     # the pair ratios pim's correction uses, in row-major upper-triangle order
     a, deg, whole = g.adjacency[chosen], g.user_degree[chosen].astype(float), slice(0, m)
-    counts = simkit._co_counts(a, simkit._spans(m, a.shape[1]), deg)
+    counts = simkit._co_counts(a, simkit._Tiles(simkit._spans(m, a.shape[1]), a.shape[1]), deg)
     ratios = simkit._ratios(counts, deg, whole, whole)[np.triu_indices(m, 1)]
     skewness = float(stats.skew(ratios))
 

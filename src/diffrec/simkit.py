@@ -2,22 +2,24 @@
 co-rating/activity/popularity-corrected Pearson variant, and one entry
 point that computes one of them and min-max normalizes it.
 
-All three measures run on one tiled core. The axis's rating rows are
-scattered from the CSR rows into dense tiles of about _TILE_BYTES, and
-every pair of tiles on or above the diagonal gives its block of the n x n
+All three measures run on one tiled core. Every pair of row spans of
+about _TILE_BYTES on or above the diagonal gives its block of the n x n
 result, which is its transpose below the diagonal. Each builder hands the
 blocks to one output sink. The full sink writes them into the n x n
 output; the rows sink, given sorted node ids `rows`, keeps only those
 rows (len(rows) x n) and the bounds of the defined off-diagonal values
-that normalization needs, so no n x n float64 array is allocated. Memory
-is the output plus at most four dense tiles (in the Pearson column loop,
-three of the row tile and one of the column tile), never a dense copy of
-the rating matrix (the row-block scheme of Bayardo, Ma and Srikant,
-"Scaling up all pairs similarity search", WWW 2007); `defined` is written
-after them. pim also holds the co-rating count of every pair, n x n in
-the smallest unsigned type that holds the largest degree (2 bytes a pair
-at ML-1M), from which each intersection/union ratio tile is rebuilt when
-it is read.
+that normalization needs, so no n x n float64 array is allocated. A build
+holds two dense tile slots, each sized for the largest span. A fill
+writes the stored entries of some CSR rows into a slot after zeroing only
+what the slot's last fill wrote, and every product's operands are fills
+made just before it, so memory is the output, the two slots and a tile
+pair's products, never a fresh tile per span nor a dense copy of the
+rating matrix (the row-block scheme of Bayardo, Ma and Srikant, "Scaling
+up all pairs similarity search", WWW 2007); `defined` is written after
+the slots are released. pim also holds the co-rating count of every
+pair, n x n in the smallest unsigned type that holds the largest degree
+(2 bytes a pair at ML-1M), from which each intersection/union ratio tile
+is rebuilt when it is read.
 """
 
 from __future__ import annotations
@@ -39,9 +41,11 @@ MEASURES = ("cosine", "pcc", "pim")
 LOG_BASE_POPULARITY = 10.0
 # bytes of one dense tile of float64 rows: rating rows, or output rows in _normalize
 _TILE_BYTES = 24 << 20
-# dense tiles counted in a size estimate, a loose upper bound on the four
-# alive at once (module docstring), a scatter's temporaries and a pair's products
-_TILES_ALIVE = 8
+# h x h float64 products of a tile pair counted in a size estimate, beside
+# the two tile slots: the most alive at once, in pim's activity penalty
+# (two tables and two gathers) beside the num and denom of the pair and of
+# its row's diagonal pair
+_PRODUCTS_ALIVE = 8
 # rows of the strips in which a diagonal tile's upper triangle is mirrored
 _MIRROR_ROWS = 64
 # the largest degree whose co-rating counts, float32 sums of ones, are exact
@@ -104,38 +108,89 @@ def _spans(n: int, m: int) -> list[slice]:
     return [slice(lo, min(lo + h, n)) for lo in range(0, n, h)]
 
 
-def _scatter(w, rows: slice, dtype=np.float64, means=None) -> np.ndarray:
-    """Dense rows `rows` of CSR `w` less each row's `means` if given, 0
-    where nothing is stored."""
-    lo, hi = w.indptr[rows.start], w.indptr[rows.stop]
-    height = rows.stop - rows.start
-    local = np.repeat(np.arange(height), np.diff(w.indptr[rows.start : rows.stop + 1]))
-    out = np.zeros((height, w.shape[1]), dtype)
-    data = w.data[lo:hi]
-    out[local, w.indices[lo:hi]] = data if means is None else data - means[rows][local]
-    return out
+class _Slot:
+    """A dense tile buffer that every fill of a build reuses: room for h
+    rows of m float64 entries, or of m float32 ones, all +0 but where
+    the last fill wrote."""
+
+    def __init__(self, h: int, m: int):
+        self.buf, self.m, self.written = np.zeros(h * m), m, None
+
+    def fill(self, w, span: slice, values=None, dtype=np.float64) -> np.ndarray:
+        """Dense rows `span` of CSR `w` as `dtype`: `values` (by default
+        the stored data) at the stored entries, +0 elsewhere. Only the
+        entries that the last fill wrote are cleared first, so a fill
+        costs its stored entries, not the tile's. An in-place edit of a
+        fill that keeps its zeros (squaring) keeps this true."""
+        self._clear()
+        h, m = span.stop - span.start, self.m
+        stored = _stored(w, span)
+        at = np.repeat(np.arange(0, h * m, m), np.diff(w.indptr[span.start : span.stop + 1]))
+        at += w.indices[stored]
+        flat = self.buf.view(dtype)
+        flat[at] = w.data[stored] if values is None else values
+        self.written = flat, at
+        return flat[: h * m].reshape(h, m)
+
+    def _clear(self) -> None:
+        """Zero what the last fill wrote, and drop its positions."""
+        if self.written is not None:
+            flat, at = self.written
+            flat[at] = 0
+        self.written = None
+
+    def release(self) -> None:
+        """Drop the buffer, freed once no filled tile refers to it."""
+        self.buf = self.written = None
 
 
-def _row_sums(w, spans, square: bool = False) -> np.ndarray:
+class _Tiles:
+    """The row spans of a build over the rows of an n x m CSR, and its
+    two dense tile slots, each sized for the largest span: every tile the
+    build reads is a fill of one of them."""
+
+    def __init__(self, spans: list[slice], m: int):
+        h = spans[0].stop if spans else 0
+        self.spans, self.slots = spans, (_Slot(h, m), _Slot(h, m))
+
+    def release(self) -> None:
+        for slot in self.slots:
+            slot.release()
+
+
+def _stored(w, span: slice) -> slice:
+    """Where CSR rows `span` keep their entries in `w.data` and `w.indices`."""
+    return slice(w.indptr[span.start], w.indptr[span.stop])
+
+
+def _row_sums(w, tiles: _Tiles, square: bool = False) -> np.ndarray:
     """Sum of each dense row (of its squares if `square`), summed over
     the full row with its zeros, as `x.sum(axis=1)` sums."""
     sums = np.empty(w.shape[0])
-    for rows in spans:
-        x = _scatter(w, rows)
-        sums[rows] = (x * x if square else x).sum(axis=1)
+    for rows in tiles.spans:
+        data = w.data[_stored(w, rows)]
+        sums[rows] = tiles.slots[0].fill(w, rows, data * data if square else None).sum(axis=1)
     return sums
 
 
-def _tile_pairs(spans, build):
-    """(b, c, tile_b, tile_c) for every pair of tile spans with b on or
-    before c. A diagonal pair is one built tile twice, so that a tile
-    times its own transpose takes numpy's symmetric product, as the
-    whole matrix times its transpose does."""
-    for k, b in enumerate(spans):
-        tb = build(b)
-        yield b, b, tb, tb
-        for c in spans[k + 1 :]:
-            yield b, c, tb, build(c)
+def _products(w, tiles: _Tiles, dtype=np.float64, release: bool = True):
+    """(b, c, x_b @ x_c.T) for every pair of tile spans with b on or
+    before c, x the dense rows of CSR `w` in `dtype`. A row span's
+    diagonal pair is computed first and given last: one filled tile times
+    its own transpose, numpy's symmetric product, as the whole matrix
+    times its transpose is computed. With `release`, the slots are
+    released before the last pair is given, so that an output written
+    from it can take their pages."""
+    row, col = tiles.slots
+    for k, b in enumerate(tiles.spans):
+        xb = row.fill(w, b, dtype=dtype)
+        diagonal = xb @ xb.T
+        for c in tiles.spans[k + 1 :]:
+            yield b, c, xb @ col.fill(w, c, dtype=dtype).T
+        del xb
+        if release and k == len(tiles.spans) - 1:
+            tiles.release()
+        yield b, b, diagonal
 
 
 def _mirror_upper(square: np.ndarray) -> None:
@@ -188,9 +243,10 @@ def _check_fits(what: str, need: int) -> None:
 
 def _sink(measure: str, axis: Axis, w, rows, pair_bytes: int = 0):
     """The output sink (the whole matrix if `rows` is None, else those
-    rows) and the tile spans, after checking that the build fits in
+    rows) and the build's tiles, after checking that the build fits in
     memory: the kept rows with their defined flags, `pair_bytes` for each
-    pair of the whole matrix (pim's counts) and the tiles."""
+    pair of the whole matrix (pim's counts), the two tile slots and a
+    tile pair's products."""
     n, m = w.shape
     spans = _spans(n, m)
     if rows is not None:
@@ -199,11 +255,12 @@ def _sink(measure: str, axis: Axis, w, rows, pair_bytes: int = 0):
         if not (ordered and (rows[:1] >= 0).all() and (rows[-1:] < n).all()):
             raise SimilarityError(f"rows must be sorted, unique ids of the {n} {axis}")
     kept = n if rows is None else len(rows)
+    h = spans[0].stop if spans else 0
     _check_fits(
         f"{measure} similarity over {n} {axis}",
-        (9 * kept + pair_bytes * n) * n + _TILES_ALIVE * 8 * (spans[0].stop if spans else 0) * m,
+        (9 * kept + pair_bytes * n) * n + 8 * h * (2 * m + _PRODUCTS_ALIVE * h),
     )
-    return (_Full(n) if rows is None else _Rows(n, rows)), spans
+    return (_Full(n) if rows is None else _Rows(n, rows)), _Tiles(spans, m)
 
 
 class _Full:
@@ -299,15 +356,21 @@ class _Rows:
 def cosine_matrix(g: "BipartiteGraph", axis: Axis, rows=None) -> SimilarityMatrix:
     """Cosine similarity over full rating vectors, missing entries as 0."""
     w, _, _, _ = _axis_rows(g, axis)
-    out, spans = _sink("cosine", axis, w, rows)
-    norms = np.sqrt(_row_sums(w, spans, square=True))
-    for b, c, xb, xc in _tile_pairs(spans, lambda span: _scatter(w, span)):
-        tile = _marked(xb @ xc.T, np.outer(norms[b], norms[c]))
+    out, tiles = _sink("cosine", axis, w, rows)
+    norms = np.sqrt(_row_sums(w, tiles, square=True))
+    for b, c, tile in _products(w, tiles):
+        tile = _marked(tile, np.outer(norms[b], norms[c]))
         out.put(b, c, np.clip(tile, -1.0, 1.0, out=tile))
     return out.finish(axis, lambda _: np.where(norms > 0, 1.0, 0.0))
 
 
-def _pearson_tiles(w, a, spans, deg, col_w=None):
+def _centred(w, span: slice, means: np.ndarray) -> np.ndarray:
+    """The stored entries of CSR rows `span`, each less its row's mean."""
+    centred = np.repeat(means[span], np.diff(w.indptr[span.start : span.stop + 1]))
+    return np.subtract(w.data[_stored(w, span)], centred, out=centred)
+
+
+def _pearson_tiles(w, a, tiles: _Tiles, deg, col_w=None):
     """For every tile pair (b, c, num, denom): `num` the co-rating sums
     of centred products (each column weighted by `col_w` if given) and
     `denom` the per-pair variance product over the co-rating set. A
@@ -319,29 +382,40 @@ def _pearson_tiles(w, a, spans, deg, col_w=None):
     since a centred rating is nonzero only where its node rated, so
     no co-rating count is needed to tell which pairs are defined.
 
-    Each row tile's diagonal pair is computed first and given last, so
-    that no dense tile is alive while the caller works on it. A column
-    span's centred tile is freed before its mask tile is scattered."""
-    means = _unmarked(_marked(_row_sums(w, spans), deg.copy()))
-    for k, b in enumerate(spans):
-        xb, mb = _scatter(w, b, means=means), _scatter(a, b)
-        left = xb if col_w is None else xb * col_w[None, :]
+    Every tile is a fill of one of the two slots, made just before the
+    product that reads it, from values taken over the stored entries:
+    the weighted and squared row tiles are those of the centred one, and
+    an unrated entry stays +0 in each, as in the elementwise passes over
+    a dense tile. Each row tile's diagonal pair is computed first and
+    given last; the slots are released before the last pair is given."""
+    means = _unmarked(_marked(_row_sums(w, tiles), deg.copy()))
+    row, col = tiles.slots
+    for k, b in enumerate(tiles.spans):
+        xb = _centred(w, b, means)
+        left = xb if col_w is None else xb * col_w[w.indices[_stored(w, b)]]
         sq_b = xb * xb
-        d = sq_b @ mb.T
+        d = row.fill(w, b, sq_b) @ col.fill(a, b).T
         denom = d * d.T
         del d
-        # the tile times its own transpose, as x @ x.T is computed whole
-        diagonal = left @ xb.T, np.sqrt(denom, out=denom)
-        del xb, denom
-        for c in spans[k + 1 :]:
-            xc = _scatter(w, c, means=means)
-            num = left @ xc.T
+        if col_w is None:
+            # the tile times its own transpose, as x @ x.T is computed whole
+            x = row.fill(w, b, xb)
+            diagonal = x @ x.T, np.sqrt(denom, out=denom)
+            del x
+        else:
+            diagonal = row.fill(w, b, left) @ col.fill(w, b, xb).T, np.sqrt(denom, out=denom)
+        for c in tiles.spans[k + 1 :]:
+            xc = col.fill(w, c, _centred(w, c, means))
+            num = row.fill(w, b, left) @ xc.T
             # this column tile is not used again, so it is squared in place
-            sq_c = np.multiply(xc, xc, out=xc) @ mb.T
+            sq_c = np.multiply(xc, xc, out=xc) @ row.fill(a, b).T
             del xc
-            denom = (sq_b @ _scatter(a, c).T) * sq_c.T
+            denom = row.fill(w, b, sq_b) @ col.fill(a, c).T
+            denom *= sq_c.T
+            del sq_c
             yield b, c, num, np.sqrt(denom, out=denom)
-        del left, sq_b, mb
+        if k == len(tiles.spans) - 1:
+            tiles.release()
         yield (b, b, *diagonal)
 
 
@@ -349,8 +423,8 @@ def pcc_matrix(g: "BipartiteGraph", axis: Axis, rows=None) -> SimilarityMatrix:
     """Pearson similarity: sums over the co-rating set, means over all
     of each node's own ratings."""
     w, a, deg, _ = _axis_rows(g, axis)
-    out, spans = _sink("pcc", axis, w, rows)
-    for b, c, num, denom in _pearson_tiles(w, a, spans, deg):
+    out, tiles = _sink("pcc", axis, w, rows)
+    for b, c, num, denom in _pearson_tiles(w, a, tiles, deg):
         out.put(b, c, np.clip(_marked(num, denom), -1.0, 1.0, out=num))
     return out.finish(axis, lambda defined: np.where(defined, 1.0, 0.0))
 
@@ -360,9 +434,9 @@ def _count_type(deg: np.ndarray) -> np.dtype:
     return np.min_scalar_type(int(deg.max()))
 
 
-def _co_counts(a, spans, deg) -> np.ndarray:
+def _co_counts(a, tiles: _Tiles, deg) -> np.ndarray:
     """Each node pair's co-rating count, n x n in `_count_type(deg)`, from
-    the 0/1 adjacency rows `a`."""
+    the 0/1 adjacency rows `a`. The tiles are kept for a later pass."""
     # the mask product runs in float32, about a third faster than float64
     # at ML-1M; its counts, at most the larger degree, are exact up to 2**24
     if deg.max() > _FLOAT32_EXACT:
@@ -371,8 +445,7 @@ def _co_counts(a, spans, deg) -> np.ndarray:
             f"whose co-rating counts are exact in float32"
         )
     counts = np.empty((len(deg), len(deg)), _count_type(deg))
-    for b, c, mb, mc in _tile_pairs(spans, lambda span: _scatter(a, span, np.float32)):
-        tile = mb @ mc.T
+    for b, c, tile in _products(a, tiles, np.float32, release=False):
         counts[b, c] = tile
         if b != c:
             counts[c, b] = tile.T
@@ -383,7 +456,9 @@ def _ratios(counts: np.ndarray, deg: np.ndarray, b: slice, c: slice) -> np.ndarr
     """The intersection/union ratio of the rating sets of each pair of
     tile (b, c), in float64 from the counts; 0 where the union is empty."""
     inter = counts[b, c].astype(np.float64)
-    return _unmarked(_marked(inter, deg[b, None] + deg[None, c] - inter))
+    union = deg[b, None] + deg[None, c]
+    union -= inter
+    return _unmarked(_marked(inter, union))
 
 
 # numpy's pairwise summation adds a run of at most this many values in one
@@ -440,8 +515,8 @@ def pim_matrix(
     if penalty_variant not in get_args(PenaltyVariant):
         raise SimilarityError(f"unknown penalty variant {penalty_variant!r}")
     w, a, deg, other_deg = _axis_rows(g, axis)
-    out, spans = _sink("pim", axis, w, rows, _count_type(deg).itemsize)
-    counts = _co_counts(a, spans, deg)
+    out, tiles = _sink("pim", axis, w, rows, _count_type(deg).itemsize)
+    counts = _co_counts(a, tiles, deg)
     ar = _mean_ratio(counts, deg)
     if ar <= 0:
         raise SimilarityError(f"no two {axis} co-rate, so the mean co-rating ratio is 0")
@@ -449,7 +524,7 @@ def pim_matrix(
     log_deg = np.log1p(other_deg)
     col_w = _unmarked(_marked(np.full_like(log_deg, np.log(LOG_BASE_POPULARITY)), log_deg))
     deg_max = None if penalty_variant == "pair-max" else deg.max()
-    for b, c, num, denom in _pearson_tiles(w, a, spans, deg, col_w):
+    for b, c, num, denom in _pearson_tiles(w, a, tiles, deg, col_w):
         reward = _ratios(counts, deg, b, c)
         reward /= ar
         num *= np.log1p(reward, out=reward)

@@ -38,8 +38,8 @@ def cri_ratios(g, axis):
     that pim_matrix keeps (simkit._co_counts), at the tile size in force,
     after pim's memory check."""
     w, a, deg, _ = simkit._axis_rows(g, axis)
-    _, spans = simkit._sink("pim", axis, w, None, simkit._count_type(deg).itemsize)
-    counts = simkit._co_counts(a, spans, deg)
+    _, tiles = simkit._sink("pim", axis, w, None, simkit._count_type(deg).itemsize)
+    counts = simkit._co_counts(a, tiles, deg)
     whole = slice(0, len(deg))
     return simkit._ratios(counts, deg, whole, whole), simkit._mean_ratio(counts, deg)
 

@@ -214,6 +214,100 @@ def normalize(m):
     return SimilarityMatrix(axis=m.axis, values=values, defined=defined, normalized=True)
 
 
+# The four-tile similarity path: every tile a fresh dense array scattered
+# from the CSR rows, the Pearson loop holding three row tiles and one column
+# tile. simkit's builders, which fill two reused tile slots, must give its
+# bits at every tile size. The sinks, ratios, penalty and mean ratio are
+# simkit's own.
+
+
+def _scatter(w, rows, dtype=np.float64, means=None):
+    """Dense rows `rows` of CSR `w` less each row's `means` if given, 0
+    where nothing is stored."""
+    lo, hi = w.indptr[rows.start], w.indptr[rows.stop]
+    height = rows.stop - rows.start
+    local = np.repeat(np.arange(height), np.diff(w.indptr[rows.start : rows.stop + 1]))
+    out = np.zeros((height, w.shape[1]), dtype)
+    data = w.data[lo:hi]
+    out[local, w.indices[lo:hi]] = data if means is None else data - means[rows][local]
+    return out
+
+
+def _tile_pairs(spans, build):
+    """(b, c, tile_b, tile_c) for every pair of spans with b on or before
+    c; a diagonal pair is one built tile twice (numpy's symmetric product)."""
+    for k, b in enumerate(spans):
+        tb = build(b)
+        yield b, b, tb, tb
+        for c in spans[k + 1 :]:
+            yield b, c, tb, build(c)
+
+
+def _four_tile_row_sums(w, spans, square=False):
+    sums = np.empty(w.shape[0])
+    for rows in spans:
+        x = _scatter(w, rows)
+        sums[rows] = (x * x if square else x).sum(axis=1)
+    return sums
+
+
+def _four_tile_pearson(w, a, spans, deg, col_w=None):
+    means = simkit._unmarked(simkit._marked(_four_tile_row_sums(w, spans), deg.copy()))
+    for k, b in enumerate(spans):
+        xb, mb = _scatter(w, b, means=means), _scatter(a, b)
+        left = xb if col_w is None else xb * col_w[None, :]
+        sq_b = xb * xb
+        d = sq_b @ mb.T
+        diagonal = left @ xb.T, np.sqrt(d * d.T)
+        for c in spans[k + 1 :]:
+            xc = _scatter(w, c, means=means)
+            num = left @ xc.T
+            sq_c = (xc * xc) @ mb.T
+            yield b, c, num, np.sqrt((sq_b @ _scatter(a, c).T) * sq_c.T)
+        yield (b, b, *diagonal)
+
+
+def four_tile_matrix(g, measure, axis, penalty_variant="pair-max", rows=None):
+    """What simkit's raw builder of `measure` gives (the whole raw matrix,
+    or with sorted `rows` those rows of the normalized one), built on
+    fresh tiles at the tile size in force."""
+    w, a, deg, other_deg = simkit._axis_rows(g, axis)
+    n, m = w.shape
+    spans = simkit._spans(n, m)
+    out = simkit._Full(n) if rows is None else simkit._Rows(n, np.asarray(rows, dtype=np.int64))
+    if measure == "cosine":
+        norms = np.sqrt(_four_tile_row_sums(w, spans, square=True))
+        for b, c, xb, xc in _tile_pairs(spans, lambda span: _scatter(w, span)):
+            tile = simkit._marked(xb @ xc.T, np.outer(norms[b], norms[c]))
+            out.put(b, c, np.clip(tile, -1.0, 1.0, out=tile))
+        return out.finish(axis, lambda _: np.where(norms > 0, 1.0, 0.0))
+    if measure == "pcc":
+        for b, c, num, denom in _four_tile_pearson(w, a, spans, deg):
+            out.put(b, c, np.clip(simkit._marked(num, denom), -1.0, 1.0, out=num))
+        return out.finish(axis, lambda defined: np.where(defined, 1.0, 0.0))
+    counts = np.empty((n, n), simkit._count_type(deg))
+    for b, c, mb, mc in _tile_pairs(spans, lambda span: _scatter(a, span, np.float32)):
+        tile = mb @ mc.T
+        counts[b, c] = tile
+        if b != c:
+            counts[c, b] = tile.T
+    ar = simkit._mean_ratio(counts, deg)
+    if ar <= 0:
+        raise SimilarityError(f"no two {axis} co-rate, so the mean co-rating ratio is 0")
+    log_deg = np.log1p(other_deg)
+    col_w = simkit._unmarked(
+        simkit._marked(np.full_like(log_deg, np.log(LOG_BASE_POPULARITY)), log_deg)
+    )
+    deg_max = None if penalty_variant == "pair-max" else deg.max()
+    for b, c, num, denom in _four_tile_pearson(w, a, spans, deg, col_w):
+        reward = simkit._ratios(counts, deg, b, c)
+        reward /= ar
+        num *= np.log1p(reward, out=reward)
+        denom *= simkit._activity_penalty(deg[b], deg[c], deg_max)
+        out.put(b, c, simkit._marked(num, denom), mirror=True)
+    return out.finish(axis)
+
+
 def top_k_neighbors(m, node, k):
     """k most similar defined neighbors of `node` in a SimilarityMatrix as
     (id, value), descending similarity, ties by id."""

@@ -441,7 +441,7 @@ class TestMemoryCeiling:
         # the metrics' cosine over items fits, UBCF's pcc over users does not
         n_users, n_items = ds.n_users, ds.n_items
         assert n_users > n_items
-        need = 9 * n_items**2 + simkit._TILES_ALIVE * 8 * n_items * n_users
+        need = 9 * n_items**2 + 8 * n_items * (2 * n_users + simkit._PRODUCTS_ALIVE * n_items)
         monkeypatch.setattr(simkit, "_memory_limit", lambda: need)
 
     def test_rank_raises_it_unwrapped(self, ds, cfg, monkeypatch):

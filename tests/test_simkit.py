@@ -6,6 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -597,12 +598,14 @@ class TestRatingsAtTheMean:
 
 
 class TestTileMemory:
-    """A multi-tile Pearson build holds, beside its values, three row
-    tiles and one column tile, a scatter's temporaries and a pair's
-    products: no centred copy of the ratings, no second column tile, and
-    no `defined` flags while the tiles are alive."""
+    """A multi-tile build holds, beside its values, two tile slots, the
+    positions and values of a fill's stored entries and a pair's
+    products: no fresh tile per fill, no centred copy of the ratings, and
+    no `defined` flags while the slots are alive."""
 
-    @pytest.mark.parametrize("build", [pcc_matrix, pim_matrix], ids=["pcc", "pim"])
+    @pytest.mark.parametrize(
+        "build", [pcc_matrix, pim_matrix, cosine_matrix], ids=["pcc", "pim", "cosine"]
+    )
     def test_traced_peak_beyond_values(self, build):
         g = bigraph.build_graph(random_dataset(0, n_users=2000, n_items=300, density=0.1))
         row_tile = 8 * g.n_users * 10
@@ -619,9 +622,83 @@ class TestTileMemory:
         # pim also holds its co-rating counts, one byte a pair here
         held = m.values.nbytes + (g.n_items**2 if build is pim_matrix else 0)
         assert g.item_degree.max() < 256
-        # 4.5 (pcc) and 4.7 (pim) row tiles when written; a second column
-        # tile adds 0.9, `defined` 0.56 and the centred copy of the ratings 3
-        assert (peak - base - held) / row_tile < 5.0
+        # 2.8 (pcc), 3.2 (pim) and 2.5 (cosine) row tiles when written,
+        # against 4.5, 4.7 and 3.4 with a fresh tile per scatter; a third
+        # slot adds 1, `defined` 0.56 and the centred copy of the ratings 3
+        assert (peak - base - held) / row_tile < 3.5
+
+
+_STORED = st.one_of(st.sampled_from([1.0, 3.0, 0.5]), st.floats(-1e6, 1e6, width=64))
+
+
+@given(data=st.data(), m=st.integers(1, 6), fills=st.integers(1, 10))
+@settings(max_examples=300)
+def test_slot_fills_equal_fresh_scatters(data, m, fills):
+    # each fill clears only what the last one wrote, so any sequence of
+    # fills of any CSRs, spans and dtypes, with a fill squared in place
+    # between, must read as a fresh zero tile with the entries scattered
+    slot = simkit._Slot(3, m)
+    for _ in range(fills):
+        n = data.draw(st.integers(1, 5))
+        w = sp.csr_matrix(data.draw(hnp.arrays(np.float64, (n, m), elements=_STORED)))
+        lo = data.draw(st.integers(0, n - 1))
+        span = slice(lo, data.draw(st.integers(lo + 1, min(lo + 3, n))))
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+        values = None
+        if data.draw(st.booleans()):  # values other than the stored data
+            w = sp.csr_matrix((w.data * -0.5 + 2.0, w.indices, w.indptr), shape=w.shape)
+            values = w.data[w.indptr[span.start] : w.indptr[span.stop]]
+        tile = slot.fill(w, span, values, dtype)
+        expected = oracles._scatter(w, span, dtype)
+        assert tile.dtype == expected.dtype and tile.shape == expected.shape
+        assert tile.tobytes() == expected.tobytes()
+        assert not slot.buf.view(np.uint8)[tile.nbytes :].any()
+        if data.draw(st.booleans()):
+            np.multiply(tile, tile, out=tile)
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    n_users=st.integers(2, 14),
+    n_items=st.integers(2, 14),
+    density=st.sampled_from([0.2, 0.4, 0.9]),
+    kind=st.sampled_from(["random", "flat and alone"]),
+    tile=st.sampled_from([1, 2, 3, None]),
+    measure=st.sampled_from(MEASURE_CASES),
+    axis=st.sampled_from(["users", "items"]),
+    picked=st.sets(st.integers(0, 13)),
+)
+# a graph whose pcc items diagonal tile differs between numpy's symmetric
+# product and a gemm in the last bits
+@example(seed=5, n_users=9, n_items=12, density=0.4, kind="random", tile=None,
+         measure=("pcc", "pair-max"), axis="items", picked={0})
+@settings(max_examples=300, deadline=None)
+def test_builds_are_bitwise_the_four_tile_builds(
+    seed, n_users, n_items, density, kind, tile, measure, axis, picked
+):
+    # the two reused slots against a fresh dense tile per scatter, with
+    # the same spans: whole raw matrices and some rows of normalized ones
+    g = _edge_graph(kind, seed, n_users, n_items, density)
+    name, variant = measure
+    n = g.n_users if axis == "users" else g.n_items
+    rows = sorted(r for r in picked if r < n) or [n - 1]
+    tiles = mock.patch.object(simkit, "_TILE_BYTES", 8 * _other_side(g, axis) * (tile or 10**6))
+    for chosen in (None, rows):
+        with tiles:
+            try:
+                expected = oracles.four_tile_matrix(g, name, axis, variant, chosen)
+            except SimilarityError as exc:
+                with pytest.raises(SimilarityError, match=f"^{re.escape(str(exc))}$"):
+                    if chosen is None:
+                        _raw(g, name, axis, variant)
+                    else:
+                        simkit.similarity(g, name, axis, variant, rows=chosen)
+                continue
+            if chosen is None:
+                got = _raw(g, name, axis, variant)
+            else:
+                got = simkit.similarity(g, name, axis, variant, rows=chosen)
+        assert _bits(got) == _bits(expected)
 
 
 class TestMemoryCeiling:
@@ -638,9 +715,10 @@ class TestMemoryCeiling:
     ], ids=["cosine", "pcc", "pim", "ar", "similarity", "pcc-rows", "pim-rows"])
     def test_too_big_fails_before_any_tile(self, fix4_graph, call, kept, pair_bytes):
         n, m = fix4_graph.n_items, fix4_graph.n_users
-        need = (9 * kept + pair_bytes * n) * n + simkit._TILES_ALIVE * 8 * n * m
+        # one tile of n rows: two n x m slots and n x n products
+        need = (9 * kept + pair_bytes * n) * n + 8 * n * (2 * m + simkit._PRODUCTS_ALIVE * n)
         with mock.patch.object(simkit, "_memory_limit", return_value=need - 1), \
-                mock.patch.object(simkit, "_scatter", side_effect=AssertionError("tile built")):
+                mock.patch.object(simkit._Slot, "fill", side_effect=AssertionError("tile built")):
             with pytest.raises(simkit.MemoryCeilingError) as info:
                 call(fix4_graph)
         msg = str(info.value)
@@ -649,13 +727,14 @@ class TestMemoryCeiling:
 
     def test_fitting_size_runs(self, fix4_graph):
         n, m = fix4_graph.n_items, fix4_graph.n_users
-        need = (9 + 1) * n * n + simkit._TILES_ALIVE * 8 * n * m
+        need = (9 + 1) * n * n + 8 * n * (2 * m + simkit._PRODUCTS_ALIVE * n)
         with mock.patch.object(simkit, "_memory_limit", return_value=need):
             pim_matrix(fix4_graph, "items")
 
     def test_message_names_measure_axis_size_and_bytes(self, fix4_graph):
-        # 4 x 4 values and defined flags, and eight one-tile copies of 4 rows of 4 floats
-        need = 9 * 4 * 4 + simkit._TILES_ALIVE * 8 * 4 * 4
+        # 4 x 4 values and defined flags, two slots of 4 rows of 4 floats, and
+        # the products of the one tile pair, each 4 x 4 floats
+        need = 9 * 4 * 4 + 8 * 4 * (2 + simkit._PRODUCTS_ALIVE) * 4
         with mock.patch.object(simkit, "_memory_limit", return_value=need - 1):
             with pytest.raises(SimilarityError, match=(
                 rf"^pcc similarity over 4 users needs {need:,} bytes \(0 MiB\), "
