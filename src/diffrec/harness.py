@@ -18,7 +18,6 @@ from typing import Callable, NamedTuple, Sequence, get_args
 
 import numpy as np
 import scipy
-from scipy import stats
 
 import diffrec
 from diffrec import bigraph, corpus, evalmetrics, recommend, simkit
@@ -706,6 +705,8 @@ def analyze_corpus(ds: RatingDataset, cfg: ExperimentConfig) -> CorpusAnalysis:
     popularity, popularity vs mean rating, and normalized similarity
     distributions for the Pearson and corrected-Pearson measures (the
     latter with `cfg.penalty_variant`). `cfg.seed` draws the samples."""
+    from scipy import stats  # only here and in _ols: it would double every command's import
+
     g = bigraph.build_graph(ds)
     rng = np.random.default_rng(cfg.seed)
 
@@ -771,6 +772,8 @@ def _grouped_mean(levels: np.ndarray, values: np.ndarray) -> list[tuple[int, flo
 
 
 def _ols(points: list[tuple[int, float]], name: str) -> RegressionResult:
+    from scipy import stats
+
     if len(points) < 3:
         raise HarnessError(f"need at least 3 points for the {name} regression, got {len(points)}")
     xs = np.array([p[0] for p in points], dtype=np.float64)

@@ -673,32 +673,71 @@ def test_sweep_help_names_each_default_from_the_table(command, capsys):
         assert f"{flag} {name.upper()} comma-separated {name} (default {default})" in text
 
 
+ANALYZE_CSVS = (
+    "cri_ratios.csv",
+    "activity_popularity.csv",
+    "popularity_rating.csv",
+    "similarity_samples.csv",
+)
+
+
 def test_analyze_cli(synth_csv, tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["analyze", "--input", str(synth_csv), "--out-dir", str(out)])
     assert code == 0
-    for name in (
-        "cri_ratios.csv",
-        "activity_popularity.csv",
-        "popularity_rating.csv",
-        "similarity_samples.csv",
-    ):
+    for name in ANALYZE_CSVS:
         assert (out / name).exists()
     stdout = capsys.readouterr().out
     assert stdout.startswith("cri_skewness,")
 
 
-def test_entry_point_subprocess(fix4_csv):
-    # the child imports the package this test imported, also when pytest
-    # put it on sys.path itself
+def run_python(*args):
+    """Run `python *args` in a fresh process that imports the package this
+    test imported, also when pytest put it on sys.path itself."""
     src = str(Path(diffrec.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "diffrec.cli", "stats", "--input", str(fix4_csv)],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+# runs each argv list through cli.main in one process, and prints last
+# whether scipy.stats was loaded after the import and after each command
+STATS_PROBE = """
+import json, sys
+from diffrec import cli
+loaded = ["scipy.stats" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+    loaded.append("scipy.stats" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_only_analyze_imports_scipy_stats(synth_csv, tmp_path):
+    # scipy.stats doubles the import of diffrec.cli, and this process holds it
+    # already, so each check runs in a fresh one
+    def argv(command):
+        flags, _ = RUNS[command]
+        return [command, *flags, "--input", str(synth_csv), "--out-dir", str(tmp_path / command)]
+
+    others = [argv(command) for command in COMMANDS if command != "analyze"]
+    proc = run_python("-c", STATS_PROBE, json.dumps(others))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False] * (len(others) + 1)
+
+    proc = run_python("-c", STATS_PROBE, json.dumps([argv("analyze")]))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False, True]
+    for name in ANALYZE_CSVS:
+        assert (tmp_path / "analyze" / name).stat().st_size > 0
+
+
+def test_entry_point_subprocess(fix4_csv):
+    proc = run_python("-m", "diffrec.cli", "stats", "--input", str(fix4_csv))
     assert proc.returncode == 0
     assert proc.stdout.strip() == "4,4,10,0.3750"
     assert "resolved config:" in proc.stderr
