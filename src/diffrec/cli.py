@@ -264,13 +264,13 @@ def _run(args: argparse.Namespace) -> int:
                 _write_lists(fh, lists, ds.item_labels, ds.user_labels)
 
         report = harness.run_experiment(ds, cfg, list_sink=sink)
-        harness.write_manifest(report, out / "manifest.json", settings.input)
         path = out / "report.csv"
     else:
         run, name, lists = SWEEPS[cmd]
         report = run(ds, cfg, *(_parsed_list(flag, parse, getattr(args, flag[2:]))
                                 for flag, (parse, _) in lists.items()))
         path = out / name
+    harness.write_manifest(report, out / "manifest.json", settings.input)
     harness.write_report_csv(report, path)
     print(path.read_text(), end="")
     return 0

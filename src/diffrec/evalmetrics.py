@@ -77,6 +77,11 @@ def _block_gather(sim: SimilarityMatrix):
     sums add the same values in the same order as the np.ix_ block, while
     only len(rows) x len(cols) values are touched, not whole rows.
     """
+    if sim.values.shape[0] != sim.n:
+        raise MetricError(
+            f"a list metric needs the whole similarity matrix, "
+            f"got {sim.values.shape[0]} of its {sim.n} rows"
+        )
     flat = np.ascontiguousarray(sim.values).ravel()
     n = sim.values.shape[1]
     return lambda rows, cols: flat.take(rows[:, None] * n + cols)

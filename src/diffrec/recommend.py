@@ -178,6 +178,7 @@ def knn_predict(
     edges, and at least one pair. A pair's prediction is its own, so the
     bytes do not depend on the runs.
     """
+    _check_whole(sim, "kNN prediction")
     ks = np.asarray(ks, dtype=np.int64).tolist()
     if not ks:
         raise RecommendError("no neighbor counts given")
@@ -201,6 +202,16 @@ def knn_predict(
         num[lo:hi], den[lo:hi] = _neighbor_sums(sim, csr, anchors[lo:hi], rows[lo:hi], ks)
         lo = hi
     return _predictions(num, den, g, users[:, None], items[:, None])
+
+
+def _check_whole(sim: SimilarityMatrix, reader: str) -> None:
+    """RecommendError unless `sim` holds every row of its matrix: `reader`
+    reads the rows of any node."""
+    if sim.values.shape[0] != sim.n:
+        raise RecommendError(
+            f"{reader} needs the whole similarity matrix, "
+            f"got {sim.values.shape[0]} of its {sim.n} rows"
+        )
 
 
 def _neighbor_sums(sim: SimilarityMatrix, csr, anchors, rows, ks: list[int]) -> np.ndarray:
@@ -343,6 +354,7 @@ def ibcf_scores(
     row per user, from the similarity columns of the user's rated items."""
     if sim.axis != "items":
         raise RecommendError(f"item-based kNN needs an items-axis similarity, got {sim.axis!r}")
+    _check_whole(sim, "item-based kNN")
     items = np.arange(g.n_items)
     out = np.empty((len(users), g.n_items))
     for r, user in enumerate(users):

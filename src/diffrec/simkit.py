@@ -4,29 +4,30 @@ point that computes one of them and min-max normalizes it.
 
 All three measures run on one tiled core. Every pair of row spans of
 about _TILE_BYTES on or above the diagonal gives its block of the n x n
-result, which is its transpose below the diagonal. Each builder hands the
-blocks to one output sink. The full sink writes them into the n x n
-output; the rows sink, given sorted node ids `rows`, keeps only those
-rows (len(rows) x n) and the bounds of the defined off-diagonal values
-that normalization needs, so no n x n float64 array is allocated. A build
-holds two dense tile slots, each sized for the largest span. A fill
-writes the stored entries of some CSR rows into a slot after zeroing only
-what the slot's last fill wrote, and every product's operands are fills
-made just before it, so memory is the output, the two slots and a tile
-pair's products, never a fresh tile per span nor a dense copy of the
-rating matrix (the row-block scheme of Bayardo, Ma and Srikant, "Scaling
-up all pairs similarity search", WWW 2007); `defined` is written after
-the slots are released. pim also holds the co-rating count of every
-pair, n x n in the smallest unsigned type that holds the largest degree
-(2 bytes a pair at ML-1M), from which each intersection/union ratio tile
-is rebuilt when it is read.
+result, which is its transpose below the diagonal. Each builder hands
+the blocks to one output sink. The rows sink, given sorted node ids
+`rows`, keeps only those rows (len(rows) x n) and the bounds of the
+defined off-diagonal values that normalization needs, so a build of some
+rows allocates no n x n float64 array; the normalized whole matrix is
+the build of every row, and the raw one the every-row sink that does not
+normalize. A build holds two dense tile slots, each sized for the
+largest span. A fill writes the stored entries of some CSR rows into a
+slot after zeroing only what the slot's last fill wrote, and every
+product's operands are fills made just before it, so memory is the
+output, the two slots and a tile pair's products, never a fresh tile per
+span nor a dense copy of the rating matrix (the row-block scheme of
+Bayardo, Ma and Srikant, "Scaling up all pairs similarity search", WWW
+2007); `defined` is written after the slots are released. pim also holds
+the co-rating count of every pair, n x n in the smallest unsigned type
+that holds the largest degree (2 bytes a pair at ML-1M), from which each
+intersection/union ratio tile is rebuilt when it is read.
 """
 
 from __future__ import annotations
 
 import os
 import resource
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Literal, get_args
 
 import numpy as np
@@ -39,7 +40,7 @@ PenaltyVariant = Literal["pair-max", "global-max"]
 MEASURES = ("cosine", "pcc", "pim")
 # base of the logarithm in pim's popularity down-weighting
 LOG_BASE_POPULARITY = 10.0
-# bytes of one dense tile of float64 rows: rating rows, or output rows in _normalize
+# bytes of one dense tile of float64 rows: rating rows, or a run of pim's ratios
 _TILE_BYTES = 24 << 20
 # h x h float64 products of a tile pair counted in a size estimate, beside
 # the two tile slots: the most alive at once, in pim's activity penalty
@@ -242,11 +243,11 @@ def _check_fits(what: str, need: int) -> None:
 
 
 def _sink(measure: str, axis: Axis, w, rows, pair_bytes: int = 0):
-    """The output sink (the whole matrix if `rows` is None, else those
-    rows) and the build's tiles, after checking that the build fits in
-    memory: the kept rows with their defined flags, `pair_bytes` for each
-    pair of the whole matrix (pim's counts), the two tile slots and a
-    tile pair's products."""
+    """The output sink (the whole raw matrix if `rows` is None, else
+    those rows normalized) and the build's tiles, after checking that the
+    build fits in memory: the kept rows with their defined flags,
+    `pair_bytes` for each pair of the whole matrix (pim's counts), the two
+    tile slots and a tile pair's products."""
     n, m = w.shape
     spans = _spans(n, m)
     if rows is not None:
@@ -263,75 +264,55 @@ def _sink(measure: str, axis: Axis, w, rows, pair_bytes: int = 0):
     return (_Full(n) if rows is None else _Rows(n, rows)), _Tiles(spans, m)
 
 
-class _Full:
-    """The sink of a whole matrix: each tile pair goes into the n x n
-    output. The output is allocated at the first write, so that it can
-    take the pages of the temporaries freed before it: a one-tile build,
-    whose first write comes after its row tiles are freed, peaks lower."""
-
-    def __init__(self, n: int):
-        self.n, self.values = n, None
-
-    def put(self, b: slice, c: slice, tile: np.ndarray, mirror: bool = False) -> None:
-        """Write the tile of pair (b, c) at [b, c] and its transpose at
-        [c, b]; the tile may be overwritten. A diagonal tile is bitwise
-        symmetric already when it is a function of a tile times itself
-        (numpy's symmetric product) and of terms symmetric in the pair.
-        Otherwise `mirror` keeps its upper triangle, mirrored below, so
-        sim(a, b) == sim(b, a) bitwise (other BLAS products are symmetric
-        only up to rounding). Adding a zero makes -0.0 +0.0."""
-        tile += 0.0
-        if self.values is None:
-            self.values = np.empty((self.n, self.n))
-        self.values[b, c] = tile
-        if b != c:
-            self.values[c, b] = tile.T
-        elif mirror:
-            _mirror_upper(self.values[b, b])
-
-    def finish(self, axis: Axis, diagonal=None) -> SimilarityMatrix:
-        """The raw matrix: `defined` from the NaN marks, which become +0,
-        and then, if given, the diagonal `diagonal(its defined flags)`."""
-        values = self.values
-        defined = values == values
-        _unmarked(values)
-        if diagonal is not None:
-            np.fill_diagonal(values, diagonal(np.diagonal(defined)))
-        return SimilarityMatrix(axis=axis, values=values, defined=defined)
-
-
 class _Rows:
     """The sink of the rows `rows` (sorted node ids) of a matrix that is
     normalized as it is built. Each tile pair gives the kept rows that
     fall in its spans, in its tile or its transpose, and its defined
-    off-diagonal values fold into the bounds that `_normalize` takes over
-    the whole matrix."""
+    off-diagonal values fold into the bounds of the whole matrix. The
+    output is allocated at the first write, so that it can take the pages
+    of the temporaries freed before it: a one-tile build, whose first
+    write comes after its row tiles are freed, peaks lower."""
 
     def __init__(self, n: int, rows: np.ndarray):
-        self.rows = rows
-        self.values = np.empty((len(rows), n))
+        self.n, self.rows, self.values = n, rows, None
         self.lo, self.hi = np.inf, -np.inf
 
+    def _kept(self, span: slice):
+        """Where the kept rows of `span` go in the output, and where they
+        are in the span: a slice when the span is kept whole, so that its
+        rows are written with no gathered copy."""
+        lo, hi = np.searchsorted(self.rows, (span.start, span.stop))
+        whole = hi - lo == span.stop - span.start
+        return slice(lo, hi), slice(None) if whole else self.rows[lo:hi] - span.start
+
     def put(self, b: slice, c: slice, tile: np.ndarray, mirror: bool = False) -> None:
-        """The kept rows of the tile as `_Full.put` writes it; the tile is
-        overwritten."""
+        """Write the kept rows of the tile of pair (b, c) at [b, c] and of
+        its transpose at [c, b]; the tile is overwritten. A diagonal tile
+        is bitwise symmetric already when it is a function of a tile times
+        itself (numpy's symmetric product) and of terms symmetric in the
+        pair. Otherwise `mirror` keeps its upper triangle, mirrored below,
+        so sim(a, b) == sim(b, a) bitwise (other BLAS products are
+        symmetric only up to rounding). Adding a zero makes -0.0 +0.0."""
         tile += 0.0
+        if self.values is None:
+            self.values = np.empty((len(self.rows), self.n))
         if b == c and mirror:
             _mirror_upper(tile)
-        rows = self.rows
-        lo, hi = np.searchsorted(rows, (b.start, b.stop))
-        self.values[lo:hi, c] = tile[rows[lo:hi] - b.start]
+        kept, at = self._kept(b)
+        self.values[kept, c] = tile[at]
         if b == c:
             np.fill_diagonal(tile, np.nan)
         else:
-            lo, hi = np.searchsorted(rows, (c.start, c.stop))
-            self.values[lo:hi, b] = tile[:, rows[lo:hi] - c.start].T
+            kept, at = self._kept(c)
+            self.values[kept, b] = tile[:, at].T
         self.lo = np.fmin(self.lo, np.fmin.reduce(tile, axis=None))
         self.hi = np.fmax(self.hi, np.fmax.reduce(tile, axis=None))
 
     def finish(self, axis: Axis, diagonal=None) -> SimilarityMatrix:
-        """The kept rows normalized as `_normalize` does the whole matrix,
-        which overwrites the raw diagonal (so `diagonal` is not read)."""
+        """The kept rows min-max normalized over the defined off-diagonal
+        values of the whole matrix: undefined entries map to 0 and the
+        diagonal to 1 (so `diagonal` is not read), and if every defined
+        off-diagonal value is equal, they all map to 0.5."""
         if not self.lo <= self.hi:
             raise SimilarityError("no defined off-diagonal values to normalize")
         values, rows = self.values, self.rows
@@ -344,6 +325,23 @@ class _Rows:
         return SimilarityMatrix(
             axis=axis, values=values, defined=defined, normalized=True, rows=rows
         )
+
+
+class _Full(_Rows):
+    """The sink of a whole raw matrix: every row kept, and not normalized."""
+
+    def __init__(self, n: int):
+        super().__init__(n, np.arange(n))
+
+    def finish(self, axis: Axis, diagonal=None) -> SimilarityMatrix:
+        """The raw matrix: `defined` from the NaN marks, which become +0,
+        and then, if given, the diagonal `diagonal(its defined flags)`."""
+        values = self.values
+        defined = values == values
+        _unmarked(values)
+        if diagonal is not None:
+            np.fill_diagonal(values, diagonal(np.diagonal(defined)))
+        return SimilarityMatrix(axis=axis, values=values, defined=defined)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +568,11 @@ def similarity(
     With `rows`, sorted unique node ids, the matrix holds only those rows
     (SimilarityMatrix.rows), bitwise the same rows of the whole normalized
     matrix, which is never held: every tile pair is still computed, for
-    the bounds that normalization takes over all defined pairs."""
+    the bounds that normalization takes over all defined pairs. Without
+    it, the matrix is the build of every row."""
+    whole = rows is None
+    if whole:
+        rows = np.arange(g.n_users if axis == "users" else g.n_items)
     if measure == "cosine":
         m = cosine_matrix(g, axis, rows)
     elif measure == "pcc":
@@ -579,39 +581,7 @@ def similarity(
         m = pim_matrix(g, axis, penalty_variant, rows)
     else:
         raise SimilarityError(f"unknown similarity measure {measure!r}")
-    return _normalize(m) if rows is None else m
-
-
-def _normalize(m: SimilarityMatrix) -> SimilarityMatrix:
-    """Min-max normalize defined off-diagonal values to [0, 1], overwriting
-    m's arrays one block of rows at a time.
-
-    Undefined entries map to 0, the diagonal to 1. If every defined
-    off-diagonal value is equal, they all map to 0.5.
-
-    Every pass is plain in-place arithmetic. The first marks each
-    undefined or diagonal entry NaN (a value times its 0/1 flag, over
-    the flag, is itself or 0/0) and takes the bounds with NaN-ignoring
-    reductions. The second scales (`_scale`).
-    """
-    values, defined = m.values, m.defined
-    if np.count_nonzero(defined) == np.count_nonzero(np.diagonal(defined)):
-        raise SimilarityError("no defined off-diagonal values to normalize")
-    blocks = _spans(m.n, m.n)
-    lo, hi = np.inf, -np.inf
-    for rows in blocks:
-        v, d = values[rows], defined[rows]
-        np.fill_diagonal(v[:, rows], np.nan)
-        with np.errstate(invalid="ignore"):
-            v *= d
-            v /= d
-        lo = np.fmin(lo, np.fmin.reduce(v, axis=None))
-        hi = np.fmax(hi, np.fmax.reduce(v, axis=None))
-    for rows in blocks:
-        _scale(values[rows], lo, hi)
-    np.fill_diagonal(values, 1.0)
-    np.fill_diagonal(defined, True)
-    return SimilarityMatrix(axis=m.axis, values=values, defined=defined, normalized=True)
+    return replace(m, rows=None) if whole else m
 
 
 def _scale(v: np.ndarray, lo, hi) -> None:

@@ -465,6 +465,28 @@ def test_manifest_records_peak_rss_and_versions(synth_csv, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep-theta", "--thetas", "0.2,0.6"], ["sweep-length", "--lengths", "3,5"],
+     ["sweep-knn", "--ks", "3"]],
+)
+def test_every_sweep_writes_a_manifest(synth_csv, tmp_path, capsys, argv):
+    import diffrec
+
+    out, cfg = tmp_path / "out", tmp_path / "run.cfg"
+    cfg.write_text("folds = 2\n")
+    assert main([*argv, "--input", str(synth_csv), "--out-dir", str(out),
+                 "--config", str(cfg)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["input_sha256"] == hashlib.sha256(synth_csv.read_bytes()).hexdigest()
+    assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 0
+    assert manifest["versions"]["diffrec"] == diffrec.__version__
+    assert "numpy_cpu" in manifest["environment"]
+    # sweep-knn runs its own fold loop, which records no folds
+    assert len(manifest["folds"]) == (0 if argv[0] == "sweep-knn" else 2)
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("methods, trained", [("MD", False), ("MD,SVD", True)])
 def test_manifest_records_input_digest_and_mf_time(synth_csv, tmp_path, capsys, methods,
                                                    trained):

@@ -244,6 +244,20 @@ class TestNovelty:
             novelty([rl(0, [0])], {0: []}, sim, 1)
 
 
+@pytest.mark.parametrize("metric", ["internal_diversity", "novelty"])
+def test_list_metrics_need_the_whole_matrix(metric):
+    # some rows of a matrix would read as its first rows, or past them
+    g = build_graph(random_dataset(3, n_users=8, n_items=9, density=0.6))
+    sim = simkit.similarity(g, "pcc", "items", rows=[5, 6, 7])
+    lists = [rl(0, [0, 8])]
+    call = {
+        "internal_diversity": lambda: internal_diversity(lists, sim, 2),
+        "novelty": lambda: novelty(lists, {0: [1, 7]}, sim, 2),
+    }[metric]
+    with pytest.raises(MetricError, match="whole similarity matrix, got 3 of its 9 rows$"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # Prediction error
 

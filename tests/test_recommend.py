@@ -457,6 +457,22 @@ class TestKnnRecommend:
         with pytest.raises(RecommendError, match="items-axis similarity"):
             ibcf_scores(sim, fix4_graph, [0], 3)
 
+    @pytest.mark.parametrize("reader", ["knn_predict", "ubcf_scores", "ibcf_scores"])
+    def test_readers_need_the_whole_matrix(self, reader):
+        # some rows of a matrix would read as its first rows: wrong
+        # predictions with no error, or an IndexError past the last row
+        g = build_graph(random_dataset(3, n_users=8, n_items=9, density=0.6))
+        axis = "items" if reader == "ibcf_scores" else "users"
+        sim = simkit.similarity(g, "pcc", axis, rows=[5, 6, 7])
+        first = np.arange(3)
+        call = {
+            "knn_predict": lambda: knn_predict(sim, g, first, first, [3]),
+            "ubcf_scores": lambda: ubcf_scores(sim, g, first, 3),
+            "ibcf_scores": lambda: ibcf_scores(sim, g, first, 3),
+        }[reader]
+        with pytest.raises(RecommendError, match=f"whole similarity matrix, got 3 of its {sim.n} rows$"):
+            call()
+
     @given(
         seed=st.integers(0, 2**16),
         n_users=st.integers(1, 7),

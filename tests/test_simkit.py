@@ -321,36 +321,52 @@ class TestSymmetryAndBounds:
             assert m.values.max() <= 1 + 1e-9
 
 
+def _sink_fed(values, defined, rows):
+    """The rows sink of every row of a symmetric raw matrix, given its tile
+    pairs of `rows`-row spans as a build gives them: on or above the
+    diagonal, each row span's diagonal pair last, undefined pairs NaN."""
+    n = len(values)
+    marked = np.where(defined, values, np.nan)
+    with mock.patch.object(simkit, "_TILE_BYTES", 8 * n * rows):
+        spans = simkit._spans(n, n)
+    assert len(spans) == -(-n // rows)
+    sink = simkit._Rows(n, np.arange(n))
+    for k, b in enumerate(spans):
+        for c in (*spans[k + 1 :], b):
+            sink.put(b, c, marked[b, c].copy())
+    return sink
+
+
+def _normalized(values, defined, rows):
+    return _sink_fed(values, defined, rows).finish("users")
+
+
 class TestNormalize:
     def test_minmax(self):
         values = np.array(
             [[1.0, -1.0, 0.0], [-1.0, 1.0, 1.0], [0.0, 1.0, 1.0]]
         )
-        m = SimilarityMatrix(
-            axis="users", values=values, defined=np.ones((3, 3), dtype=bool)
-        )
-        out = simkit._normalize(m)
-        assert out.values[0, 1] == 0.0
-        assert out.values[0, 2] == 0.5
-        assert out.values[1, 2] == 1.0
-        assert np.all(np.diag(out.values) == 1.0)
+        for rows in (1, 2, 3):
+            out = _normalized(values, np.ones((3, 3), dtype=bool), rows)
+            assert out.values[0, 1] == 0.0
+            assert out.values[0, 2] == 0.5
+            assert out.values[1, 2] == 1.0
+            assert np.all(np.diag(out.values) == 1.0)
 
     def test_degenerate_all_equal(self):
         values = np.full((3, 3), 0.7)
-        m = SimilarityMatrix(
-            axis="users", values=values, defined=np.ones((3, 3), dtype=bool)
-        )
-        out = simkit._normalize(m)
         off = ~np.eye(3, dtype=bool)
-        assert np.all(out.values[off] == 0.5)
+        for rows in (1, 2, 3):
+            out = _normalized(values, np.ones((3, 3), dtype=bool), rows)
+            assert np.all(out.values[off] == 0.5)
 
     def test_undefined_maps_to_zero(self):
         values = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, -0.5], [0.0, -0.5, 1.0]])
         defined = np.ones((3, 3), dtype=bool)
         defined[0, 2] = defined[2, 0] = False
-        m = SimilarityMatrix(axis="users", values=values, defined=defined)
-        out = simkit._normalize(m)
-        assert out.values[0, 2] == 0.0
+        for rows in (1, 2, 3):
+            out = _normalized(values, defined, rows)
+            assert out.values[0, 2] == 0.0 and not out.defined[0, 2]
 
     def test_rank_order_preserved(self, fix4_graph, uid):
         out = simkit.similarity(fix4_graph, "pcc", "users")
@@ -390,15 +406,17 @@ class TestTopK:
         assert [n for n, _ in oracles.top_k_neighbors(m, 0, 2)] == [1, 2]
 
 
-@given(st.lists(st.floats(-1, 1, allow_nan=False), min_size=2, max_size=12, unique=True))
+@given(
+    st.lists(st.floats(-1, 1, allow_nan=False), min_size=2, max_size=12, unique=True),
+    st.integers(1, 3),
+)
 @settings(max_examples=50)
-def test_normalize_preserves_order(values):
+def test_normalize_preserves_order(values, rows):
     n = len(values) + 1
     mat = np.zeros((n, n))
     mat[0, 1:] = values
     mat[1:, 0] = values
-    m = SimilarityMatrix(axis="users", values=mat, defined=np.ones((n, n), dtype=bool))
-    out = simkit._normalize(m)
+    out = _normalized(mat, np.ones((n, n), dtype=bool), rows)
     order_raw = np.argsort(mat[0, 1:], kind="stable")
     by_raw_order = out.values[0, 1:][order_raw]
     assert np.all(np.diff(by_raw_order) >= 0)
@@ -548,10 +566,8 @@ class TestOneTileMatchesDenseOracle:
     def test_normalize_in_row_blocks_is_bitwise(self, rows):
         g = bigraph.build_graph(random_dataset(4, n_users=11, n_items=9, density=0.5))
         raw = pim_matrix(g, "users")
-        expected = oracles.normalize(raw)
-        with mock.patch.object(simkit, "_TILE_BYTES", 8 * raw.n * rows):
-            got = simkit._normalize(raw)
-        assert _bits(got) == _bits(expected)
+        got = _normalized(raw.values, raw.defined, rows)
+        assert _bits(got) == _bits(oracles.normalize(raw))
 
     def test_similarity_normalizes_its_own_matrix(self, fix4_graph):
         # no second n x n copy: the raw arrays become the normalized ones
@@ -603,24 +619,27 @@ class TestTileMemory:
     products: no fresh tile per fill, no centred copy of the ratings, and
     no `defined` flags while the slots are alive."""
 
-    @pytest.mark.parametrize(
-        "build", [pcc_matrix, pim_matrix, cosine_matrix], ids=["pcc", "pim", "cosine"]
-    )
+    RAW = {"pcc": pcc_matrix, "pim": pim_matrix, "cosine": cosine_matrix}
+
+    # the raw builds, and the whole normalized builds of `similarity`
+    @pytest.mark.parametrize("build", [*RAW, *(f"similarity-{name}" for name in RAW)])
     def test_traced_peak_beyond_values(self, build):
+        measure = build.removeprefix("similarity-")
+        run = self.RAW.get(build, lambda g, axis: simkit.similarity(g, measure, axis))
         g = bigraph.build_graph(random_dataset(0, n_users=2000, n_items=300, density=0.1))
         row_tile = 8 * g.n_users * 10
         with mock.patch.object(simkit, "_TILE_BYTES", row_tile):
             assert len(simkit._spans(g.n_items, g.n_users)) == 30
-            build(g, "items")  # so that no first-call set-up is traced
+            run(g, "items")  # so that no first-call set-up is traced
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                m = build(g, "items")
+                m = run(g, "items")
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         # pim also holds its co-rating counts, one byte a pair here
-        held = m.values.nbytes + (g.n_items**2 if build is pim_matrix else 0)
+        held = m.values.nbytes + (g.n_items**2 if measure == "pim" else 0)
         assert g.item_degree.max() < 256
         # 2.8 (pcc), 3.2 (pim) and 2.5 (cosine) row tiles when written,
         # against 4.5, 4.7 and 3.4 with a fresh tile per scatter; a third
@@ -800,20 +819,19 @@ def test_normalize_matches_oracle_in_row_blocks(seed, n, rows, density, kind):
         values[defined] = 0.3
     if kind == "none-defined":  # the diagonal alone, or nothing
         defined = np.diag(np.diag(defined))
-    m = SimilarityMatrix(axis="users", values=values.copy(), defined=defined.copy())
-    with mock.patch.object(simkit, "_TILE_BYTES", 8 * n * rows):
-        assert len(simkit._spans(n, n)) == -(-n // rows)
-        try:
-            expected = oracles.normalize(SimilarityMatrix("users", values, defined))
-        except SimilarityError as exc:
-            with pytest.raises(SimilarityError, match=str(exc)):
-                simkit._normalize(m)
-            # the error comes before any write
-            assert m.values.tobytes() == values.tobytes()
-            assert m.defined.tobytes() == defined.tobytes()
-            return
-        got = simkit._normalize(m)
-    assert _bits(got) == _bits(expected)
+    # symmetric, as every raw build is
+    values = np.triu(values) + np.triu(values, 1).T
+    defined = np.triu(defined) | np.triu(defined, 1).T
+    sink = _sink_fed(values, defined, rows)
+    try:
+        expected = oracles.normalize(SimilarityMatrix("users", values, defined))
+    except SimilarityError as exc:
+        with pytest.raises(SimilarityError, match=f"^{re.escape(str(exc))}$"):
+            sink.finish("users")
+        # the error comes before any write
+        assert sink.values.tobytes() == (np.where(defined, values, np.nan) + 0.0).tobytes()
+        return
+    assert _bits(sink.finish("users")) == _bits(expected)
 
 
 # ---------------------------------------------------------------------------

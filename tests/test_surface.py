@@ -7,7 +7,9 @@ under tests/.
 
 simkit's n x n passes are plain arithmetic: no call in simkit takes a
 `where=` argument, since a masked ufunc over a random mask is several
-times slower than the plain one.
+times slower than the plain one. simkit normalizes in one place: `_scale`
+is read only by the rows sink's `finish`, which every normalized matrix,
+whole or some rows, comes from.
 
 What sets a method apart lives in `harness.METHODS` alone: no module
 compares a value with a method's name.
@@ -147,6 +149,39 @@ def test_the_guard_finds_a_masked_call():
         "x = f(g(y, where=m))\n"
     )
     assert masked_calls(tree) == [2, 3]
+
+
+def readers(tree: ast.Module, name: str) -> list[str]:
+    """The dotted scope ("Class.method", "" at module level) of each place
+    in tree that reads the name `name`, a call or any other load."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, (*scope, child.name))
+                continue
+            if isinstance(child, ast.Name) and child.id == name and isinstance(child.ctx, ast.Load):
+                found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, ())
+    return sorted(found)
+
+
+def test_simkit_normalizes_in_one_place():
+    assert readers(_modules()["simkit"], "_scale") == ["_Rows.finish"]
+
+
+def test_the_guard_finds_every_reader():
+    tree = ast.parse(
+        "def _scale(v):\n    pass\n"
+        "_scale(a)\n"
+        "def f():\n    g(_scale(b))\n"
+        "class C:\n    def m(self):\n        h = _scale\n        def inner():\n"
+        "            return _scale\n"
+    )
+    assert readers(tree, "_scale") == ["", "C.m", "C.m.inner", "f"]
 
 
 def method_comparisons(tree: ast.Module, names: set[str]) -> list[int]:
